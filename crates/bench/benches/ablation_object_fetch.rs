@@ -9,8 +9,8 @@
 //! throughput at the laptop geometry and reports peak RSS, the
 //! bounded-memory half of the claim.
 //!
-//! Criterion-style `min/median/mean` lines feed `scripts/bench_snapshot.sh`;
-//! the TSV goes to `target/figures/ablation_object_fetch.csv`.
+//! It prints criterion-style `min/median/mean` lines; the TSV goes to
+//! `target/figures/ablation_object_fetch.csv`.
 
 use criterion::Criterion;
 use dna_bench::{FigureOutput, Scale};

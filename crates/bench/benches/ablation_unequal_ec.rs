@@ -16,8 +16,7 @@ use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
 use dna_channel::{CoverageModel, ErrorModel, ReadPool};
 use dna_consensus::{BmaTwoWay, TraceReconstructor};
 use dna_storage::{CodecParams, Layout};
-use dna_strand::codec::DirectCodec;
-use dna_strand::DnaString;
+use dna_strand::{bits, DnaString};
 
 /// Per-row symbol-error counts of one sequencing trial (ground truth from
 /// perfect clustering; the index region is ignored).
@@ -43,11 +42,9 @@ fn row_errors(
         let got = consensus.reconstruct(&cluster.reads, truth.len());
         for (r, err) in errs.iter_mut().enumerate() {
             let start = index_bases + r * sym_bases;
-            let a = DirectCodec
-                .decode_symbol(truth.slice(start, start + sym_bases).as_slice(), 8)
+            let a = bits::decode_symbol(truth.slice(start, start + sym_bases).as_slice(), 8)
                 .expect("truth symbol");
-            let b = DirectCodec
-                .decode_symbol(got.slice(start, start + sym_bases).as_slice(), 8)
+            let b = bits::decode_symbol(got.slice(start, start + sym_bases).as_slice(), 8)
                 .expect("consensus symbol");
             if a != b {
                 *err += 1;

@@ -10,7 +10,7 @@ use dna_channel::{CoverageModel, ErrorModel};
 use dna_gf::Field;
 use dna_media::rank::{BitRanker, OracleRanker, PositionRanker};
 use dna_media::{GrayImage, JpegLikeCodec};
-use dna_storage::{CodecParams, Layout, Pipeline, RetrieveOptions};
+use dna_storage::{CodecParams, Layout, Pipeline, RetrieveOptions, UnitReads};
 use dna_strand::bits::{get_bit, set_bit};
 
 /// Permutes file bits into priority order (stream[q] = file[order[q]]).
@@ -103,8 +103,9 @@ fn main() {
             };
             for (i, &cov) in coverages.iter().enumerate() {
                 let (decoded, _) = pipeline
-                    .decode_unit_with(&pool.at_coverage(cov), &opts)
-                    .expect("decode");
+                    .decode(&[UnitReads::Clusters(&pool.at_coverage(cov))], &opts, None)
+                    .expect("decode")
+                    .remove(0);
                 let bytes = match order {
                     Some(o) => unpermute(&decoded[..file.len()], o),
                     None => decoded[..file.len()].to_vec(),

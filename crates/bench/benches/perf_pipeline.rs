@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dna_channel::{CoverageModel, ErrorModel};
-use dna_storage::{CodecParams, Layout};
+use dna_storage::{CodecParams, Layout, UnitReads};
 use std::hint::black_box;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -41,22 +41,17 @@ fn bench_pipeline(c: &mut Criterion) {
     // Workspace on/off: a reused workspace (the steady state of every
     // batch worker) versus paying the full buffer warm-up on every unit.
     let opts = pipeline.decode_options().clone();
+    let unit_reads = [UnitReads::Clusters(&clusters)];
     let mut ws = dna_storage::DecodeWorkspace::new();
     c.bench_function("decode_unit_warm_workspace", |b| {
-        b.iter(|| {
-            black_box(
-                pipeline
-                    .decode_unit_with_workspace(&clusters, &opts, &mut ws)
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(pipeline.decode(&unit_reads, &opts, Some(&mut ws)).unwrap()))
     });
     c.bench_function("decode_unit_cold_workspace", |b| {
         b.iter(|| {
             let mut fresh = dna_storage::DecodeWorkspace::new();
             black_box(
                 pipeline
-                    .decode_unit_with_workspace(&clusters, &opts, &mut fresh)
+                    .decode(&unit_reads, &opts, Some(&mut fresh))
                     .unwrap(),
             )
         })

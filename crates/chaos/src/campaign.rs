@@ -14,8 +14,8 @@ use crate::verdict::{score_bytes, score_decode, Verdict, VerdictTally};
 use dna_channel::{AnonymousPool, ChannelModel, ErrorModel};
 use dna_object::{ObjectStore, StoreConfig};
 use dna_storage::{
-    CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, RecoveryPipeline, Scenario,
-    SkewProfile, StorageError,
+    CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, RecoveryPipeline,
+    RetrieveOptions, Scenario, SkewProfile, StorageError, UnitReads,
 };
 use std::path::PathBuf;
 
@@ -394,10 +394,13 @@ pub fn run_scenario(
                     + 2,
                 foreign_reads,
             };
-            let recovery = if *anchored {
-                RecoveryPipeline::anchored(None)
-            } else {
-                RecoveryPipeline::default()
+            let opts = RetrieveOptions {
+                recovery: Some(if *anchored {
+                    RecoveryPipeline::anchored(None)
+                } else {
+                    RecoveryPipeline::default()
+                }),
+                ..pipeline.decode_options().clone()
             };
             dna_parallel::parallel_map(config.trials, |t| {
                 let ts = splitmix64(
@@ -410,12 +413,16 @@ pub fn run_scenario(
                 let pool = pipeline.sequence_with(&backend, &unit, 0, ts);
                 let mut clusters = pool.at_coverage(*coverage);
                 plan.apply(&mut clusters, &ctx, splitmix64(ts ^ 0xFA17));
-                let outcome = if *unlabeled {
-                    let anon = AnonymousPool::from_clusters(&clusters, splitmix64(ts ^ 0x0A17));
-                    pipeline.decode_pool_with(&anon, &recovery)
+                let anon;
+                let reads = if *unlabeled {
+                    anon = AnonymousPool::from_clusters(&clusters, splitmix64(ts ^ 0x0A17));
+                    UnitReads::Pool(&anon)
                 } else {
-                    pipeline.decode_unit(&clusters)
+                    UnitReads::Clusters(&clusters)
                 };
+                let outcome = pipeline
+                    .decode(&[reads], &opts, None)
+                    .map(|mut decoded| decoded.remove(0));
                 let verdict = score_decode(&payload, &outcome);
                 (verdict, outcome.ok().map(|(_, report)| report))
             })

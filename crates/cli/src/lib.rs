@@ -13,7 +13,7 @@ use dna_channel::{unit_seed, AnonymousPool, ChannelModel, ErrorModel, ReadPool};
 use dna_object::{ObjectStore, StoreConfig};
 use dna_storage::{
     CodecParams, DecodeReport, Layout, Pipeline, PlannerWarning, ProtectionPlan, ProtectionPlanner,
-    RecoveryPipeline, Scenario, SkewProfile, StorageError,
+    RecoveryPipeline, Scenario, SkewProfile, StorageError, UnitReads,
 };
 use dna_strand::{DnaString, TranscoderSpec};
 use std::fmt;
@@ -182,7 +182,7 @@ pub fn parse_channel_model(s: &str) -> Result<ChannelModel, CliError> {
     }
 }
 
-/// Parses `--transcoder direct|gc-padded|trellis|rotation`.
+/// Parses `--transcoder direct|gc-padded|trellis`.
 pub fn parse_transcoder(s: &str) -> Result<TranscoderSpec, CliError> {
     TranscoderSpec::parse(s).ok_or_else(|| {
         let names: Vec<&str> = TranscoderSpec::ALL.iter().map(|t| t.name()).collect();
@@ -439,17 +439,14 @@ pub fn encode(payload: &[u8], layout: LayoutChoice) -> Result<String, CliError> 
 pub fn decode(text: &str) -> Result<(Vec<u8>, Vec<DecodeReport>), CliError> {
     let (layout, payload_len, units) = from_strand_list(text)?;
     let pipeline = laptop_pipeline(layout)?;
-    let per_unit_clusters: Vec<Vec<dna_channel::Cluster>> = units
+    let pools: Vec<ReadPool> = units.into_iter().map(ReadPool::from_strands).collect();
+    let reads: Vec<UnitReads> = pools
         .iter()
-        .map(|strands| {
-            ReadPool::from_strands(strands.iter().cloned())
-                .clusters()
-                .to_vec()
-        })
+        .map(|pool| UnitReads::Clusters(pool.clusters()))
         .collect();
     let mut payload = Vec::with_capacity(payload_len);
-    let mut reports = Vec::with_capacity(units.len());
-    for (bytes, report) in pipeline.decode_batch(&per_unit_clusters)? {
+    let mut reports = Vec::with_capacity(reads.len());
+    for (bytes, report) in pipeline.decode(&reads, pipeline.decode_options(), None)? {
         payload.extend_from_slice(&bytes);
         reports.push(report);
     }
@@ -837,11 +834,10 @@ mod tests {
             parse_transcoder("trellis").unwrap(),
             TranscoderSpec::Trellis
         );
-        assert_eq!(
-            parse_transcoder("rotation").unwrap(),
-            TranscoderSpec::Rotation
-        );
         let err = parse_transcoder("base5").unwrap_err();
+        assert!(err.to_string().contains("unknown transcoder"), "{err}");
+        // The retired rotation code is no longer selectable.
+        let err = parse_transcoder("rotation").unwrap_err();
         assert!(err.to_string().contains("unknown transcoder"), "{err}");
     }
 

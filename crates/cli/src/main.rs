@@ -29,7 +29,7 @@ USAGE:
   dnastore simulate --input <file> [--layout …] [--errors kind:rate | --channel preset[:rate]]
                     [--coverage N] [--seed N] [--plan auto|uniform|file:<path>]
                     [--parity E] [--tsv <path>]
-                    [--transcoder direct|gc-padded|trellis|rotation]
+                    [--transcoder direct|gc-padded|trellis]
                     [--unlabeled [--clusterer greedy|anchored]]
   dnastore pack     <file>... --out <pool-dir> [--transcoder …]
   dnastore fetch    <object-id|name> --store <pool-dir> [--output <file>]
@@ -45,9 +45,9 @@ channel presets:   uniform, nanopore-decay, pcr-skewed, dropout, bursty,
                    constraint-stressed (position-, strand-, and
                    content-aware models; rate optional)
 transcoders:       direct (2 bits/base, default), gc-padded (GC-balancing
-                   pad bases), trellis (base-3, homopolymer-free),
-                   rotation (1 bit/base) — the byte->base mapping strands
-                   are written with; pack records it in the pool header.
+                   pad bases), trellis (base-3, homopolymer-free) — the
+                   byte->base mapping strands are written with; pack
+                   records it in the pool header.
 protection plans:  uniform (default), auto (skew-profiled unequal protection),
                    file:<path> (one parity count per row codeword).
                    --parity overrides the per-row parity width (default 47);

@@ -11,7 +11,7 @@
 //! [`dna_media::rank::merge_rankings`] over per-file position rankings —
 //! rankings that are content-agnostic, so encryption does not interfere.
 
-use crate::pipeline::{EncodedUnit, Pipeline, RetrieveOptions};
+use crate::pipeline::{EncodedUnit, Pipeline, RetrieveOptions, UnitReads};
 use crate::report::DecodeReport;
 use crate::StorageError;
 use dna_channel::{
@@ -357,7 +357,7 @@ impl ArchiveCodec {
     }
 
     /// Decodes the archive from per-unit cluster sets via
-    /// [`Pipeline::decode_batch_with`].
+    /// [`Pipeline::decode`], in parallel.
     ///
     /// # Errors
     ///
@@ -369,7 +369,11 @@ impl ArchiveCodec {
         per_unit_clusters: &[Vec<Cluster>],
         opts: &RetrieveOptions,
     ) -> Result<(Archive, Vec<DecodeReport>), StorageError> {
-        let decoded = self.pipeline.decode_batch_with(per_unit_clusters, opts)?;
+        let units: Vec<_> = per_unit_clusters
+            .iter()
+            .map(|c| UnitReads::Clusters(c))
+            .collect();
+        let decoded = self.pipeline.decode(&units, opts, None)?;
         let (payloads, reports): (Vec<Vec<u8>>, Vec<DecodeReport>) = decoded.into_iter().unzip();
         let stream = self.join_units(&payloads);
         let archive = self.parse_stream(&stream)?;

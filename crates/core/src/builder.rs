@@ -34,13 +34,13 @@
 
 use crate::layout::{BaselineLayout, IntoUnitLayout, UnitLayout};
 use crate::params::CodecParams;
-use crate::pipeline::{Pipeline, RetrieveOptions, RsBank};
+use crate::pipeline::{Pipeline, RetrieveOptions};
 use crate::plan::{planned_positions, Protection, ProtectionPlan};
 use crate::recovery::RecoveryPipeline;
 use crate::StorageError;
 use dna_consensus::{BmaTwoWay, TraceReconstructor};
 use dna_gf::Field;
-use dna_reed_solomon::{CodeFamily, ReedSolomon};
+use dna_reed_solomon::CodeFamily;
 use dna_strand::{Primer, PrimerLibrary, TranscoderSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +73,6 @@ pub struct PipelineBuilder {
     primers: Option<(Primer, Primer)>,
     primer_seed: u64,
     decode_options: RetrieveOptions,
-    recovery: Option<RecoveryPipeline>,
 }
 
 impl std::fmt::Debug for PipelineBuilder {
@@ -111,7 +110,6 @@ impl Default for PipelineBuilder {
             primers: None,
             primer_seed: DEFAULT_PRIMER_SEED,
             decode_options: RetrieveOptions::default(),
-            recovery: None,
         }
     }
 }
@@ -214,21 +212,27 @@ impl PipelineBuilder {
         self
     }
 
-    /// Configures the unlabeled-pool recovery stage
+    /// Configures the unlabeled-pool recovery stage: the default
+    /// options' [`RetrieveOptions::recovery`], which pool decodes
     /// ([`Pipeline::decode_pool`](crate::Pipeline::decode_pool) and
-    /// friends). Pipelines without one fall back to
+    /// friends) run. Pipelines without one fall back to
     /// [`RecoveryPipeline::default`] on demand.
     pub fn recovery(mut self, recovery: RecoveryPipeline) -> Self {
-        self.recovery = Some(recovery);
+        self.decode_options.recovery = Some(recovery);
         self
     }
 
-    /// Default [`RetrieveOptions`] applied by
-    /// [`Pipeline::decode_unit`](crate::Pipeline::decode_unit) and the
-    /// batch decode entry points (explicit `_with` variants still
-    /// override per call).
+    /// Default [`RetrieveOptions`] applied by the shorthand decode entry
+    /// points ([`Pipeline::decode_unit`](crate::Pipeline::decode_unit)
+    /// and friends); [`Pipeline::decode`](crate::Pipeline::decode) takes
+    /// its options per call. A stage set with [`recovery`](Self::recovery)
+    /// is kept unless `options` names its own.
     pub fn decode_options(mut self, options: RetrieveOptions) -> Self {
-        self.decode_options = options;
+        let recovery = options.recovery.or(self.decode_options.recovery);
+        self.decode_options = RetrieveOptions {
+            recovery,
+            ..options
+        };
         self
     }
 
@@ -350,20 +354,21 @@ impl PipelineBuilder {
             )));
         }
 
-        // The uniform-at-parity_cols plan takes the legacy single-code
-        // path with the layout's own parity placement — byte-identical
-        // to every pre-plan release. Anything else runs the multi-rate
-        // bank over plan-placed parity.
+        // One code per distinct plan rate. `parity_cols == 0` means no
+        // code at all (and never reaches `CodeFamily`'s data-length
+        // check). The uniform-at-parity_cols plan keeps the layout's own
+        // parity placement — byte-identical to every pre-plan release;
+        // anything else places parity by plan.
         let (rs, cw_positions) = if e == 0 {
-            (RsBank::None, Vec::new())
-        } else if uniform {
-            let code = ReedSolomon::new(params.field().clone(), m, e)?;
-            let positions = self.layout.codeword_positions_all(rows, m, e);
-            (RsBank::Uniform(code), positions)
+            (None, Vec::new())
         } else {
             let family = CodeFamily::with_rates(params.field().clone(), m, plan.distinct_rates())?;
-            let positions = planned_positions(self.layout.as_ref(), rows, m, e, &plan);
-            (RsBank::Multi(Arc::new(family)), positions)
+            let positions = if uniform {
+                self.layout.codeword_positions_all(rows, m, e)
+            } else {
+                planned_positions(self.layout.as_ref(), rows, m, e, &plan)
+            };
+            (Some(Arc::new(family)), positions)
         };
 
         let primers = match self.primers {
@@ -406,7 +411,6 @@ impl PipelineBuilder {
                 .unwrap_or_else(|| Arc::new(BmaTwoWay::default())),
             primers,
             self.decode_options,
-            self.recovery,
         ))
     }
 }

@@ -9,7 +9,7 @@
 //! the seed regardless of thread count.
 
 use crate::archive::{Archive, ArchiveCodec};
-use crate::pipeline::{Pipeline, RetrieveOptions};
+use crate::pipeline::{Pipeline, RetrieveOptions, UnitReads};
 use crate::scenario::Scenario;
 use crate::StorageError;
 use dna_channel::{unit_seed, AnonymousPool, Cluster};
@@ -105,7 +105,9 @@ pub fn min_coverage_with(
                 } else {
                     retrieve
                 };
-                let (decoded, report) = pipeline.decode_unit_with(&clusters, retrieve)?;
+                let (decoded, report) = pipeline
+                    .decode(&[UnitReads::Clusters(&clusters)], retrieve, None)?
+                    .remove(0);
                 if report.is_error_free() && decoded == expected {
                     return Ok(Some(i));
                 }

@@ -67,7 +67,7 @@ pub use layout::{BaselineLayout, GiniLayout, IntoUnitLayout, PriorityLayout, Uni
 pub use mapper::{BaselineMapper, DataMapper, PriorityMapper};
 pub use matrix::SymbolMatrix;
 pub use params::CodecParams;
-pub use pipeline::{EncodedUnit, Layout, Pipeline, RetrieveOptions};
+pub use pipeline::{EncodedUnit, Layout, Pipeline, RetrieveOptions, UnitReads};
 pub use plan::{PlannerWarning, Protection, ProtectionClass, ProtectionPlan, ProtectionPlanner};
 pub use recovery::{RecoveryPipeline, RecoveryReport};
 pub use report::{ClassReport, CodewordReport, DecodeReport};
@@ -147,6 +147,14 @@ pub enum StorageError {
     /// An underlying I/O error (message only: `std::io::Error` is neither
     /// `Clone` nor `PartialEq`, which this enum guarantees).
     Io(String),
+    /// A pool header names a transcoder this build no longer ships (see
+    /// [`TranscoderSpec::retired_name`](dna_strand::TranscoderSpec::retired_name)).
+    RetiredTranscoder {
+        /// The header's transcoder wire id.
+        id: u8,
+        /// The retired transcoder's name.
+        name: &'static str,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -186,6 +194,10 @@ impl fmt::Display for StorageError {
                 "pool truncated: record at byte {offset} overruns the end of the file ({reason})"
             ),
             StorageError::Io(msg) => write!(f, "i/o error: {msg}"),
+            StorageError::RetiredTranscoder { id, name } => write!(
+                f,
+                "retired transcoder ({name}, wire id {id}): this pool needs a release that still ships it"
+            ),
             StorageError::DuplicateClusterIndex { index } => write!(
                 f,
                 "two recovered clusters claimed unit column {index} (strict duplicate handling)"

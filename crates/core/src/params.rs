@@ -267,9 +267,6 @@ mod tests {
         // plus ⌊186/8⌋ = 23 balance bases.
         let trellis = p.clone().with_transcoder(TranscoderSpec::Trellis);
         assert_eq!(trellis.strand_payload_bases(), 209);
-        // 1 bit/base: 8 + 30 × 8.
-        let rotation = p.clone().with_transcoder(TranscoderSpec::Rotation);
-        assert_eq!(rotation.strand_payload_bases(), 248);
         // Direct layout + ⌈124/4⌉-base corrective pad.
         let padded = p.with_transcoder(TranscoderSpec::GcPadded);
         assert_eq!(padded.strand_payload_bases(), 155);

@@ -7,17 +7,17 @@ use crate::layout::{BaselineLayout, GiniLayout, IntoUnitLayout, PriorityLayout, 
 use crate::matrix::SymbolMatrix;
 use crate::params::CodecParams;
 use crate::plan::ProtectionPlan;
-use crate::recovery::RecoveryPipeline;
+use crate::recovery::{RecoveryPipeline, RecoveryReport};
 use crate::report::{CodewordReport, DecodeReport};
 use crate::workspace::DecodeWorkspace;
 use crate::StorageError;
 use dna_align::edit_distance_bounded_with;
 use dna_channel::{
-    AnonymousPool, ChannelModel, Cluster, CoverageModel, ErrorModel, ReadPool, SequencingBackend,
+    AnonymousPool, Cluster, CoverageModel, ErrorModel, ReadPool, SequencingBackend,
     SimulatedSequencer,
 };
 use dna_consensus::TraceReconstructor;
-use dna_reed_solomon::{CodeFamily, ReedSolomon, RsError};
+use dna_reed_solomon::{CodeFamily, RsError};
 use dna_strand::{bits, DnaString, Primer, StrandTranscoder};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -82,37 +82,6 @@ impl IntoUnitLayout for &Layout {
     }
 }
 
-/// The Reed–Solomon stage of a pipeline: absent (`parity_cols = 0`), one
-/// shared code (uniform protection — the legacy path, byte-identical to
-/// every pre-plan release), or a multi-rate [`CodeFamily`] driven by a
-/// non-uniform [`ProtectionPlan`].
-#[derive(Clone)]
-pub(crate) enum RsBank {
-    /// No error correction at all.
-    None,
-    /// One code for every codeword.
-    Uniform(ReedSolomon),
-    /// One code per distinct plan rate, shared across clones.
-    Multi(Arc<CodeFamily>),
-}
-
-impl RsBank {
-    /// The code for a codeword with `parity` parity symbols, or `None`
-    /// when that codeword runs unprotected.
-    fn code_for(&self, parity: usize) -> Option<&ReedSolomon> {
-        match self {
-            RsBank::None => None,
-            RsBank::Uniform(rs) => (parity > 0).then_some(rs),
-            RsBank::Multi(family) => family.get(parity),
-        }
-    }
-
-    /// Whether any error correction runs.
-    fn is_active(&self) -> bool {
-        !matches!(self, RsBank::None)
-    }
-}
-
 /// One encoded unit: the synthesized molecules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedUnit {
@@ -141,6 +110,19 @@ impl EncodedUnit {
     }
 }
 
+/// One unit's reads, as handed to [`Pipeline::decode`].
+#[derive(Debug, Clone, Copy)]
+pub enum UnitReads<'a> {
+    /// Labeled clusters, one per molecule: perfect clustering, a trace
+    /// replay, or the output of [`Pipeline::recover_pool`].
+    Clusters(&'a [Cluster]),
+    /// An unlabeled, orientation-randomized pool. Recovery (cluster →
+    /// orient → demux) runs first; placement then trusts the recovered
+    /// labels, because the demux vote already decoded each index, and
+    /// the report carries the outcome in [`DecodeReport::recovery`].
+    Pool(&'a AnonymousPool),
+}
+
 /// Decode-time options.
 #[derive(Debug, Clone, Default)]
 pub struct RetrieveOptions {
@@ -153,19 +135,24 @@ pub struct RetrieveOptions {
     /// the no-ECC ranking study, which has no parity to absorb
     /// index-corruption column losses.
     pub trust_cluster_sources: bool,
+    /// The recovery stage [`UnitReads::Pool`] inputs run. `None` uses the
+    /// pipeline's stage ([`PipelineBuilder::recovery`]), or
+    /// [`RecoveryPipeline::default`] when none was configured.
+    pub recovery: Option<RecoveryPipeline>,
 }
 
 impl RetrieveOptions {
-    /// The options of the recovered (post-demux) decode path: placement
-    /// trusts the recovered cluster labels — the ordering index was
-    /// already decoded by the demultiplexer's vote — while the caller's
-    /// forced erasures still apply. The single source of truth for every
-    /// unlabeled decode site ([`Pipeline::decode_pool`], the experiment
-    /// harnesses).
+    /// The options for decoding clusters that recovery already labeled
+    /// ([`Pipeline::recover_pool`]'s output): placement trusts the
+    /// recovered cluster labels — the ordering index was already decoded
+    /// by the demultiplexer's vote — while the caller's forced erasures
+    /// still apply. [`UnitReads::Pool`] inputs get this placement
+    /// automatically.
     pub fn recovered(forced_erasures: Vec<usize>) -> RetrieveOptions {
         RetrieveOptions {
             forced_erasures,
             trust_cluster_sources: true,
+            recovery: None,
         }
     }
 }
@@ -177,13 +164,15 @@ pub struct Pipeline {
     params: CodecParams,
     layout: Arc<dyn UnitLayout>,
     plan: ProtectionPlan,
-    rs: RsBank,
+    /// One code per distinct plan rate (a uniform plan is a one-rate
+    /// family); `None` when `parity_cols == 0` and no error correction
+    /// runs.
+    rs: Option<Arc<CodeFamily>>,
     consensus: Arc<dyn TraceReconstructor + Send + Sync>,
     primers: Option<(Primer, Primer)>,
+    /// The options the shorthand decode entry points run with, including
+    /// the builder-configured recovery stage.
     default_retrieve: RetrieveOptions,
-    /// The cluster → orient → demux stage for unlabeled pools; `None`
-    /// runs [`RecoveryPipeline::default`] on demand.
-    recovery: Option<RecoveryPipeline>,
     /// Every codeword's cell list, precomputed once from the layout (and
     /// plan) so the per-unit hot paths never re-derive (or re-allocate)
     /// them.
@@ -230,12 +219,11 @@ impl Pipeline {
         params: CodecParams,
         layout: Arc<dyn UnitLayout>,
         plan: ProtectionPlan,
-        rs: RsBank,
+        rs: Option<Arc<CodeFamily>>,
         cw_positions: Vec<Vec<(usize, usize)>>,
         consensus: Arc<dyn TraceReconstructor + Send + Sync>,
         primers: Option<(Primer, Primer)>,
         default_retrieve: RetrieveOptions,
-        recovery: Option<RecoveryPipeline>,
     ) -> Pipeline {
         let transcoder = params.transcoder().build();
         Pipeline {
@@ -246,7 +234,6 @@ impl Pipeline {
             consensus,
             primers,
             default_retrieve,
-            recovery,
             cw_positions: Arc::new(cw_positions),
             transcoder,
         }
@@ -256,15 +243,6 @@ impl Pipeline {
     /// [`CodecParams::transcoder`]).
     pub fn transcoder(&self) -> &dyn StrandTranscoder {
         self.transcoder.as_ref()
-    }
-
-    /// Replaces the consensus algorithm (e.g. the iterative reconstructor).
-    pub fn with_consensus(
-        mut self,
-        consensus: Arc<dyn TraceReconstructor + Send + Sync>,
-    ) -> Pipeline {
-        self.consensus = consensus;
-        self
     }
 
     /// The unit geometry.
@@ -297,8 +275,9 @@ impl Pipeline {
         self.params.payload_bytes()
     }
 
-    /// The default [`RetrieveOptions`] applied by [`Pipeline::decode_unit`]
-    /// and [`Pipeline::decode_batch`].
+    /// The default [`RetrieveOptions`] applied by the shorthand decode
+    /// entry points ([`Pipeline::decode_unit`], [`Pipeline::decode_batch`],
+    /// [`Pipeline::decode_pool`], [`Pipeline::decode_pool_batch`]).
     pub fn decode_options(&self) -> &RetrieveOptions {
         &self.default_retrieve
     }
@@ -364,7 +343,7 @@ impl Pipeline {
                 .place(p, self.params.rows(), self.params.data_cols());
             matrix.set(r, c, sym);
         }
-        if self.rs.is_active() {
+        if let Some(family) = &self.rs {
             let m_cols = self.params.data_cols();
             // One codeword buffer reused across all codewords (sized for
             // the longest rate in the plan); parity is computed in place
@@ -372,7 +351,7 @@ impl Pipeline {
             // unprotected and skipped.
             let mut buf = vec![0u16; m_cols + self.plan.max_parity()];
             for (k, pos) in self.cw_positions.iter().enumerate() {
-                let Some(rs) = self.rs.code_for(self.plan.parity_of(k)) else {
+                let Some(rs) = family.get(self.plan.parity_of(k)) else {
                     continue;
                 };
                 let cw = &mut buf[..rs.codeword_len()];
@@ -460,27 +439,9 @@ impl Pipeline {
         self.sequence_with(&SimulatedSequencer::new(model, coverage), unit, 0, seed)
     }
 
-    /// [`Pipeline::sequence`] under a full [`ChannelModel`] — position-
-    /// dependent rates, strand dropout, PCR amplification bias, and burst
-    /// indels. With [`ChannelModel::uniform`] this is byte-identical to
-    /// [`Pipeline::sequence`] at the same seed.
-    pub fn sequence_model(
-        &self,
-        unit: &EncodedUnit,
-        channel: &ChannelModel,
-        coverage: CoverageModel,
-        seed: u64,
-    ) -> ReadPool {
-        self.sequence_with(
-            &SimulatedSequencer::with_channel(channel.clone(), coverage),
-            unit,
-            0,
-            seed,
-        )
-    }
-
     /// Produces a unit's read pool through any [`SequencingBackend`]
-    /// (simulator, trace replay, …). `unit_index` identifies the unit
+    /// (simulator, trace replay, a [`SimulatedSequencer::with_channel`]
+    /// over a full [`ChannelModel`](dna_channel::ChannelModel), …). `unit_index` identifies the unit
     /// within a batch (0 for single-unit workloads).
     pub fn sequence_with(
         &self,
@@ -507,64 +468,182 @@ impl Pipeline {
         })
     }
 
-    /// Decodes one unit from its clusters with this pipeline's default
+    /// Decodes units of reads back into payloads: the one decode entry
+    /// point, which every shorthand below calls.
+    ///
+    /// Each unit runs consensus, index/symbol decode, one Reed–Solomon
+    /// decode per codeword, and the layout unmap; [`UnitReads::Pool`]
+    /// units run `opts.recovery` first. Execution follows from the input:
+    /// with `Some(ws)` every unit decodes serially on the caller's
+    /// workspace (after its first use, the workspace-managed stages
+    /// allocate nothing); with `None`, a single unit borrows a per-thread
+    /// workspace and several units fan out across scoped threads with one
+    /// workspace per worker. Results are byte-identical across the three
+    /// at any thread count (`DNA_SKEW_THREADS` caps the fan-out), in
+    /// input order.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first (lowest-index) unit's [`StorageError`]: a
+    /// substrate failure, or a recovery error (see
+    /// [`RecoveryPipeline::recover`]). Codeword decode failures are *not*
+    /// errors — they are recorded in the report and the affected symbols
+    /// pass through uncorrected (graceful degradation).
+    pub fn decode(
+        &self,
+        units: &[UnitReads<'_>],
+        opts: &RetrieveOptions,
+        ws: Option<&mut DecodeWorkspace>,
+    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
+        thread_local! {
+            static WORKSPACE: RefCell<DecodeWorkspace> = RefCell::new(DecodeWorkspace::new());
+        }
+        match (ws, units) {
+            (Some(ws), _) => units
+                .iter()
+                .map(|&unit| self.decode_one(unit, opts, ws))
+                .collect(),
+            (None, &[unit]) => {
+                WORKSPACE.with(|ws| Ok(vec![self.decode_one(unit, opts, &mut ws.borrow_mut())?]))
+            }
+            (None, _) => {
+                dna_parallel::parallel_map_init(units.len(), DecodeWorkspace::new, |ws, u| {
+                    self.decode_one(units[u], opts, ws)
+                })
+                .into_iter()
+                .collect()
+            }
+        }
+    }
+
+    /// [`Pipeline::decode`] of one cluster set with the default
     /// [`RetrieveOptions`] (set via
     /// [`PipelineBuilder::decode_options`](crate::PipelineBuilder::decode_options)).
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError`] on substrate failures; codeword decode
-    /// failures are *not* errors — they are recorded in the report and the
-    /// affected symbols pass through uncorrected (graceful degradation).
+    /// See [`Pipeline::decode`].
     pub fn decode_unit(
         &self,
         clusters: &[Cluster],
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        self.decode_unit_with(clusters, &self.default_retrieve)
+        let unit = [UnitReads::Clusters(clusters)];
+        Ok(self.decode(&unit, &self.default_retrieve, None)?.remove(0))
     }
 
-    /// Decodes one unit with explicit [`RetrieveOptions`].
-    ///
-    /// Internally this borrows a per-thread [`DecodeWorkspace`]; batch
-    /// callers that manage their own workspaces use
-    /// [`Pipeline::decode_unit_with_workspace`].
+    /// [`Pipeline::decode`] of many cluster sets, in parallel, with the
+    /// default [`RetrieveOptions`].
     ///
     /// # Errors
     ///
-    /// See [`Pipeline::decode_unit`].
-    pub fn decode_unit_with(
+    /// See [`Pipeline::decode`].
+    pub fn decode_batch(
         &self,
-        clusters: &[Cluster],
-        opts: &RetrieveOptions,
+        per_unit_clusters: &[Vec<Cluster>],
+    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
+        let units: Vec<_> = per_unit_clusters
+            .iter()
+            .map(|c| UnitReads::Clusters(c))
+            .collect();
+        self.decode(&units, &self.default_retrieve, None)
+    }
+
+    /// [`Pipeline::decode`] of one unlabeled pool with the default
+    /// [`RetrieveOptions`]. On a zero-noise pool this is byte-identical
+    /// to the labeled decode path; under noise, clustering and
+    /// orientation errors add a new skew axis on top of the channel's,
+    /// which is exactly what the recovery conformance suite and the
+    /// `ablation_recovery` bench measure.
+    ///
+    /// # Errors
+    ///
+    /// See [`Pipeline::decode`].
+    pub fn decode_pool(
+        &self,
+        pool: &AnonymousPool,
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        thread_local! {
-            static WORKSPACE: RefCell<DecodeWorkspace> = RefCell::new(DecodeWorkspace::new());
+        let unit = [UnitReads::Pool(pool)];
+        Ok(self.decode(&unit, &self.default_retrieve, None)?.remove(0))
+    }
+
+    /// [`Pipeline::decode`] of many unlabeled pools, in parallel, with the
+    /// default [`RetrieveOptions`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Pipeline::decode`].
+    pub fn decode_pool_batch(
+        &self,
+        pools: &[AnonymousPool],
+    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
+        let units: Vec<_> = pools.iter().map(UnitReads::Pool).collect();
+        self.decode(&units, &self.default_retrieve, None)
+    }
+
+    /// Reconstructs labeled clusters from an unlabeled pool — the
+    /// cluster → orient → demux front half of retrieval — without
+    /// decoding, returning the clusters alongside the
+    /// [`RecoveryReport`]. Uses the builder-configured
+    /// [`RecoveryPipeline`] (or the default greedy stage); decode the
+    /// result with [`RetrieveOptions::recovered`] placement.
+    ///
+    /// # Errors
+    ///
+    /// See [`RecoveryPipeline::recover`].
+    pub fn recover_pool(
+        &self,
+        pool: &AnonymousPool,
+    ) -> Result<(Vec<Cluster>, RecoveryReport), StorageError> {
+        self.recover_with(pool, &self.default_retrieve)
+    }
+
+    /// Runs `opts.recovery`, else the pipeline's configured stage, else
+    /// the default greedy stage.
+    fn recover_with(
+        &self,
+        pool: &AnonymousPool,
+        opts: &RetrieveOptions,
+    ) -> Result<(Vec<Cluster>, RecoveryReport), StorageError> {
+        let primer = self.primers.as_ref().map(|(l, _)| l);
+        match opts
+            .recovery
+            .as_ref()
+            .or(self.default_retrieve.recovery.as_ref())
+        {
+            Some(recovery) => recovery.recover(&self.params, primer, pool),
+            None => RecoveryPipeline::default().recover(&self.params, primer, pool),
         }
-        WORKSPACE.with(|ws| self.decode_unit_core(clusters, opts, &mut ws.borrow_mut()))
     }
 
-    /// [`Pipeline::decode_unit_with`] against a caller-owned
-    /// [`DecodeWorkspace`]: after the workspace's first use, the column
-    /// assembly, erasure bookkeeping, and Reed–Solomon stages allocate
-    /// nothing. Results are byte-identical to the workspace-free API no
-    /// matter what the workspace was previously used for.
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_unit`].
-    pub fn decode_unit_with_workspace(
+    /// Decodes one unit on `ws`, recovering it first when it is a pool.
+    fn decode_one(
         &self,
-        clusters: &[Cluster],
+        unit: UnitReads<'_>,
         opts: &RetrieveOptions,
-        workspace: &mut DecodeWorkspace,
+        ws: &mut DecodeWorkspace,
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        self.decode_unit_core(clusters, opts, workspace)
+        match unit {
+            UnitReads::Clusters(clusters) => self.decode_clusters(
+                clusters,
+                opts.trust_cluster_sources,
+                &opts.forced_erasures,
+                ws,
+            ),
+            UnitReads::Pool(pool) => {
+                let (clusters, recovery) = self.recover_with(pool, opts)?;
+                let (payload, mut report) =
+                    self.decode_clusters(&clusters, true, &opts.forced_erasures, ws)?;
+                report.recovery = Some(recovery);
+                Ok((payload, report))
+            }
+        }
     }
 
-    fn decode_unit_core(
+    fn decode_clusters(
         &self,
         clusters: &[Cluster],
-        opts: &RetrieveOptions,
+        trust_cluster_sources: bool,
+        forced_erasures: &[usize],
         ws: &mut DecodeWorkspace,
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
         let cols = self.params.cols();
@@ -607,12 +686,13 @@ impl Pipeline {
             // the old per-region copies.
             let p = self.params.primer_len();
             let strand = &full.as_slice()[p..full.len() - p];
-            let idx = if opts.trust_cluster_sources {
-                cluster.source as u32
+            // Range-check in `usize`: a replayed label past `u32::MAX`
+            // must count as invalid, not wrap onto a real column.
+            let idx = if trust_cluster_sources {
+                cluster.source
             } else {
-                self.transcoder.decode_index(strand, geom)?
+                self.transcoder.decode_index(strand, geom)? as usize
             };
-            let idx = idx as usize;
             if idx >= cols {
                 report.invalid_indexes += 1;
                 continue;
@@ -627,7 +707,7 @@ impl Pipeline {
             }
             present[idx] = true;
         }
-        for &c in &opts.forced_erasures {
+        for &c in forced_erasures {
             if c < cols && present[c] {
                 present[c] = false;
                 matrix.zero_column(c);
@@ -637,7 +717,7 @@ impl Pipeline {
         erased.extend(present.iter().map(|&p| !p));
         report.lost_columns = erased.iter().filter(|&&e| e).count();
 
-        if self.rs.is_active() {
+        if let Some(family) = &self.rs {
             report.codewords.reserve(self.cw_positions.len());
             report.row_errors = vec![0; rows];
             report.row_erasures = vec![0; rows];
@@ -653,7 +733,7 @@ impl Pipeline {
                 for &i in erasures.iter() {
                     report.row_erasures[pos[i].0] += 1;
                 }
-                let Some(rs) = self.rs.code_for(self.plan.parity_of(k)) else {
+                let Some(rs) = family.get(self.plan.parity_of(k)) else {
                     // Zero-parity codeword: passes through unprotected,
                     // but its lost cells still count as declared
                     // erasures (they are data the unit cannot recover).
@@ -710,153 +790,6 @@ impl Pipeline {
         }
         let payload = bits::symbols_to_bytes(symbols, m, self.payload_capacity())?;
         Ok((payload, report))
-    }
-
-    /// Decodes many units in parallel across scoped threads with this
-    /// pipeline's default [`RetrieveOptions`].
-    ///
-    /// Results are byte-identical to calling [`Pipeline::decode_unit`] on
-    /// each cluster set in order, at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-index) per-unit substrate error, as the
-    /// serial loop would; codeword failures degrade gracefully per unit.
-    pub fn decode_batch(
-        &self,
-        per_unit_clusters: &[Vec<Cluster>],
-    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
-        self.decode_batch_with(per_unit_clusters, &self.default_retrieve)
-    }
-
-    /// [`Pipeline::decode_batch`] with explicit [`RetrieveOptions`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_batch`].
-    pub fn decode_batch_with(
-        &self,
-        per_unit_clusters: &[Vec<Cluster>],
-        opts: &RetrieveOptions,
-    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
-        dna_parallel::parallel_map_init(per_unit_clusters.len(), DecodeWorkspace::new, |ws, u| {
-            self.decode_unit_core(&per_unit_clusters[u], opts, ws)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// The configured unlabeled-pool recovery stage, when one was set on
-    /// the builder ([`PipelineBuilder::recovery`]).
-    pub fn recovery_pipeline(&self) -> Option<&RecoveryPipeline> {
-        self.recovery.as_ref()
-    }
-
-    /// Reconstructs labeled clusters from an unlabeled pool — the
-    /// cluster → orient → demux front half of retrieval — without
-    /// decoding, returning the clusters alongside the
-    /// [`RecoveryReport`](crate::RecoveryReport). Uses the builder-
-    /// configured [`RecoveryPipeline`] (or the default greedy stage).
-    ///
-    /// # Errors
-    ///
-    /// See [`RecoveryPipeline::recover`].
-    pub fn recover_pool(
-        &self,
-        pool: &AnonymousPool,
-    ) -> Result<(Vec<Cluster>, crate::RecoveryReport), StorageError> {
-        self.effective_recovery()
-            .recover(&self.params, self.primers.as_ref().map(|(l, _)| l), pool)
-    }
-
-    /// The recovery stage pool decodes run: the builder-configured one,
-    /// or the default. (Cloning is cheap — a spec enum plus two scalars.)
-    fn effective_recovery(&self) -> RecoveryPipeline {
-        self.recovery.clone().unwrap_or_default()
-    }
-
-    /// Decodes one unit straight from an unlabeled, orientation-
-    /// randomized pool: recovery ([`Pipeline::recover_pool`]) followed by
-    /// the standard decode over the recovered clusters (placement trusts
-    /// the recovered labels — the index was already decoded by the demux
-    /// vote). The returned report carries the recovery outcome in
-    /// [`DecodeReport::recovery`].
-    ///
-    /// On a zero-noise pool this is byte-identical to the labeled decode
-    /// path; under noise, clustering and orientation errors add a new
-    /// skew axis on top of the channel's, which is exactly what the
-    /// recovery conformance suite and the `ablation_recovery` bench
-    /// measure.
-    ///
-    /// # Errors
-    ///
-    /// Recovery errors (see [`RecoveryPipeline::recover`]) plus the
-    /// substrate errors of [`Pipeline::decode_unit`].
-    pub fn decode_pool(
-        &self,
-        pool: &AnonymousPool,
-    ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        self.decode_pool_with(pool, &self.effective_recovery())
-    }
-
-    /// [`Pipeline::decode_pool`] with an explicit [`RecoveryPipeline`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_pool`].
-    pub fn decode_pool_with(
-        &self,
-        pool: &AnonymousPool,
-        recovery: &RecoveryPipeline,
-    ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        let (clusters, recovery_report) =
-            recovery.recover(&self.params, self.primers.as_ref().map(|(l, _)| l), pool)?;
-        let opts = RetrieveOptions::recovered(self.default_retrieve.forced_erasures.clone());
-        let (payload, mut report) = self.decode_unit_with(&clusters, &opts)?;
-        report.recovery = Some(recovery_report);
-        Ok((payload, report))
-    }
-
-    /// [`Pipeline::decode_pool`] against a caller-owned
-    /// [`DecodeWorkspace`]: the decode half reuses the workspace instead
-    /// of the per-thread scratch, so long-lived workers (the serve path)
-    /// keep exactly one warm workspace per worker rather than one per OS
-    /// thread that ever decoded. Byte-identical to
-    /// [`Pipeline::decode_pool`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_pool`].
-    pub fn decode_pool_with_workspace(
-        &self,
-        pool: &AnonymousPool,
-        workspace: &mut DecodeWorkspace,
-    ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        let recovery = self.effective_recovery();
-        let (clusters, recovery_report) =
-            recovery.recover(&self.params, self.primers.as_ref().map(|(l, _)| l), pool)?;
-        let opts = RetrieveOptions::recovered(self.default_retrieve.forced_erasures.clone());
-        let (payload, mut report) = self.decode_unit_core(&clusters, &opts, workspace)?;
-        report.recovery = Some(recovery_report);
-        Ok((payload, report))
-    }
-
-    /// Decodes many units from their unlabeled pools in parallel across
-    /// scoped threads. Results are byte-identical to calling
-    /// [`Pipeline::decode_pool`] on each pool in order, at any thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-index) per-unit error, as the serial
-    /// loop would.
-    pub fn decode_pool_batch(
-        &self,
-        pools: &[AnonymousPool],
-    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
-        dna_parallel::parallel_map(pools.len(), |u| self.decode_pool(&pools[u]))
-            .into_iter()
-            .collect()
     }
 
     /// Collects the reads that pass the primer check into `out`: the read
@@ -1024,7 +957,10 @@ mod tests {
             forced_erasures: vec![10, 11, 12], // 3 of the 5 parity molecules
             ..RetrieveOptions::default()
         };
-        let (decoded, report) = pipeline.decode_unit_with(pool.clusters(), &opts).unwrap();
+        let (decoded, report) = pipeline
+            .decode(&[UnitReads::Clusters(pool.clusters())], &opts, None)
+            .unwrap()
+            .remove(0);
         assert_eq!(decoded[..30], payload[..]);
         assert!(report.is_error_free());
         assert_eq!(report.lost_columns, 3);
@@ -1079,13 +1015,29 @@ mod tests {
             trust_cluster_sources: true,
             ..RetrieveOptions::default()
         };
-        let (decoded, report) = pipeline.decode_unit_with(&clusters, &opts).unwrap();
+        let (decoded, report) = pipeline
+            .decode(&[UnitReads::Clusters(&clusters)], &opts, None)
+            .unwrap()
+            .remove(0);
         // Columns 0/1 hold each other's data: the RS layer sees 2 errors
         // per codeword — within capacity (E=5 corrects 2), so the decode
         // still succeeds, proving placement came from the labels.
         assert_eq!(decoded[..30], payload[..]);
         assert!(report.is_error_free());
         assert!(report.total_corrected() > 0);
+
+        // A replayed label of 2^32 + 3 is an invalid index, not column 3
+        // after truncation: the column becomes one more erasure.
+        if let Ok(label) = usize::try_from((1u64 << 32) + 3) {
+            clusters[3].source = label;
+            let (decoded, report) = pipeline
+                .decode(&[UnitReads::Clusters(&clusters)], &opts, None)
+                .unwrap()
+                .remove(0);
+            assert_eq!(report.invalid_indexes, 1);
+            assert_eq!(report.lost_columns, 1);
+            assert_eq!(decoded[..30], payload[..]);
+        }
     }
 
     #[test]
@@ -1107,41 +1059,6 @@ mod tests {
         assert_eq!(recovery.misassigned_reads, 0);
         assert_eq!(recovery.orphaned_reads, 0);
         assert_eq!(recovery.assigned_columns, 15);
-    }
-
-    #[test]
-    fn decode_pool_batch_matches_serial_pool_decodes() {
-        use crate::recovery::RecoveryPipeline;
-        let params = CodecParams::tiny().unwrap().with_primer_len(15);
-        let pipeline = Pipeline::builder()
-            .params(params)
-            .recovery(RecoveryPipeline::anchored(None))
-            .build()
-            .unwrap();
-        let payloads: Vec<Vec<u8>> = (0..3u8)
-            .map(|u| (0..30).map(|i| i * 7 + u).collect())
-            .collect();
-        let units = pipeline.encode_batch(&payloads).unwrap();
-        let pools: Vec<AnonymousPool> = units
-            .iter()
-            .enumerate()
-            .map(|(u, unit)| {
-                pipeline
-                    .sequence(
-                        unit,
-                        ErrorModel::uniform(0.01),
-                        CoverageModel::Fixed(6),
-                        40 + u as u64,
-                    )
-                    .anonymize(90 + u as u64)
-            })
-            .collect();
-        let batch = pipeline.decode_pool_batch(&pools).unwrap();
-        for (u, pool) in pools.iter().enumerate() {
-            let serial = pipeline.decode_pool(pool).unwrap();
-            assert_eq!(batch[u], serial, "unit {u}");
-            assert_eq!(batch[u].0[..30], payloads[u][..], "unit {u}");
-        }
     }
 
     fn headroom_params() -> CodecParams {

@@ -188,8 +188,7 @@ enum ClustererSpec {
 /// The cluster → orient → demux stage preceding decode on unlabeled
 /// pools. Configure it on the builder
 /// ([`PipelineBuilder::recovery`](crate::PipelineBuilder::recovery)) or
-/// pass one explicitly to
-/// [`Pipeline::decode_pool_with`](crate::Pipeline::decode_pool_with).
+/// per call in [`RetrieveOptions::recovery`](crate::RetrieveOptions::recovery).
 ///
 /// # Examples
 ///

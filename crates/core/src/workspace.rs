@@ -5,8 +5,9 @@ use crate::matrix::SymbolMatrix;
 use dna_reed_solomon::RsScratch;
 use dna_strand::DnaString;
 
-/// Reusable scratch for [`Pipeline::decode_unit_with_workspace`]
-/// (and, one per worker thread, for [`Pipeline::decode_batch`]).
+/// Reusable scratch for [`Pipeline::decode`]: pass one to decode on it,
+/// or pass `None` and the pipeline uses a per-thread workspace (one
+/// unit) or one per worker thread (several units).
 ///
 /// A fresh workspace starts empty and grows to the pipeline's working set
 /// on first use; after that, the workspace-managed decode stages — column
@@ -17,8 +18,7 @@ use dna_strand::DnaString;
 /// at the start of each call, so state cannot leak between units, threads,
 /// or pipelines.
 ///
-/// [`Pipeline::decode_unit_with_workspace`]: crate::Pipeline::decode_unit_with_workspace
-/// [`Pipeline::decode_batch`]: crate::Pipeline::decode_batch
+/// [`Pipeline::decode`]: crate::Pipeline::decode
 #[derive(Debug, Clone, Default)]
 pub struct DecodeWorkspace {
     /// The unit's symbol matrix, rebuilt each decode.

@@ -7,8 +7,9 @@ use dna_channel::{
     AnonymousPool, ChannelError, ChannelModel, CoverageModel, ErrorModel, PositionProfile,
 };
 use dna_storage::{
-    min_coverage, CodecParams, GiniLayout, Layout, Pipeline, ProtectionPlan, ProtectionPlanner,
-    RecoveryPipeline, Scenario, SkewProfile, StorageError, UnitLayout,
+    min_coverage, CodecParams, DecodeReport, GiniLayout, Layout, Pipeline, ProtectionPlan,
+    ProtectionPlanner, RecoveryPipeline, RetrieveOptions, Scenario, SkewProfile, StorageError,
+    UnitLayout, UnitReads,
 };
 
 fn tiny() -> CodecParams {
@@ -221,6 +222,22 @@ fn recovery_fixture() -> (Pipeline, dna_channel::ReadPool) {
     (pipeline, pool)
 }
 
+/// Decodes one pool through an explicit recovery stage, every other
+/// option left at the pipeline's defaults.
+fn decode_pool_via(
+    pipeline: &Pipeline,
+    pool: &AnonymousPool,
+    recovery: RecoveryPipeline,
+) -> Result<(Vec<u8>, DecodeReport), StorageError> {
+    let opts = RetrieveOptions {
+        recovery: Some(recovery),
+        ..pipeline.decode_options().clone()
+    };
+    Ok(pipeline
+        .decode(&[UnitReads::Pool(pool)], &opts, None)?
+        .remove(0))
+}
+
 #[test]
 fn empty_anonymous_pool_is_a_typed_error() {
     let (pipeline, _) = recovery_fixture();
@@ -239,9 +256,7 @@ fn every_read_orphaned_by_the_size_threshold_is_a_typed_error() {
     let (pipeline, pool) = recovery_fixture();
     // Coverage 3 per cluster; a minimum size of 50 orphans everything.
     let recovery = RecoveryPipeline::greedy(None).min_cluster_size(50);
-    let err = pipeline
-        .decode_pool_with(&pool.anonymize(9), &recovery)
-        .unwrap_err();
+    let err = decode_pool_via(&pipeline, &pool.anonymize(9), recovery).unwrap_err();
     assert!(
         matches!(err, StorageError::AllReadsOrphaned { reads: 45, .. }),
         "{err}"
@@ -264,7 +279,7 @@ fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
     }));
     let anon = AnonymousPool::from_reads(doubled);
     let strict = RecoveryPipeline::greedy(Some(0)).strict_duplicates(true);
-    let err = pipeline.decode_pool_with(&anon, &strict).unwrap_err();
+    let err = decode_pool_via(&pipeline, &anon, strict).unwrap_err();
     assert!(
         matches!(err, StorageError::DuplicateClusterIndex { .. }),
         "{err}"
@@ -273,7 +288,7 @@ fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
 
     // The default (lenient) stage merges the fragments and decodes.
     let lenient = RecoveryPipeline::greedy(Some(0));
-    let (decoded, report) = pipeline.decode_pool_with(&anon, &lenient).unwrap();
+    let (decoded, report) = decode_pool_via(&pipeline, &anon, lenient).unwrap();
     assert_eq!(decoded.len(), pipeline.payload_capacity());
     assert!(report.recovery.unwrap().duplicate_index_merges > 0);
 }

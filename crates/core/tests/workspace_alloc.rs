@@ -9,9 +9,10 @@
 //! allocations of their own.
 
 use dna_channel::{CoverageModel, ErrorModel};
-use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline};
+use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, UnitReads};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -45,6 +46,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests: one forces SIMD modes process-wide, and a mode
+/// flip in the middle of another test's measurement changes its counts.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
@@ -53,6 +58,7 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn warm_workspace_decode_allocates_strictly_less_and_is_steady() {
+    let _serial = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     use dna_gf::dispatch::{self, SimdMode};
     for mode in [SimdMode::Scalar, SimdMode::Auto] {
         dispatch::force_mode(Some(mode));
@@ -86,15 +92,15 @@ fn warm_workspace_case() {
     // Cold workspace: the first decode pays the warm-up allocations.
     let mut ws = DecodeWorkspace::new();
     let (cold, first) =
-        allocations_in(|| pipeline.decode_unit_with_workspace(&clusters, &opts, &mut ws));
+        allocations_in(|| pipeline.decode(&[UnitReads::Clusters(&clusters)], &opts, Some(&mut ws)));
     let first = first.unwrap();
 
     // Warm workspace: same decode, strictly fewer allocations, and the
     // count is steady from call to call (nothing accumulates or leaks).
     let (warm_a, a) =
-        allocations_in(|| pipeline.decode_unit_with_workspace(&clusters, &opts, &mut ws));
+        allocations_in(|| pipeline.decode(&[UnitReads::Clusters(&clusters)], &opts, Some(&mut ws)));
     let (warm_b, b) =
-        allocations_in(|| pipeline.decode_unit_with_workspace(&clusters, &opts, &mut ws));
+        allocations_in(|| pipeline.decode(&[UnitReads::Clusters(&clusters)], &opts, Some(&mut ws)));
     assert_eq!(first, a.unwrap(), "warm decode must be byte-identical");
     assert_eq!(first, b.unwrap(), "warm decode must be byte-identical");
     assert!(
@@ -108,7 +114,11 @@ fn warm_workspace_case() {
     // per-worker contract: workspace-managed stages allocate nothing
     // after each worker's first unit.
     let (fresh, _) = allocations_in(|| {
-        pipeline.decode_unit_with_workspace(&clusters, &opts, &mut DecodeWorkspace::new())
+        pipeline.decode(
+            &[UnitReads::Clusters(&clusters)],
+            &opts,
+            Some(&mut DecodeWorkspace::new()),
+        )
     });
     assert!(
         warm_a < fresh,
@@ -118,6 +128,7 @@ fn warm_workspace_case() {
 
 #[test]
 fn concurrent_workers_with_pooled_workspaces_stay_allocation_steady() {
+    let _serial = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     // The serve-mode contract: N workers share one pipeline, each owns
     // one workspace for its whole life, and after each worker's warm-up
     // decode the workspace-managed stages allocate nothing more — no
@@ -153,17 +164,17 @@ fn concurrent_workers_with_pooled_workspaces_stay_allocation_steady() {
                     // the other three hammer the shared pipeline.
                     let mut ws = DecodeWorkspace::new();
                     let (cold, first) = allocations_in(|| {
-                        pipeline.decode_unit_with_workspace(&clusters, &opts, &mut ws)
+                        pipeline.decode(&[UnitReads::Clusters(&clusters)], &opts, Some(&mut ws))
                     });
-                    let (bytes, _) = first.unwrap();
+                    let (bytes, _) = first.unwrap().remove(0);
                     let (warm_a, a) = allocations_in(|| {
-                        pipeline.decode_unit_with_workspace(&clusters, &opts, &mut ws)
+                        pipeline.decode(&[UnitReads::Clusters(&clusters)], &opts, Some(&mut ws))
                     });
                     let (warm_b, b) = allocations_in(|| {
-                        pipeline.decode_unit_with_workspace(&clusters, &opts, &mut ws)
+                        pipeline.decode(&[UnitReads::Clusters(&clusters)], &opts, Some(&mut ws))
                     });
-                    assert_eq!(bytes, a.unwrap().0);
-                    assert_eq!(bytes, b.unwrap().0);
+                    assert_eq!(bytes, a.unwrap()[0].0);
+                    assert_eq!(bytes, b.unwrap()[0].0);
                     (cold, warm_a, warm_b, bytes)
                 })
             })

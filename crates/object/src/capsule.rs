@@ -189,8 +189,13 @@ impl PoolHeader {
             }
             TranscoderSpec::Direct
         } else {
-            TranscoderSpec::from_id(buf[19])
-                .ok_or_else(|| corrupt(format!("unknown transcoder id {}", buf[19])))?
+            let id = buf[19];
+            TranscoderSpec::from_id(id).ok_or_else(|| {
+                TranscoderSpec::retired_name(id).map_or_else(
+                    || corrupt(format!("unknown transcoder id {id}")),
+                    |name| StorageError::RetiredTranscoder { id, name },
+                )
+            })?
         };
         Ok(PoolHeader {
             version,
@@ -605,20 +610,42 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn v2_header_rejects_unknown_transcoder_id() {
+    /// A valid v2 pool header whose transcoder byte is `id`.
+    fn v2_header_with_transcoder_id(id: u8) -> Vec<u8> {
         let mut h = sample_header();
         h.version = 2;
-        h.transcoder = TranscoderSpec::GcPadded;
         let mut buf = Vec::new();
         h.write_to(&mut buf).unwrap();
-        buf[19] = 200;
+        buf[19] = id;
         let crc = crc32(&buf[..42]);
         buf[42..46].copy_from_slice(&crc.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn v2_header_rejects_unknown_transcoder_id() {
+        let buf = v2_header_with_transcoder_id(200);
         assert!(matches!(
             PoolHeader::read_from(&mut buf.as_slice()),
             Err(StorageError::ManifestCorrupt { .. })
         ));
+    }
+
+    #[test]
+    fn v2_header_rejects_retired_rotation_id_with_typed_error() {
+        let buf = v2_header_with_transcoder_id(3);
+        let err = PoolHeader::read_from(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::RetiredTranscoder {
+                id: 3,
+                name: "rotation"
+            }
+        );
+        assert!(
+            err.to_string().contains("retired transcoder (rotation"),
+            "{err}"
+        );
     }
 
     #[test]

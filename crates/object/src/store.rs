@@ -23,7 +23,7 @@ use crate::compress;
 use crate::manifest::{CapsuleEntry, Manifest, ObjectEntry};
 use dna_channel::{AnonymousPool, ReadPool};
 use dna_crypto::ChaCha20;
-use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, StorageError};
+use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, StorageError, UnitReads};
 use dna_strand::constraints::ConstraintSet;
 use dna_strand::{DnaString, Primer, TranscoderSpec};
 use std::fs::{File, OpenOptions};
@@ -361,7 +361,7 @@ impl ObjectStore {
         let Some((offset, cap)) = newest else {
             return Err(StorageError::ManifestMissing);
         };
-        let (stored, _, _) = decode_capsule_at(file, header, base, offset, &cap, false)?;
+        let (stored, _, _) = decode_capsule_at(file, header, base, offset, &cap)?;
         let text = String::from_utf8(stored).map_err(|_| StorageError::ManifestCorrupt {
             reason: "super-capsule payload is not UTF-8".into(),
         })?;
@@ -1009,7 +1009,7 @@ fn decode_capsule_body(
     base: &Pipeline,
     cap: &CapsuleHeader,
     via_recovery: bool,
-    mut workspace: Option<&mut DecodeWorkspace>,
+    workspace: Option<&mut DecodeWorkspace>,
 ) -> Result<(Vec<u8>, usize, usize), StorageError> {
     let strand_bases = base.params().strand_bases();
     let units = crate::capsule::read_strands(file, cap.units, header.cols(), strand_bases)?;
@@ -1034,41 +1034,29 @@ fn decode_capsule_body(
             kept
         })
         .collect();
-    let mut stored = Vec::with_capacity(cap.stored_len as usize);
-    if via_recovery {
-        // Capsule-scoped recovery: each unit's reads go through the full
-        // unlabeled-pool pipeline (cluster → orient → demux → decode).
-        for unit in &filtered {
-            let pool = AnonymousPool::from_reads(unit.iter().cloned());
-            let (payload, _report) = match workspace.as_deref_mut() {
-                Some(ws) => pipeline.decode_pool_with_workspace(&pool, ws)?,
-                None => pipeline.decode_pool(&pool)?,
-            };
-            stored.extend_from_slice(&payload);
-        }
-    } else if let Some(ws) = workspace {
-        // Serve-worker path: serial decode against the caller's warm
-        // workspace (one resident workspace per worker, not per thread).
-        let opts = pipeline.decode_options().clone();
-        for unit in &filtered {
-            let reads = ReadPool::from_strands(unit.iter().cloned());
-            let (payload, _report) =
-                pipeline.decode_unit_with_workspace(reads.clusters(), &opts, ws)?;
-            stored.extend_from_slice(&payload);
-        }
-    } else {
-        // Direct path: clean coverage-1 clusters per unit.
-        let clusters: Vec<_> = filtered
-            .iter()
-            .map(|unit| {
-                ReadPool::from_strands(unit.iter().cloned())
-                    .clusters()
-                    .to_vec()
-            })
+    // Recovery fetches send each unit's reads through the full unlabeled-
+    // pool pipeline (cluster → orient → demux → decode); direct fetches
+    // place the clean coverage-1 strands as clusters. A caller workspace
+    // (one per serve worker) decodes serially on it; without one, units
+    // fan out across threads.
+    let anonymous: Vec<AnonymousPool>;
+    let labeled: Vec<ReadPool>;
+    let units: Vec<UnitReads> = if via_recovery {
+        anonymous = filtered
+            .into_iter()
+            .map(AnonymousPool::from_reads)
             .collect();
-        for (payload, _report) in pipeline.decode_batch(&clusters)? {
-            stored.extend_from_slice(&payload);
-        }
+        anonymous.iter().map(UnitReads::Pool).collect()
+    } else {
+        labeled = filtered.into_iter().map(ReadPool::from_strands).collect();
+        labeled
+            .iter()
+            .map(|pool| UnitReads::Clusters(pool.clusters()))
+            .collect()
+    };
+    let mut stored = Vec::with_capacity(cap.stored_len as usize);
+    for (payload, _report) in pipeline.decode(&units, pipeline.decode_options(), workspace)? {
+        stored.extend_from_slice(&payload);
     }
     stored.truncate(cap.stored_len as usize);
     if (stored.len() as u64) < cap.stored_len {
@@ -1089,7 +1077,6 @@ fn decode_capsule_at(
     base: &Pipeline,
     offset: u64,
     cap: &CapsuleHeader,
-    via_recovery: bool,
 ) -> Result<(Vec<u8>, usize, usize), StorageError> {
     let reread = read_capsule_header_at(file, header, offset)?;
     if &reread != cap {
@@ -1097,7 +1084,7 @@ fn decode_capsule_at(
             reason: "capsule header changed between scan and decode".into(),
         });
     }
-    decode_capsule_body(file, header, base, cap, via_recovery, None)
+    decode_capsule_body(file, header, base, cap, false, None)
 }
 
 fn strand_has_primers(s: &DnaString, left: &Primer, right: &Primer, primer_len: usize) -> bool {

@@ -1,9 +1,10 @@
 //! [`CodeFamily`]: a shared cache of same-data-length Reed–Solomon codes
 //! at multiple rates.
 //!
-//! Unequal-protection plans (the skew-aware planner in `dna-storage`)
-//! give every reliability class its own parity length while all classes
-//! share the data length `M`. Building a [`ReedSolomon`] is not free —
+//! A `dna-storage` pipeline's Reed–Solomon stage is one `CodeFamily`. A
+//! uniform plan is a one-rate family; unequal-protection plans (the
+//! skew-aware planner) give every reliability class its own parity
+//! length while all classes share the data length `M`. Building a [`ReedSolomon`] is not free —
 //! the constructor precomputes the generator polynomial, the flattened
 //! LFSR tap tables, and one Horner table per syndrome root — so a plan
 //! with three classes should pay that cost three times, not once per
@@ -25,7 +26,6 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // RS(10+e, 10) over GF(256) at three protection levels.
 //! let family = CodeFamily::with_rates(Field::gf256(), 10, [4, 8, 16])?;
-//! assert_eq!(family.rates(), vec![4, 8, 16]);
 //! let strong = family.get(16).expect("built rate");
 //! assert_eq!(strong.codeword_len(), 26);
 //! assert!(family.get(5).is_none()); // only requested rates are built
@@ -42,21 +42,25 @@ use std::collections::BTreeMap;
 /// length, cached by parity length.
 #[derive(Debug, Clone)]
 pub struct CodeFamily {
-    field: Field,
-    data_len: usize,
     codes: BTreeMap<usize, ReedSolomon>,
 }
 
 impl CodeFamily {
-    /// An empty family over `field` with `data_len` data symbols per
-    /// codeword; add rates with [`CodeFamily::ensure`].
+    /// A family with one RS(data_len + parity, data_len) code per
+    /// distinct parity length in `rates`. Zero rates are ignored (a
+    /// zero-parity "code" is no code at all — callers treat it as the
+    /// unprotected passthrough).
     ///
     /// # Errors
     ///
     /// Returns [`RsError::InvalidParams`] when `data_len` is zero or
-    /// already exceeds the field's maximum codeword length (leaving no
-    /// room for even one parity symbol).
-    pub fn new(field: Field, data_len: usize) -> Result<CodeFamily, RsError> {
+    /// leaves no room for even one parity symbol in the field, or when
+    /// any rate pushes the codeword past the field's maximum length.
+    pub fn with_rates(
+        field: Field,
+        data_len: usize,
+        rates: impl IntoIterator<Item = usize>,
+    ) -> Result<CodeFamily, RsError> {
         if data_len == 0 || data_len + 1 > field.group_order() {
             return Err(RsError::InvalidParams {
                 data_len,
@@ -64,82 +68,18 @@ impl CodeFamily {
                 max_len: field.group_order(),
             });
         }
-        Ok(CodeFamily {
-            field,
-            data_len,
-            codes: BTreeMap::new(),
-        })
-    }
-
-    /// A family with the given parity lengths prebuilt. Duplicate and
-    /// zero rates are ignored (a zero-parity "code" is no code at all —
-    /// callers treat it as the unprotected passthrough).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RsError::InvalidParams`] when any rate pushes the
-    /// codeword past the field's maximum length.
-    pub fn with_rates(
-        field: Field,
-        data_len: usize,
-        rates: impl IntoIterator<Item = usize>,
-    ) -> Result<CodeFamily, RsError> {
-        let mut family = CodeFamily::new(field, data_len)?;
+        let mut codes = BTreeMap::new();
         for parity in rates {
-            if parity > 0 {
-                family.ensure(parity)?;
+            if parity > 0 && !codes.contains_key(&parity) {
+                codes.insert(parity, ReedSolomon::new(field.clone(), data_len, parity)?);
             }
         }
-        Ok(family)
+        Ok(CodeFamily { codes })
     }
 
-    /// Returns the RS(data_len + parity, data_len) member, building and
-    /// caching it on first request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RsError::InvalidParams`] when `parity` is zero or the
-    /// codeword would exceed the field's maximum length.
-    pub fn ensure(&mut self, parity: usize) -> Result<&ReedSolomon, RsError> {
-        if let std::collections::btree_map::Entry::Vacant(slot) = self.codes.entry(parity) {
-            slot.insert(ReedSolomon::new(self.field.clone(), self.data_len, parity)?);
-        }
-        Ok(&self.codes[&parity])
-    }
-
-    /// The cached member at `parity`, if it was built.
+    /// The member with `parity` parity symbols, if that rate was built.
     pub fn get(&self, parity: usize) -> Option<&ReedSolomon> {
         self.codes.get(&parity)
-    }
-
-    /// The family's field.
-    pub fn field(&self) -> &Field {
-        &self.field
-    }
-
-    /// Data symbols per codeword, shared by every member.
-    pub fn data_len(&self) -> usize {
-        self.data_len
-    }
-
-    /// The largest parity length the field permits for this data length.
-    pub fn max_parity(&self) -> usize {
-        self.field.group_order() - self.data_len
-    }
-
-    /// The built parity lengths, ascending.
-    pub fn rates(&self) -> Vec<usize> {
-        self.codes.keys().copied().collect()
-    }
-
-    /// Number of distinct rates built so far.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether no rate has been built yet.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
     }
 }
 
@@ -151,32 +91,27 @@ mod tests {
     #[test]
     fn rejects_degenerate_data_lengths() {
         assert!(matches!(
-            CodeFamily::new(Field::gf16(), 0),
+            CodeFamily::with_rates(Field::gf16(), 0, []),
             Err(RsError::InvalidParams { .. })
         ));
         // data_len 15 leaves no room for parity in GF(16).
-        assert!(CodeFamily::new(Field::gf16(), 15).is_err());
-        assert!(CodeFamily::new(Field::gf16(), 14).is_ok());
+        assert!(CodeFamily::with_rates(Field::gf16(), 15, []).is_err());
+        assert!(CodeFamily::with_rates(Field::gf16(), 14, []).is_ok());
     }
 
     #[test]
-    fn with_rates_builds_each_distinct_rate_once() {
+    fn with_rates_builds_each_distinct_rate() {
         let family = CodeFamily::with_rates(Field::gf16(), 8, [2, 4, 2, 0, 4]).unwrap();
-        assert_eq!(family.rates(), vec![2, 4]);
-        assert_eq!(family.len(), 2);
         assert_eq!(family.get(2).unwrap().parity_len(), 2);
+        assert_eq!(family.get(4).unwrap().parity_len(), 4);
         assert!(family.get(3).is_none());
         assert!(family.get(0).is_none());
     }
 
     #[test]
     fn rates_past_the_field_limit_are_rejected() {
+        assert!(CodeFamily::with_rates(Field::gf16(), 8, [7]).is_ok()); // 15 = 15
         assert!(CodeFamily::with_rates(Field::gf16(), 8, [8]).is_err()); // 16 > 15
-        let mut family = CodeFamily::new(Field::gf16(), 8).unwrap();
-        assert_eq!(family.max_parity(), 7);
-        assert!(family.ensure(7).is_ok());
-        assert!(family.ensure(8).is_err());
-        assert!(family.ensure(0).is_err());
     }
 
     #[test]

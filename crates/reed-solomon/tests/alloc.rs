@@ -143,6 +143,9 @@ fn warm_up_presizes_a_cold_scratch() {
     let clean = rs.encode(&data).unwrap();
     let mut scratch = RsScratch::new();
     scratch.warm_up(&rs);
+    // Resolve the SIMD mode first: reading a set `DNA_SKEW_SIMD` allocates
+    // once per process, in whichever test gets there first.
+    dispatch::mode();
     // Even the *first* decode through an explicitly warmed scratch stays
     // allocation-free on the clean path.
     let mut cw = clean.clone();

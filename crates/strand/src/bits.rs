@@ -5,8 +5,7 @@
 //! per `u64` — selected by [`dna_gf::dispatch`] and byte-identical to the
 //! scalar reference (`DNA_SKEW_SIMD=scalar` forces the reference).
 
-use crate::Base;
-use crate::StrandError;
+use crate::{Base, DnaString, StrandError};
 use dna_gf::dispatch::{self, SimdMode};
 
 /// Packs `bytes` into `width`-bit symbols (MSB-first), zero-padding the
@@ -118,6 +117,58 @@ pub fn set_bit(bytes: &mut [u8], i: usize, value: bool) {
     } else {
         bytes[i / 8] &= !mask;
     }
+}
+
+/// Appends one `width`-bit symbol (width even, ≤ 16) as `width / 2`
+/// bases, MSB-first — the paper's maximum-density 2-bits-per-base
+/// mapping (00 = A, 01 = C, 10 = G, 11 = T, §2.1), and how Reed–Solomon
+/// symbols become DNA (see the crate-level example). On error nothing is
+/// appended.
+///
+/// # Errors
+///
+/// Returns [`StrandError::OddSymbolWidth`] for odd widths and
+/// [`StrandError::ValueTooWide`] when the symbol exceeds the width.
+pub fn encode_symbol_into(symbol: u16, width: u8, out: &mut DnaString) -> Result<(), StrandError> {
+    if !width.is_multiple_of(2) || width == 0 || width > 16 {
+        return Err(StrandError::OddSymbolWidth(width));
+    }
+    if width < 16 && symbol >> width != 0 {
+        return Err(StrandError::ValueTooWide {
+            value: u64::from(symbol),
+            width,
+        });
+    }
+    let mut shift = width;
+    while shift >= 2 {
+        shift -= 2;
+        out.push(Base::from_bits((symbol >> shift) as u8));
+    }
+    Ok(())
+}
+
+/// Decodes `width / 2` bases into one `width`-bit symbol (the inverse of
+/// [`encode_symbol_into`]).
+///
+/// # Errors
+///
+/// Returns [`StrandError::OddSymbolWidth`] for odd widths and
+/// [`StrandError::LengthMismatch`] when `bases` has the wrong length.
+pub fn decode_symbol(bases: &[Base], width: u8) -> Result<u16, StrandError> {
+    if !width.is_multiple_of(2) || width == 0 || width > 16 {
+        return Err(StrandError::OddSymbolWidth(width));
+    }
+    if bases.len() != usize::from(width) / 2 {
+        return Err(StrandError::LengthMismatch {
+            expected: usize::from(width) / 2,
+            actual: bases.len(),
+        });
+    }
+    let mut sym = 0u16;
+    for &b in bases {
+        sym = (sym << 2) | u16::from(b.to_bits());
+    }
+    Ok(sym)
 }
 
 /// Packed byte length of `n_bases` 2-bit bases (four per byte).
@@ -285,6 +336,44 @@ mod tests {
     #[test]
     fn insufficient_symbols_is_an_error() {
         assert!(symbols_to_bytes(&[0xAB], 8, 2).is_err());
+    }
+
+    #[test]
+    fn symbols_round_trip_at_all_even_widths() {
+        for width in [2u8, 4, 6, 8, 10, 12, 14, 16] {
+            let max = if width == 16 {
+                u16::MAX
+            } else {
+                (1 << width) - 1
+            };
+            for sym in [0u16, 1, max / 2, max] {
+                let mut bases = DnaString::new();
+                encode_symbol_into(sym, width, &mut bases).unwrap();
+                assert_eq!(bases.len(), usize::from(width) / 2);
+                assert_eq!(
+                    decode_symbol(bases.as_slice(), width).unwrap(),
+                    sym,
+                    "width={width} sym={sym}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn symbol_width_validation() {
+        let mut out = DnaString::new();
+        assert!(matches!(
+            encode_symbol_into(1, 3, &mut out),
+            Err(StrandError::OddSymbolWidth(3))
+        ));
+        assert!(matches!(
+            encode_symbol_into(16, 4, &mut out),
+            Err(StrandError::ValueTooWide {
+                value: 16,
+                width: 4
+            })
+        ));
+        assert!(encode_symbol_into(15, 4, &mut out).is_ok());
     }
 
     #[test]

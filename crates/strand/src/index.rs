@@ -6,7 +6,7 @@
 //! the paper stores it at the most reliable location — the very front of
 //! the strand.
 
-use crate::codec::DirectCodec;
+use crate::bits::encode_symbol_into;
 use crate::{Base, DnaString, StrandError};
 
 /// Encodes `index` into `width_bits / 2` bases (MSB-first).
@@ -53,12 +53,12 @@ pub fn encode_index_into(
         });
     }
     if width_bits <= 16 {
-        return DirectCodec.encode_symbol_into(index as u16, width_bits, out);
+        return encode_symbol_into(index as u16, width_bits, out);
     }
     // Wide indexes: encode the high and low halves separately.
     let high_bits = width_bits - 16;
-    DirectCodec.encode_symbol_into((index >> 16) as u16, high_bits, out)?;
-    DirectCodec.encode_symbol_into((index & 0xFFFF) as u16, 16, out)
+    encode_symbol_into((index >> 16) as u16, high_bits, out)?;
+    encode_symbol_into((index & 0xFFFF) as u16, 16, out)
 }
 
 /// Decodes `width_bits / 2` bases back into an index value.

@@ -1,22 +1,23 @@
 //! DNA strand primitives for the reliability-skew reproduction.
 //!
 //! This crate provides the vocabulary types shared by the whole workspace:
-//! nucleotide [`Base`]s, [`DnaString`] strands, bit⇄base codecs (the paper's
-//! maximum-density 2-bits-per-base direct mapping, plus a homopolymer-free
-//! rotation code), biochemical constraint checks (GC content, homopolymer
-//! runs), PCR [`Primer`]s with a constraint-aware generator, and the
-//! bit-packing helpers used to slice payloads into Reed–Solomon symbols.
+//! nucleotide [`Base`]s, [`DnaString`] strands, the pluggable
+//! [`StrandTranscoder`]s that lay payload fields out as bases (the paper's
+//! maximum-density 2-bits-per-base direct mapping plus constraint-aware
+//! layouts), biochemical constraint checks (GC content, homopolymer runs),
+//! PCR [`Primer`]s with a constraint-aware generator, and the bit-packing
+//! helpers used to slice payloads into Reed–Solomon symbols.
 //!
 //! # Examples
 //!
 //! ```
-//! use dna_strand::{codec::DirectCodec, codec::BaseCodec, DnaString};
+//! use dna_strand::{bits, DnaString};
 //!
 //! # fn main() -> Result<(), dna_strand::StrandError> {
-//! let codec = DirectCodec;
-//! let bases = codec.encode(&[0b00_01_10_11])?; // one byte → 4 bases
+//! let mut bases = DnaString::new();
+//! bits::encode_symbol_into(0b00_01_10_11, 8, &mut bases)?; // one byte → 4 bases
 //! assert_eq!(bases.to_string(), "ACGT");
-//! assert_eq!(codec.decode(&bases)?, vec![0b00_01_10_11]);
+//! assert_eq!(bits::decode_symbol(bases.as_slice(), 8)?, 0b00_01_10_11);
 //! # Ok(())
 //! # }
 //! ```
@@ -26,7 +27,6 @@
 
 mod base;
 pub mod bits;
-pub mod codec;
 pub mod constraints;
 mod index;
 mod primer;

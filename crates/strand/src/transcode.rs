@@ -9,11 +9,10 @@
 //! because consensus reconstructs every cluster to the same expected
 //! strand length.
 //!
-//! Four implementations ship:
+//! Three implementations ship:
 //!
 //! * [`DirectTranscoder`] — the paper's maximum-density 2-bits-per-base
 //!   mapping (byte-identical to the historical hard-coded layout).
-//! * [`RotationTranscoder`] — 1 bit/base, never repeats a base.
 //! * [`GcPaddedTranscoder`] — DNAproof-style: the direct layout plus a
 //!   fixed-length corrective pad that steers whole-payload GC toward
 //!   50%. Best-effort compliance at modest density cost.
@@ -135,17 +134,14 @@ pub enum TranscoderSpec {
     GcPadded,
     /// [`TrellisTranscoder`]: base-3 rotating trellis, run ≤ 1.
     Trellis,
-    /// [`RotationTranscoder`]: 1 bit/base, run ≤ 1.
-    Rotation,
 }
 
 impl TranscoderSpec {
     /// Every selectable spec, in id order.
-    pub const ALL: [TranscoderSpec; 4] = [
+    pub const ALL: [TranscoderSpec; 3] = [
         TranscoderSpec::Direct,
         TranscoderSpec::GcPadded,
         TranscoderSpec::Trellis,
-        TranscoderSpec::Rotation,
     ];
 
     /// Stable wire id (capsule header byte). `Direct` is 0 so legacy
@@ -156,7 +152,6 @@ impl TranscoderSpec {
             TranscoderSpec::Direct => 0,
             TranscoderSpec::GcPadded => 1,
             TranscoderSpec::Trellis => 2,
-            TranscoderSpec::Rotation => 3,
         }
     }
 
@@ -165,13 +160,24 @@ impl TranscoderSpec {
         TranscoderSpec::ALL.into_iter().find(|s| s.id() == id)
     }
 
+    /// The name of the retired transcoder that wire id `id` once named.
+    /// Retired ids stay reserved, so a pool written with one fails with a
+    /// typed error instead of decoding under another layout. Id 3 was the
+    /// 1-bit/base rotation code, which the trellis beats on density,
+    /// constraint compliance, and exact decode alike.
+    pub fn retired_name(id: u8) -> Option<&'static str> {
+        match id {
+            3 => Some("rotation"),
+            _ => None,
+        }
+    }
+
     /// The CLI/config spelling.
     pub fn name(self) -> &'static str {
         match self {
             TranscoderSpec::Direct => "direct",
             TranscoderSpec::GcPadded => "gc-padded",
             TranscoderSpec::Trellis => "trellis",
-            TranscoderSpec::Rotation => "rotation",
         }
     }
 
@@ -186,7 +192,6 @@ impl TranscoderSpec {
             TranscoderSpec::Direct => Arc::new(DirectTranscoder),
             TranscoderSpec::GcPadded => Arc::new(GcPaddedTranscoder),
             TranscoderSpec::Trellis => Arc::new(TrellisTranscoder),
-            TranscoderSpec::Rotation => Arc::new(RotationTranscoder),
         }
     }
 
@@ -197,7 +202,6 @@ impl TranscoderSpec {
             TranscoderSpec::Direct => DirectTranscoder.payload_bases(geom),
             TranscoderSpec::GcPadded => GcPaddedTranscoder.payload_bases(geom),
             TranscoderSpec::Trellis => TrellisTranscoder.payload_bases(geom),
-            TranscoderSpec::Rotation => RotationTranscoder.payload_bases(geom),
         }
     }
 
@@ -207,7 +211,6 @@ impl TranscoderSpec {
             TranscoderSpec::Direct => DirectTranscoder.field_span(field, geom),
             TranscoderSpec::GcPadded => GcPaddedTranscoder.field_span(field, geom),
             TranscoderSpec::Trellis => TrellisTranscoder.field_span(field, geom),
-            TranscoderSpec::Rotation => RotationTranscoder.field_span(field, geom),
         }
     }
 }
@@ -291,7 +294,7 @@ impl StrandTranscoder for DirectTranscoder {
         check_rows(symbols, geom)?;
         crate::index::encode_index_into(index, geom.index_bits, out)?;
         for &sym in symbols {
-            crate::codec::DirectCodec.encode_symbol_into(sym, geom.symbol_bits, out)?;
+            crate::bits::encode_symbol_into(sym, geom.symbol_bits, out)?;
         }
         Ok(())
     }
@@ -310,95 +313,7 @@ impl StrandTranscoder for DirectTranscoder {
     ) -> Result<u16, StrandError> {
         let (start, len) = self.field_span(1 + row, geom);
         check_len(payload, start + len)?;
-        crate::codec::DirectCodec.decode_symbol(&payload[start..start + len], geom.symbol_bits)
-    }
-}
-
-/// 1-bit-per-base rotation layout: each bit picks one of the two
-/// lexicographically-first bases differing from the previous base, so no
-/// base ever repeats. Half the density of [`DirectTranscoder`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RotationTranscoder;
-
-impl RotationTranscoder {
-    fn encode_bits(value: u64, width: u8, prev: &mut Option<Base>, out: &mut DnaString) {
-        for shift in (0..width).rev() {
-            let bit = (value >> shift) & 1;
-            let next = crate::codec::RotationCodec::choices(*prev)[bit as usize];
-            out.push(next);
-            *prev = Some(next);
-        }
-    }
-
-    fn decode_bits(payload: &[Base], start: usize, width: u8) -> u64 {
-        let mut prev = if start == 0 {
-            None
-        } else {
-            Some(payload[start - 1])
-        };
-        let mut value = 0u64;
-        for &b in &payload[start..start + usize::from(width)] {
-            let bit = u64::from(crate::codec::RotationCodec::choices(prev)[0] != b);
-            value = (value << 1) | bit;
-            prev = Some(b);
-        }
-        value
-    }
-}
-
-impl StrandTranscoder for RotationTranscoder {
-    fn name(&self) -> &'static str {
-        "rotation"
-    }
-
-    fn payload_bases(&self, geom: PayloadGeometry) -> usize {
-        usize::from(geom.index_bits) + geom.rows * usize::from(geom.symbol_bits)
-    }
-
-    fn field_span(&self, field: usize, geom: PayloadGeometry) -> (usize, usize) {
-        let ib = usize::from(geom.index_bits);
-        let sb = usize::from(geom.symbol_bits);
-        if field == 0 {
-            (0, ib)
-        } else {
-            (ib + (field - 1) * sb, sb)
-        }
-    }
-
-    fn encode_payload_into(
-        &self,
-        index: u32,
-        symbols: &[u16],
-        geom: PayloadGeometry,
-        out: &mut DnaString,
-    ) -> Result<(), StrandError> {
-        geom.validate()?;
-        check_rows(symbols, geom)?;
-        check_value(u64::from(index), geom.index_bits)?;
-        let mut prev = None;
-        Self::encode_bits(u64::from(index), geom.index_bits, &mut prev, out);
-        for &sym in symbols {
-            check_value(u64::from(sym), geom.symbol_bits)?;
-            Self::encode_bits(u64::from(sym), geom.symbol_bits, &mut prev, out);
-        }
-        Ok(())
-    }
-
-    fn decode_index(&self, payload: &[Base], geom: PayloadGeometry) -> Result<u32, StrandError> {
-        let (start, len) = self.field_span(0, geom);
-        check_len(payload, start + len)?;
-        Ok(Self::decode_bits(payload, start, geom.index_bits) as u32)
-    }
-
-    fn decode_symbol(
-        &self,
-        payload: &[Base],
-        row: usize,
-        geom: PayloadGeometry,
-    ) -> Result<u16, StrandError> {
-        let (start, len) = self.field_span(1 + row, geom);
-        check_len(payload, start + len)?;
-        Ok(Self::decode_bits(payload, start, geom.symbol_bits) as u16)
+        crate::bits::decode_symbol(&payload[start..start + len], geom.symbol_bits)
     }
 }
 
@@ -406,7 +321,7 @@ impl StrandTranscoder for RotationTranscoder {
 /// corrective pad base interleaved after every
 /// [`Self::PAD_INTERVAL`] data bases. Each pad base is drawn from the GC
 /// side that reduces running disparity, whitened by a position-keyed
-/// stream ([`Self::pad_base`]) and never repeating the previous base.
+/// stream (`pad_base`) and never repeating the previous base.
 /// Data bases remain unconstrained, so compliance is best-effort (the
 /// ablation quantifies it) — but the interleaved pad corrects GC
 /// *locally*, where windowed constraints actually look.
@@ -421,7 +336,7 @@ impl StrandTranscoder for RotationTranscoder {
 /// junction entirely (the `ablation_transcoder` bench flushed this out;
 /// `gc_pad_is_interleaved_run_breaking_and_aperiodic` pins the shape).
 ///
-/// Decoding skips the pad by position arithmetic ([`Self::data_pos`]) —
+/// Decoding skips the pad by position arithmetic (`data_pos`) —
 /// the schedule is fixed, so every field still decodes with random
 /// access.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -570,7 +485,7 @@ impl StrandTranscoder for GcPaddedTranscoder {
         let data: DnaString = (start..start + len)
             .map(|i| payload[Self::data_pos(i)])
             .collect();
-        crate::codec::DirectCodec.decode_symbol(data.as_slice(), geom.symbol_bits)
+        crate::bits::decode_symbol(data.as_slice(), geom.symbol_bits)
     }
 }
 
@@ -837,9 +752,7 @@ mod tests {
         let mut expected = DnaString::new();
         crate::index::encode_index_into(0xA5, 8, &mut expected).unwrap();
         for &s in &symbols {
-            crate::codec::DirectCodec
-                .encode_symbol_into(s, 8, &mut expected)
-                .unwrap();
+            crate::bits::encode_symbol_into(s, 8, &mut expected).unwrap();
         }
         assert_eq!(out, expected);
     }
@@ -995,6 +908,12 @@ mod tests {
             assert_eq!(spec.build().name(), spec.name());
         }
         assert_eq!(TranscoderSpec::from_id(200), None);
+        assert_eq!(TranscoderSpec::from_id(3), None);
+        assert_eq!(TranscoderSpec::retired_name(3), Some("rotation"));
+        assert_eq!(TranscoderSpec::parse("rotation"), None);
+        for spec in TranscoderSpec::ALL {
+            assert_eq!(TranscoderSpec::retired_name(spec.id()), None);
+        }
         assert_eq!(TranscoderSpec::parse("bogus"), None);
     }
 

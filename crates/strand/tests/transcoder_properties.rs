@@ -100,18 +100,4 @@ proptest! {
         // margin (run ≤ 1 inside the payload).
         prop_assert!(constraints::max_homopolymer_run(&strand) <= 1);
     }
-
-    /// Rotation payloads never repeat a base either — the property the
-    /// codec was built around, now surfaced through the transcoder API.
-    #[test]
-    fn rotation_payloads_never_repeat(
-        index in 0u32..=255,
-        symbols in proptest::collection::vec(0u16..=255, 30)
-    ) {
-        let geom = PayloadGeometry { index_bits: 8, rows: 30, symbol_bits: 8 };
-        let t = TranscoderSpec::Rotation.build();
-        let mut strand = DnaString::new();
-        t.encode_payload_into(index, &symbols, geom, &mut strand).unwrap();
-        prop_assert!(constraints::max_homopolymer_run(&strand) <= 1);
-    }
 }

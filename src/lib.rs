@@ -127,7 +127,7 @@ pub mod prelude {
         min_coverage, min_coverage_with, quality_sweep, Archive, ArchiveCodec, BaselineLayout,
         CodecParams, DecodeReport, FileEntry, GiniLayout, Layout, Pipeline, PipelineBuilder,
         PriorityLayout, ProtectionPlan, ProtectionPlanner, RankingPolicy, RecoveryPipeline,
-        RecoveryReport, RetrieveOptions, Scenario, SkewProfile, UnitLayout,
+        RecoveryReport, RetrieveOptions, Scenario, SkewProfile, UnitLayout, UnitReads,
     };
     pub use dna_strand::{Base, DnaString};
 }

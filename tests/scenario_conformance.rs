@@ -227,11 +227,7 @@ fn transcoded_cell_summary(spec: TranscoderSpec, preset: &str, channel: &Channel
 
 fn compute_transcoded_matrix() -> Vec<String> {
     let mut out = Vec::new();
-    for spec in [
-        TranscoderSpec::GcPadded,
-        TranscoderSpec::Trellis,
-        TranscoderSpec::Rotation,
-    ] {
+    for spec in [TranscoderSpec::GcPadded, TranscoderSpec::Trellis] {
         for (preset, channel) in [
             ("nanopore-decay:0.06", ChannelModel::nanopore_decay(0.06)),
             (
@@ -249,13 +245,11 @@ fn compute_transcoded_matrix() -> Vec<String> {
 /// an *intentional* transcoder layout change with `DNA_SKEW_BLESS=1`
 /// like the main matrix — an unintentional diff means a transcoder's
 /// base layout (and so every pool written with it) drifted.
-const TRANSCODED_GOLDEN: [&str; 6] = [
+const TRANSCODED_GOLDEN: [&str; 4] = [
     "transcoder=gc-padded preset=nanopore-decay:0.06 cov=8 hash=0x7441d7e2f2760db4 lost=0 corrected=4 failed=0",
     "transcoder=gc-padded preset=constraint-stressed:0.06 cov=8 hash=0x7441d7e2f2760db4 lost=0 corrected=5 failed=0",
     "transcoder=trellis preset=nanopore-decay:0.06 cov=8 hash=0x7441d7e2f2760db4 lost=1 corrected=7 failed=0",
     "transcoder=trellis preset=constraint-stressed:0.06 cov=8 hash=0x7441d7e2f2760db4 lost=1 corrected=13 failed=0",
-    "transcoder=rotation preset=nanopore-decay:0.06 cov=8 hash=0x7441d7e2f2760db4 lost=0 corrected=5 failed=0",
-    "transcoder=rotation preset=constraint-stressed:0.06 cov=8 hash=0x7441d7e2f2760db4 lost=0 corrected=4 failed=0",
 ];
 
 /// Golden summaries. The four `preset=uniform` lines were captured from
@@ -823,10 +817,13 @@ fn uniform_pools_are_byte_identical_to_pre_channel_release() {
             "gamma-coverage pool drifted at seed={seed} p={p} cov={cov}"
         );
         // The explicit channel-model route is the same bytes again.
-        let via_model = pipeline.sequence_model(
+        let via_model = pipeline.sequence_with(
+            &SimulatedSequencer::with_channel(
+                ChannelModel::uniform(ErrorModel::uniform(p)),
+                CoverageModel::Fixed(cov),
+            ),
             &unit,
-            &ChannelModel::uniform(ErrorModel::uniform(p)),
-            CoverageModel::Fixed(cov),
+            0,
             seed,
         );
         assert_eq!(pool_hash(&via_model), fixed_hash);
