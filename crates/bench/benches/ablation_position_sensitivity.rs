@@ -8,7 +8,7 @@
 //! Fig. 14/16, rather than any generic property of the mapping.
 
 use dna_bench::{FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel};
+use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_gf::Field;
 use dna_media::{GrayImage, JpegLikeCodec};
 use dna_storage::{CodecParams, Layout, Pipeline};
@@ -53,12 +53,8 @@ fn main() {
             for (i, &cov) in coverages.iter().enumerate() {
                 let mut psnr = 0.0;
                 for t in 0..trials {
-                    let pool = pipeline.sequence(
-                        &unit,
-                        model,
-                        CoverageModel::Fixed(cov as usize),
-                        1800 + t as u64,
-                    );
+                    let pool = SimulatedSequencer::new(model, CoverageModel::Fixed(cov as usize))
+                        .sequence_unit(0, unit.strands(), 1800 + t as u64);
                     let (decoded, _) = pipeline
                         .decode_unit(&pool.at_coverage(cov))
                         .expect("decode");

@@ -17,7 +17,7 @@
 //! wins on exact-decode rate.
 
 use dna_bench::{patterned_payload, FigureOutput, Scale};
-use dna_channel::ChannelModel;
+use dna_channel::{ChannelModel, SequencingBackend};
 use dna_storage::{
     CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, Scenario, SkewProfile,
 };
@@ -42,7 +42,7 @@ fn run_trials(
     let mut failed_codewords = 0usize;
     let mut reports = Vec::with_capacity(scenario.trials);
     for t in 0..scenario.trials {
-        let pool = pipeline.sequence_with(&backend, &unit, 0, scenario.trial_seed(t));
+        let pool = backend.sequence_unit(0, unit.strands(), scenario.trial_seed(t));
         let clusters = pool.at_coverage(coverage);
         let (decoded, report) = pipeline.decode_unit(&clusters).expect("decode");
         if report.is_error_free() && decoded[..payload.len()] == payload[..] {

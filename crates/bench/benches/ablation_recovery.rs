@@ -10,7 +10,7 @@
 //! index votes and the consensus sharpen together.
 
 use dna_bench::{patterned_payload, FigureOutput, Scale};
-use dna_channel::{AnonymousPool, ChannelModel, ErrorModel};
+use dna_channel::{AnonymousPool, ChannelModel, ErrorModel, SequencingBackend};
 use dna_storage::{CodecParams, Layout, Pipeline, RecoveryPipeline, RecoveryReport, Scenario};
 
 fn main() {
@@ -69,7 +69,9 @@ fn main() {
             let mut recovery = RecoveryReport::default();
             for t in 0..trials {
                 let pool =
-                    pipeline.sequence_with(&scenario.backend(), &unit, 0, scenario.trial_seed(t));
+                    scenario
+                        .backend()
+                        .sequence_unit(0, unit.strands(), scenario.trial_seed(t));
                 let clusters = pool.at_coverage(cov);
                 let (oracle, _) = pipeline.decode_unit(&clusters).expect("oracle decode");
                 oracle_ok += usize::from(oracle == payload);

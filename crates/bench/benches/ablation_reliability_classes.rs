@@ -6,7 +6,7 @@
 //! min-coverage cost of that hybrid against full Gini and the baseline.
 
 use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel};
+use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_storage::{min_coverage, CodecParams, Layout, Scenario};
 
 fn main() {
@@ -43,8 +43,9 @@ fn main() {
         let pipeline = laptop_pipeline(layout.clone());
         let unit = pipeline.encode_unit(&payload).expect("encode");
         let mut sums = vec![0usize; params.rows()];
+        let sequencer = SimulatedSequencer::new(model, CoverageModel::Fixed(20));
         for t in 0..trials {
-            let pool = pipeline.sequence(&unit, model, CoverageModel::Fixed(20), 1900 + t as u64);
+            let pool = sequencer.sequence_unit(0, unit.strands(), 1900 + t as u64);
             let (_, report) = pipeline
                 .decode_unit(&pool.at_coverage(20.0))
                 .expect("decode");

@@ -13,7 +13,7 @@
 //! the control.
 
 use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel, ReadPool};
+use dna_channel::{CoverageModel, ErrorModel, ReadPool, SequencingBackend, SimulatedSequencer};
 use dna_consensus::{BmaTwoWay, TraceReconstructor};
 use dna_storage::{CodecParams, Layout};
 use dna_strand::{bits, DnaString};
@@ -76,15 +76,14 @@ fn main() {
     // 1. Provisioning profile.
     let mut profile = vec![0usize; rows];
     for t in 0..trials {
-        let pool = pipeline.sequence(
-            &unit,
+        let pool = SimulatedSequencer::new(
             model,
             CoverageModel::Gamma {
                 mean: provision_cov,
                 shape: 6.0,
             },
-            2500 + t as u64,
-        );
+        )
+        .sequence_unit(0, unit.strands(), 2500 + t as u64);
         for (r, e) in row_errors(
             unit.strands(),
             &pool,
@@ -142,15 +141,14 @@ fn main() {
     for &cov in &deploy_covs {
         let mut failed = [0usize; 3];
         for t in 0..trials {
-            let pool = pipeline.sequence(
-                &unit,
+            let pool = SimulatedSequencer::new(
                 model,
                 CoverageModel::Gamma {
                     mean: cov,
                     shape: 6.0,
                 },
-                3500 + t as u64,
-            );
+            )
+            .sequence_unit(0, unit.strands(), 3500 + t as u64);
             let errs = row_errors(unit.strands(), &pool, cov, rows, index_bases, sym_bases);
             let total_errs: usize = errs.iter().sum();
             // uniform rows: each row corrects uniform_cap

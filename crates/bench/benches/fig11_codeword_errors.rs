@@ -6,7 +6,7 @@
 //! (nearly) the same — Gini redistributes errors, it does not remove them.
 
 use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel};
+use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_storage::{CodecParams, Layout};
 
 fn main() {
@@ -32,12 +32,8 @@ fn main() {
         let unit = pipeline.encode_unit(&payload).expect("encode");
         let mut sums = vec![0usize; params.rows()];
         for t in 0..trials {
-            let pool = pipeline.sequence(
-                &unit,
-                model,
-                CoverageModel::Fixed(coverage),
-                1100 + t as u64,
-            );
+            let pool = SimulatedSequencer::new(model, CoverageModel::Fixed(coverage))
+                .sequence_unit(0, unit.strands(), 1100 + t as u64);
             let (_, report) = pipeline
                 .decode_unit(&pool.at_coverage(coverage as f64))
                 .expect("decode");

@@ -3,7 +3,7 @@
 //! under `target/figures/fig15/`.
 
 use dna_bench::{laptop_pipeline, Scale};
-use dna_channel::{Cluster, CoverageModel, ErrorModel};
+use dna_channel::{Cluster, CoverageModel, ErrorModel, SimulatedSequencer};
 use dna_media::{GrayImage, JpegLikeCodec};
 use dna_storage::{Archive, ArchiveCodec, FileEntry, Layout, RankingPolicy, RetrieveOptions};
 use std::fs;
@@ -23,13 +23,15 @@ fn main() {
     fs::create_dir_all(dir).expect("mkdir");
     fs::write(dir.join("original.pgm"), image.to_pgm()).expect("write");
 
-    let pools = storage.sequence(
+    let pools = storage.pipeline().sequence_batch(
+        &SimulatedSequencer::new(
+            ErrorModel::uniform(0.12),
+            CoverageModel::Gamma {
+                mean: 20.0,
+                shape: 6.0,
+            },
+        ),
         &units,
-        ErrorModel::uniform(0.12),
-        CoverageModel::Gamma {
-            mean: 20.0,
-            shape: 6.0,
-        },
         151,
     );
     println!("coverage sweep at p=12% (DnaMapper): PSNR of retrieved photo");

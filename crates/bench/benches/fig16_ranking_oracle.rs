@@ -6,7 +6,7 @@
 //! degrade far more gracefully than the baseline order.
 
 use dna_bench::{FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel};
+use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_gf::Field;
 use dna_media::rank::{BitRanker, OracleRanker, PositionRanker};
 use dna_media::{GrayImage, JpegLikeCodec};
@@ -92,8 +92,9 @@ fn main() {
         };
         let unit = pipeline.encode_unit(&payload).expect("encode");
         let mut losses = vec![0.0f64; coverages.len()];
+        let sequencer = SimulatedSequencer::new(model, CoverageModel::Fixed(20));
         for t in 0..trials {
-            let pool = pipeline.sequence(&unit, model, CoverageModel::Fixed(20), 1600 + t as u64);
+            let pool = sequencer.sequence_unit(0, unit.strands(), 1600 + t as u64);
             // Perfect clustering ⇒ cluster identity is known (paper
             // §6.1.2); with no parity to absorb index-corruption column
             // losses, the ranking comparison uses it directly.

@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the end-to-end pipeline at laptop scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dna_channel::{CoverageModel, ErrorModel};
+use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_storage::{CodecParams, Layout, UnitReads};
 use std::hint::black_box;
 
@@ -27,12 +27,8 @@ fn bench_pipeline(c: &mut Criterion) {
         excluded_rows: vec![],
     });
     let unit = pipeline.encode_unit(&payload).expect("encode");
-    let pool = pipeline.sequence(
-        &unit,
-        ErrorModel::uniform(0.03),
-        CoverageModel::Fixed(10),
-        5,
-    );
+    let pool = SimulatedSequencer::new(ErrorModel::uniform(0.03), CoverageModel::Fixed(10))
+        .sequence_unit(0, unit.strands(), 5);
     let clusters = pool.clusters().to_vec();
     c.bench_function("decode_unit_cov10_p3pct", |b| {
         b.iter(|| black_box(pipeline.decode_unit(&clusters).unwrap()))

@@ -11,7 +11,7 @@
 use crate::fault::{splitmix64, FaultContext, FaultPlan, PoolFault};
 use crate::shim::{apply_byte_fault, ByteFault};
 use crate::verdict::{score_bytes, score_decode, Verdict, VerdictTally};
-use dna_channel::{AnonymousPool, ChannelModel, ErrorModel};
+use dna_channel::{AnonymousPool, ChannelModel, ErrorModel, SequencingBackend};
 use dna_object::{ObjectStore, StoreConfig};
 use dna_storage::{
     CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, RecoveryPipeline,
@@ -374,10 +374,9 @@ pub fn run_scenario(
                 let decoy_scenario = Scenario::with_channel(channel.clone())
                     .single_coverage(*coverage)
                     .seed(splitmix64(scenario_seed ^ 0xF0E1));
-                let decoy_pool = pipeline.sequence_with(
-                    &decoy_scenario.backend(),
-                    &decoy_unit,
+                let decoy_pool = decoy_scenario.backend().sequence_unit(
                     1,
+                    decoy_unit.strands(),
                     splitmix64(scenario_seed ^ 0xF0E1),
                 );
                 decoy_pool
@@ -410,7 +409,7 @@ pub fn run_scenario(
                     .single_coverage(*coverage)
                     .seed(ts)
                     .backend();
-                let pool = pipeline.sequence_with(&backend, &unit, 0, ts);
+                let pool = backend.sequence_unit(0, unit.strands(), ts);
                 let mut clusters = pool.at_coverage(*coverage);
                 plan.apply(&mut clusters, &ctx, splitmix64(ts ^ 0xFA17));
                 let anon;

@@ -469,46 +469,6 @@ pub struct SimulationOutcome {
     pub lost_molecules: usize,
 }
 
-/// `simulate`: full encode → noisy channel → decode round trip over the
-/// batch pipeline under a flat channel at the given rates.
-pub fn simulate(
-    payload: &[u8],
-    layout: LayoutChoice,
-    model: ErrorModel,
-    coverage: f64,
-    seed: u64,
-) -> Result<SimulationOutcome, CliError> {
-    simulate_channel(
-        payload,
-        layout,
-        ChannelModel::uniform(model),
-        coverage,
-        seed,
-    )
-}
-
-/// [`simulate`] under a full [`ChannelModel`] (position profiles,
-/// dropout, PCR bias, bursts — the `--channel` presets).
-pub fn simulate_channel(
-    payload: &[u8],
-    layout: LayoutChoice,
-    channel: ChannelModel,
-    coverage: f64,
-    seed: u64,
-) -> Result<SimulationOutcome, CliError> {
-    simulate_planned(
-        payload,
-        layout,
-        channel,
-        coverage,
-        seed,
-        &PlanChoice::Uniform,
-        None,
-        TranscoderSpec::Direct,
-    )
-    .map(|run| run.outcome)
-}
-
 /// Everything a planned simulation produced: the outcome, the plan the
 /// pipeline actually ran, and the merged decode report (per-row
 /// histograms included — the CLI's `--tsv` output).
@@ -526,8 +486,11 @@ pub struct SimulationRun {
     pub warnings: Vec<PlannerWarning>,
 }
 
-/// [`simulate_channel`] with a protection policy, optional parity width,
-/// and a byte→base transcoder (`--plan` / `--parity` / `--transcoder`).
+/// `simulate`: full encode → channel → decode round trip over the batch
+/// pipeline under a [`ChannelModel`] (position profiles, dropout, PCR
+/// bias, bursts — the `--channel` presets), with a protection policy,
+/// optional parity width, and a byte→base transcoder (`--plan` /
+/// `--parity` / `--transcoder`).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_planned(
     payload: &[u8],
@@ -563,33 +526,14 @@ pub fn simulate_planned(
         decoded.extend_from_slice(&bytes[..hi - lo]);
         merged.merge_from(&report);
     }
-    let matches = payload
-        .iter()
-        .zip(decoded.iter())
-        .filter(|(a, b)| a == b)
-        .count();
-    Ok(SimulationRun {
-        outcome: SimulationOutcome {
-            exact: decoded == payload,
-            byte_accuracy: if payload.is_empty() {
-                1.0
-            } else {
-                matches as f64 / payload.len() as f64
-            },
-            corrected: merged.total_corrected(),
-            failed_codewords: merged.failed_codewords(),
-            lost_molecules: merged.lost_columns,
-        },
-        plan: pipeline.protection_plan().clone(),
-        report: merged,
-        warnings,
-    })
+    Ok(scored_run(&pipeline, payload, &decoded, merged, warnings))
 }
 
-/// [`simulate_channel`] over *unlabeled* pools: reads are anonymized
+/// `simulate --unlabeled`: [`simulate_planned`]'s round trip (uniform
+/// plan, direct transcoder) over *unlabeled* pools: reads are anonymized
 /// (labels dropped, orientation randomized, order shuffled) after
 /// sequencing, and the pipeline must cluster, orient, and demultiplex
-/// them back before decoding (`simulate --unlabeled`).
+/// them back before decoding.
 ///
 /// Strands are wrapped in 16-base primers — the orientation anchor every
 /// real unlabeled-retrieval system relies on — so the encoded form
@@ -649,12 +593,20 @@ pub fn simulate_unlabeled(
             Err(e) => return Err(e.into()),
         }
     }
-    let matches = payload
-        .iter()
-        .zip(decoded.iter())
-        .filter(|(a, b)| a == b)
-        .count();
-    Ok(SimulationRun {
+    Ok(scored_run(&pipeline, payload, &decoded, merged, Vec::new()))
+}
+
+/// Scores a simulation's decoded bytes against the original payload and
+/// packages them with the merged report and the plan `pipeline` ran.
+fn scored_run(
+    pipeline: &Pipeline,
+    payload: &[u8],
+    decoded: &[u8],
+    report: DecodeReport,
+    warnings: Vec<PlannerWarning>,
+) -> SimulationRun {
+    let matches = payload.iter().zip(decoded).filter(|(a, b)| a == b).count();
+    SimulationRun {
         outcome: SimulationOutcome {
             exact: decoded == payload,
             byte_accuracy: if payload.is_empty() {
@@ -662,14 +614,14 @@ pub fn simulate_unlabeled(
             } else {
                 matches as f64 / payload.len() as f64
             },
-            corrected: merged.total_corrected(),
-            failed_codewords: merged.failed_codewords(),
-            lost_molecules: merged.lost_columns,
+            corrected: report.total_corrected(),
+            failed_codewords: report.failed_codewords(),
+            lost_molecules: report.lost_columns,
         },
         plan: pipeline.protection_plan().clone(),
-        report: merged,
-        warnings: Vec::new(),
-    })
+        report,
+        warnings,
+    }
 }
 
 /// Opens the object store at `dir` for `pack`, creating a laptop-scale
@@ -905,8 +857,18 @@ mod tests {
         let payload: Vec<u8> = (0..2000u32).map(|i| (i * 13 % 256) as u8).collect();
         for preset in ["nanopore-decay:0.06", "pcr-skewed:0.03", "dropout:0.03"] {
             let channel = parse_channel_model(preset).unwrap();
-            let outcome =
-                simulate_channel(&payload, LayoutChoice::Gini, channel, 20.0, 11).unwrap();
+            let outcome = simulate_planned(
+                &payload,
+                LayoutChoice::Gini,
+                channel,
+                20.0,
+                11,
+                &PlanChoice::Uniform,
+                None,
+                TranscoderSpec::Direct,
+            )
+            .unwrap()
+            .outcome;
             assert!(
                 outcome.byte_accuracy > 0.95,
                 "{preset}: accuracy {outcome:?}"
@@ -1151,24 +1113,24 @@ mod tests {
     #[test]
     fn simulation_reports_sane_outcomes() {
         let payload: Vec<u8> = (0..4000u32).map(|i| (i % 256) as u8).collect();
-        let clean = simulate(
-            &payload,
-            LayoutChoice::Gini,
-            ErrorModel::noiseless(),
-            3.0,
-            7,
-        )
-        .unwrap();
+        let run = |model, coverage| {
+            simulate_planned(
+                &payload,
+                LayoutChoice::Gini,
+                ChannelModel::uniform(model),
+                coverage,
+                7,
+                &PlanChoice::Uniform,
+                None,
+                TranscoderSpec::Direct,
+            )
+            .unwrap()
+            .outcome
+        };
+        let clean = run(ErrorModel::noiseless(), 3.0);
         assert!(clean.exact);
         assert_eq!(clean.byte_accuracy, 1.0);
-        let noisy = simulate(
-            &payload,
-            LayoutChoice::Gini,
-            ErrorModel::uniform(0.06),
-            14.0,
-            7,
-        )
-        .unwrap();
+        let noisy = run(ErrorModel::uniform(0.06), 14.0);
         assert!(
             noisy.exact,
             "gini at 6%/coverage 14 should decode: {noisy:?}"

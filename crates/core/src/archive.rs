@@ -14,9 +14,7 @@
 use crate::pipeline::{EncodedUnit, Pipeline, RetrieveOptions, UnitReads};
 use crate::report::DecodeReport;
 use crate::StorageError;
-use dna_channel::{
-    Cluster, CoverageModel, ErrorModel, ReadPool, SequencingBackend, SimulatedSequencer,
-};
+use dna_channel::Cluster;
 use dna_crypto::ChaCha20;
 use dna_media::rank::merge_rankings;
 use dna_strand::bits::{get_bit, set_bit};
@@ -333,29 +331,6 @@ impl ArchiveCodec {
             .encode_batch(&self.split_units(&stream, n_units))
     }
 
-    /// Simulates sequencing every unit through a [`SimulatedSequencer`]
-    /// (per-unit derived seeds).
-    pub fn sequence(
-        &self,
-        units: &[EncodedUnit],
-        model: ErrorModel,
-        coverage: CoverageModel,
-        seed: u64,
-    ) -> Vec<ReadPool> {
-        self.sequence_with(&SimulatedSequencer::new(model, coverage), units, seed)
-    }
-
-    /// Sequences every unit through any [`SequencingBackend`] (per-unit
-    /// derived seeds, units fanned out across threads).
-    pub fn sequence_with(
-        &self,
-        backend: &dyn SequencingBackend,
-        units: &[EncodedUnit],
-        seed: u64,
-    ) -> Vec<ReadPool> {
-        self.pipeline.sequence_batch(backend, units, seed)
-    }
-
     /// Decodes the archive from per-unit cluster sets via
     /// [`Pipeline::decode`], in parallel.
     ///
@@ -403,6 +378,7 @@ mod tests {
     use super::*;
     use crate::params::CodecParams;
     use crate::pipeline::Layout;
+    use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 
     fn sample_archive() -> Archive {
         Archive::new(vec![
@@ -414,13 +390,18 @@ mod tests {
     }
 
     fn codec(policy: RankingPolicy, layout: Layout) -> ArchiveCodec {
-        let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), layout).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(CodecParams::tiny().unwrap())
+            .layout(layout)
+            .build()
+            .unwrap();
         ArchiveCodec::new(pipeline, policy)
     }
 
     fn noiseless_roundtrip(codec: &ArchiveCodec, archive: &Archive) -> Archive {
         let units = codec.encode(archive).unwrap();
-        let pools = codec.sequence(&units, ErrorModel::noiseless(), CoverageModel::Fixed(2), 9);
+        let backend = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(2));
+        let pools = codec.pipeline().sequence_batch(&backend, &units, 9);
         let clusters: Vec<Vec<Cluster>> = pools.iter().map(|p| p.clusters().to_vec()).collect();
         let (decoded, reports) = codec
             .decode(&clusters, &RetrieveOptions::default())

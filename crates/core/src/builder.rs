@@ -4,9 +4,10 @@
 //! The paper's evaluation is a single pipeline run many ways — three
 //! layouts, several consensus algorithms, dozens of channel scenarios.
 //! The builder makes each variation one knob instead of another
-//! constructor: geometry (either a whole [`CodecParams`] or individual
-//! overrides), layout, consensus algorithm, primers, and default decode
-//! options, all validated together at [`PipelineBuilder::build`].
+//! constructor: geometry (a whole [`CodecParams`]), layout, protection
+//! policy, consensus algorithm, and default decode options, all
+//! validated together at [`PipelineBuilder::build`]. Explicit primers
+//! re-key a built pipeline through [`Pipeline::with_primers`].
 //!
 //! # Examples
 //!
@@ -21,11 +22,17 @@
 //!     .build()?;
 //! assert_eq!(pipeline.layout().name(), "gini");
 //!
-//! // Geometry overrides re-derive the codec parameters (validated at
-//! // build): drop the redundancy to 10 parity molecules.
+//! // A different redundancy is a different geometry: drop to 10 parity
+//! // molecules (validated by `CodecParams::new`).
+//! let laptop = CodecParams::laptop()?;
 //! let lean = Pipeline::builder()
-//!     .params(CodecParams::laptop()?)
-//!     .parity_cols(10)
+//!     .params(CodecParams::new(
+//!         laptop.field().clone(),
+//!         laptop.rows(),
+//!         laptop.data_cols(),
+//!         10,
+//!         laptop.index_bits(),
+//!     )?)
 //!     .build()?;
 //! assert_eq!(lean.params().parity_cols(), 10);
 //! # Ok(())
@@ -39,39 +46,27 @@ use crate::plan::{planned_positions, Protection, ProtectionPlan};
 use crate::recovery::RecoveryPipeline;
 use crate::StorageError;
 use dna_consensus::{BmaTwoWay, TraceReconstructor};
-use dna_gf::Field;
 use dna_reed_solomon::CodeFamily;
-use dna_strand::{Primer, PrimerLibrary, TranscoderSpec};
+use dna_strand::PrimerLibrary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The default seed for deterministic primer generation (kept from the
-/// original constructor so existing encodings remain readable).
-const DEFAULT_PRIMER_SEED: u64 = 0xD2A7_2022;
+/// The seed for deterministic primer generation. Changing it changes
+/// every generated primer pair, and so every primer-wrapped encoding.
+const PRIMER_SEED: u64 = 0xD2A7_2022;
 
 /// Fluent, validated construction of [`Pipeline`]s.
 ///
 /// Obtain one with [`Pipeline::builder`]. Every knob has a sensible
-/// default except the geometry: set either [`params`](Self::params) or
-/// the individual geometry fields ([`field`](Self::field),
-/// [`rows`](Self::rows), [`data_cols`](Self::data_cols), …). All
-/// validation happens in [`build`](Self::build).
+/// default except the geometry, which [`params`](Self::params) sets.
+/// All validation happens in [`build`](Self::build).
 #[derive(Clone)]
 pub struct PipelineBuilder {
     params: Option<CodecParams>,
-    field: Option<Field>,
-    rows: Option<usize>,
-    data_cols: Option<usize>,
-    parity_cols: Option<usize>,
-    index_bits: Option<u8>,
-    primer_len: Option<usize>,
-    transcoder: Option<TranscoderSpec>,
     layout: Arc<dyn UnitLayout>,
     protection: Protection,
     consensus: Option<Arc<dyn TraceReconstructor + Send + Sync>>,
-    primers: Option<(Primer, Primer)>,
-    primer_seed: u64,
     decode_options: RetrieveOptions,
 }
 
@@ -88,7 +83,6 @@ impl std::fmt::Debug for PipelineBuilder {
                     .as_ref()
                     .map_or("two-way BMA (default)", |c| c.name()),
             )
-            .field("explicit_primers", &self.primers.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -97,18 +91,9 @@ impl Default for PipelineBuilder {
     fn default() -> Self {
         PipelineBuilder {
             params: None,
-            field: None,
-            rows: None,
-            data_cols: None,
-            parity_cols: None,
-            index_bits: None,
-            primer_len: None,
-            transcoder: None,
             layout: Arc::new(BaselineLayout),
             protection: Protection::Uniform,
             consensus: None,
-            primers: None,
-            primer_seed: DEFAULT_PRIMER_SEED,
             decode_options: RetrieveOptions::default(),
         }
     }
@@ -121,60 +106,18 @@ impl PipelineBuilder {
         PipelineBuilder::default()
     }
 
-    /// Starts from a complete geometry. Individual overrides below still
-    /// apply on top.
+    /// Sets the unit geometry — the only way to give the builder one. A
+    /// different parity width, primer length or transcoder is a
+    /// different [`CodecParams`] (see [`CodecParams::new`],
+    /// [`CodecParams::with_primer_len`], [`CodecParams::with_transcoder`]).
     pub fn params(mut self, params: CodecParams) -> Self {
         self.params = Some(params);
         self
     }
 
-    /// Overrides the Galois field.
-    pub fn field(mut self, field: Field) -> Self {
-        self.field = Some(field);
-        self
-    }
-
-    /// Overrides the row count (symbols per molecule).
-    pub fn rows(mut self, rows: usize) -> Self {
-        self.rows = Some(rows);
-        self
-    }
-
-    /// Overrides the data-column count (data molecules, M).
-    pub fn data_cols(mut self, data_cols: usize) -> Self {
-        self.data_cols = Some(data_cols);
-        self
-    }
-
-    /// Overrides the parity-column count (redundancy molecules, E; 0
-    /// disables error correction).
-    pub fn parity_cols(mut self, parity_cols: usize) -> Self {
-        self.parity_cols = Some(parity_cols);
-        self
-    }
-
-    /// Overrides the per-molecule ordering index width, in bits.
-    pub fn index_bits(mut self, index_bits: u8) -> Self {
-        self.index_bits = Some(index_bits);
-        self
-    }
-
-    /// Overrides the primer length per side, in bases (0 = no primers).
-    pub fn primer_len(mut self, primer_len: usize) -> Self {
-        self.primer_len = Some(primer_len);
-        self
-    }
-
-    /// Overrides the payload transcoder (byte → base layout; default
-    /// [`TranscoderSpec::Direct`], the paper's 2-bits-per-base mapping).
-    pub fn transcoder(mut self, transcoder: TranscoderSpec) -> Self {
-        self.transcoder = Some(transcoder);
-        self
-    }
-
     /// Selects the data organization: a [`UnitLayout`] engine (built-in
-    /// or custom implementation), or the legacy
-    /// [`Layout`](crate::Layout) enum shim.
+    /// or custom implementation), or a [`Layout`](crate::Layout) naming
+    /// one of the built-in engines.
     pub fn layout(mut self, layout: impl IntoUnitLayout) -> Self {
         self.layout = layout.into_unit_layout();
         self
@@ -195,20 +138,6 @@ impl PipelineBuilder {
     /// paper's choice, §6.1.2).
     pub fn consensus(mut self, consensus: Arc<dyn TraceReconstructor + Send + Sync>) -> Self {
         self.consensus = Some(consensus);
-        self
-    }
-
-    /// Uses an explicit primer pair instead of deterministic generation.
-    /// Both primers must match the geometry's primer length.
-    pub fn primers(mut self, left: Primer, right: Primer) -> Self {
-        self.primers = Some((left, right));
-        self
-    }
-
-    /// Seed for deterministic primer generation (when no explicit primers
-    /// are given and the geometry has a positive primer length).
-    pub fn primer_seed(mut self, seed: u64) -> Self {
-        self.primer_seed = seed;
         self
     }
 
@@ -236,86 +165,18 @@ impl PipelineBuilder {
         self
     }
 
-    /// Resolves the final [`CodecParams`] from the base params and any
-    /// individual overrides.
-    fn resolve_params(&self) -> Result<CodecParams, StorageError> {
-        let has_override = self.field.is_some()
-            || self.rows.is_some()
-            || self.data_cols.is_some()
-            || self.parity_cols.is_some()
-            || self.index_bits.is_some();
-        let base = match (&self.params, has_override) {
-            (Some(p), false) => p.clone(),
-            (base, true) => {
-                let pick_usize = |over: Option<usize>, from: Option<usize>, what: &str| {
-                    over.or(from).ok_or_else(|| {
-                        StorageError::InvalidParams(format!(
-                            "builder needs {what}: set .params(..) or .{what}(..)"
-                        ))
-                    })
-                };
-                let field = self
-                    .field
-                    .clone()
-                    .or_else(|| base.as_ref().map(|p| p.field().clone()))
-                    .ok_or_else(|| {
-                        StorageError::InvalidParams(
-                            "builder needs a field: set .params(..) or .field(..)".into(),
-                        )
-                    })?;
-                CodecParams::new(
-                    field,
-                    pick_usize(self.rows, base.as_ref().map(CodecParams::rows), "rows")?,
-                    pick_usize(
-                        self.data_cols,
-                        base.as_ref().map(CodecParams::data_cols),
-                        "data_cols",
-                    )?,
-                    self.parity_cols
-                        .or_else(|| base.as_ref().map(CodecParams::parity_cols))
-                        .unwrap_or(0),
-                    self.index_bits
-                        .or_else(|| base.as_ref().map(CodecParams::index_bits))
-                        .ok_or_else(|| {
-                            StorageError::InvalidParams(
-                                "builder needs index_bits: set .params(..) or .index_bits(..)"
-                                    .into(),
-                            )
-                        })?,
-                )?
-                .with_primer_len(base.as_ref().map_or(0, CodecParams::primer_len))
-                .with_transcoder(
-                    base.as_ref()
-                        .map_or(TranscoderSpec::Direct, CodecParams::transcoder),
-                )
-            }
-            (None, false) => {
-                return Err(StorageError::InvalidParams(
-                    "builder needs a geometry: set .params(..) or the individual fields".into(),
-                ))
-            }
-        };
-        let base = match self.primer_len {
-            Some(len) => base.with_primer_len(len),
-            None => base,
-        };
-        Ok(match self.transcoder {
-            Some(spec) => base.with_transcoder(spec),
-            None => base,
-        })
-    }
-
     /// Validates every knob and assembles the pipeline.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::InvalidParams`] when the geometry is
-    /// missing or inconsistent (including Reed–Solomon parameters the
-    /// field cannot support), when `Gini` excluded rows are out of range,
-    /// duplicated, or leave no row interleaved, or when explicit primers
-    /// are empty or disagree with the geometry's primer length.
+    /// missing, when the layout or protection plan does not fit it, or
+    /// when `Gini` excluded rows are out of range, duplicated, or leave
+    /// no row interleaved.
     pub fn build(self) -> Result<Pipeline, StorageError> {
-        let params = self.resolve_params()?;
+        let params = self.params.ok_or_else(|| {
+            StorageError::InvalidParams("builder needs a geometry: set .params(..)".into())
+        })?;
 
         // Layout validation (misconfigured engines must be typed errors
         // here, not panics downstream).
@@ -371,34 +232,13 @@ impl PipelineBuilder {
             (Some(Arc::new(family)), positions)
         };
 
-        let primers = match self.primers {
-            Some((left, right)) => {
-                if left.is_empty() || right.is_empty() {
-                    return Err(StorageError::InvalidParams(
-                        "explicit primers must not be zero-length".into(),
-                    ));
-                }
-                if left.len() != params.primer_len() || right.len() != params.primer_len() {
-                    return Err(StorageError::InvalidParams(format!(
-                        "primer lengths {}/{} disagree with the geometry's primer_len {}",
-                        left.len(),
-                        right.len(),
-                        params.primer_len()
-                    )));
-                }
-                Some((left, right))
-            }
-            None if params.primer_len() > 0 => {
-                let mut rng = StdRng::seed_from_u64(self.primer_seed);
-                let lib = PrimerLibrary::generate(
-                    2,
-                    params.primer_len(),
-                    params.primer_len() / 3,
-                    &mut rng,
-                )?;
-                Some((lib.primers()[0].clone(), lib.primers()[1].clone()))
-            }
-            None => None,
+        let primers = if params.primer_len() > 0 {
+            let mut rng = StdRng::seed_from_u64(PRIMER_SEED);
+            let lib =
+                PrimerLibrary::generate(2, params.primer_len(), params.primer_len() / 3, &mut rng)?;
+            Some((lib.primers()[0].clone(), lib.primers()[1].clone()))
+        } else {
+            None
         };
 
         Ok(Pipeline::from_parts(
@@ -420,98 +260,19 @@ mod tests {
     use super::*;
     use crate::pipeline::Layout;
     use dna_consensus::IterativeReconstructor;
-    use dna_strand::DnaString;
-
-    #[test]
-    fn builder_matches_legacy_constructor() {
-        let params = CodecParams::tiny().unwrap();
-        let a = Pipeline::builder()
-            .params(params.clone())
-            .layout(Layout::Gini {
-                excluded_rows: vec![1],
-            })
-            .build()
-            .unwrap();
-        let b = Pipeline::new(
-            params,
-            Layout::Gini {
-                excluded_rows: vec![1],
-            },
-        )
-        .unwrap();
-        let payload: Vec<u8> = (0..30).collect();
-        assert_eq!(
-            a.encode_unit(&payload).unwrap(),
-            b.encode_unit(&payload).unwrap()
-        );
-    }
-
-    #[test]
-    fn geometry_overrides_rebuild_params() {
-        let p = Pipeline::builder()
-            .field(Field::gf16())
-            .rows(6)
-            .data_cols(10)
-            .parity_cols(5)
-            .index_bits(4)
-            .build()
-            .unwrap();
-        assert_eq!(p.params(), &CodecParams::tiny().unwrap());
-
-        let widened = Pipeline::builder()
-            .params(CodecParams::tiny().unwrap())
-            .parity_cols(3)
-            .build()
-            .unwrap();
-        assert_eq!(widened.params().parity_cols(), 3);
-        assert_eq!(widened.params().data_cols(), 10);
-    }
-
-    #[test]
-    fn transcoder_survives_override_rebuild() {
-        // Geometry overrides rebuild CodecParams from scratch; the
-        // transcoder must be re-applied like primer_len, not silently
-        // reset to Direct.
-        let p = Pipeline::builder()
-            .params(
-                CodecParams::tiny()
-                    .unwrap()
-                    .with_transcoder(TranscoderSpec::Trellis),
-            )
-            .parity_cols(3)
-            .build()
-            .unwrap();
-        assert_eq!(p.params().transcoder(), TranscoderSpec::Trellis);
-
-        let q = Pipeline::builder()
-            .params(CodecParams::tiny().unwrap())
-            .transcoder(TranscoderSpec::GcPadded)
-            .build()
-            .unwrap();
-        assert_eq!(q.params().transcoder(), TranscoderSpec::GcPadded);
-    }
+    use dna_gf::Field;
 
     #[test]
     fn missing_geometry_is_rejected() {
-        assert!(matches!(
-            Pipeline::builder().build(),
-            Err(StorageError::InvalidParams(_))
-        ));
-        // Partial overrides without a base are rejected too.
-        assert!(Pipeline::builder().rows(6).build().is_err());
+        let err = Pipeline::builder().build().unwrap_err();
+        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
+        assert!(err.to_string().contains("set .params"), "{err}");
     }
 
     #[test]
-    fn bad_rs_parameters_are_rejected_at_build() {
+    fn bad_rs_parameters_are_rejected_by_the_geometry() {
         // 20 + 5 = 25 columns exceed GF(16)'s 15-symbol codewords.
-        let err = Pipeline::builder()
-            .field(Field::gf16())
-            .rows(6)
-            .data_cols(20)
-            .parity_cols(5)
-            .index_bits(6)
-            .build()
-            .unwrap_err();
+        let err = CodecParams::new(Field::gf16(), 6, 20, 5, 6).unwrap_err();
         assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
     }
 
@@ -540,35 +301,6 @@ mod tests {
             .layout(Layout::Gini {
                 excluded_rows: vec![0, 5]
             })
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn zero_length_or_mismatched_primers_are_rejected() {
-        let empty = Primer::from_strand(DnaString::new());
-        let err = Pipeline::builder()
-            .params(CodecParams::tiny().unwrap())
-            .primers(empty.clone(), empty)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
-
-        // Non-empty primers that disagree with primer_len are also invalid.
-        let mut rng = StdRng::seed_from_u64(1);
-        let p10 = Primer::from_strand(DnaString::random(10, &mut rng));
-        let err = Pipeline::builder()
-            .params(CodecParams::tiny().unwrap().with_primer_len(15))
-            .primers(p10.clone(), p10.clone())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
-
-        // Matching lengths are accepted.
-        let p15 = Primer::from_strand(DnaString::random(15, &mut rng));
-        assert!(Pipeline::builder()
-            .params(CodecParams::tiny().unwrap().with_primer_len(15))
-            .primers(p15.clone(), p15)
             .build()
             .is_ok());
     }

@@ -12,7 +12,7 @@ use crate::archive::{Archive, ArchiveCodec};
 use crate::pipeline::{Pipeline, RetrieveOptions, UnitReads};
 use crate::scenario::Scenario;
 use crate::StorageError;
-use dna_channel::{unit_seed, AnonymousPool, Cluster};
+use dna_channel::{unit_seed, AnonymousPool, Cluster, SequencingBackend};
 use dna_parallel::parallel_map;
 
 /// Runs the unlabeled-retrieval front half for one coverage draw:
@@ -92,7 +92,7 @@ pub fn min_coverage_with(
     let firsts = parallel_map(
         scenario.trials,
         |t| -> Result<Option<usize>, StorageError> {
-            let pool = pipeline.sequence_with(&backend, &unit, 0, scenario.trial_seed(t));
+            let pool = backend.sequence_unit(0, unit.strands(), scenario.trial_seed(t));
             for (i, &cov) in candidates.iter().enumerate() {
                 let mut clusters = pool.at_coverage(cov);
                 let retrieve = if scenario.unlabeled {
@@ -166,7 +166,9 @@ where
     let per_trial = parallel_map(
         scenario.trials,
         |t| -> Result<Vec<(f64, bool)>, StorageError> {
-            let pools = codec.sequence_with(&backend, &units, scenario.trial_seed(t));
+            let pools = codec
+                .pipeline()
+                .sequence_batch(&backend, &units, scenario.trial_seed(t));
             let mut out = Vec::with_capacity(scenario.coverages.len());
             for (i, &cov) in scenario.coverages.iter().enumerate() {
                 let mut clusters: Vec<Vec<Cluster>> =
@@ -224,9 +226,17 @@ mod tests {
     use crate::pipeline::Layout;
     use dna_channel::ErrorModel;
 
+    fn build(params: CodecParams, layout: Layout) -> Pipeline {
+        Pipeline::builder()
+            .params(params)
+            .layout(layout)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn min_coverage_is_one_for_noiseless_channel() {
-        let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), Layout::Baseline).unwrap();
+        let pipeline = build(CodecParams::tiny().unwrap(), Layout::Baseline);
         let payload: Vec<u8> = (0..30).collect();
         let scenario = Scenario::new(ErrorModel::noiseless())
             .coverages([1.0, 2.0, 3.0])
@@ -239,7 +249,7 @@ mod tests {
 
     #[test]
     fn min_coverage_none_when_noise_overwhelms() {
-        let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), Layout::Baseline).unwrap();
+        let pipeline = build(CodecParams::tiny().unwrap(), Layout::Baseline);
         let payload: Vec<u8> = (0..30).collect();
         let scenario = Scenario::new(ErrorModel::uniform(0.30))
             .coverages([2.0, 3.0])
@@ -252,7 +262,7 @@ mod tests {
 
     #[test]
     fn min_coverage_empty_scenario_yields_none() {
-        let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), Layout::Baseline).unwrap();
+        let pipeline = build(CodecParams::tiny().unwrap(), Layout::Baseline);
         let payload: Vec<u8> = (0..30).collect();
         let no_coverages = Scenario::new(ErrorModel::noiseless()).coverages([]);
         assert_eq!(
@@ -265,13 +275,12 @@ mod tests {
 
     #[test]
     fn min_coverage_rises_with_error_rate() {
-        let pipeline = Pipeline::new(
+        let pipeline = build(
             CodecParams::tiny().unwrap(),
             Layout::Gini {
                 excluded_rows: vec![],
             },
-        )
-        .unwrap();
+        );
         let payload: Vec<u8> = (0..30).map(|i| i * 7).collect();
         let scenario = |model| {
             Scenario::new(model)
@@ -292,7 +301,7 @@ mod tests {
     #[test]
     fn unlabeled_min_coverage_is_consumed_and_exact_at_zero_noise() {
         let params = CodecParams::tiny().unwrap().with_primer_len(15);
-        let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+        let pipeline = build(params, Layout::Baseline);
         let payload: Vec<u8> = (0..30).map(|i| i * 5).collect();
         let scenario = Scenario::new(ErrorModel::noiseless())
             .coverages([1.0, 2.0, 3.0])
@@ -307,7 +316,7 @@ mod tests {
     #[test]
     fn unlabeled_min_coverage_pays_at_least_the_labeled_coverage() {
         let params = CodecParams::tiny().unwrap().with_primer_len(15);
-        let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+        let pipeline = build(params, Layout::Baseline);
         let payload: Vec<u8> = (0..30u8).map(|i| i.wrapping_mul(11)).collect();
         let scenario = Scenario::new(ErrorModel::uniform(0.05))
             .coverage_range(1, 25)
@@ -329,7 +338,7 @@ mod tests {
     #[test]
     fn unlabeled_quality_sweep_improves_with_coverage() {
         let params = CodecParams::tiny().unwrap().with_primer_len(15);
-        let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+        let pipeline = build(params, Layout::Baseline);
         let codec = ArchiveCodec::new(pipeline, RankingPolicy::Sequential);
         let archive = Archive::new(vec![FileEntry::new("f", (0..60u8).collect())]).unwrap();
         let scenario = Scenario::new(ErrorModel::uniform(0.04))
@@ -365,7 +374,7 @@ mod tests {
 
     #[test]
     fn quality_sweep_improves_with_coverage() {
-        let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), Layout::DnaMapper).unwrap();
+        let pipeline = build(CodecParams::tiny().unwrap(), Layout::DnaMapper);
         let codec = ArchiveCodec::new(pipeline, RankingPolicy::PositionPriority);
         let archive = Archive::new(vec![FileEntry::new("f", (0..60u8).collect())]).unwrap();
         let scenario = Scenario::new(ErrorModel::uniform(0.08))

@@ -8,8 +8,9 @@
 //! [`GiniLayout`], [`PriorityLayout`]); anything else plugs in by
 //! implementing the trait and passing it to
 //! [`PipelineBuilder::layout`](crate::PipelineBuilder::layout). The
-//! legacy [`Layout`](crate::Layout) enum remains as a deprecated shim
-//! that maps each variant onto one of these engines.
+//! [`Layout`](crate::Layout) enum is the named spec of the built-ins
+//! (what the CLI parses and the pool header records); each variant maps
+//! onto one of these engines.
 //!
 //! # Examples
 //!
@@ -141,8 +142,8 @@ pub trait UnitLayout: fmt::Debug + Send + Sync {
 
 /// Conversion into a shared [`UnitLayout`] engine, accepted by
 /// [`PipelineBuilder::layout`](crate::PipelineBuilder::layout): any
-/// concrete engine, an already-shared `Arc<dyn UnitLayout>`, or the
-/// legacy [`Layout`](crate::Layout) enum.
+/// concrete engine, an already-shared `Arc<dyn UnitLayout>`, or a
+/// [`Layout`](crate::Layout) spec naming a built-in.
 pub trait IntoUnitLayout {
     /// The shared engine.
     fn into_unit_layout(self) -> Arc<dyn UnitLayout>;

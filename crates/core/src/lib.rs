@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use dna_storage::{CodecParams, Layout, Pipeline};
-//! use dna_channel::{CoverageModel, ErrorModel};
+//! use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let pipeline = Pipeline::builder()
@@ -32,7 +32,8 @@
 //! let payload = vec![0xAB; pipeline.payload_capacity()];
 //!
 //! let unit = pipeline.encode_unit(&payload)?;
-//! let pool = pipeline.sequence(&unit, ErrorModel::uniform(0.03), CoverageModel::Fixed(8), 7);
+//! let sequencer = SimulatedSequencer::new(ErrorModel::uniform(0.03), CoverageModel::Fixed(8));
+//! let pool = sequencer.sequence_unit(0, unit.strands(), 7);
 //! let (decoded, report) = pipeline.decode_unit(&pool.at_coverage(8.0))?;
 //! assert_eq!(decoded, payload);
 //! assert!(report.is_error_free());

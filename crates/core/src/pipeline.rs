@@ -12,10 +12,7 @@ use crate::report::{CodewordReport, DecodeReport};
 use crate::workspace::DecodeWorkspace;
 use crate::StorageError;
 use dna_align::edit_distance_bounded_with;
-use dna_channel::{
-    AnonymousPool, Cluster, CoverageModel, ErrorModel, ReadPool, SequencingBackend,
-    SimulatedSequencer,
-};
+use dna_channel::{AnonymousPool, Cluster, ReadPool, SequencingBackend};
 use dna_consensus::TraceReconstructor;
 use dna_reed_solomon::{CodeFamily, RsError};
 use dna_strand::{bits, DnaString, Primer, StrandTranscoder};
@@ -24,15 +21,12 @@ use std::sync::Arc;
 
 /// Which of the paper's data organizations a unit uses.
 ///
-/// **Deprecated shim** (docs-level — no `#[deprecated]` attribute yet,
-/// so existing code keeps building warning-free): the closed enum
-/// predates the pluggable [`UnitLayout`] engine and maps one-to-one onto
-/// the built-in engines ([`BaselineLayout`], [`GiniLayout`],
-/// [`PriorityLayout`]) via [`Layout::engine`]. It keeps compiling
-/// everywhere a layout is accepted —
-/// [`PipelineBuilder::layout`](crate::PipelineBuilder::layout) takes
-/// both — but new code (and any custom layout) should pass an engine
-/// directly; see the README's migration note.
+/// The named spec for the three built-in engines ([`BaselineLayout`],
+/// [`GiniLayout`], [`PriorityLayout`]; see [`Layout::engine`]): a plain
+/// value the CLI parses, the object store's pool header records, and
+/// experiment harnesses compare. [`PipelineBuilder::layout`] takes it or
+/// any [`UnitLayout`] engine directly; a custom layout implements
+/// [`UnitLayout`] and has no `Layout` variant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Layout {
     /// Paper Fig. 1: row codewords, column-major data (skew-oblivious).
@@ -201,18 +195,6 @@ impl Pipeline {
         PipelineBuilder::new()
     }
 
-    /// Shorthand for [`Pipeline::builder`] with `params` and `layout` set:
-    /// two-sided BMA consensus (the paper's choice, §6.1.2) and
-    /// deterministic primers when `params.primer_len() > 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError`] when the RS code or primers cannot be
-    /// constructed for these parameters.
-    pub fn new(params: CodecParams, layout: Layout) -> Result<Pipeline, StorageError> {
-        Pipeline::builder().params(params).layout(layout).build()
-    }
-
     /// Assembles a pipeline from parts validated by the builder.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
@@ -250,8 +232,8 @@ impl Pipeline {
         &self.params
     }
 
-    /// The layout engine in use (a built-in for pipelines constructed
-    /// through the legacy [`Layout`] enum).
+    /// The layout engine in use (a built-in when the builder was given a
+    /// [`Layout`]).
     pub fn layout(&self) -> &dyn UnitLayout {
         self.layout.as_ref()
     }
@@ -288,10 +270,12 @@ impl Pipeline {
     }
 
     /// Returns a pipeline identical to this one but flanking strands with
-    /// the given primer pair — the per-capsule re-keying used by the
-    /// object store, where every capsule owns its own PCR address while
-    /// sharing one codec geometry. Cheap: the RS bank, layout, and
-    /// consensus engines are shared behind `Arc`s.
+    /// the given primer pair — the one path for explicit primers (the
+    /// builder draws a deterministic pair whenever the geometry has a
+    /// primer length). The object store re-keys per capsule this way:
+    /// every capsule owns its own PCR address while sharing one codec
+    /// geometry. Cheap: the RS bank, layout, and consensus engines are
+    /// shared behind `Arc`s.
     ///
     /// # Errors
     ///
@@ -423,34 +407,6 @@ impl Pipeline {
             payload.chunks(cap).collect()
         };
         self.encode_batch(&chunks)
-    }
-
-    /// Simulates synthesis + sequencing of a unit through a
-    /// [`SimulatedSequencer`] backend: a [`ReadPool`] holding noisy reads
-    /// per molecule at up to `coverage`'s mean, supporting the paper's
-    /// progressive coverage draws.
-    pub fn sequence(
-        &self,
-        unit: &EncodedUnit,
-        model: ErrorModel,
-        coverage: CoverageModel,
-        seed: u64,
-    ) -> ReadPool {
-        self.sequence_with(&SimulatedSequencer::new(model, coverage), unit, 0, seed)
-    }
-
-    /// Produces a unit's read pool through any [`SequencingBackend`]
-    /// (simulator, trace replay, a [`SimulatedSequencer::with_channel`]
-    /// over a full [`ChannelModel`](dna_channel::ChannelModel), …). `unit_index` identifies the unit
-    /// within a batch (0 for single-unit workloads).
-    pub fn sequence_with(
-        &self,
-        backend: &dyn SequencingBackend,
-        unit: &EncodedUnit,
-        unit_index: usize,
-        seed: u64,
-    ) -> ReadPool {
-        backend.sequence_unit(unit_index, &unit.strands, seed)
     }
 
     /// Produces read pools for a whole batch of units through `backend`,
@@ -817,6 +773,24 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
+
+    fn build(params: CodecParams, layout: Layout) -> Pipeline {
+        Pipeline::builder()
+            .params(params)
+            .layout(layout)
+            .build()
+            .unwrap()
+    }
+
+    fn simulate(
+        unit: &EncodedUnit,
+        model: ErrorModel,
+        coverage: CoverageModel,
+        seed: u64,
+    ) -> ReadPool {
+        SimulatedSequencer::new(model, coverage).sequence_unit(0, unit.strands(), seed)
+    }
 
     fn roundtrip(
         layout: Layout,
@@ -825,12 +799,12 @@ mod tests {
         seed: u64,
     ) -> (Vec<u8>, Vec<u8>, DecodeReport) {
         let params = CodecParams::tiny().unwrap();
-        let pipeline = Pipeline::new(params, layout).unwrap();
+        let pipeline = build(params, layout);
         let payload: Vec<u8> = (0..pipeline.payload_capacity())
             .map(|i| (i * 31 + 7) as u8)
             .collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(
+        let pool = simulate(
             &unit,
             ErrorModel::uniform(p),
             CoverageModel::Fixed(coverage),
@@ -877,7 +851,7 @@ mod tests {
     #[test]
     fn strand_geometry_matches_params() {
         let params = CodecParams::tiny().unwrap();
-        let pipeline = Pipeline::new(params.clone(), Layout::Baseline).unwrap();
+        let pipeline = build(params.clone(), Layout::Baseline);
         let unit = pipeline.encode_unit(&[1, 2, 3]).unwrap();
         assert_eq!(unit.len(), params.cols());
         assert!(unit
@@ -889,7 +863,7 @@ mod tests {
 
     #[test]
     fn oversized_payload_is_rejected() {
-        let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), Layout::Baseline).unwrap();
+        let pipeline = build(CodecParams::tiny().unwrap(), Layout::Baseline);
         let too_big = vec![0u8; pipeline.payload_capacity() + 1];
         assert!(matches!(
             pipeline.encode_unit(&too_big),
@@ -906,11 +880,10 @@ mod tests {
                 excluded_rows: vec![],
             },
         ] {
-            let pipeline = Pipeline::new(params.clone(), layout.clone()).unwrap();
+            let pipeline = build(params.clone(), layout.clone());
             let payload: Vec<u8> = (0..30).collect();
             let unit = pipeline.encode_unit(&payload).unwrap();
-            let pool =
-                pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 3);
+            let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 3);
             let mut clusters = pool.clusters().to_vec();
             // Lose 5 molecules = E erasures per codeword: still decodable.
             for c in [0usize, 3, 7, 11, 14] {
@@ -926,10 +899,10 @@ mod tests {
     #[test]
     fn six_lost_molecules_exceed_capacity() {
         let params = CodecParams::tiny().unwrap(); // E = 5
-        let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+        let pipeline = build(params, Layout::Baseline);
         let payload: Vec<u8> = (0..30).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 4);
+        let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 4);
         let mut clusters = pool.clusters().to_vec();
         for cluster in clusters.iter_mut().take(6) {
             cluster.reads.clear();
@@ -943,16 +916,15 @@ mod tests {
     fn forced_erasures_reduce_effective_redundancy() {
         // The Fig. 13 mechanism: erasing parity molecules on purpose.
         let params = CodecParams::tiny().unwrap();
-        let pipeline = Pipeline::new(
+        let pipeline = build(
             params.clone(),
             Layout::Gini {
                 excluded_rows: vec![],
             },
-        )
-        .unwrap();
+        );
         let payload: Vec<u8> = (0..30).map(|i| i * 3).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 5);
+        let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 5);
         let opts = RetrieveOptions {
             forced_erasures: vec![10, 11, 12], // 3 of the 5 parity molecules
             ..RetrieveOptions::default()
@@ -969,10 +941,10 @@ mod tests {
     #[test]
     fn no_ecc_mode_round_trips_noiselessly() {
         let params = CodecParams::new(dna_gf::Field::gf16(), 6, 12, 0, 4).unwrap();
-        let pipeline = Pipeline::new(params, Layout::DnaMapper).unwrap();
+        let pipeline = build(params, Layout::DnaMapper);
         let payload: Vec<u8> = (0..36).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(2), 6);
+        let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(2), 6);
         let (decoded, report) = pipeline.decode_unit(pool.clusters()).unwrap();
         assert_eq!(decoded[..36], payload[..]);
         assert_eq!(report.codewords.len(), 6);
@@ -981,17 +953,43 @@ mod tests {
     #[test]
     fn primer_wrapped_strands_round_trip() {
         let params = CodecParams::tiny().unwrap().with_primer_len(15);
-        let pipeline = Pipeline::new(params.clone(), Layout::Baseline).unwrap();
+        let pipeline = build(params.clone(), Layout::Baseline);
         let payload: Vec<u8> = (100..130).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
         assert!(unit
             .strands()
             .iter()
             .all(|s| s.len() == params.strand_bases()));
-        let pool = pipeline.sequence(&unit, ErrorModel::ngs(0.003), CoverageModel::Fixed(6), 7);
+        let pool = simulate(&unit, ErrorModel::ngs(0.003), CoverageModel::Fixed(6), 7);
         let (decoded, report) = pipeline.decode_unit(pool.clusters()).unwrap();
         assert_eq!(decoded[..30], payload[..]);
         assert!(report.is_error_free());
+    }
+
+    #[test]
+    fn zero_length_or_mismatched_primers_are_rejected() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let tiny = || build(CodecParams::tiny().unwrap(), Layout::Baseline);
+        let empty = Primer::from_strand(DnaString::new());
+        let err = tiny().with_primers(empty.clone(), empty).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
+
+        // Non-empty primers that disagree with primer_len are also invalid.
+        let primed = || {
+            build(
+                CodecParams::tiny().unwrap().with_primer_len(15),
+                Layout::Baseline,
+            )
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let p10 = Primer::from_strand(DnaString::random(10, &mut rng));
+        let err = primed().with_primers(p10.clone(), p10).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
+
+        // Matching lengths are accepted and flank every strand.
+        let p15 = Primer::from_strand(DnaString::random(15, &mut rng));
+        let keyed = primed().with_primers(p15.clone(), p15.clone()).unwrap();
+        assert_eq!(keyed.primers(), Some((&p15, &p15)));
     }
 
     #[test]
@@ -1000,10 +998,10 @@ mod tests {
         // it: simulate by shuffling cluster.source labels vs reads —
         // trust_cluster_sources must place columns by label.
         let params = CodecParams::tiny().unwrap();
-        let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+        let pipeline = build(params, Layout::Baseline);
         let payload: Vec<u8> = (0..30).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(1), 9);
+        let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(1), 9);
         let mut clusters = pool.clusters().to_vec();
         // Swap the READS of clusters 0 and 1 while keeping source labels:
         // index parsing would place them wrongly-swapped columns, while
@@ -1043,12 +1041,12 @@ mod tests {
     #[test]
     fn anonymized_zero_noise_pool_decodes_byte_identically_to_labeled_path() {
         let params = CodecParams::tiny().unwrap().with_primer_len(15);
-        let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+        let pipeline = build(params, Layout::Baseline);
         let payload: Vec<u8> = (0..30u8)
             .map(|i| i.wrapping_mul(41).wrapping_add(3))
             .collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(4), 8);
+        let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(4), 8);
         let (labeled, _) = pipeline.decode_unit(pool.clusters()).unwrap();
         let (recovered, report) = pipeline.decode_pool(&pool.anonymize(21)).unwrap();
         assert_eq!(labeled, recovered);
@@ -1070,7 +1068,7 @@ mod tests {
     fn uniform_plan_is_byte_identical_to_default_pipeline() {
         use crate::plan::ProtectionPlan;
         let params = headroom_params();
-        let implicit = Pipeline::new(params.clone(), Layout::Baseline).unwrap();
+        let implicit = build(params.clone(), Layout::Baseline);
         let explicit = Pipeline::builder()
             .params(params.clone())
             .layout(Layout::Baseline)
@@ -1081,7 +1079,7 @@ mod tests {
         let unit_a = implicit.encode_unit(&payload).unwrap();
         let unit_b = explicit.encode_unit(&payload).unwrap();
         assert_eq!(unit_a, unit_b);
-        let pool = implicit.sequence(
+        let pool = simulate(
             &unit_a,
             ErrorModel::uniform(0.04),
             CoverageModel::Fixed(8),
@@ -1111,15 +1109,14 @@ mod tests {
             assert_eq!(unit.len(), params.cols());
 
             // Noiseless round trip.
-            let pool =
-                pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(1), 5);
+            let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(1), 5);
             let (decoded, report) = pipeline.decode_unit(pool.clusters()).unwrap();
             assert_eq!(decoded[..24], payload[..], "layout {layout:?}");
             assert!(report.is_error_free());
             assert_eq!(report.codewords.len(), 6);
 
             // Noisy round trip within the strong rows' capacity.
-            let pool = pipeline.sequence(
+            let pool = simulate(
                 &unit,
                 ErrorModel::uniform(0.015),
                 CoverageModel::Fixed(10),
@@ -1146,7 +1143,7 @@ mod tests {
             .unwrap();
         let payload: Vec<u8> = (0..24).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 7);
+        let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 7);
         let mut clusters = pool.clusters().to_vec();
         // Lose one data molecule: every codeword sees exactly one data
         // erasure, within even the weakest class's capacity.
@@ -1173,7 +1170,7 @@ mod tests {
             .unwrap();
         let payload: Vec<u8> = (0..24).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(2), 11);
+        let pool = simulate(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(2), 11);
         let mut clusters = pool.clusters().to_vec();
         clusters[2].reads.clear(); // lose one data molecule
         let (_, report) = pipeline.decode_unit(&clusters).unwrap();
@@ -1234,10 +1231,10 @@ mod tests {
     #[test]
     fn row_histograms_track_corrections_and_erasures() {
         let params = headroom_params();
-        let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+        let pipeline = build(params, Layout::Baseline);
         let payload: Vec<u8> = (0..24).map(|i| i * 3).collect();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(&unit, ErrorModel::uniform(0.03), CoverageModel::Fixed(6), 9);
+        let pool = simulate(&unit, ErrorModel::uniform(0.03), CoverageModel::Fixed(6), 9);
         let (_, report) = pipeline.decode_unit(pool.clusters()).unwrap();
         assert_eq!(report.row_errors.len(), 6);
         assert_eq!(report.row_erasures.len(), 6);
@@ -1268,11 +1265,11 @@ mod tests {
                 excluded_rows: vec![],
             },
         ] {
-            let pipeline = Pipeline::new(params.clone(), layout).unwrap();
+            let pipeline = build(params.clone(), layout);
             let unit = pipeline.encode_unit(&payload).unwrap();
             let mut per_cw = vec![0usize; params.rows()];
             for seed in 0..4u64 {
-                let pool = pipeline.sequence(
+                let pool = simulate(
                     &unit,
                     ErrorModel::uniform(0.09),
                     CoverageModel::Fixed(14),

@@ -194,7 +194,7 @@ enum ClustererSpec {
 ///
 /// ```
 /// use dna_storage::{CodecParams, Pipeline, RecoveryPipeline};
-/// use dna_channel::{CoverageModel, ErrorModel};
+/// use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pipeline = Pipeline::builder()
@@ -207,9 +207,8 @@ enum ClustererSpec {
 ///     .map(|i| (i * 37 + 11) as u8)
 ///     .collect();
 /// let unit = pipeline.encode_unit(&payload)?;
-/// let pool = pipeline
-///     .sequence(&unit, ErrorModel::uniform(0.01), CoverageModel::Fixed(8), 3)
-///     .anonymize(7);
+/// let sequencer = SimulatedSequencer::new(ErrorModel::uniform(0.01), CoverageModel::Fixed(8));
+/// let pool = sequencer.sequence_unit(0, unit.strands(), 3).anonymize(7);
 /// let (decoded, report) = pipeline.decode_pool(&pool)?;
 /// assert_eq!(decoded, payload);
 /// let recovery = report.recovery.expect("pool decodes carry recovery stats");

@@ -5,6 +5,7 @@
 
 use dna_channel::{
     AnonymousPool, ChannelError, ChannelModel, CoverageModel, ErrorModel, PositionProfile,
+    SequencingBackend, SimulatedSequencer,
 };
 use dna_storage::{
     min_coverage, CodecParams, DecodeReport, GiniLayout, Layout, Pipeline, ProtectionPlan,
@@ -18,7 +19,7 @@ fn tiny() -> CodecParams {
 
 #[test]
 fn gini_engine_validation_matches_the_builder_shim() {
-    // The typed errors live on the engine itself; the legacy enum path
+    // The typed errors live on the engine itself; the `Layout` spec path
     // through the builder must surface the identical diagnostics.
     for (engine, needle) in [
         (GiniLayout::with_excluded_rows([17]), "out of range"),
@@ -198,7 +199,11 @@ fn zero_trial_scenarios_validate_to_descriptive_errors() {
 fn degenerate_scenarios_stay_vacuous_in_the_harnesses() {
     // The experiment harnesses keep their documented measurement
     // semantics — degenerate scenarios return None, they do not panic.
-    let pipeline = Pipeline::new(tiny(), Layout::Baseline).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(tiny())
+        .layout(Layout::Baseline)
+        .build()
+        .unwrap();
     let payload: Vec<u8> = (0..30).collect();
     let zero_trials = Scenario::new(ErrorModel::noiseless()).trials(0);
     assert_eq!(
@@ -215,10 +220,15 @@ fn degenerate_scenarios_stay_vacuous_in_the_harnesses() {
 /// A primer-wrapped tiny pipeline and one sequenced unit for the
 /// recovery error paths.
 fn recovery_fixture() -> (Pipeline, dna_channel::ReadPool) {
-    let pipeline = Pipeline::new(tiny().with_primer_len(15), Layout::Baseline).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(tiny().with_primer_len(15))
+        .layout(Layout::Baseline)
+        .build()
+        .unwrap();
     let payload: Vec<u8> = (0..30u8).map(|i| i.wrapping_mul(13)).collect();
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 6);
+    let pool = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(3))
+        .sequence_unit(0, unit.strands(), 6);
     (pipeline, pool)
 }
 
@@ -296,7 +306,7 @@ fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
 #[test]
 fn builder_missing_geometry_remains_descriptive() {
     let err = Pipeline::builder().build().unwrap_err();
+    assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
     assert!(err.to_string().contains("needs a geometry"), "{err}");
-    let err = Pipeline::builder().rows(6).build().unwrap_err();
     assert!(err.to_string().contains("set .params"), "{err}");
 }

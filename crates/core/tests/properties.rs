@@ -3,7 +3,7 @@
 //! arbitrary payloads and layouts (planned protection included), and
 //! planner determinism under the density budget.
 
-use dna_channel::{CoverageModel, ErrorModel};
+use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_storage::{
     BaselineLayout, BaselineMapper, CodecParams, CodewordGeometry, DataMapper, DiagonalGeometry,
     GiniLayout, Layout, Pipeline, PriorityLayout, PriorityMapper, ProtectionPlan,
@@ -62,14 +62,14 @@ proptest! {
             2 => Layout::Gini { excluded_rows: vec![0, 5] },
             _ => Layout::DnaMapper,
         };
-        let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), layout).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(CodecParams::tiny().unwrap())
+            .layout(layout)
+            .build()
+            .unwrap();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(
-            &unit,
-            ErrorModel::noiseless(),
-            CoverageModel::Fixed(coverage),
-            42,
-        );
+        let pool = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(coverage))
+            .sequence_unit(0, unit.strands(), 42);
         let (decoded, report) = pipeline.decode_unit(pool.clusters()).unwrap();
         prop_assert!(report.is_error_free());
         prop_assert_eq!(&decoded[..payload.len()], &payload[..]);
@@ -143,12 +143,8 @@ proptest! {
             .build()
             .unwrap();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(
-            &unit,
-            ErrorModel::noiseless(),
-            CoverageModel::Fixed(coverage),
-            7,
-        );
+        let pool = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(coverage))
+            .sequence_unit(0, unit.strands(), 7);
         let (decoded, report) = pipeline.decode_unit(pool.clusters()).unwrap();
         prop_assert!(report.is_error_free());
         prop_assert_eq!(&decoded[..payload.len()], &payload[..]);
@@ -163,18 +159,15 @@ proptest! {
         // Tiny geometry: E = 5 parity ⇒ 2 symbol errors per codeword are
         // always correctable. Low substitution noise at coverage 7 stays
         // far below that.
-        let pipeline = Pipeline::new(
-            CodecParams::tiny().unwrap(),
-            Layout::Gini { excluded_rows: vec![] },
-        )
-        .unwrap();
+        let pipeline = Pipeline::builder()
+            .params(CodecParams::tiny().unwrap())
+            .layout(Layout::Gini { excluded_rows: vec![] })
+            .build()
+            .unwrap();
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(
-            &unit,
-            ErrorModel::substitutions_only(0.02),
-            CoverageModel::Fixed(7),
-            seed,
-        );
+        let pool =
+            SimulatedSequencer::new(ErrorModel::substitutions_only(0.02), CoverageModel::Fixed(7))
+                .sequence_unit(0, unit.strands(), seed);
         let (decoded, _) = pipeline.decode_unit(pool.clusters()).unwrap();
         prop_assert_eq!(&decoded[..], &payload[..]);
     }

@@ -8,7 +8,7 @@
 //! modes: the SIMD/batched kernels must add zero steady-state
 //! allocations of their own.
 
-use dna_channel::{CoverageModel, ErrorModel};
+use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, UnitReads};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
@@ -69,23 +69,19 @@ fn warm_workspace_decode_allocates_strictly_less_and_is_steady() {
 
 fn warm_workspace_case() {
     let params = CodecParams::new(dna_gf::Field::gf256(), 8, 40, 10, 8).unwrap();
-    let pipeline = Pipeline::new(
-        params,
-        Layout::Gini {
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::Gini {
             excluded_rows: vec![],
-        },
-    )
-    .unwrap();
+        })
+        .build()
+        .unwrap();
     let payload: Vec<u8> = (0..pipeline.payload_capacity())
         .map(|i| (i % 251) as u8)
         .collect();
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(
-        &unit,
-        ErrorModel::uniform(0.02),
-        CoverageModel::Fixed(8),
-        17,
-    );
+    let pool = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(8))
+        .sequence_unit(0, unit.strands(), 17);
     let clusters = pool.clusters().to_vec();
     let opts = pipeline.decode_options().clone();
 
@@ -135,23 +131,19 @@ fn concurrent_workers_with_pooled_workspaces_stay_allocation_steady() {
     // hidden thread-local scratch multiplying residency behind the
     // explicit pool, no cross-thread interference in the counts.
     let params = CodecParams::new(dna_gf::Field::gf256(), 8, 40, 10, 8).unwrap();
-    let pipeline = Pipeline::new(
-        params,
-        Layout::Gini {
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::Gini {
             excluded_rows: vec![],
-        },
-    )
-    .unwrap();
+        })
+        .build()
+        .unwrap();
     let payload: Vec<u8> = (0..pipeline.payload_capacity())
         .map(|i| (i % 251) as u8)
         .collect();
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(
-        &unit,
-        ErrorModel::uniform(0.02),
-        CoverageModel::Fixed(8),
-        17,
-    );
+    let pool = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(8))
+        .sequence_unit(0, unit.strands(), 17);
     let clusters = pool.clusters().to_vec();
     let opts = pipeline.decode_options().clone();
 

@@ -6,7 +6,10 @@
 //! for labeled clusters and unlabeled pools alike, over every supported
 //! field.
 
-use dna_channel::{AnonymousPool, Cluster, CoverageModel, ErrorModel, ReadPool};
+use dna_channel::{
+    AnonymousPool, Cluster, CoverageModel, ErrorModel, ReadPool, SequencingBackend,
+    SimulatedSequencer,
+};
 use dna_gf::Field;
 use dna_storage::{
     CodecParams, DecodeReport, DecodeWorkspace, Layout, Pipeline, RecoveryPipeline,
@@ -141,12 +144,8 @@ fn every_decode_path_is_byte_identical() {
             .iter()
             .enumerate()
             .map(|(u, unit)| {
-                pipeline.sequence(
-                    unit,
-                    ErrorModel::uniform(p),
-                    CoverageModel::Fixed(coverage),
-                    41 + u as u64,
-                )
+                SimulatedSequencer::new(ErrorModel::uniform(p), CoverageModel::Fixed(coverage))
+                    .sequence_unit(0, unit.strands(), 41 + u as u64)
             })
             .collect();
 

@@ -135,9 +135,15 @@ pub fn force_mode(mode: Option<SimdMode>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Both tests flip the process-wide override, so running them on
+    /// parallel test threads would let one observe the other's mode.
+    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn force_mode_overrides_and_restores() {
+        let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         force_mode(Some(SimdMode::Scalar));
         assert_eq!(mode(), SimdMode::Scalar);
         assert_eq!(kernel(), Kernel::Scalar);
@@ -153,6 +159,7 @@ mod tests {
 
     #[test]
     fn ssse3_kernel_only_under_auto() {
+        let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         force_mode(Some(SimdMode::Scalar));
         assert_eq!(kernel(), Kernel::Scalar);
         force_mode(None);

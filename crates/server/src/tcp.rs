@@ -58,7 +58,12 @@ pub fn serve_tcp(server: &Server, addr: impl ToSocketAddrs) -> io::Result<TcpHan
                     let _ = std::thread::Builder::new()
                         .name("dna-serve-conn".into())
                         .spawn(move || {
-                            let _ = serve_connection(stream, &client);
+                            let _ = serve_connection(&stream, &client);
+                            // Release the server handle before closing the
+                            // socket: a peer that reads EOF knows this
+                            // connection no longer keeps the server alive.
+                            drop(client);
+                            drop(stream);
                         });
                 }
             })?
@@ -66,8 +71,8 @@ pub fn serve_tcp(server: &Server, addr: impl ToSocketAddrs) -> io::Result<TcpHan
     Ok(TcpHandle { addr, stop, accept })
 }
 
-fn serve_connection(stream: TcpStream, client: &LocalClient) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+fn serve_connection(stream: &TcpStream, client: &LocalClient) -> io::Result<()> {
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     loop {
         let frame = match read_frame(&mut reader) {
@@ -99,6 +104,13 @@ mod tests {
     use crate::protocol::{read_response, write_quit, write_request, Request};
     use crate::server::ServeConfig;
     use dna_object::{ObjectStore, StoreConfig};
+    use std::io::Read;
+
+    fn read_to_eof(mut reader: impl Read) -> Vec<u8> {
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        rest
+    }
 
     #[test]
     fn tcp_round_trip_matches_in_process_results() {
@@ -152,7 +164,8 @@ mod tests {
 
         write_quit(&mut writer).unwrap();
         writer.flush().unwrap();
-        drop((reader, writer));
+        assert_eq!(read_to_eof(reader), b"");
+        drop(writer);
 
         // A second connection sees a malformed verb answered and closed.
         let stream = TcpStream::connect(handle.addr()).unwrap();
@@ -164,7 +177,10 @@ mod tests {
             read_response(&mut reader).unwrap(),
             Response::Err(ErrorCode::Bad, _)
         ));
+        assert_eq!(read_to_eof(reader), b"");
 
+        // Both connections reached EOF, so their threads have released
+        // the server: shutdown sees no live clients.
         handle.stop();
         let store = server.shutdown().expect("no live clients");
         assert_eq!(store.object_id("wire"), Some(1));

@@ -39,13 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One pool, drawn down progressively: paying for less sequencing
     // retrieves the same object at gradually lower fidelity.
     let model = ErrorModel::uniform(0.12);
-    let pools = storage.sequence(
+    let pools = storage.pipeline().sequence_batch(
+        &SimulatedSequencer::new(
+            model,
+            CoverageModel::Gamma {
+                mean: 16.0,
+                shape: 6.0,
+            },
+        ),
         &units,
-        model,
-        CoverageModel::Gamma {
-            mean: 16.0,
-            shape: 6.0,
-        },
         77,
     );
     println!("\n{:>10} {:>12} {:>10}", "coverage", "PSNR (dB)", "file");

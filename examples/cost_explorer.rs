@@ -10,17 +10,10 @@ use dna_skew::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A reduced geometry keeps this example snappy; the bench targets
-    // (crates/bench) run the full laptop-scale sweeps. The builder
-    // assembles it field-by-field, validated at build().
-    let builder = || {
-        Pipeline::builder()
-            .field(dna_skew::gf::Field::gf256())
-            .rows(16)
-            .data_cols(100)
-            .parity_cols(23) // 18.7% redundancy
-            .index_bits(8)
-    };
-    let params = builder().build()?.params().clone();
+    // (crates/bench) run the full laptop-scale sweeps. 23 parity
+    // molecules of 123 is 18.7% redundancy.
+    let params = CodecParams::new(dna_skew::gf::Field::gf256(), 16, 100, 23, 8)?;
+    let builder = || Pipeline::builder().params(params.clone());
     let payload: Vec<u8> = (0..params.payload_bytes())
         .map(|i| (i % 253) as u8)
         .collect();

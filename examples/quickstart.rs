@@ -49,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .layout(layout)
             .build()?;
         let unit = pipeline.encode_unit(&payload)?;
-        let pool = pipeline.sequence_with(&scenario.backend(), &unit, 0, scenario.seed);
+        let pool = scenario
+            .backend()
+            .sequence_unit(0, unit.strands(), scenario.seed);
         let (decoded, report) = pipeline.decode_unit(&pool.at_coverage(12.0))?;
         let exact = decoded == payload;
         println!(

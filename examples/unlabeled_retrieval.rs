@@ -44,7 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .single_coverage(12.0)
             .seed(7)
             .unlabeled();
-        let pool = pipeline.sequence_with(&scenario.backend(), &unit, 0, scenario.seed);
+        let pool = scenario
+            .backend()
+            .sequence_unit(0, unit.strands(), scenario.seed);
 
         // The labeled (oracle) arm: the paper's perfect clustering.
         let (oracle, _) = pipeline.decode_unit(&pool.at_coverage(12.0))?;
@@ -70,13 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The pieces compose individually, too: here the orientation-aware
     // consensus entry rebuilds one molecule from a hand-mixed cluster.
-    let mut rng_reads = pipeline
-        .sequence(
-            &unit,
-            ErrorModel::uniform(0.02),
-            CoverageModel::Fixed(6),
-            99,
-        )
+    let mut rng_reads = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(6))
+        .sequence_unit(0, unit.strands(), 99)
         .clusters()[0]
         .reads
         .clone();

@@ -23,16 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         FileEntry::new("chart", img_codec.encode(&images[1])?),
     ])?;
 
-    // Small unit with 20-base primers on both ends of every molecule,
-    // assembled field-by-field through the builder.
-    let wetlab = Pipeline::builder()
-        .field(dna_skew::gf::Field::gf256())
-        .rows(12)
-        .data_cols(120)
-        .parity_cols(28)
-        .index_bits(8)
-        .primer_len(20);
-    let params = wetlab.clone().build()?.params().clone();
+    // Small unit with 20-base primers on both ends of every molecule.
+    let params =
+        CodecParams::new(dna_skew::gf::Field::gf256(), 12, 120, 28, 8)?.with_primer_len(20);
     println!(
         "strands: {} bases each ({} payload + 2×20 primer); NGS error model at 0.3%",
         params.strand_bases(),
@@ -50,16 +43,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (Layout::DnaMapper, RankingPolicy::PositionPriority),
     ] {
         let name = layout.name();
-        let pipeline = wetlab.clone().layout(layout).build()?;
+        let pipeline = Pipeline::builder()
+            .params(params.clone())
+            .layout(layout)
+            .build()?;
         let storage = ArchiveCodec::new(pipeline, policy).with_encryption(3);
         let units = storage.encode(&archive)?;
-        let pools = storage.sequence(
+        let pools = storage.pipeline().sequence_batch(
+            &SimulatedSequencer::new(
+                ErrorModel::wetlab_ngs(),
+                CoverageModel::Gamma {
+                    mean: 10.0,
+                    shape: 6.0,
+                },
+            ),
             &units,
-            ErrorModel::wetlab_ngs(),
-            CoverageModel::Gamma {
-                mean: 10.0,
-                shape: 6.0,
-            },
             12345,
         );
         let clusters: Vec<Vec<Cluster>> = pools.iter().map(|p| p.clusters().to_vec()).collect();

@@ -35,7 +35,8 @@
 //!     .build()?;
 //! let payload = b"molecule ends are reliable".to_vec();
 //! let unit = pipeline.encode_unit(&payload)?;
-//! let pool = pipeline.sequence(&unit, ErrorModel::uniform(0.03), CoverageModel::Fixed(8), 1);
+//! let sequencer = SimulatedSequencer::new(ErrorModel::uniform(0.03), CoverageModel::Fixed(8));
+//! let pool = sequencer.sequence_unit(0, unit.strands(), 1);
 //! let (decoded, report) = pipeline.decode_unit(&pool.at_coverage(8.0))?;
 //! assert_eq!(&decoded[..payload.len()], &payload[..]);
 //! assert!(report.is_error_free());
@@ -43,9 +44,9 @@
 //! # }
 //! ```
 //!
-//! Read generation is pluggable: the simulator above is the
-//! [`SimulatedSequencer`](channel::SimulatedSequencer) backend, and
-//! [`TraceReplay`](channel::TraceReplay) replays recorded read pools
+//! Read generation is pluggable and lives in the channel layer: the
+//! simulator above is one [`SequencingBackend`](channel::SequencingBackend),
+//! and [`TraceReplay`](channel::TraceReplay) replays recorded read pools
 //! (wetlab traces, sequencer dumps) through the identical decode path:
 //!
 //! ```
@@ -55,9 +56,9 @@
 //! let pipeline = Pipeline::builder().params(CodecParams::tiny()?).build()?;
 //! let unit = pipeline.encode_unit(b"replayed")?;
 //! // Record a pool once (here: simulated), then replay it later.
-//! let recorded = pipeline.sequence(&unit, ErrorModel::ngs(0.003), CoverageModel::Fixed(6), 7);
-//! let replay = TraceReplay::single(recorded);
-//! let pool = pipeline.sequence_with(&replay, &unit, 0, 0 /* seed is ignored */);
+//! let sequencer = SimulatedSequencer::new(ErrorModel::ngs(0.003), CoverageModel::Fixed(6));
+//! let replay = TraceReplay::single(sequencer.sequence_unit(0, unit.strands(), 7));
+//! let pool = replay.sequence_unit(0, unit.strands(), 0 /* seed is ignored */);
 //! let (decoded, _) = pipeline.decode_unit(&pool.clusters().to_vec())?;
 //! assert_eq!(&decoded[..8], b"replayed");
 //! # Ok(())

@@ -37,16 +37,22 @@ fn dnamapper_archive_survives_and_degrades_monotonically_in_coverage() {
     let img_codec = JpegLikeCodec::new(80).unwrap();
     let (archive, images) = make_archive(&img_codec);
     let params = CodecParams::laptop().unwrap();
-    let pipeline = Pipeline::new(params, Layout::DnaMapper).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::DnaMapper)
+        .build()
+        .unwrap();
     let storage = ArchiveCodec::new(pipeline, RankingPolicy::PositionPriority).with_encryption(9);
     let units = storage.encode(&archive).unwrap();
-    let pools = storage.sequence(
+    let pools = storage.pipeline().sequence_batch(
+        &SimulatedSequencer::new(
+            ErrorModel::uniform(0.09),
+            CoverageModel::Gamma {
+                mean: 16.0,
+                shape: 6.0,
+            },
+        ),
         &units,
-        ErrorModel::uniform(0.09),
-        CoverageModel::Gamma {
-            mean: 16.0,
-            shape: 6.0,
-        },
         55,
     );
     let mut quality = Vec::new();
@@ -72,16 +78,22 @@ fn directory_survives_when_files_are_damaged() {
     let img_codec = JpegLikeCodec::new(80).unwrap();
     let (archive, _) = make_archive(&img_codec);
     let params = CodecParams::laptop().unwrap();
-    let pipeline = Pipeline::new(params, Layout::DnaMapper).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::DnaMapper)
+        .build()
+        .unwrap();
     let storage = ArchiveCodec::new(pipeline, RankingPolicy::PositionPriority);
     let units = storage.encode(&archive).unwrap();
-    let pools = storage.sequence(
+    let pools = storage.pipeline().sequence_batch(
+        &SimulatedSequencer::new(
+            ErrorModel::uniform(0.10),
+            CoverageModel::Gamma {
+                mean: 9.0,
+                shape: 6.0,
+            },
+        ),
         &units,
-        ErrorModel::uniform(0.10),
-        CoverageModel::Gamma {
-            mean: 9.0,
-            shape: 6.0,
-        },
         66,
     );
     let clusters: Vec<_> = pools.iter().map(|p| p.clusters().to_vec()).collect();
@@ -104,7 +116,11 @@ fn encryption_changes_stored_strands_but_not_results() {
     let (archive, _) = make_archive(&img_codec);
     let params = CodecParams::laptop().unwrap();
     let make = |seed: Option<u64>| {
-        let pipeline = Pipeline::new(params.clone(), Layout::DnaMapper).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(params.clone())
+            .layout(Layout::DnaMapper)
+            .build()
+            .unwrap();
         let mut codec = ArchiveCodec::new(pipeline, RankingPolicy::PositionPriority);
         if let Some(s) = seed {
             codec = codec.with_encryption(s);
@@ -119,10 +135,9 @@ fn encryption_changes_stored_strands_but_not_results() {
     );
 
     let storage = make(Some(4));
-    let pools = storage.sequence(
+    let pools = storage.pipeline().sequence_batch(
+        &SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(2)),
         &enc_units,
-        ErrorModel::noiseless(),
-        CoverageModel::Fixed(2),
         1,
     );
     let clusters: Vec<_> = pools.iter().map(|p| p.clusters().to_vec()).collect();
@@ -147,10 +162,18 @@ fn sequential_and_priority_policies_store_identical_content() {
         ),
         (Layout::DnaMapper, RankingPolicy::PositionPriority),
     ] {
-        let pipeline = Pipeline::new(params.clone(), layout).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(params.clone())
+            .layout(layout)
+            .build()
+            .unwrap();
         let storage = ArchiveCodec::new(pipeline, policy);
         let units = storage.encode(&archive).unwrap();
-        let pools = storage.sequence(&units, ErrorModel::noiseless(), CoverageModel::Fixed(1), 2);
+        let pools = storage.pipeline().sequence_batch(
+            &SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(1)),
+            &units,
+            2,
+        );
         let clusters: Vec<_> = pools.iter().map(|p| p.clusters().to_vec()).collect();
         let (retrieved, _) = storage
             .decode(&clusters, &RetrieveOptions::default())

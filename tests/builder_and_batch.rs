@@ -26,13 +26,7 @@ fn batch_payloads(pipeline: &Pipeline, n: usize) -> Vec<Vec<u8>> {
 fn builder_validation_errors_surface_through_the_facade() {
     // Bad RS parameters: 25 columns exceed GF(16)'s 15-symbol codewords.
     assert!(matches!(
-        Pipeline::builder()
-            .field(dna_skew::gf::Field::gf16())
-            .rows(6)
-            .data_cols(20)
-            .parity_cols(5)
-            .index_bits(6)
-            .build(),
+        CodecParams::new(dna_skew::gf::Field::gf16(), 6, 20, 5, 6),
         Err(StorageError::InvalidParams(_))
     ));
     // Out-of-range excluded row.
@@ -48,14 +42,14 @@ fn builder_validation_errors_surface_through_the_facade() {
     // Zero-length explicit primers.
     let empty = dna_skew::strand::Primer::from_strand(DnaString::new());
     assert!(matches!(
-        Pipeline::builder()
-            .params(CodecParams::tiny().unwrap())
-            .primers(empty.clone(), empty)
-            .build(),
+        tiny(Layout::Baseline).with_primers(empty.clone(), empty),
         Err(StorageError::InvalidParams(_))
     ));
     // No geometry at all.
-    assert!(Pipeline::builder().build().is_err());
+    assert!(matches!(
+        Pipeline::builder().build(),
+        Err(StorageError::InvalidParams(_))
+    ));
 }
 
 #[test]
@@ -132,12 +126,8 @@ fn batch_sequencing_is_deterministic_and_per_unit_independent() {
         assert_ne!(a[u].clusters(), c[u].clusters(), "unit {u}");
     }
     // Unit 0's single-unit path matches its batch realization.
-    let solo = pipeline.sequence(
-        &units[0],
-        ErrorModel::uniform(0.05),
-        CoverageModel::Fixed(5),
-        7,
-    );
+    let solo = SimulatedSequencer::new(ErrorModel::uniform(0.05), CoverageModel::Fixed(5))
+        .sequence_unit(0, units[0].strands(), 7);
     assert_eq!(solo.clusters(), a[0].clusters());
 }
 
@@ -173,11 +163,12 @@ fn trace_replay_from_labeled_reads_supports_external_dumps() {
     let pipeline = tiny(Layout::Baseline);
     let payload: Vec<u8> = (0..30).collect();
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(&unit, ErrorModel::uniform(0.02), CoverageModel::Fixed(7), 3);
+    let pool = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(7))
+        .sequence_unit(0, unit.strands(), 3);
     let labeled = pool.labeled_reads();
 
     let replay = TraceReplay::from_labeled_reads(labeled, unit.len());
-    let replayed = pipeline.sequence_with(&replay, &unit, 0, 0);
+    let replayed = replay.sequence_unit(0, unit.strands(), 0);
     let (decoded, report) = pipeline.decode_unit(replayed.clusters()).unwrap();
     assert_eq!(&decoded[..30], &payload[..]);
     assert!(report.is_error_free());
@@ -199,7 +190,8 @@ fn builder_decode_options_become_the_default() {
         .unwrap();
     let payload: Vec<u8> = (0..30).map(|i| i * 3).collect();
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 5);
+    let pool = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(3))
+        .sequence_unit(0, unit.strands(), 5);
     let (decoded, report) = pipeline.decode_unit(pool.clusters()).unwrap();
     assert_eq!(decoded[..30], payload[..]);
     assert!(report.is_error_free());

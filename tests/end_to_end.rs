@@ -22,18 +22,21 @@ fn all_layouts_survive_ngs_noise_at_laptop_scale() {
         },
         Layout::DnaMapper,
     ] {
-        let pipeline = Pipeline::new(params.clone(), layout.clone()).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(params.clone())
+            .layout(layout.clone())
+            .build()
+            .unwrap();
         let payload = laptop_payload(&pipeline);
         let unit = pipeline.encode_unit(&payload).unwrap();
-        let pool = pipeline.sequence(
-            &unit,
+        let pool = SimulatedSequencer::new(
             ErrorModel::ngs(0.01),
             CoverageModel::Gamma {
                 mean: 10.0,
                 shape: 6.0,
             },
-            13,
-        );
+        )
+        .sequence_unit(0, unit.strands(), 13);
         let (decoded, report) = pipeline.decode_unit(&pool.at_coverage(10.0)).unwrap();
         assert_eq!(decoded, payload, "layout {:?}", layout);
         assert!(report.is_error_free(), "layout {:?}", layout);
@@ -43,21 +46,17 @@ fn all_layouts_survive_ngs_noise_at_laptop_scale() {
 #[test]
 fn nanopore_noise_is_recovered_with_sufficient_coverage() {
     let params = CodecParams::laptop().unwrap();
-    let pipeline = Pipeline::new(
-        params,
-        Layout::Gini {
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::Gini {
             excluded_rows: vec![],
-        },
-    )
-    .unwrap();
+        })
+        .build()
+        .unwrap();
     let payload = laptop_payload(&pipeline);
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(
-        &unit,
-        ErrorModel::nanopore(0.12),
-        CoverageModel::Fixed(16),
-        17,
-    );
+    let pool = SimulatedSequencer::new(ErrorModel::nanopore(0.12), CoverageModel::Fixed(16))
+        .sequence_unit(0, unit.strands(), 17);
     let (decoded, report) = pipeline.decode_unit(&pool.at_coverage(16.0)).unwrap();
     assert_eq!(decoded, payload);
     assert!(report.is_error_free());
@@ -81,11 +80,16 @@ fn gini_decodes_at_coverage_where_baseline_fails() {
     .into_iter()
     .enumerate()
     {
-        let pipeline = Pipeline::new(params.clone(), layout).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(params.clone())
+            .layout(layout)
+            .build()
+            .unwrap();
         let unit = pipeline.encode_unit(&payload).unwrap();
         let mut successes = 0;
+        let sequencer = SimulatedSequencer::new(model, CoverageModel::Fixed(10));
         for seed in 0..3u64 {
-            let pool = pipeline.sequence(&unit, model, CoverageModel::Fixed(10), 100 + seed);
+            let pool = sequencer.sequence_unit(0, unit.strands(), 100 + seed);
             let (decoded, report) = pipeline.decode_unit(&pool.at_coverage(10.0)).unwrap();
             if report.is_error_free() && decoded == payload {
                 successes += 1;
@@ -110,10 +114,15 @@ fn real_clustering_agrees_with_perfect_clustering_at_low_noise() {
 
     let params =
         dna_skew::storage::CodecParams::new(dna_skew::gf::Field::gf256(), 12, 40, 10, 8).unwrap();
-    let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::Baseline)
+        .build()
+        .unwrap();
     let payload: Vec<u8> = (0..pipeline.payload_capacity()).map(|i| i as u8).collect();
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(&unit, ErrorModel::uniform(0.02), CoverageModel::Fixed(6), 3);
+    let pool = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(6))
+        .sequence_unit(0, unit.strands(), 3);
 
     // Flatten reads, strip labels, re-cluster from scratch.
     let labeled = pool.labeled_reads();
@@ -136,21 +145,17 @@ fn real_clustering_agrees_with_perfect_clustering_at_low_noise() {
 #[test]
 fn failure_injection_truncated_and_duplicated_reads() {
     let params = CodecParams::laptop().unwrap();
-    let pipeline = Pipeline::new(
-        params,
-        Layout::Gini {
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::Gini {
             excluded_rows: vec![],
-        },
-    )
-    .unwrap();
+        })
+        .build()
+        .unwrap();
     let payload = laptop_payload(&pipeline);
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(
-        &unit,
-        ErrorModel::uniform(0.04),
-        CoverageModel::Fixed(10),
-        29,
-    );
+    let pool = SimulatedSequencer::new(ErrorModel::uniform(0.04), CoverageModel::Fixed(10))
+        .sequence_unit(0, unit.strands(), 29);
     let mut clusters = pool.clusters().to_vec();
     // Truncate some reads hard, duplicate others, clear a few clusters.
     for (i, c) in clusters.iter_mut().enumerate() {

@@ -64,12 +64,8 @@ proptest! {
         let pipeline = pipeline(recovery);
         let payload = payload_from_seed(seed, pipeline.payload_capacity());
         let unit = pipeline.encode_unit(&payload).expect("encode");
-        let pool = pipeline.sequence(
-            &unit,
-            ErrorModel::noiseless(),
-            CoverageModel::Fixed(coverage),
-            seed,
-        );
+        let pool = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(coverage))
+            .sequence_unit(0, unit.strands(), seed);
         let (labeled, _) = pipeline.decode_unit(pool.clusters()).expect("labeled decode");
         let (recovered, report) = pipeline
             .decode_pool(&pool.anonymize(anon_seed))
@@ -92,8 +88,8 @@ proptest! {
         let pipeline = pipeline(recovery);
         let payload = payload_from_seed(seed ^ 0xFACE, pipeline.payload_capacity());
         let unit = pipeline.encode_unit(&payload).expect("encode");
-        let pool = pipeline
-            .sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), seed)
+        let pool = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(3))
+            .sequence_unit(0, unit.strands(), seed)
             .anonymize(seed);
         let (a, _) = pipeline.decode_pool(&pool).expect("decode");
         let (b, _) = pipeline
@@ -112,8 +108,8 @@ proptest! {
         let pipeline = pipeline(recovery);
         let payload = payload_from_seed(seed ^ 0xBEEF, pipeline.payload_capacity());
         let unit = pipeline.encode_unit(&payload).expect("encode");
-        let anon = pipeline
-            .sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), seed)
+        let anon = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(3))
+            .sequence_unit(0, unit.strands(), seed)
             .anonymize(seed ^ 1);
         let flipped = AnonymousPool::from_reads(
             anon.reads().iter().map(|r| r.reverse_complement()),
@@ -136,13 +132,8 @@ proptest! {
         let pipeline = pipeline(recovery);
         let payload = payload_from_seed(seed ^ 0x5EED, pipeline.payload_capacity());
         let unit = pipeline.encode_unit(&payload).expect("encode");
-        let anon = pipeline
-            .sequence(
-                &unit,
-                ErrorModel::uniform(noise),
-                CoverageModel::Fixed(coverage),
-                seed,
-            )
+        let anon = SimulatedSequencer::new(ErrorModel::uniform(noise), CoverageModel::Fixed(coverage))
+            .sequence_unit(0, unit.strands(), seed)
             .anonymize(seed ^ 2);
         match pipeline.decode_pool(&anon) {
             Ok((_, report)) => {

@@ -780,7 +780,11 @@ fn recovery_matrix_is_thread_count_invariant() {
 #[test]
 fn uniform_pools_are_byte_identical_to_pre_channel_release() {
     let _guard = env_guard();
-    let pipeline = Pipeline::new(CodecParams::tiny().unwrap(), Layout::Baseline).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(CodecParams::tiny().unwrap())
+        .layout(Layout::Baseline)
+        .build()
+        .unwrap();
     let payload: Vec<u8> = (0..30u8)
         .map(|i| i.wrapping_mul(37).wrapping_add(11))
         .collect();
@@ -791,41 +795,34 @@ fn uniform_pools_are_byte_identical_to_pre_channel_release() {
         (0xBEEF, 0.02, 6, 0xd303b7a9914464fd, 0x4461e57048468653),
     ];
     for (seed, p, cov, fixed_hash, gamma_hash) in golden {
-        let fixed = pipeline.sequence(
-            &unit,
-            ErrorModel::uniform(p),
-            CoverageModel::Fixed(cov),
-            seed,
-        );
-        assert_eq!(
-            pool_hash(&fixed),
-            fixed_hash,
-            "fixed-coverage pool drifted at seed={seed} p={p} cov={cov}"
-        );
-        let gamma = pipeline.sequence(
-            &unit,
-            ErrorModel::uniform(p),
-            CoverageModel::Gamma {
-                mean: cov as f64,
-                shape: 6.0,
-            },
-            seed,
-        );
-        assert_eq!(
-            pool_hash(&gamma),
-            gamma_hash,
-            "gamma-coverage pool drifted at seed={seed} p={p} cov={cov}"
-        );
-        // The explicit channel-model route is the same bytes again.
-        let via_model = pipeline.sequence_with(
-            &SimulatedSequencer::with_channel(
-                ChannelModel::uniform(ErrorModel::uniform(p)),
-                CoverageModel::Fixed(cov),
-            ),
-            &unit,
-            0,
-            seed,
-        );
-        assert_eq!(pool_hash(&via_model), fixed_hash);
+        let gamma = CoverageModel::Gamma {
+            mean: cov as f64,
+            shape: 6.0,
+        };
+        for (coverage, want) in [(CoverageModel::Fixed(cov), fixed_hash), (gamma, gamma_hash)] {
+            // The flat-model constructor and the explicit channel-model
+            // route must both reproduce the literal hashes.
+            let routes = [
+                (
+                    "new",
+                    SimulatedSequencer::new(ErrorModel::uniform(p), coverage),
+                ),
+                (
+                    "with_channel",
+                    SimulatedSequencer::with_channel(
+                        ChannelModel::uniform(ErrorModel::uniform(p)),
+                        coverage,
+                    ),
+                ),
+            ];
+            for (route, sequencer) in routes {
+                let pool = sequencer.sequence_unit(0, unit.strands(), seed);
+                assert_eq!(
+                    pool_hash(&pool),
+                    want,
+                    "{route} pool drifted at seed={seed} p={p} coverage={coverage:?}"
+                );
+            }
+        }
     }
 }

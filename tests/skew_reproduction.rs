@@ -49,16 +49,16 @@ fn per_codeword_errors_peak_in_middle_rows_for_baseline_only() {
             excluded_rows: vec![],
         },
     ] {
-        let pipeline = Pipeline::new(params.clone(), layout).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(params.clone())
+            .layout(layout)
+            .build()
+            .unwrap();
         let unit = pipeline.encode_unit(&payload).unwrap();
         let mut per_cw = vec![0usize; params.rows()];
         for seed in 0..3u64 {
-            let pool = pipeline.sequence(
-                &unit,
-                ErrorModel::uniform(0.09),
-                CoverageModel::Fixed(20),
-                900 + seed,
-            );
+            let pool = SimulatedSequencer::new(ErrorModel::uniform(0.09), CoverageModel::Fixed(20))
+                .sequence_unit(0, unit.strands(), 900 + seed);
             let (_, report) = pipeline.decode_unit(&pool.at_coverage(20.0)).unwrap();
             assert!(report.is_error_free());
             for (k, c) in report.corrected_per_codeword().iter().enumerate() {
@@ -95,15 +95,15 @@ fn index_is_stored_at_the_most_reliable_location() {
     // mid-strand: invalid/conflicting indexes should be rare even at
     // nanopore noise.
     let params = CodecParams::laptop().unwrap();
-    let pipeline = Pipeline::new(params, Layout::Baseline).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(params)
+        .layout(Layout::Baseline)
+        .build()
+        .unwrap();
     let payload = vec![0x5Au8; 6240];
     let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = pipeline.sequence(
-        &unit,
-        ErrorModel::nanopore(0.12),
-        CoverageModel::Fixed(12),
-        31,
-    );
+    let pool = SimulatedSequencer::new(ErrorModel::nanopore(0.12), CoverageModel::Fixed(12))
+        .sequence_unit(0, unit.strands(), 31);
     let (_, report) = pipeline.decode_unit(&pool.at_coverage(12.0)).unwrap();
     let troubled = report.invalid_indexes + report.index_conflicts + report.lost_columns;
     assert!(
