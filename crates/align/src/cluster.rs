@@ -116,8 +116,8 @@ impl GreedyClusterer {
         self.threshold
     }
 
-    /// Clusters `reads`; O(reads × clusters × banded-distance). One DP row
-    /// buffer is reused across every pairwise comparison.
+    /// Clusters `reads`; O(reads × clusters × bounded-distance). One
+    /// scratch buffer is reused across every pairwise comparison.
     pub fn cluster(&self, reads: &[DnaString]) -> ClusterResult {
         let mut clusters: Vec<Vec<usize>> = Vec::new();
         let mut representatives: Vec<&DnaString> = Vec::new();

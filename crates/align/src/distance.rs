@@ -1,5 +1,8 @@
 //! Unit-cost Levenshtein distance.
 
+/// Bits per word of the bit-parallel kernel.
+const WORD: usize = usize::BITS as usize;
+
 /// The edit (Levenshtein) distance between `a` and `b`: the minimum number
 /// of insertions, deletions, and substitutions converting one into the
 /// other. Runs in O(|a|·|b|) time and O(min(|a|,|b|)) space.
@@ -33,75 +36,15 @@ pub fn edit_distance<T: Eq>(a: &[T], b: &[T]) -> usize {
     row[n]
 }
 
-/// Myers' bit-parallel edit distance for byte-like alphabets, processing
-/// 64 pattern symbols per word operation — the fast path for clustering
-/// large read pools. Patterns up to 64 symbols run in the single-word
-/// variant; longer inputs fall back to [`edit_distance`].
-///
-/// Symbols are mapped through `key` into a small alphabet (DNA: 4 values);
-/// `key` must return values `< 8`.
-///
-/// # Examples
-///
-/// ```
-/// use dna_align::{edit_distance, edit_distance_myers};
-///
-/// let a = b"ACGTACGTACGTAC";
-/// let b = b"ACGAACGTAGTAC";
-/// assert_eq!(
-///     edit_distance_myers(a, b, |&c| (c % 8)),
-///     edit_distance(a, b),
-/// );
-/// ```
-///
-/// # Panics
-///
-/// Panics in debug builds when `key` yields a value ≥ 8.
-pub fn edit_distance_myers<T: Eq, F: Fn(&T) -> u8>(a: &[T], b: &[T], key: F) -> usize {
-    // Use the shorter sequence as the pattern so it fits one word.
-    let (pat, txt) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let m = pat.len();
-    if m == 0 {
-        return txt.len();
-    }
-    if m > 64 {
-        return edit_distance(a, b);
-    }
-    // Per-symbol match masks.
-    let mut peq = [0u64; 8];
-    for (i, c) in pat.iter().enumerate() {
-        let k = key(c);
-        debug_assert!(k < 8, "key must map into 0..8");
-        peq[usize::from(k & 7)] |= 1u64 << i;
-    }
-    let mut pv = !0u64; // vertical positive deltas
-    let mut mv = 0u64; // vertical negative deltas
-    let mut score = m;
-    let high = 1u64 << (m - 1);
-    for c in txt {
-        let eq = peq[usize::from(key(c) & 7)];
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let ph = mv | !(xh | pv);
-        let mh = pv & xh;
-        if ph & high != 0 {
-            score += 1;
-        }
-        if mh & high != 0 {
-            score -= 1;
-        }
-        let ph = (ph << 1) | 1;
-        let mh = mh << 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
-    }
-    score
-}
-
 /// Edit distance with an early-exit `bound`: returns `Some(d)` when
-/// `d ≤ bound`, `None` otherwise. Runs in O((2·bound+1)·min(|a|,|b|)) time
-/// (Ukkonen's banded algorithm), which is what makes clustering large read
-/// pools affordable.
+/// `d ≤ bound`, `None` otherwise. Any `bound` is accepted, `usize::MAX`
+/// included.
+///
+/// Runs Myers' bit-parallel algorithm in Hyyrö's block form, with the
+/// shorter input as the pattern: ⌈min(|a|,|b|)/64⌉·max(|a|,|b|) word
+/// operations, which is what makes clustering large read pools
+/// affordable. The scan stops early once the distance provably exceeds
+/// `bound`.
 ///
 /// # Examples
 ///
@@ -115,11 +58,17 @@ pub fn edit_distance_bounded<T: Eq>(a: &[T], b: &[T], bound: usize) -> Option<us
     edit_distance_bounded_with(a, b, bound, &mut Vec::new())
 }
 
-/// [`edit_distance_bounded`] against a caller-owned DP row buffer, so hot
-/// comparison loops — read clustering, primer filtering — stop paying one
-/// allocation per call: once `row`'s capacity covers
-/// `min(|a|,|b|) + 1`, the comparison allocates nothing. The buffer's
-/// prior contents are ignored and overwritten.
+/// [`edit_distance_bounded`] against a caller-owned scratch buffer, so hot
+/// comparison loops — read clustering, orientation, primer filtering —
+/// stop paying allocations per call.
+///
+/// `row` holds the kernel's bit masks: the vertical delta vectors, an
+/// all-zero record for symbols the shorter input lacks, then one record
+/// per symbol class of the shorter input (its first position and its
+/// match mask). With `n = min(|a|,|b|)`, `w = ⌈n/64⌉` and `k` classes
+/// (at most 4 for DNA), once `row`'s capacity covers
+/// `2w + (k + 1)(w + 1)` words the comparison allocates nothing. The
+/// buffer's prior contents are ignored and overwritten.
 ///
 /// # Examples
 ///
@@ -140,50 +89,104 @@ pub fn edit_distance_bounded_with<T: Eq>(
     bound: usize,
     row: &mut Vec<usize>,
 ) -> Option<usize> {
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    let (m, n) = (a.len(), b.len());
+    let (pat, txt) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (n, m) = (pat.len(), txt.len());
     if m - n > bound {
         return None;
     }
     if n == 0 {
         return Some(m);
     }
-    const BIG: usize = usize::MAX / 2;
-    // row[j] = distance for prefix (i, j); only |i−j| ≤ bound is inhabited.
+    let words = n.div_ceil(WORD);
+    let stride = words + 1;
+    // row = [pv | mv | the all-zero record | one record per class: its
+    // first pattern position, then its match mask].
     row.clear();
-    row.resize(n + 1, BIG);
-    for (j, slot) in row.iter_mut().enumerate().take(bound.min(n) + 1) {
-        *slot = j;
+    row.resize(2 * words + stride, 0);
+    let mut k = 0;
+    for (i, s) in pat.iter().enumerate() {
+        let mut class = class_of(pat, &row[2 * words..], stride, k, s);
+        if class == 0 {
+            k += 1;
+            class = k;
+            row.resize(row.len() + stride, 0);
+            row[2 * words + class * stride] = i;
+        }
+        row[2 * words + class * stride + 1 + i / WORD] |= 1 << (i % WORD);
     }
-    for i in 1..=m {
-        let lo = i.saturating_sub(bound).max(1);
-        let hi = (i + bound).min(n);
-        if lo > hi {
+    let (state, records) = row.split_at_mut(2 * words);
+    let (pv, mv) = state.split_at_mut(words);
+    // Column 0: D[i][0] = i, so every vertical delta is +1.
+    pv.fill(!0);
+    let last_row = 1 << ((n - 1) % WORD);
+    let mut score = n;
+    for (j, s) in txt.iter().enumerate() {
+        let class = class_of(pat, records, stride, k, s);
+        let eq = &records[class * stride + 1..(class + 1) * stride];
+        // Myers' step per 64-row block, with Hyyrö's carry of the
+        // horizontal delta `hin` from block to block. The top row
+        // D[0][j] = j rises by one every column.
+        let mut hin: isize = 1;
+        for (blk, (&eq, (pv, mv))) in eq.iter().zip(pv.iter_mut().zip(mv.iter_mut())).enumerate() {
+            let high = if blk + 1 == words {
+                last_row
+            } else {
+                1 << (WORD - 1)
+            };
+            let xv = eq | *mv;
+            let eq = eq | usize::from(hin < 0);
+            let xh = ((eq & *pv).wrapping_add(*pv) ^ *pv) | eq;
+            let ph = *mv | !(xh | *pv);
+            let mh = *pv & xh;
+            let hout = isize::from(ph & high != 0) - isize::from(mh & high != 0);
+            let ph = (ph << 1) | usize::from(hin > 0);
+            let mh = (mh << 1) | usize::from(hin < 0);
+            *pv = mh | !(xv | ph);
+            *mv = ph & xv;
+            hin = hout;
+        }
+        score = score.wrapping_add_signed(hin);
+        // Exact early exit: distances never decrease along a diagonal, so
+        // the cell on this column's diagonal through (n, m) is a lower
+        // bound on the final distance. Every 8th column keeps the
+        // popcounts off the per-column cost.
+        let col = j + 1;
+        if col % 8 == 0
+            && col < m
+            && col >= m - n
+            && diagonal_cell(pv, mv, col, col - (m - n)) > bound
+        {
             return None;
         }
-        let mut prev_diag = if lo == 1 { i - 1 } else { row[lo - 1] };
-        let left_edge = if lo == 1 { i } else { BIG };
-        let mut left = left_edge;
-        if lo > 1 {
-            row[lo - 1] = BIG; // fell out of the band
-        }
-        let mut row_min = BIG;
-        for j in lo..=hi {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let val = (prev_diag + cost).min(left + 1).min(row[j] + 1);
-            prev_diag = row[j];
-            row[j] = val;
-            left = val;
-            row_min = row_min.min(val);
-        }
-        if hi < n {
-            row[hi + 1] = BIG;
-        }
-        if row_min > bound {
-            return None;
-        }
     }
-    (row[n] <= bound).then_some(row[n])
+    (score <= bound).then_some(score)
+}
+
+/// The class of symbol `s`: the index of the record among the first `k`
+/// whose pattern position holds `s`, or 0 (the all-zero record) when none
+/// does. Branch-free, since text symbols arrive in no predictable order.
+fn class_of<T: Eq>(pat: &[T], records: &[usize], stride: usize, k: usize, s: &T) -> usize {
+    (1..k + 1)
+        .map(|c| c * usize::from(pat[records[c * stride]] == *s))
+        .sum()
+}
+
+/// D[i][col] read off the vertical delta vectors: the top row's `col`
+/// plus the +1 and −1 deltas of rows 1..=i.
+fn diagonal_cell(pv: &[usize], mv: &[usize], col: usize, i: usize) -> usize {
+    let (full, rem) = (i / WORD, i % WORD);
+    let mut up = 0;
+    let mut down = 0;
+    for (p, m) in pv[..full].iter().zip(&mv[..full]) {
+        up += p.count_ones() as usize;
+        down += m.count_ones() as usize;
+    }
+    if rem > 0 {
+        let mask = (1 << rem) - 1;
+        up += (pv[full] & mask).count_ones() as usize;
+        down += (mv[full] & mask).count_ones() as usize;
+    }
+    col + up - down
 }
 
 #[cfg(test)]
@@ -248,41 +251,19 @@ mod tests {
     }
 
     #[test]
-    fn myers_matches_classic_dp_on_dna() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..200 {
-            let la = rng.gen_range(0..70);
-            let lb = rng.gen_range(0..70);
-            let a: Vec<u8> = (0..la).map(|_| rng.gen_range(0..4)).collect();
-            let b: Vec<u8> = (0..lb).map(|_| rng.gen_range(0..4)).collect();
-            assert_eq!(
-                edit_distance_myers(&a, &b, |&c| c),
-                edit_distance(&a, &b),
-                "a={a:?} b={b:?}"
-            );
-        }
+    fn unbounded_bound_does_not_overflow() {
+        assert_eq!(edit_distance_bounded(b"ACGT", b"AGT", usize::MAX), Some(1));
     }
 
     #[test]
-    fn myers_falls_back_beyond_64_symbols() {
-        let a = vec![1u8; 100];
-        let mut b = vec![1u8; 100];
-        b[50] = 2;
-        b.push(3);
-        assert_eq!(edit_distance_myers(&a, &b, |&c| c), 2);
-    }
-
-    #[test]
-    fn myers_handles_edge_cases() {
-        assert_eq!(edit_distance_myers::<u8, _>(&[], &[], |&c| c), 0);
-        assert_eq!(edit_distance_myers(&[1u8], &[], |&c| c), 1);
-        assert_eq!(edit_distance_myers(&[], &[1u8, 2], |&c| c), 2);
-        // Exactly 64 pattern symbols (the single-word boundary).
-        let a: Vec<u8> = (0..64).map(|i| i % 4).collect();
-        let mut b = a.clone();
-        b[63] = (b[63] + 1) % 4;
-        assert_eq!(edit_distance_myers(&a, &b, |&c| c), 1);
+    fn a_large_enough_buffer_is_reused_without_growing() {
+        let a: Vec<u8> = (0..200).map(|i| (i % 4) as u8).collect();
+        let mut row = Vec::with_capacity(2 * 4 + 5 * (4 + 1));
+        let before = row.as_ptr();
+        assert_eq!(
+            edit_distance_bounded_with(&a, &a[1..], 5, &mut row),
+            Some(1)
+        );
+        assert_eq!(row.as_ptr(), before);
     }
 }

@@ -4,10 +4,10 @@
 //! clustered by edit-distance similarity, consensus algorithms align noisy
 //! copies, and the theoretical object behind trace reconstruction is the
 //! (constrained) edit-distance median. This crate provides the shared
-//! machinery: unit-cost Levenshtein distance (full, bounded/banded), global
-//! alignment with traceback, pluggable read clusterers (greedy and
-//! anchor-binned), and read orientation recovery (primer-anchored and
-//! canonical).
+//! machinery: unit-cost Levenshtein distance (full, and bounded with a
+//! bit-parallel kernel), global alignment with traceback, pluggable read
+//! clusterers (greedy and anchor-binned), and read orientation recovery
+//! (primer-anchored and canonical).
 //!
 //! All distance/alignment functions are generic over the symbol type, so
 //! they serve both DNA ([`dna_strand::Base`]) and the binary alphabet the
@@ -34,7 +34,5 @@ pub use alignment::{align, AlignOp, Alignment};
 pub use cluster::{
     AnchoredClusterer, ClusterResult, GreedyClusterer, ReadClusterer, MAX_ANCHOR_LEN,
 };
-pub use distance::{
-    edit_distance, edit_distance_bounded, edit_distance_bounded_with, edit_distance_myers,
-};
+pub use distance::{edit_distance, edit_distance_bounded, edit_distance_bounded_with};
 pub use orient::{canonical_orientation, AnchorOrienter, ReadOrientation};

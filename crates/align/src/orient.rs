@@ -96,7 +96,7 @@ impl AnchorOrienter {
     fn prefix_score(&self, read: &[Base], row: &mut Vec<usize>) -> usize {
         let window = (self.anchor.len() + self.slack).min(read.len());
         // The bound is the anchor length: an empty prefix scores exactly
-        // that, so the banded search always returns Some.
+        // that, so the bounded search always returns Some.
         edit_distance_bounded_with(
             self.anchor.as_slice(),
             &read[..window],
@@ -113,7 +113,7 @@ impl AnchorOrienter {
         self.orient_with(read, &mut Vec::new())
     }
 
-    /// [`AnchorOrienter::orient`] against a caller-owned DP row buffer.
+    /// [`AnchorOrienter::orient`] against a caller-owned scratch buffer.
     /// The reverse orientation is scored against a small complemented
     /// window of the read's tail (never a full flipped copy), so
     /// pool-scale orientation loops allocate one anchor-sized scratch

@@ -1,16 +1,88 @@
-//! Property tests: edit distance is a metric; bounded distance agrees with
-//! full; alignment distance equals edit distance; orientation recovery is
-//! an involution; clusterers are deterministic and order-stable.
+//! Property tests: edit distance is a metric; the bounded bit-parallel
+//! kernel agrees with the reference DP across word boundaries; alignment
+//! distance equals edit distance; orientation recovery is an involution;
+//! clusterers are deterministic and order-stable.
 
 use dna_align::{
-    align, canonical_orientation, edit_distance, edit_distance_bounded, edit_distance_myers,
-    AnchorOrienter, AnchoredClusterer, GreedyClusterer, ReadClusterer,
+    align, canonical_orientation, edit_distance, edit_distance_bounded_with, AnchorOrienter,
+    AnchoredClusterer, GreedyClusterer, ReadClusterer,
 };
 use dna_strand::{Base, DnaString};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn dna_seq() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..4, 0..40)
+}
+
+/// A pair for the bounded kernel over `alphabet` symbols. `a` has 0..300
+/// symbols (1–5 words), half the time right at a word boundary; `b` is
+/// either an independent draw or a copy of `a` with 0–20% substitutions,
+/// insertions and deletions.
+fn kernel_pair(seed: u64, alphabet: u8) -> (Vec<u8>, Vec<u8>) {
+    const BOUNDARIES: [usize; 6] = [63, 64, 65, 127, 128, 129];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let draw = |rng: &mut StdRng| -> Vec<u8> {
+        let len = if rng.gen_bool(0.5) {
+            BOUNDARIES[rng.gen_range(0..BOUNDARIES.len())]
+        } else {
+            rng.gen_range(0..300)
+        };
+        (0..len).map(|_| rng.gen_range(0..alphabet)).collect()
+    };
+    let a = draw(&mut rng);
+    let b = if rng.gen_bool(0.5) {
+        draw(&mut rng)
+    } else {
+        let rate = rng.gen_range(0.0..0.2);
+        let mut b = Vec::new();
+        for &s in &a {
+            if !rng.gen_bool(rate) {
+                b.push(s);
+                continue;
+            }
+            match rng.gen_range(0..3) {
+                0 => b.push(rng.gen_range(0..alphabet)),
+                1 => b.extend([s, rng.gen_range(0..alphabet)]),
+                _ => {}
+            }
+        }
+        b
+    };
+    (a, b)
+}
+
+/// Checks the kernel against the reference DP in both argument orders at
+/// `bound`, right at and just below the true distance, and with no bound,
+/// through a buffer holding stale contents.
+fn check_kernel<T: Eq + std::fmt::Debug>(
+    a: &[T],
+    b: &[T],
+    bound: usize,
+) -> Result<(), TestCaseError> {
+    let full = edit_distance(a, b);
+    let mut row = vec![usize::MAX; 7];
+    for bound in [bound, full, full.saturating_sub(1), usize::MAX] {
+        let want = (full <= bound).then_some(full);
+        prop_assert_eq!(
+            edit_distance_bounded_with(a, b, bound, &mut row),
+            want,
+            "a={:?} b={:?} bound={}",
+            a,
+            b,
+            bound
+        );
+        prop_assert_eq!(
+            edit_distance_bounded_with(b, a, bound, &mut row),
+            want,
+            "a={:?} b={:?} bound={}",
+            b,
+            a,
+            bound
+        );
+    }
+    Ok(())
 }
 
 fn dna_string(len: std::ops::Range<usize>) -> impl Strategy<Value = DnaString> {
@@ -46,25 +118,25 @@ proptest! {
     }
 
     #[test]
-    fn bounded_matches_full(a in dna_seq(), b in dna_seq(), bound in 0usize..50) {
-        let full = edit_distance(&a, &b);
-        match edit_distance_bounded(&a, &b, bound) {
-            Some(d) => {
-                prop_assert_eq!(d, full);
-                prop_assert!(d <= bound);
-            }
-            None => prop_assert!(full > bound),
-        }
+    fn bounded_kernel_matches_reference_on_bases(seed in any::<u64>(), bound in 0usize..=80) {
+        let (a, b) = kernel_pair(seed, 4);
+        let bases = |v: Vec<u8>| -> Vec<Base> { v.into_iter().map(Base::from_bits).collect() };
+        check_kernel(&bases(a), &bases(b), bound)?;
+    }
+
+    #[test]
+    fn bounded_kernel_matches_reference_on_wide_alphabets(
+        seed in any::<u64>(),
+        alphabet in 1u8..=20,
+        bound in 0usize..=80,
+    ) {
+        let (a, b) = kernel_pair(seed, alphabet);
+        check_kernel(&a, &b, bound)?;
     }
 
     #[test]
     fn alignment_distance_equals_edit_distance(a in dna_seq(), b in dna_seq()) {
         prop_assert_eq!(align(&a, &b).distance, edit_distance(&a, &b));
-    }
-
-    #[test]
-    fn myers_agrees_with_classic_dp(a in dna_seq(), b in dna_seq()) {
-        prop_assert_eq!(edit_distance_myers(&a, &b, |&c| c), edit_distance(&a, &b));
     }
 
     #[test]

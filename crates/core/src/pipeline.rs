@@ -750,7 +750,7 @@ impl Pipeline {
 
     /// Collects the reads that pass the primer check into `out`: the read
     /// must begin with something close to the left primer. Only called
-    /// when primers are configured; the DP row buffer is reused across
+    /// when primers are configured; the scratch buffer is reused across
     /// every comparison.
     fn filter_reads_into(&self, cluster: &Cluster, out: &mut Vec<DnaString>, row: &mut Vec<usize>) {
         out.clear();

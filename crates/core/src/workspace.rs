@@ -37,7 +37,7 @@ pub struct DecodeWorkspace {
     pub(crate) rs: RsScratch,
     /// Primer-filtered reads (only used when primers are configured).
     pub(crate) filtered: Vec<DnaString>,
-    /// DP row for the primer-check bounded edit distance.
+    /// Scratch for the primer-check bounded edit distance.
     pub(crate) dp_row: Vec<usize>,
 }
 
