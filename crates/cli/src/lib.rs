@@ -10,9 +10,9 @@
 #![warn(missing_docs)]
 
 use dna_channel::{unit_seed, AnonymousPool, ChannelModel, ErrorModel, ReadPool};
-use dna_object::{ObjectStore, StoreConfig};
+use dna_object::{LayoutKind, ObjectStore, StoreConfig};
 use dna_storage::{
-    CodecParams, DecodeReport, Layout, Pipeline, PlannerWarning, ProtectionPlan, ProtectionPlanner,
+    CodecParams, DecodeReport, Pipeline, PlannerWarning, ProtectionPlan, ProtectionPlanner,
     RecoveryPipeline, Scenario, SkewProfile, StorageError, UnitReads,
 };
 use dna_strand::{DnaString, TranscoderSpec};
@@ -54,45 +54,6 @@ impl From<StorageError> for CliError {
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Io(e)
-    }
-}
-
-/// The data organization selected on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutChoice {
-    /// Paper Fig. 1.
-    Baseline,
-    /// Paper Fig. 8 (full interleaving).
-    Gini,
-    /// Paper Fig. 9.
-    DnaMapper,
-}
-
-impl LayoutChoice {
-    /// The pipeline layout for this choice.
-    pub fn to_layout(self) -> Layout {
-        match self {
-            LayoutChoice::Baseline => Layout::Baseline,
-            LayoutChoice::Gini => Layout::Gini {
-                excluded_rows: vec![],
-            },
-            LayoutChoice::DnaMapper => Layout::DnaMapper,
-        }
-    }
-}
-
-impl FromStr for LayoutChoice {
-    type Err = CliError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "baseline" => Ok(LayoutChoice::Baseline),
-            "gini" => Ok(LayoutChoice::Gini),
-            "dnamapper" => Ok(LayoutChoice::DnaMapper),
-            other => Err(CliError::Usage(format!(
-                "unknown layout {other:?} (expected baseline|gini|dnamapper)"
-            ))),
-        }
     }
 }
 
@@ -193,6 +154,19 @@ pub fn parse_transcoder(s: &str) -> Result<TranscoderSpec, CliError> {
     })
 }
 
+/// Parses `--layout baseline|gini|dnamapper` (Gini without excluded
+/// rows: the strand-list and pool headers record only the kind).
+pub fn parse_layout(s: &str) -> Result<LayoutKind, CliError> {
+    match s {
+        "baseline" => Ok(LayoutKind::Baseline),
+        "gini" => Ok(LayoutKind::Gini),
+        "dnamapper" => Ok(LayoutKind::DnaMapper),
+        other => Err(CliError::Usage(format!(
+            "unknown layout {other:?} (expected baseline|gini|dnamapper)"
+        ))),
+    }
+}
+
 /// The clustering algorithm selected for unlabeled retrieval
 /// (`--clusterer`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -278,7 +252,7 @@ pub fn parse_plan_file(text: &str) -> Result<ProtectionPlan, CliError> {
 
 /// The laptop-scale pipeline every CLI subcommand uses, built through the
 /// validated builder path.
-fn laptop_pipeline(layout: LayoutChoice) -> Result<Pipeline, CliError> {
+fn laptop_pipeline(layout: LayoutKind) -> Result<Pipeline, CliError> {
     Ok(Pipeline::builder()
         .params(CodecParams::laptop()?)
         .layout(layout.to_layout())
@@ -291,7 +265,7 @@ fn laptop_pipeline(layout: LayoutChoice) -> Result<Pipeline, CliError> {
 /// at the default 47 the laptop geometry is field-saturated and `auto`
 /// falls back to the uniform plan with a [`PlannerWarning`].
 fn planned_pipeline(
-    layout: LayoutChoice,
+    layout: LayoutKind,
     parity_cols: Option<usize>,
     plan: &PlanChoice,
     channel: &ChannelModel,
@@ -325,9 +299,8 @@ fn planned_pipeline(
                 .map_err(CliError::Storage)?;
             // Plan eagerly (rather than letting the builder resolve the
             // planner) so non-fatal conditions reach the user.
-            let engine = layout.to_layout().engine();
             let (plan, warnings) = planner
-                .plan_with_warnings(&params, &*engine)
+                .plan_with_warnings(&params, &layout.to_layout())
                 .map_err(CliError::Storage)?;
             (builder.protection(plan), warnings)
         }
@@ -346,11 +319,7 @@ fn encode_units(pipeline: &Pipeline, payload: &[u8]) -> Result<Vec<Vec<DnaString
 }
 
 /// Serializes units into the strand-list text format.
-pub fn to_strand_list(
-    layout: LayoutChoice,
-    payload_len: usize,
-    units: &[Vec<DnaString>],
-) -> String {
+pub fn to_strand_list(layout: LayoutKind, payload_len: usize, units: &[Vec<DnaString>]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "# dnastore v1 layout={layout:?} bytes={payload_len} units={}\n",
@@ -367,9 +336,7 @@ pub fn to_strand_list(
 }
 
 /// Parses the strand-list text format back into header + units.
-pub fn from_strand_list(
-    text: &str,
-) -> Result<(LayoutChoice, usize, Vec<Vec<DnaString>>), CliError> {
+pub fn from_strand_list(text: &str) -> Result<(LayoutKind, usize, Vec<Vec<DnaString>>), CliError> {
     let mut lines = text.lines();
     let header = lines
         .next()
@@ -377,7 +344,7 @@ pub fn from_strand_list(
     if !header.starts_with("# dnastore v1 ") {
         return Err(CliError::Parse("missing dnastore v1 header".into()));
     }
-    let mut layout = LayoutChoice::Baseline;
+    let mut layout = LayoutKind::Baseline;
     let mut payload_len = 0usize;
     for field in header
         .trim_start_matches("# dnastore v1 ")
@@ -385,9 +352,9 @@ pub fn from_strand_list(
     {
         if let Some(v) = field.strip_prefix("layout=") {
             layout = match v {
-                "Baseline" => LayoutChoice::Baseline,
-                "Gini" => LayoutChoice::Gini,
-                "DnaMapper" => LayoutChoice::DnaMapper,
+                "Baseline" => LayoutKind::Baseline,
+                "Gini" => LayoutKind::Gini,
+                "DnaMapper" => LayoutKind::DnaMapper,
                 other => return Err(CliError::Parse(format!("bad layout {other:?}"))),
             };
         } else if let Some(v) = field.strip_prefix("bytes=") {
@@ -427,7 +394,7 @@ pub fn from_strand_list(
 }
 
 /// `encode`: file bytes → strand list.
-pub fn encode(payload: &[u8], layout: LayoutChoice) -> Result<String, CliError> {
+pub fn encode(payload: &[u8], layout: LayoutKind) -> Result<String, CliError> {
     let pipeline = laptop_pipeline(layout)?;
     let units = encode_units(&pipeline, payload)?;
     Ok(to_strand_list(layout, payload.len(), &units))
@@ -439,6 +406,13 @@ pub fn encode(payload: &[u8], layout: LayoutChoice) -> Result<String, CliError> 
 pub fn decode(text: &str) -> Result<(Vec<u8>, Vec<DecodeReport>), CliError> {
     let (layout, payload_len, units) = from_strand_list(text)?;
     let pipeline = laptop_pipeline(layout)?;
+    let capacity = units.len().saturating_mul(pipeline.payload_capacity());
+    if payload_len > capacity {
+        return Err(CliError::Parse(format!(
+            "header claims {payload_len} bytes but {} unit(s) hold at most {capacity}",
+            units.len()
+        )));
+    }
     let pools: Vec<ReadPool> = units.into_iter().map(ReadPool::from_strands).collect();
     let reads: Vec<UnitReads> = pools
         .iter()
@@ -494,7 +468,7 @@ pub struct SimulationRun {
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_planned(
     payload: &[u8],
-    layout: LayoutChoice,
+    layout: LayoutKind,
     channel: ChannelModel,
     coverage: f64,
     seed: u64,
@@ -543,7 +517,7 @@ pub fn simulate_planned(
 /// field.
 pub fn simulate_unlabeled(
     payload: &[u8],
-    layout: LayoutChoice,
+    layout: LayoutKind,
     channel: ChannelModel,
     coverage: f64,
     seed: u64,
@@ -705,9 +679,9 @@ mod tests {
     fn encode_decode_round_trip() {
         let payload: Vec<u8> = (0..9000u32).map(|i| (i * 31 % 256) as u8).collect();
         for layout in [
-            LayoutChoice::Baseline,
-            LayoutChoice::Gini,
-            LayoutChoice::DnaMapper,
+            LayoutKind::Baseline,
+            LayoutKind::Gini,
+            LayoutKind::DnaMapper,
         ] {
             let text = encode(&payload, layout).unwrap();
             assert!(text.starts_with("# dnastore v1"));
@@ -721,9 +695,9 @@ mod tests {
     #[test]
     fn strand_list_format_is_stable_and_parseable() {
         let payload = b"format stability".to_vec();
-        let text = encode(&payload, LayoutChoice::Gini).unwrap();
+        let text = encode(&payload, LayoutKind::Gini).unwrap();
         let (layout, len, units) = from_strand_list(&text).unwrap();
-        assert_eq!(layout, LayoutChoice::Gini);
+        assert_eq!(layout, LayoutKind::Gini);
         assert_eq!(len, payload.len());
         assert_eq!(units.len(), 1);
         assert_eq!(units[0].len(), 255);
@@ -735,6 +709,30 @@ mod tests {
         assert!(from_strand_list("").is_err());
         assert!(from_strand_list("not a header\nACGT\n").is_err());
         assert!(from_strand_list("# dnastore v1 layout=Baseline bytes=4\nACXT\n").is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_byte_count_the_units_cannot_hold() {
+        let text = encode(b"short", LayoutKind::Gini).unwrap();
+        let with_bytes = |bytes: &str| text.replacen("bytes=5 ", &format!("bytes={bytes} "), 1);
+        // One laptop unit holds 6240 bytes: exactly full still decodes
+        // (zero padding), while a larger claim — or one that overflows an
+        // allocation — is a parse error, not a panic or a short file.
+        let (full, _) = decode(&with_bytes("6240")).unwrap();
+        assert_eq!(full.len(), 6240);
+        for bytes in ["6241", "100000", "18446744073709551615"] {
+            let err = decode(&with_bytes(bytes)).unwrap_err();
+            assert!(matches!(err, CliError::Parse(_)), "bytes={bytes}: {err}");
+            assert!(err.to_string().contains("hold at most 6240"), "{err}");
+        }
+    }
+
+    #[test]
+    fn layout_parsing() {
+        assert_eq!(parse_layout("baseline").unwrap(), LayoutKind::Baseline);
+        assert_eq!(parse_layout("gini").unwrap(), LayoutKind::Gini);
+        assert_eq!(parse_layout("dnamapper").unwrap(), LayoutKind::DnaMapper);
+        assert!(matches!(parse_layout("Gini"), Err(CliError::Usage(_))));
     }
 
     #[test]
@@ -799,7 +797,7 @@ mod tests {
         for spec in TranscoderSpec::ALL {
             let run = simulate_planned(
                 &payload,
-                LayoutChoice::Gini,
+                LayoutKind::Gini,
                 parse_channel_model("uniform:0.03").unwrap(),
                 14.0,
                 9,
@@ -859,7 +857,7 @@ mod tests {
             let channel = parse_channel_model(preset).unwrap();
             let outcome = simulate_planned(
                 &payload,
-                LayoutChoice::Gini,
+                LayoutKind::Gini,
                 channel,
                 20.0,
                 11,
@@ -900,7 +898,7 @@ mod tests {
         let channel = parse_channel_model("uniform:0.02").unwrap();
         let run = simulate_unlabeled(
             &payload,
-            LayoutChoice::Gini,
+            LayoutKind::Gini,
             channel,
             10.0,
             19,
@@ -935,7 +933,7 @@ mod tests {
         let channel = parse_channel_model("dropout:0.999").unwrap();
         let run = simulate_unlabeled(
             &payload,
-            LayoutChoice::Baseline,
+            LayoutKind::Baseline,
             channel,
             4.0,
             0,
@@ -973,7 +971,7 @@ mod tests {
         // codeword for the planner to reallocate.
         let run = simulate_planned(
             &payload,
-            LayoutChoice::Baseline,
+            LayoutKind::Baseline,
             channel,
             16.0,
             13,
@@ -999,7 +997,7 @@ mod tests {
         // path and reports a single class.
         let uniform = simulate_planned(
             &payload,
-            LayoutChoice::Baseline,
+            LayoutKind::Baseline,
             parse_channel_model("nanopore-decay:0.06").unwrap(),
             16.0,
             13,
@@ -1020,7 +1018,7 @@ mod tests {
         let payload: Vec<u8> = (0..600u32).map(|i| (i * 19 % 256) as u8).collect();
         let run = simulate_planned(
             &payload,
-            LayoutChoice::Baseline,
+            LayoutKind::Baseline,
             parse_channel_model("nanopore-decay:0.06").unwrap(),
             16.0,
             13,
@@ -1044,7 +1042,7 @@ mod tests {
         // saturated `auto` on Gini succeeds instead of erroring out.
         let gini = simulate_planned(
             &payload,
-            LayoutChoice::Gini,
+            LayoutKind::Gini,
             parse_channel_model("nanopore-decay:0.06").unwrap(),
             16.0,
             13,
@@ -1061,7 +1059,7 @@ mod tests {
     fn auto_plan_on_gini_is_a_clean_error() {
         let err = simulate_planned(
             &[1, 2, 3],
-            LayoutChoice::Gini,
+            LayoutKind::Gini,
             parse_channel_model("nanopore-decay:0.06").unwrap(),
             12.0,
             1,
@@ -1116,7 +1114,7 @@ mod tests {
         let run = |model, coverage| {
             simulate_planned(
                 &payload,
-                LayoutChoice::Gini,
+                LayoutKind::Gini,
                 ChannelModel::uniform(model),
                 coverage,
                 7,

@@ -9,12 +9,12 @@
 //! ```
 
 use dna_channel::ChannelModel;
-use dna_object::ObjectStore;
+use dna_object::{LayoutKind, ObjectStore};
 use dna_server::{run_bench, serve_tcp, BenchConfig, LoadMode, ServeConfig, Server};
 use dna_skew_cli::{
     decode, encode, open_or_create_store, pack_files, parse_channel_model, parse_error_model,
-    parse_plan_arg, parse_transcoder, resolve_object, simulate_planned, simulate_unlabeled,
-    CliError, ClustererChoice, LayoutChoice, PlanChoice,
+    parse_layout, parse_plan_arg, parse_transcoder, resolve_object, simulate_planned,
+    simulate_unlabeled, CliError, ClustererChoice, PlanChoice,
 };
 use dna_strand::TranscoderSpec;
 use std::collections::HashMap;
@@ -143,11 +143,11 @@ fn run() -> Result<(), CliError> {
             positionals[0]
         )));
     }
-    let layout: LayoutChoice = flags
+    let layout = flags
         .get("layout")
-        .map(|s| s.parse())
+        .map(|s| parse_layout(s))
         .transpose()?
-        .unwrap_or(LayoutChoice::Gini);
+        .unwrap_or(LayoutKind::Gini);
     let transcoder = flags
         .get("transcoder")
         .map(|s| parse_transcoder(s))

@@ -376,8 +376,8 @@ fn merged_bit_order(sizes: &[usize]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::Layout;
     use crate::params::CodecParams;
-    use crate::pipeline::Layout;
     use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 
     fn sample_archive() -> Archive {

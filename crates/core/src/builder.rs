@@ -39,7 +39,7 @@
 //! # }
 //! ```
 
-use crate::layout::{BaselineLayout, IntoUnitLayout, UnitLayout};
+use crate::layout::Layout;
 use crate::params::CodecParams;
 use crate::pipeline::{Pipeline, RetrieveOptions};
 use crate::plan::{planned_positions, Protection, ProtectionPlan};
@@ -64,7 +64,7 @@ const PRIMER_SEED: u64 = 0xD2A7_2022;
 #[derive(Clone)]
 pub struct PipelineBuilder {
     params: Option<CodecParams>,
-    layout: Arc<dyn UnitLayout>,
+    layout: Layout,
     protection: Protection,
     consensus: Option<Arc<dyn TraceReconstructor + Send + Sync>>,
     decode_options: RetrieveOptions,
@@ -91,7 +91,7 @@ impl Default for PipelineBuilder {
     fn default() -> Self {
         PipelineBuilder {
             params: None,
-            layout: Arc::new(BaselineLayout),
+            layout: Layout::Baseline,
             protection: Protection::Uniform,
             consensus: None,
             decode_options: RetrieveOptions::default(),
@@ -115,11 +115,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Selects the data organization: a [`UnitLayout`] engine (built-in
-    /// or custom implementation), or a [`Layout`](crate::Layout) naming
-    /// one of the built-in engines.
-    pub fn layout(mut self, layout: impl IntoUnitLayout) -> Self {
-        self.layout = layout.into_unit_layout();
+    /// Selects the data organization (default [`Layout::Baseline`]).
+    pub fn layout(mut self, layout: Layout) -> Self {
+        self.layout = layout;
         self
     }
 
@@ -178,21 +176,11 @@ impl PipelineBuilder {
             StorageError::InvalidParams("builder needs a geometry: set .params(..)".into())
         })?;
 
-        // Layout validation (misconfigured engines must be typed errors
-        // here, not panics downstream).
+        // A bad Gini row list must be a typed error here, not a
+        // misplaced cell downstream.
         self.layout.validate(&params)?;
 
         let (rows, m, e) = (params.rows(), params.data_cols(), params.parity_cols());
-        // The whole architecture (plans, reports, histograms) indexes
-        // codewords 0..rows; an engine that disagrees would panic deep
-        // inside encode/decode instead of erroring here.
-        if self.layout.codeword_count(rows) != rows {
-            return Err(StorageError::InvalidParams(format!(
-                "layout {:?} declares {} codewords; this architecture requires one per row ({rows})",
-                self.layout.name(),
-                self.layout.codeword_count(rows)
-            )));
-        }
 
         // Resolve the protection policy into a concrete, validated plan.
         let plan = match self.protection {
@@ -202,7 +190,7 @@ impl PipelineBuilder {
                 plan
             }
             Protection::Auto(planner) => {
-                let plan = planner.plan(&params, self.layout.as_ref())?;
+                let plan = planner.plan(&params, &self.layout)?;
                 plan.validate_for(&params)?;
                 plan
             }
@@ -225,9 +213,9 @@ impl PipelineBuilder {
         } else {
             let family = CodeFamily::with_rates(params.field().clone(), m, plan.distinct_rates())?;
             let positions = if uniform {
-                self.layout.codeword_positions_all(rows, m, e)
+                self.layout.codeword_positions(rows, m, e)
             } else {
-                planned_positions(self.layout.as_ref(), rows, m, e, &plan)
+                planned_positions(&self.layout, rows, m, e, &plan)
             };
             (Some(Arc::new(family)), positions)
         };
@@ -258,7 +246,6 @@ impl PipelineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Layout;
     use dna_consensus::IterativeReconstructor;
     use dna_gf::Field;
 
@@ -274,35 +261,6 @@ mod tests {
         // 20 + 5 = 25 columns exceed GF(16)'s 15-symbol codewords.
         let err = CodecParams::new(Field::gf16(), 6, 20, 5, 6).unwrap_err();
         assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
-    }
-
-    #[test]
-    fn out_of_range_excluded_rows_are_rejected() {
-        let base = || Pipeline::builder().params(CodecParams::tiny().unwrap());
-        assert!(base()
-            .layout(Layout::Gini {
-                excluded_rows: vec![6]
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .layout(Layout::Gini {
-                excluded_rows: vec![2, 2]
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .layout(Layout::Gini {
-                excluded_rows: (0..6).collect()
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .layout(Layout::Gini {
-                excluded_rows: vec![0, 5]
-            })
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -222,8 +222,8 @@ where
 mod tests {
     use super::*;
     use crate::archive::{FileEntry, RankingPolicy};
+    use crate::layout::Layout;
     use crate::params::CodecParams;
-    use crate::pipeline::Layout;
     use dna_channel::ErrorModel;
 
     fn build(params: CodecParams, layout: Layout) -> Pipeline {

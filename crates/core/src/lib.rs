@@ -47,9 +47,7 @@
 mod archive;
 mod builder;
 mod experiment;
-mod geometry;
 mod layout;
-mod mapper;
 mod matrix;
 mod params;
 mod pipeline;
@@ -63,12 +61,10 @@ mod workspace;
 pub use archive::{Archive, ArchiveCodec, FileEntry, RankingPolicy};
 pub use builder::PipelineBuilder;
 pub use experiment::{min_coverage, min_coverage_with, quality_sweep, QualityPoint};
-pub use geometry::{CodewordGeometry, DiagonalGeometry, RowGeometry};
-pub use layout::{BaselineLayout, GiniLayout, IntoUnitLayout, PriorityLayout, UnitLayout};
-pub use mapper::{BaselineMapper, DataMapper, PriorityMapper};
+pub use layout::Layout;
 pub use matrix::SymbolMatrix;
 pub use params::CodecParams;
-pub use pipeline::{EncodedUnit, Layout, Pipeline, RetrieveOptions, UnitReads};
+pub use pipeline::{EncodedUnit, Pipeline, RetrieveOptions, UnitReads};
 pub use plan::{PlannerWarning, Protection, ProtectionClass, ProtectionPlan, ProtectionPlanner};
 pub use recovery::{RecoveryPipeline, RecoveryReport};
 pub use report::{ClassReport, CodewordReport, DecodeReport};

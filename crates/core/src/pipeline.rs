@@ -3,7 +3,7 @@
 //! units and deterministic parallel batches.
 
 use crate::builder::PipelineBuilder;
-use crate::layout::{BaselineLayout, GiniLayout, IntoUnitLayout, PriorityLayout, UnitLayout};
+use crate::layout::Layout;
 use crate::matrix::SymbolMatrix;
 use crate::params::CodecParams;
 use crate::plan::ProtectionPlan;
@@ -18,63 +18,6 @@ use dna_reed_solomon::{CodeFamily, RsError};
 use dna_strand::{bits, DnaString, Primer, StrandTranscoder};
 use std::cell::RefCell;
 use std::sync::Arc;
-
-/// Which of the paper's data organizations a unit uses.
-///
-/// The named spec for the three built-in engines ([`BaselineLayout`],
-/// [`GiniLayout`], [`PriorityLayout`]; see [`Layout::engine`]): a plain
-/// value the CLI parses, the object store's pool header records, and
-/// experiment harnesses compare. [`PipelineBuilder::layout`] takes it or
-/// any [`UnitLayout`] engine directly; a custom layout implements
-/// [`UnitLayout`] and has no `Layout` variant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Layout {
-    /// Paper Fig. 1: row codewords, column-major data (skew-oblivious).
-    Baseline,
-    /// Paper Fig. 8: diagonal codeword interleaving. `excluded_rows` may
-    /// reserve rows as dedicated reliability classes (Fig. 8b).
-    Gini {
-        /// Rows kept as row-codewords outside the interleaving.
-        excluded_rows: Vec<usize>,
-    },
-    /// Paper Fig. 9: priority zig-zag data mapping over row codewords
-    /// (parity is computed after mapping and never remapped).
-    DnaMapper,
-}
-
-impl Layout {
-    /// A short name for figures and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Layout::Baseline => "baseline",
-            Layout::Gini { .. } => "gini",
-            Layout::DnaMapper => "dnamapper",
-        }
-    }
-
-    /// The [`UnitLayout`] engine this variant shims onto.
-    pub fn engine(&self) -> Arc<dyn UnitLayout> {
-        match self {
-            Layout::Baseline => Arc::new(BaselineLayout),
-            Layout::Gini { excluded_rows } => {
-                Arc::new(GiniLayout::with_excluded_rows(excluded_rows.clone()))
-            }
-            Layout::DnaMapper => Arc::new(PriorityLayout),
-        }
-    }
-}
-
-impl IntoUnitLayout for Layout {
-    fn into_unit_layout(self) -> Arc<dyn UnitLayout> {
-        self.engine()
-    }
-}
-
-impl IntoUnitLayout for &Layout {
-    fn into_unit_layout(self) -> Arc<dyn UnitLayout> {
-        self.engine()
-    }
-}
 
 /// One encoded unit: the synthesized molecules.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,7 +99,7 @@ impl RetrieveOptions {
 #[derive(Clone)]
 pub struct Pipeline {
     params: CodecParams,
-    layout: Arc<dyn UnitLayout>,
+    layout: Layout,
     plan: ProtectionPlan,
     /// One code per distinct plan rate (a uniform plan is a one-rate
     /// family); `None` when `parity_cols == 0` and no error correction
@@ -199,7 +142,7 @@ impl Pipeline {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         params: CodecParams,
-        layout: Arc<dyn UnitLayout>,
+        layout: Layout,
         plan: ProtectionPlan,
         rs: Option<Arc<CodeFamily>>,
         cw_positions: Vec<Vec<(usize, usize)>>,
@@ -232,10 +175,9 @@ impl Pipeline {
         &self.params
     }
 
-    /// The layout engine in use (a built-in when the builder was given a
-    /// [`Layout`]).
-    pub fn layout(&self) -> &dyn UnitLayout {
-        self.layout.as_ref()
+    /// The layout in use.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// The protection plan in effect: uniform at
@@ -274,8 +216,8 @@ impl Pipeline {
     /// builder draws a deterministic pair whenever the geometry has a
     /// primer length). The object store re-keys per capsule this way:
     /// every capsule owns its own PCR address while sharing one codec
-    /// geometry. Cheap: the RS bank, layout, and consensus engines are
-    /// shared behind `Arc`s.
+    /// geometry. Cheap: the RS bank, codeword cells, and consensus engine
+    /// are shared behind `Arc`s.
     ///
     /// # Errors
     ///
@@ -1179,39 +1121,6 @@ mod tests {
         assert_eq!(report.codewords[0].declared_erasures, 1);
         assert_eq!(report.row_erasures.iter().sum::<usize>(), 6);
         assert!(report.row_erasures.iter().all(|&e| e == 1));
-    }
-
-    #[test]
-    fn engines_with_non_row_codeword_counts_are_rejected_at_build() {
-        #[derive(Debug)]
-        struct TooManyCodewords;
-        impl crate::layout::UnitLayout for TooManyCodewords {
-            fn name(&self) -> &str {
-                "toomany"
-            }
-            fn place(&self, p: usize, rows: usize, _m: usize) -> (usize, usize) {
-                (p % rows, p / rows)
-            }
-            fn codeword_count(&self, rows: usize) -> usize {
-                rows + 1
-            }
-            fn codeword_positions(
-                &self,
-                k: usize,
-                _rows: usize,
-                data_cols: usize,
-                parity_cols: usize,
-            ) -> Vec<(usize, usize)> {
-                (0..data_cols + parity_cols).map(|c| (k, c)).collect()
-            }
-        }
-        let err = Pipeline::builder()
-            .params(headroom_params())
-            .layout(TooManyCodewords)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
-        assert!(err.to_string().contains("one per row"), "{err}");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! # }
 //! ```
 
-use crate::layout::UnitLayout;
+use crate::layout::Layout;
 use crate::params::CodecParams;
 use crate::skew::{binom_cdf, SkewProfile};
 use crate::StorageError;
@@ -246,7 +246,7 @@ impl ProtectionPlan {
 /// plan must *not* take this path — the legacy per-layout parity
 /// placement is the byte-compatibility contract.
 pub(crate) fn planned_positions(
-    layout: &dyn UnitLayout,
+    layout: &Layout,
     rows: usize,
     data_cols: usize,
     parity_cols: usize,
@@ -260,7 +260,7 @@ pub(crate) fn planned_positions(
         let r = j % rows;
         (r, data_cols + (j / rows + r) % parity_cols)
     };
-    let mut positions = layout.codeword_positions_all(rows, data_cols, parity_cols);
+    let mut positions = layout.codeword_positions(rows, data_cols, parity_cols);
     let mut next_slot = 0usize;
     for (k, pos) in positions.iter_mut().enumerate() {
         pos.truncate(data_cols);
@@ -286,13 +286,13 @@ pub(crate) fn planned_positions(
 /// # Examples
 ///
 /// ```
-/// use dna_storage::{BaselineLayout, CodecParams, ProtectionPlanner, SkewProfile};
+/// use dna_storage::{CodecParams, Layout, ProtectionPlanner, SkewProfile};
 ///
 /// # fn main() -> Result<(), dna_storage::StorageError> {
 /// // 6 rows with a hot tail; budget = 6 × 4 parity cells.
 /// let profile = SkewProfile::from_rates(vec![0.01, 0.01, 0.01, 0.02, 0.06, 0.12])?;
 /// let params = CodecParams::new(dna_gf::Field::gf16(), 6, 8, 4, 4)?;
-/// let plan = ProtectionPlanner::new(profile).plan(&params, &BaselineLayout)?;
+/// let plan = ProtectionPlanner::new(profile).plan(&params, &Layout::Baseline)?;
 /// assert!(plan.total_parity() <= 24, "never exceeds the budget");
 /// assert!(plan.parity_of(5) > plan.parity_of(0), "hot rows get more parity");
 /// # Ok(())
@@ -355,7 +355,7 @@ impl ProtectionPlanner {
     pub fn plan(
         &self,
         params: &CodecParams,
-        layout: &dyn UnitLayout,
+        layout: &Layout,
     ) -> Result<ProtectionPlan, StorageError> {
         self.plan_with_warnings(params, layout)
             .map(|(plan, _)| plan)
@@ -375,20 +375,13 @@ impl ProtectionPlanner {
     pub fn plan_with_warnings(
         &self,
         params: &CodecParams,
-        layout: &dyn UnitLayout,
+        layout: &Layout,
     ) -> Result<(ProtectionPlan, Vec<PlannerWarning>), StorageError> {
         let rows = params.rows();
         if self.profile.rows() != rows {
             return Err(StorageError::InvalidParams(format!(
                 "skew profile covers {} rows but the unit has {rows}",
                 self.profile.rows()
-            )));
-        }
-        if layout.codeword_count(rows) != rows {
-            return Err(StorageError::InvalidParams(format!(
-                "layout {:?} declares {} codewords; planning requires one per row ({rows})",
-                layout.name(),
-                layout.codeword_count(rows)
             )));
         }
         if params.parity_cols() == 0 {
@@ -427,7 +420,7 @@ impl ProtectionPlanner {
         // Predicted per-symbol error rate of codeword k: the profile's
         // mean over the rows its data cells occupy.
         let p_k: Vec<f64> = layout
-            .codeword_positions_all(rows, m, params.parity_cols())
+            .codeword_positions(rows, m, params.parity_cols())
             .iter()
             .map(|pos| {
                 pos[..m]
@@ -572,7 +565,7 @@ impl From<SkewProfile> for Protection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{BaselineLayout, GiniLayout};
+    use crate::layout::Layout;
     use dna_gf::Field;
 
     fn headroom_params() -> CodecParams {
@@ -623,7 +616,7 @@ mod tests {
         let params = headroom_params();
         let profile = SkewProfile::from_rates(vec![0.005, 0.005, 0.01, 0.02, 0.08, 0.15]).unwrap();
         let plan = ProtectionPlanner::new(profile)
-            .plan(&params, &BaselineLayout)
+            .plan(&params, &Layout::Baseline)
             .unwrap();
         assert_eq!(plan.codewords(), 6);
         assert!(plan.total_parity() <= 24);
@@ -638,8 +631,8 @@ mod tests {
         let params = headroom_params();
         let profile = SkewProfile::from_rates(vec![0.01, 0.03, 0.02, 0.09, 0.04, 0.11]).unwrap();
         let planner = ProtectionPlanner::new(profile).erasure_rate(0.02).unwrap();
-        let a = planner.plan(&params, &BaselineLayout).unwrap();
-        let b = planner.plan(&params, &BaselineLayout).unwrap();
+        let a = planner.plan(&params, &Layout::Baseline).unwrap();
+        let b = planner.plan(&params, &Layout::Baseline).unwrap();
         assert_eq!(a, b);
     }
 
@@ -648,7 +641,12 @@ mod tests {
         let params = headroom_params();
         let profile = SkewProfile::uniform(6, 0.02).unwrap();
         let err = ProtectionPlanner::new(profile.clone())
-            .plan(&params, &GiniLayout::new())
+            .plan(
+                &params,
+                &Layout::Gini {
+                    excluded_rows: vec![],
+                },
+            )
             .unwrap_err();
         assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
         assert!(err.to_string().contains("unequal protection"), "{err}");
@@ -663,13 +661,13 @@ mod tests {
         // Profile/geometry row mismatch.
         let short = SkewProfile::uniform(5, 0.02).unwrap();
         assert!(ProtectionPlanner::new(short)
-            .plan(&params, &BaselineLayout)
+            .plan(&params, &Layout::Baseline)
             .is_err());
 
         // A parity floor that cannot fit the budget.
         assert!(ProtectionPlanner::new(profile)
             .min_parity(5)
-            .plan(&params, &BaselineLayout)
+            .plan(&params, &Layout::Baseline)
             .is_err());
     }
 
@@ -678,7 +676,7 @@ mod tests {
         let params = headroom_params();
         let profile = SkewProfile::uniform(6, 0.04).unwrap();
         let plan = ProtectionPlanner::new(profile)
-            .plan(&params, &BaselineLayout)
+            .plan(&params, &Layout::Baseline)
             .unwrap();
         // With no skew the greedy spread stays within one symbol of even.
         let (lo, hi) = (plan.parities().iter().min(), plan.parities().iter().max());
@@ -698,7 +696,7 @@ mod tests {
         )
         .unwrap();
         let (plan, warnings) = ProtectionPlanner::new(profile.clone())
-            .plan_with_warnings(&params, &BaselineLayout)
+            .plan_with_warnings(&params, &Layout::Baseline)
             .unwrap();
         assert!(plan.is_uniform_at(params.parity_cols()), "{plan:?}");
         assert_eq!(
@@ -712,7 +710,7 @@ mod tests {
         assert!(warnings[0].to_string().contains("field-saturated"));
         // plan() applies the same fallback silently.
         let silent = ProtectionPlanner::new(profile.clone())
-            .plan(&params, &BaselineLayout)
+            .plan(&params, &Layout::Baseline)
             .unwrap();
         assert_eq!(silent, plan);
 
@@ -728,7 +726,7 @@ mod tests {
         )
         .unwrap();
         let (plan, warnings) = ProtectionPlanner::new(profile)
-            .plan_with_warnings(&roomy, &BaselineLayout)
+            .plan_with_warnings(&roomy, &Layout::Baseline)
             .unwrap();
         assert!(warnings.is_empty(), "{warnings:?}");
         assert!(!plan.is_uniform(), "{plan:?}");

@@ -8,41 +8,12 @@ use dna_channel::{
     SequencingBackend, SimulatedSequencer,
 };
 use dna_storage::{
-    min_coverage, CodecParams, DecodeReport, GiniLayout, Layout, Pipeline, ProtectionPlan,
-    ProtectionPlanner, RecoveryPipeline, RetrieveOptions, Scenario, SkewProfile, StorageError,
-    UnitLayout, UnitReads,
+    min_coverage, CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlan, ProtectionPlanner,
+    RecoveryPipeline, RetrieveOptions, Scenario, SkewProfile, StorageError, UnitReads,
 };
 
 fn tiny() -> CodecParams {
     CodecParams::tiny().expect("tiny params")
-}
-
-#[test]
-fn gini_engine_validation_matches_the_builder_shim() {
-    // The typed errors live on the engine itself; the `Layout` spec path
-    // through the builder must surface the identical diagnostics.
-    for (engine, needle) in [
-        (GiniLayout::with_excluded_rows([17]), "out of range"),
-        (GiniLayout::with_excluded_rows([1, 1]), "listed twice"),
-        (
-            GiniLayout::with_excluded_rows((0..6).collect::<Vec<_>>()),
-            "remain interleaved",
-        ),
-    ] {
-        let direct = engine.validate(&tiny()).unwrap_err();
-        assert!(matches!(direct, StorageError::InvalidParams(_)), "{direct}");
-        assert!(direct.to_string().contains(needle), "{direct}");
-
-        let via_builder = Pipeline::builder()
-            .params(tiny())
-            .layout(engine)
-            .build()
-            .unwrap_err();
-        assert_eq!(direct.to_string(), via_builder.to_string());
-    }
-    assert!(GiniLayout::with_excluded_rows([0, 5])
-        .validate(&tiny())
-        .is_ok());
 }
 
 #[test]

@@ -1,53 +1,75 @@
-//! Property tests for the storage core: geometry partitions, mapper and
-//! layout-engine bijectivity, zero-noise pipeline round-trips for
-//! arbitrary payloads and layouts (planned protection included), and
-//! planner determinism under the density budget.
+//! Property tests for the storage core: every layout's cell maps
+//! (codeword partition and payload placement), zero-noise pipeline
+//! round-trips for arbitrary payloads and layouts (planned protection
+//! included), and planner determinism under the density budget.
 
 use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
-use dna_storage::{
-    BaselineLayout, BaselineMapper, CodecParams, CodewordGeometry, DataMapper, DiagonalGeometry,
-    GiniLayout, Layout, Pipeline, PriorityLayout, PriorityMapper, ProtectionPlan,
-    ProtectionPlanner, RowGeometry, SkewProfile, UnitLayout,
-};
+use dna_storage::{CodecParams, Layout, Pipeline, ProtectionPlan, ProtectionPlanner, SkewProfile};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
 
-fn geometry_shape() -> impl Strategy<Value = (usize, usize, usize)> {
-    // rows 1..12, data cols 1..20, parity 0..8 with rows ≤ something sane.
-    (1usize..12, 1usize..20, 0usize..8)
+/// Every layout variant, with a random excluded-row subset for Gini
+/// (kept unsorted when `reverse`, at least one row left interleaved).
+fn any_layout(rows: usize, pick: usize, exclude_mask: u16, reverse: bool) -> Layout {
+    match pick {
+        0 => Layout::Baseline,
+        1 => {
+            let mut excluded_rows: Vec<usize> =
+                (0..rows).filter(|r| exclude_mask & (1 << r) != 0).collect();
+            if excluded_rows.len() == rows {
+                excluded_rows.pop();
+            }
+            if reverse {
+                excluded_rows.reverse();
+            }
+            Layout::Gini { excluded_rows }
+        }
+        _ => Layout::DnaMapper,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn row_geometry_partitions_cells((rows, m, e) in geometry_shape()) {
-        let geom = RowGeometry::new(rows, m, e);
-        check_partition(&geom, rows, m, e)?;
-    }
-
-    #[test]
-    fn diagonal_geometry_partitions_cells(
-        (rows, m, e) in geometry_shape(),
+    fn every_layout_partitions_cells_and_places_bijectively(
+        (rows, m, e) in (1usize..12, 1usize..20, 1usize..8),
+        pick in 0usize..3,
         exclude_mask in any::<u16>(),
+        reverse in any::<bool>(),
     ) {
-        // Derive an excluded-row subset from the mask, keeping ≥ 1 included.
-        let excluded: Vec<usize> = (0..rows)
-            .filter(|r| exclude_mask & (1 << r) != 0)
-            .collect();
-        prop_assume!(excluded.len() < rows);
-        let geom = DiagonalGeometry::new(rows, m, e, &excluded);
-        check_partition(&geom, rows, m, e)?;
-    }
+        let layout = any_layout(rows, pick, exclude_mask, reverse);
+        let params = CodecParams::new(dna_gf::Field::gf256(), rows, m, e, 8).unwrap();
+        let pipeline = Pipeline::builder()
+            .params(params)
+            .layout(layout.clone())
+            .build()
+            .unwrap();
 
-    #[test]
-    fn mappers_are_bijections((rows, m, _) in geometry_shape()) {
-        for mapper in [&BaselineMapper as &dyn DataMapper, &PriorityMapper] {
-            let cells: HashSet<(usize, usize)> =
-                mapper.placement(rows, m).into_iter().collect();
-            prop_assert_eq!(cells.len(), rows * m);
+        // The codewords partition every cell: one per row, data cells
+        // first, and no codeword touches a column twice.
+        let cols = m + e;
+        let codewords = pipeline.codeword_positions();
+        prop_assert_eq!(codewords.len(), rows);
+        let mut seen = HashSet::new();
+        for (k, cells) in codewords.iter().enumerate() {
+            prop_assert_eq!(cells.len(), cols);
+            let col_set: HashSet<usize> = cells.iter().map(|&(_, c)| c).collect();
+            prop_assert_eq!(col_set.len(), cols, "{:?} codeword {} repeats a column", layout, k);
+            for (i, &(r, c)) in cells.iter().enumerate() {
+                prop_assert!(r < rows && c < cols);
+                prop_assert_eq!(i < m, c < m, "{:?} codeword {} data/parity split", layout, k);
+                prop_assert!(seen.insert((r, c)), "{:?} cell ({}, {}) claimed twice", layout, r, c);
+            }
         }
+        prop_assert_eq!(seen.len(), rows * cols);
+
+        // `place` is a bijection onto the data region.
+        let placed: HashSet<(usize, usize)> = (0..rows * m)
+            .map(|p| pipeline.layout().place(p, rows, m))
+            .collect();
+        prop_assert_eq!(placed.len(), rows * m, "{:?} placement is not a bijection", layout);
+        prop_assert!(placed.iter().all(|&(r, c)| r < rows && c < m));
     }
 
     #[test]
@@ -77,24 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn unit_layouts_place_bijectively((rows, m, _) in geometry_shape()) {
-        let engines: Vec<Arc<dyn UnitLayout>> = vec![
-            Arc::new(BaselineLayout),
-            Arc::new(GiniLayout::new()),
-            Arc::new(PriorityLayout),
-        ];
-        for engine in engines {
-            let cells: HashSet<(usize, usize)> = (0..rows * m)
-                .map(|p| engine.place(p, rows, m))
-                .collect();
-            prop_assert_eq!(cells.len(), rows * m, "{} not a bijection", engine.name());
-            for &(r, c) in &cells {
-                prop_assert!(r < rows && c < m);
-            }
-        }
-    }
-
-    #[test]
     fn planner_is_deterministic_and_respects_the_budget(
         raw_rates in proptest::collection::vec(0.0f64..0.25, 6),
         erasure_rate in 0.0f64..0.2,
@@ -107,12 +111,12 @@ proptest! {
             .erasure_rate(erasure_rate)
             .unwrap()
             .min_parity(min_parity);
-        let plan = planner.plan(&params, &BaselineLayout).unwrap();
+        let plan = planner.plan(&params, &Layout::Baseline).unwrap();
         prop_assert!(plan.total_parity() <= 24, "budget: {:?}", plan.parities());
         prop_assert!(plan.max_parity() <= 7, "field cap: {:?}", plan.parities());
         prop_assert_eq!(plan.codewords(), 6);
         // Same inputs, same plan — nothing in the planner is randomized.
-        let again = planner.plan(&params, &BaselineLayout).unwrap();
+        let again = planner.plan(&params, &Layout::Baseline).unwrap();
         prop_assert_eq!(plan, again);
     }
 
@@ -171,27 +175,4 @@ proptest! {
         let (decoded, _) = pipeline.decode_unit(pool.clusters()).unwrap();
         prop_assert_eq!(&decoded[..], &payload[..]);
     }
-}
-
-fn check_partition(
-    geom: &dyn CodewordGeometry,
-    rows: usize,
-    data_cols: usize,
-    parity_cols: usize,
-) -> Result<(), TestCaseError> {
-    let cols = data_cols + parity_cols;
-    let mut seen = HashSet::new();
-    for k in 0..geom.codeword_count() {
-        let pos = geom.codeword_positions(k);
-        prop_assert_eq!(pos.len(), cols);
-        let col_set: HashSet<usize> = pos.iter().map(|&(_, c)| c).collect();
-        prop_assert_eq!(col_set.len(), cols, "codeword {} repeats a column", k);
-        for (i, &(r, c)) in pos.iter().enumerate() {
-            prop_assert!(r < rows && c < cols);
-            prop_assert_eq!(i < data_cols, c < data_cols);
-            prop_assert!(seen.insert((r, c)), "cell ({}, {}) claimed twice", r, c);
-        }
-    }
-    prop_assert_eq!(seen.len(), rows * cols);
-    Ok(())
 }

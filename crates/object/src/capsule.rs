@@ -50,7 +50,7 @@ fn corrupt(reason: impl Into<String>) -> StorageError {
     }
 }
 
-/// Which built-in layout engine the pool was written with.
+/// Which [`Layout`] the pool was written with, as its wire id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayoutKind {
     /// Row codewords, column-major data.
@@ -117,7 +117,7 @@ pub struct PoolHeader {
     pub version: u16,
     /// Symbol width of the GF field (4, 8, or 16 bits).
     pub field_width: u8,
-    /// Layout engine.
+    /// Layout.
     pub layout: LayoutKind,
     /// Matrix rows.
     pub rows: u16,

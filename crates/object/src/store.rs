@@ -45,7 +45,7 @@ pub struct StoreConfig {
     /// Unit geometry (must have `primer_len() > 0`: primers are the
     /// address space).
     pub params: CodecParams,
-    /// Layout engine (built-ins only; recorded in the pool header).
+    /// Layout (Gini without excluded rows; recorded in the pool header).
     pub layout: Layout,
     /// Encoding units per data capsule: the random-access granularity.
     pub units_per_capsule: u32,

@@ -125,10 +125,10 @@ pub mod prelude {
     pub use dna_object::{FetchOptions, FetchReport, Manifest, ObjectStore, StoreConfig};
     pub use dna_server::{serve_tcp, LocalClient, ServeConfig, Server};
     pub use dna_storage::{
-        min_coverage, min_coverage_with, quality_sweep, Archive, ArchiveCodec, BaselineLayout,
-        CodecParams, DecodeReport, FileEntry, GiniLayout, Layout, Pipeline, PipelineBuilder,
-        PriorityLayout, ProtectionPlan, ProtectionPlanner, RankingPolicy, RecoveryPipeline,
-        RecoveryReport, RetrieveOptions, Scenario, SkewProfile, UnitLayout, UnitReads,
+        min_coverage, min_coverage_with, quality_sweep, Archive, ArchiveCodec, CodecParams,
+        DecodeReport, FileEntry, Layout, Pipeline, PipelineBuilder, ProtectionPlan,
+        ProtectionPlanner, RankingPolicy, RecoveryPipeline, RecoveryReport, RetrieveOptions,
+        Scenario, SkewProfile, UnitReads,
     };
     pub use dna_strand::{Base, DnaString};
 }

@@ -773,6 +773,114 @@ fn recovery_matrix_is_thread_count_invariant() {
     }
 }
 
+/// The layout conformance table: every built-in layout's cell maps at
+/// three geometries. Encode and decode share a layout, so a round trip
+/// cannot see a moved cell, yet every pool written before the move would
+/// stop decoding. Each line hashes the codeword cell lists, the payload
+/// placement of every data position, and the strands of one patterned
+/// unit. Regenerate only after an *intentional* pool-format change with
+/// `DNA_SKEW_BLESS=1`.
+fn compute_layout_tables() -> Vec<String> {
+    let geometries = [
+        ("tiny", CodecParams::tiny().unwrap()),
+        ("laptop", CodecParams::laptop().unwrap()),
+        (
+            "gf256-30x160+24",
+            CodecParams::new(dna_skew::gf::Field::gf256(), 30, 160, 24, 8).unwrap(),
+        ),
+    ];
+    let mut out = Vec::new();
+    for (gname, params) in geometries {
+        let (rows, data_cols) = (params.rows(), params.data_cols());
+        let last = rows - 1;
+        let layouts = [
+            Layout::Baseline,
+            Layout::Gini {
+                excluded_rows: vec![],
+            },
+            Layout::Gini {
+                excluded_rows: vec![0, last],
+            },
+            Layout::Gini {
+                excluded_rows: vec![last, 1],
+            },
+            Layout::DnaMapper,
+        ];
+        for layout in layouts {
+            let pipeline = Pipeline::builder()
+                .params(params.clone())
+                .layout(layout.clone())
+                .build()
+                .unwrap();
+            let mut cells = Vec::new();
+            for codeword in pipeline.codeword_positions() {
+                cells.push(0xFE);
+                for &(r, c) in codeword {
+                    cells.extend_from_slice(&(r as u32).to_le_bytes());
+                    cells.extend_from_slice(&(c as u32).to_le_bytes());
+                }
+            }
+            let mut place = Vec::new();
+            for p in 0..rows * data_cols {
+                let (r, c) = pipeline.layout().place(p, rows, data_cols);
+                place.extend_from_slice(&(r as u32).to_le_bytes());
+                place.extend_from_slice(&(c as u32).to_le_bytes());
+            }
+            let payload: Vec<u8> = (0..pipeline.payload_capacity())
+                .map(|i| (i.wrapping_mul(151) % 256) as u8)
+                .collect();
+            let unit = pipeline.encode_unit(&payload).unwrap();
+            let mut strands = Vec::new();
+            for strand in unit.strands() {
+                strands.push(0xFD);
+                strands.extend(strand.iter().map(|b| b.to_bits()));
+            }
+            let lname = match &layout {
+                Layout::Gini { excluded_rows } => format!("gini{excluded_rows:?}"),
+                other => other.name().to_string(),
+            };
+            out.push(format!(
+                "geometry={gname} layout={lname} cells={:#018x} place={:#018x} strands={:#018x}",
+                fnv64(&cells),
+                fnv64(&place),
+                fnv64(&strands),
+            ));
+        }
+    }
+    out
+}
+
+/// Golden layout tables, generated before the layout engines were
+/// folded into `Layout`; they must never change without a pool-format
+/// version bump.
+const LAYOUT_TABLES_GOLDEN: [&str; 15] = [
+    "geometry=tiny layout=baseline cells=0xcf4ab799d4e16c16 place=0xe99a2b46bee1fb65 strands=0xb036f1e59a847d7f",
+    "geometry=tiny layout=gini[] cells=0xfefa4da4e07c7dd4 place=0xe99a2b46bee1fb65 strands=0xf729e8488bfaf81e",
+    "geometry=tiny layout=gini[0, 5] cells=0x8c29552aee6ce862 place=0xe99a2b46bee1fb65 strands=0x334105951a146c0f",
+    "geometry=tiny layout=gini[5, 1] cells=0x49f21ad1b7b703e4 place=0xe99a2b46bee1fb65 strands=0x059d1ca534e5cd3d",
+    "geometry=tiny layout=dnamapper cells=0xcf4ab799d4e16c16 place=0xc96c8d23e53b1445 strands=0x85d59133c4aac5c1",
+    "geometry=laptop layout=baseline cells=0xf345eae4bd2209d6 place=0xdba5bfe960b1c025 strands=0xd741b75d7745aefb",
+    "geometry=laptop layout=gini[] cells=0xe063f82b2d6cafe8 place=0xdba5bfe960b1c025 strands=0x11533d38e8c5a323",
+    "geometry=laptop layout=gini[0, 29] cells=0xe8a9d02aa8233b72 place=0xdba5bfe960b1c025 strands=0x813e4e8a4a058276",
+    "geometry=laptop layout=gini[29, 1] cells=0xb757354e52dae04c place=0xdba5bfe960b1c025 strands=0xb6ad0bc8880e2d3a",
+    "geometry=laptop layout=dnamapper cells=0xf345eae4bd2209d6 place=0xd6aeaa9037cdad25 strands=0xc2882b077ca157e5",
+    "geometry=gf256-30x160+24 layout=baseline cells=0xf66947fb88e01b1d place=0x0001a411c93e8d25 strands=0xf0aa8c020e37f24e",
+    "geometry=gf256-30x160+24 layout=gini[] cells=0xff642a8c5f499f3d place=0x0001a411c93e8d25 strands=0x04aeb3355d92c303",
+    "geometry=gf256-30x160+24 layout=gini[0, 29] cells=0x0677204cec8f78dd place=0x0001a411c93e8d25 strands=0x5f5b4ad44be0c192",
+    "geometry=gf256-30x160+24 layout=gini[29, 1] cells=0x7beb7a8a99b7089f place=0x0001a411c93e8d25 strands=0xfbb18de3dcbcdac0",
+    "geometry=gf256-30x160+24 layout=dnamapper cells=0xf66947fb88e01b1d place=0xa88c7744711ddc25 strands=0xffe97afd9048f847",
+];
+
+#[test]
+fn layout_tables_match_golden_cell_maps() {
+    let _guard = env_guard();
+    assert_matches(
+        &compute_layout_tables(),
+        &LAYOUT_TABLES_GOLDEN,
+        "layout tables",
+    );
+}
+
 /// The uniform-preset pool fingerprints, captured from the pre-channel-
 /// model release: `SimulatedSequencer::new` (and the whole
 /// `ChannelModel::uniform` path) must reproduce these pools byte-for-byte
