@@ -184,7 +184,7 @@ fn bench_align_and_consensus(c: &mut Criterion) {
     c.bench_function("consensus_two_way_n10_l124", |b| {
         b.iter(|| black_box(BmaTwoWay::default().reconstruct(&reads, 124)))
     });
-    // All-reads-agree consensus: the u64 chunk-probe fast path.
+    // All-reads-agree consensus: every step is a full 8-column run.
     let clean_reads = vec![a.clone(); 10];
     c.bench_function("consensus_two_way_clean_n10_l124", |b| {
         b.iter(|| black_box(BmaTwoWay::default().reconstruct(&clean_reads, 124)))

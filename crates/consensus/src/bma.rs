@@ -2,6 +2,8 @@
 
 use crate::TraceReconstructor;
 use dna_strand::{Base, DnaString};
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// The one-way (left-to-right) majority-with-lookahead reconstruction.
 ///
@@ -38,263 +40,267 @@ impl Default for BmaOneWay {
     }
 }
 
-/// Reads base `c` of a read in scan order: `FWD` is left-to-right, else
-/// right-to-left (read position `c` maps to `len−1−c`), which is how the
-/// two-way pass avoids materializing reversed copies of every read.
-#[inline]
-fn at<const FWD: bool>(r: &[Base], c: usize) -> Base {
-    if FWD {
-        r[c]
-    } else {
-        r[r.len() - 1 - c]
-    }
+/// The arena byte past the end of every read: no base, so it votes for
+/// nothing, matches no window byte, and marks its read exhausted.
+const EXHAUSTED: u8 = 4;
+/// The window byte of a depth no agreeing read reached: no arena byte.
+const NO_VOTE: u8 = 7;
+/// The low and the high bit of every byte lane of a word.
+const LOW: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = LOW << 7;
+
+/// Flags (high bit) every nonzero byte lane of `x`, exact for lanes below
+/// `0x80` as XORs of arena and window bytes are: `+ 0x7F` carries no further.
+fn nonzero_lanes(x: u64) -> u64 {
+    (x + 0x7F * LOW) & HIGH
 }
 
-/// The next 8 scan-order bases of a read packed one byte per base into a
-/// `u64` — the chunked unanimity comparison key. Requires `c + 8 ≤ len`.
-#[inline]
-fn window8<const FWD: bool>(r: &[Base], c: usize) -> u64 {
-    let mut w = 0u64;
-    for i in 0..8 {
-        w = (w << 8) | u64::from(at::<FWD>(r, c + i) as u8);
-    }
-    w
+/// Flags every lane of an arena word holding [`EXHAUSTED`] (bit 2 set).
+fn exhausted_lanes(word: u64) -> u64 {
+    (word << 5) & HIGH
 }
 
-/// The 8-column unanimity fast path: when every non-exhausted read has at
-/// least 8 characters left and their next-8 windows are all equal, the
-/// scalar scan would run 8 consecutive unanimous iterations — emit those 8
-/// characters and advance every active cursor by 8 in one step, comparing
-/// whole [`window8`] words instead of 8 per-column voting passes. Returns
-/// `false` (taking no action) whenever the next 8 iterations could be
-/// anything else, including the all-exhausted padding case.
-#[inline]
-fn probe8<const FWD: bool>(
-    reads: &[DnaString],
-    cursors: &mut [usize],
-    out: &mut DnaString,
-) -> bool {
-    let mut first: Option<(usize, u64)> = None;
-    for (k, (r, &c)) in reads.iter().zip(cursors.iter()).enumerate() {
-        let r = r.as_slice();
-        if c >= r.len() {
-            continue; // exhausted reads never vote or advance
-        }
-        if c + 8 > r.len() {
-            return false; // would exhaust mid-chunk: scalar handles it
-        }
-        match (first, window8::<FWD>(r, c)) {
-            (None, w) => first = Some((k, w)),
-            (Some((_, fw)), w) if fw != w => return false,
-            _ => {}
+/// The number of byte lanes in which `a` equals `b`.
+fn matches(a: u64, b: u64) -> usize {
+    (((!nonzero_lanes(a ^ b) & HIGH) >> 7).wrapping_mul(LOW) >> 56) as usize
+}
+
+/// The 8 arena bytes from `at` as one word: byte lane `j` is column `at + j`.
+fn load(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte slice"))
+}
+
+/// The reads set in a bitmask of 64-read blocks.
+fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(block, &bits)| {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            let k = 64 * block + rest.trailing_zeros() as usize;
+            (rest != 0).then(|| (rest &= rest - 1, k).1)
+        })
+    })
+}
+
+/// Byte lane `lane` summed over per-block counts, each below 256, so no
+/// lane wraps at any read count.
+fn lane_total(blocks: &[u64], lane: usize) -> usize {
+    blocks
+        .iter()
+        .fold(0, |sum, b| sum + usize::from((b >> (8 * lane)) as u8))
+}
+
+/// The plurality of `byte(k)` over reads `0..n`, ties toward the smallest
+/// base, or [`NO_VOTE`] when nothing counts ([`EXHAUSTED`] never does).
+/// A 64-read block tallies in one register, a byte lane per base.
+fn plurality(n: usize, byte: impl Fn(usize) -> u64) -> u8 {
+    let mut tally = [0; 4];
+    for block in (0..n).step_by(64) {
+        let lanes = (block..n.min(block + 64)).fold(0, |l, k| l + (1 << (8 * (byte(k) & 7))));
+        for (b, t) in tally.iter_mut().enumerate() {
+            *t += lane_total(&[lanes], b);
         }
     }
-    let Some((k, _)) = first else {
-        return false;
-    };
-    let r = reads[k].as_slice();
-    let c = cursors[k];
-    for i in 0..8 {
-        out.push(at::<FWD>(r, c + i));
-    }
-    for (r, cursor) in reads.iter().zip(cursors.iter_mut()) {
-        if *cursor < r.len() {
-            *cursor += 8;
-        }
-    }
-    true
+    let best = |best: (u8, usize), b: (u8, usize)| if b.1 > best.1 { b } else { best };
+    (0u8..).zip(tally).fold((NO_VOTE, 0), best).0
+}
+
+/// The scan's scratch, one per thread and reused across calls.
+#[derive(Debug, Default)]
+struct Arena {
+    /// Every read in scan order, each followed by [`EXHAUSTED`] padding,
+    /// and the span of each read's bytes not yet consumed.
+    bytes: Vec<u8>,
+    cursors: Vec<Range<usize>>,
+    /// Each read's word at its cursor, and the `stride − 1` after it.
+    heads: Vec<u64>,
+    ahead: Vec<u64>,
+    /// Per 64-read block: the active reads that differ from the lead (or
+    /// the vote), and per byte lane the reads that differ from it or end.
+    outliers: Vec<u64>,
+    unclean: Vec<u64>,
+    /// The estimated upcoming window, depth `d` in byte lane `d`.
+    window: Vec<u64>,
+}
+
+thread_local! {
+    static ARENA: RefCell<Arena> = RefCell::new(Arena::default());
 }
 
 impl BmaOneWay {
-    /// Dispatches the const-generic scan core on the direction.
-    ///
-    /// A scan's position `t` depends only on positions `≤ t`, so asking
-    /// for fewer positions yields exactly the prefix of a longer scan —
-    /// which is how the two-way pass halves its work.
-    pub(crate) fn reconstruct_oriented(
-        &self,
-        reads: &[DnaString],
-        target_len: usize,
-        forward: bool,
-    ) -> DnaString {
-        if forward {
-            self.scan::<true>(reads, target_len)
-        } else {
-            self.scan::<false>(reads, target_len)
-        }
+    /// One scan over `target_len` positions, left-to-right when `forward`.
+    /// Position `t` depends only on positions `≤ t`, so a shorter scan is
+    /// exactly a prefix of a longer one — how the two-way pass halves its
+    /// work. Reads are copied into the arena in scan order (reversed for
+    /// the backward scan) and padded with [`EXHAUSTED`], so no step needs a
+    /// length check. A step loads every read's next 8 bytes as one word
+    /// and compares it with the lead's: the lanes where every active read
+    /// agrees form a run of unanimous columns, emitted at once. A
+    /// zero-length run is a disagreement column, served from the same words.
+    fn scan(&self, reads: &[DnaString], target_len: usize, forward: bool) -> DnaString {
+        ARENA.with(|arena| self.scan_in(&mut arena.borrow_mut(), reads, target_len, forward))
     }
 
-    /// The shared one-way core, monomorphized per direction. The lookahead
-    /// window buffer is reused across output positions, and positions where
-    /// every active read already agrees — the overwhelmingly common case at
-    /// sequencing error rates — skip the window estimation and repair
-    /// passes entirely (no read needs a repair hypothesis, and all cursors
-    /// advance by one, exactly what the full pass would do).
-    fn scan<const FWD: bool>(&self, reads: &[DnaString], target_len: usize) -> DnaString {
-        let mut cursors = vec![0usize; reads.len()];
-        let mut out = DnaString::with_capacity(target_len);
+    fn scan_in(&self, a: &mut Arena, reads: &[DnaString], len: usize, fwd: bool) -> DnaString {
         let w = self.lookahead;
-        let mut window: Vec<Option<Base>> = Vec::with_capacity(w);
-        let mut window_counts: Vec<[usize; 4]> = vec![[0; 4]; w];
-        let chunked = dna_gf::dispatch::accelerated();
-        // The chunk probe only pays when reads are agreeing for whole
-        // 8-column stretches; on disagreement-dense input it would be
-        // pure overhead on top of the scalar probe. Arm it adaptively:
-        // disarm after a failed probe, re-arm after 4 consecutive
-        // unanimous scalar columns. (Policy only affects *when* the probe
-        // runs — output is identical either way.)
-        let mut armed = chunked;
-        let mut streak = 0usize;
-        while out.len() < target_len {
-            // 1a'. Chunked unanimity probe (`DNA_SKEW_SIMD=scalar`
-            // disables it): compare whole 8-column windows while the
-            // reads keep agreeing — identical to 8 scalar iterations.
-            if armed && target_len - out.len() >= 8 {
-                if probe8::<FWD>(reads, &mut cursors, &mut out) {
-                    continue;
-                }
-                armed = false;
-                streak = 0;
+        // A disagreement column looks up to `w + 1` bytes past a cursor,
+        // `stride` words; as many words of padding keep every load inside
+        // the read's own bytes. One leading pad byte keeps every cursor
+        // above 0, so a read can step back before the pending advance.
+        let stride = (w + 2).div_ceil(8);
+        a.bytes.resize(1, EXHAUSTED);
+        a.cursors.clear();
+        for read in reads {
+            let start = a.bytes.len();
+            a.bytes.extend(read.iter().map(|&b| b as u8));
+            let end = a.bytes.len();
+            if !fwd {
+                a.bytes[start..end].reverse();
             }
-            // 1a. Unanimity probe: at sequencing error rates the active
-            // reads almost always agree, in which case the vote, window
-            // estimation, and repair passes are all dead work — every
-            // cursor just advances by one.
-            let mut first: Option<Base> = None;
-            let mut unanimous = true;
-            for (r, &c) in reads.iter().zip(cursors.iter()) {
-                let r = r.as_slice();
-                if c < r.len() {
-                    let b = at::<FWD>(r, c);
-                    match first {
-                        None => first = Some(b),
-                        Some(fb) if fb != b => {
-                            unanimous = false;
-                            break;
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-            let Some(first) = first else {
-                // All reads exhausted: pad deterministically.
-                out.push(Base::A);
-                continue;
+            a.bytes.resize(end + 8 * stride, EXHAUSTED);
+            a.cursors.push(start..end);
+        }
+        a.heads.resize(reads.len(), 0);
+        a.ahead.resize(reads.len() * (stride - 1), 0);
+        a.window.resize(stride, 0);
+        a.outliers.resize(reads.len().div_ceil(64), 0);
+        a.unclean.resize(reads.len().div_ceil(64), 0);
+        let (bytes, cursors, heads) = (&a.bytes[..], &mut a.cursors[..], &mut a.heads[..]);
+        let (outliers, unclean) = (&mut a.outliers[..], &mut a.unclean[..]);
+        let (ahead, window) = (&mut a.ahead[..], &mut a.window[..]);
+
+        let mut out = DnaString::with_capacity(len);
+        // Columns every read still has to advance past, capped at its end:
+        // the last run, or the one disagreement column.
+        let mut step = 0;
+        while out.len() < len {
+            // 1. The lead is the first read not yet exhausted. With none
+            // left, pad deterministically.
+            let Some(lead) = cursors
+                .iter()
+                .map(|c| load(bytes, (c.start + step).min(c.end)))
+                .find(|&word| word as u8 != EXHAUSTED)
+            else {
+                out.extend((out.len()..len).map(|_| Base::A));
+                break;
             };
-            if unanimous {
-                for (r, cursor) in reads.iter().zip(cursors.iter_mut()) {
-                    if *cursor < r.len() {
-                        *cursor += 1;
-                    }
+            // 2. One pass advances every read, caches its word, flags where
+            // it differs from the lead, marks the outliers and counts the
+            // unclean lanes. The run of unanimous columns ends at the first
+            // lane where an active read differs or the lead runs out.
+            let mut breaks = exhausted_lanes(lead);
+            let blocks = cursors.chunks_mut(64).zip(heads.chunks_mut(64));
+            for (block, (chunk, slots)) in blocks.enumerate() {
+                let (mut differ, mut counts) = (0u64, 0u64);
+                for (j, (c, slot)) in (0..).zip(chunk.iter_mut().zip(slots)) {
+                    c.start = (c.start + step).min(c.end);
+                    let word = load(bytes, c.start);
+                    *slot = word;
+                    let dead = exhausted_lanes(word);
+                    let diff = nonzero_lanes(word ^ lead) & !dead;
+                    breaks |= diff;
+                    differ |= (diff & 0x80).rotate_left(j);
+                    counts += (diff | dead) >> 7;
                 }
-                out.push(first);
-                if chunked && !armed {
-                    streak += 1;
-                    if streak >= 4 {
-                        armed = true;
-                    }
-                }
+                outliers[block] = differ.rotate_right(7);
+                unclean[block] = counts;
+            }
+            let run = ((breaks.trailing_zeros() / 8) as usize).min(len - out.len());
+            if run > 0 {
+                out.extend((0..run).map(|j| Base::from_bits((lead >> (8 * j)) as u8)));
+                step = run;
                 continue;
             }
-            streak = 0;
 
-            // 1b. Current-character vote among active reads; plurality
-            // with ties toward the lexicographically smallest base keeps
-            // the procedure deterministic.
-            let mut counts = [0usize; 4];
-            for (r, &c) in reads.iter().zip(cursors.iter()) {
-                if c < r.len() {
-                    counts[at::<FWD>(r.as_slice(), c) as usize] += 1;
+            // 3. A disagreement column. The plurality vote is the lead's
+            // byte whenever the reads equal to it outnumber the other
+            // active ones; otherwise count, and mark the outliers again.
+            let differing: usize = outliers.iter().map(|m| m.count_ones() as usize).sum();
+            let agreeing = reads.len() - lane_total(unclean, 0);
+            let mut consensus = lead as u8;
+            if agreeing <= differing {
+                consensus = plurality(reads.len(), |k| heads[k]);
+                for (bits, slots) in outliers.iter_mut().zip(heads.chunks(64)) {
+                    *bits = (0..).zip(slots).fold(0, |bits, (j, &word)| {
+                        let byte = word as u8;
+                        bits | u64::from(byte != consensus && byte != EXHAUSTED) << j
+                    });
                 }
             }
-            let mut consensus = Base::A;
-            let mut best = 0usize;
-            for b in Base::ALL {
-                if counts[b as usize] > best {
-                    consensus = b;
-                    best = counts[b as usize];
-                }
-            }
-
-            // 2. Estimate the upcoming window from reads that agree now —
-            // all lookahead depths tallied in one pass over the reads.
-            window_counts.iter_mut().for_each(|c| *c = [0; 4]);
-            for (r, &c) in reads.iter().zip(cursors.iter()) {
-                let r = r.as_slice();
-                if c < r.len() && at::<FWD>(r, c) == consensus {
-                    for (d, tally) in window_counts.iter_mut().enumerate() {
-                        if c + d + 1 < r.len() {
-                            tally[at::<FWD>(r, c + d + 1) as usize] += 1;
-                        }
+            if stride > 1 {
+                for (c, slots) in cursors.iter().zip(ahead.chunks_exact_mut(stride - 1)) {
+                    for (i, slot) in (1..).zip(slots) {
+                        *slot = load(bytes, c.start + 8 * i);
                     }
                 }
             }
-            window.clear();
-            window.extend(window_counts.iter().map(|tally| {
-                // Same tie rule as the vote: ties toward the smallest
-                // base, `None` when no read reached this depth.
-                let mut best: Option<Base> = None;
-                let mut best_count = 0usize;
-                for b in Base::ALL {
-                    if tally[b as usize] > best_count {
-                        best = Some(b);
-                        best_count = tally[b as usize];
-                    }
-                }
-                best
-            }));
+            let (heads, ahead) = (&*heads, &*ahead);
+            let word = |k: usize, i: usize| match i {
+                0 => heads[k],
+                _ => ahead[k * (stride - 1) + i - 1],
+            };
 
-            // 3. Advance agreeing reads; diagnose and repair outliers.
-            for (read, cursor) in reads.iter().zip(cursors.iter_mut()) {
-                let r = read.as_slice();
-                if *cursor >= r.len() {
-                    continue;
+            // 4. Estimate the upcoming window from the reads equal to the
+            // vote. If it is the lead's byte, the unclean counts less the
+            // outliers' and exhausted reads' bound the others at each lane;
+            // where the lead's byte outnumbers them, it wins. Else tally.
+            let lead_votes = consensus == lead as u8;
+            if lead_votes {
+                for k in set_bits(outliers) {
+                    unclean[k / 64] -=
+                        (nonzero_lanes(heads[k] ^ lead) | exhausted_lanes(heads[k])) >> 7;
                 }
-                if at::<FWD>(r, *cursor) == consensus {
-                    *cursor += 1;
-                    continue;
+                for counts in unclean.iter_mut() {
+                    *counts -= (*counts & 0xFF) * LOW;
                 }
-                // Score each hypothesis by how well the read matches the
-                // estimated upcoming window after the corresponding repair.
+            }
+            for (i, slot) in window.iter_mut().enumerate() {
+                *slot = (0..8).fold(0, |bytes, lane| {
+                    let (d, at) = (8 * i + lane, 8 * i + lane + 1);
+                    let estimate = if d >= w {
+                        NO_VOTE
+                    } else if lead_votes && at < 8 && agreeing > 2 * lane_total(unclean, at) {
+                        (lead >> (8 * at)) as u8
+                    } else {
+                        plurality(reads.len(), |k| match heads[k] as u8 == consensus {
+                            true => word(k, at / 8) >> (8 * (at % 8)),
+                            false => u64::from(EXHAUSTED),
+                        })
+                    };
+                    bytes | u64::from(estimate) << (8 * lane)
+                });
+            }
+
+            // 5. Every read advances one column with the next step. Repair
+            // each outlier against that: a hypothesis scores the window
+            // bytes the read matches once its repair shifts it by `offset`.
+            for k in set_bits(outliers) {
                 let score = |offset: usize| -> usize {
-                    let mut s = 0usize;
-                    for (d, expected) in window.iter().enumerate() {
-                        let Some(expected) = expected else { continue };
-                        let pos = *cursor + offset + d;
-                        if pos < r.len() && at::<FWD>(r, pos) == *expected {
-                            s += 1;
-                        }
-                    }
-                    s
+                    (0..stride)
+                        .map(|i| {
+                            let next = if i + 1 < stride { word(k, i + 1) } else { 0 };
+                            let pair = u128::from(next) << 64 | u128::from(word(k, i));
+                            matches((pair >> (8 * offset)) as u64, window[i])
+                        })
+                        .sum()
                 };
+                let (current, next) = (heads[k] as u8, (heads[k] >> 8) as u8);
                 // substitution: wrong char here, rest aligned → skip 1
-                let sub_score = score(1);
-                // deletion: the true char vanished, so the read's *current*
-                // char must already be the upcoming consensus char (gate);
-                // the rest of the window then aligns at offset 0
-                let del_gate =
-                    matches!(window.first(), Some(Some(m)) if at::<FWD>(r, *cursor) == *m);
-                let del_score = if del_gate { score(0) } else { 0 };
-                // insertion: spurious char here, so the *next* read char
-                // must be the current consensus char (gate); the rest of
-                // the window then aligns at offset 2
-                let ins_gate = *cursor + 1 < r.len() && at::<FWD>(r, *cursor + 1) == consensus;
-                let ins_score = if ins_gate { score(2) + 1 } else { 0 };
-
-                // Tie order favors the simplest explanation: substitution,
-                // then deletion, then insertion. The gates keep pure
-                // substitution noise from being misread as indels, which
-                // would permanently misalign the read (paper Fig. 5: the
-                // substitution-only channel must reconstruct cleanly).
-                if sub_score >= del_score && sub_score >= ins_score {
-                    *cursor += 1;
-                } else if del_score >= ins_score {
-                    // stay
-                } else {
-                    *cursor = (*cursor + 2).min(r.len());
-                }
+                let sub = score(1);
+                // deletion: the true char vanished, so the *current* char must
+                // already be the upcoming one (gate); the rest aligns at 0
+                let del = score(0) * usize::from(current == window[0] as u8);
+                // insertion: spurious char here, so the *next* char must be
+                // the current consensus char (gate); the rest aligns at 2
+                let ins = (score(2) + 1) * usize::from(next == consensus);
+                // Ties favor the simplest explanation: substitution (the
+                // step itself), then deletion (step back), then insertion
+                // (skip one more). The gates keep pure substitution noise
+                // from misaligning reads as indels (paper Fig. 5).
+                let (back, on) = (sub < del && del >= ins, sub < ins && del < ins);
+                cursors[k].start = cursors[k].start + usize::from(on) - usize::from(back);
             }
-            out.push(consensus);
+            out.push(Base::from_bits(consensus));
+            step = 1;
         }
         out
     }
@@ -302,7 +308,7 @@ impl BmaOneWay {
 
 impl TraceReconstructor for BmaOneWay {
     fn reconstruct(&self, reads: &[DnaString], target_len: usize) -> DnaString {
-        self.reconstruct_oriented(reads, target_len, true)
+        self.scan(reads, target_len, true)
     }
 
     fn name(&self) -> &'static str {
@@ -337,19 +343,13 @@ impl BmaTwoWay {
 
 impl TraceReconstructor for BmaTwoWay {
     fn reconstruct(&self, reads: &[DnaString], target_len: usize) -> DnaString {
-        // Each direction only contributes its own half, and a scan's
-        // prefix is independent of how far it would have continued — so
-        // each scan stops at its half and the merge is exactly the
-        // "best of both worlds" split of the full two-sided procedure.
+        // Each direction contributes only its own half, and a scan's prefix
+        // is independent of how far it continues, so each scan stops at its
+        // half. The backward estimate comes in scan (reversed) order.
         let split = target_len.div_ceil(2);
-        let back_len = target_len - split;
-        let forward = self.inner.reconstruct_oriented(reads, split, true);
-        // The backward estimate, still in scan (reversed) order: its
-        // position j holds strand position target_len−1−j.
-        let backward_rev = self.inner.reconstruct_oriented(reads, back_len, false);
-        let mut out = DnaString::with_capacity(target_len);
-        out.extend(forward.as_slice().iter().copied());
-        out.extend((0..back_len).rev().map(|j| backward_rev[j]));
+        let mut out = self.inner.scan(reads, split, true);
+        let backward = self.inner.scan(reads, target_len - split, false);
+        out.extend(backward.into_bases().into_iter().rev());
         out
     }
 
@@ -359,11 +359,196 @@ impl TraceReconstructor for BmaTwoWay {
 }
 
 #[cfg(test)]
+mod reference {
+    //! The per-column scan the word-at-a-time kernel replaced, kept as its
+    //! equivalence oracle: at every output position, a vote, a window
+    //! estimate and a repair pass over the reads, with explicit bounds.
+
+    use dna_strand::{Base, DnaString};
+
+    /// Plurality with ties toward the smallest base; `None` when empty.
+    fn plurality(tally: [usize; 4]) -> Option<Base> {
+        let mut best: Option<Base> = None;
+        let mut best_count = 0usize;
+        for b in Base::ALL {
+            if tally[b as usize] > best_count {
+                best = Some(b);
+                best_count = tally[b as usize];
+            }
+        }
+        best
+    }
+
+    /// The one-way scan, left-to-right over `reads`.
+    pub(super) fn one_way(reads: &[DnaString], target_len: usize, w: usize) -> DnaString {
+        let mut cursors = vec![0usize; reads.len()];
+        let mut out = DnaString::with_capacity(target_len);
+        while out.len() < target_len {
+            // 1. Current-character vote among active reads; with none
+            // active the vote is empty and pads with A.
+            let mut counts = [0usize; 4];
+            for (r, &c) in reads.iter().zip(&cursors) {
+                if c < r.len() {
+                    counts[r[c] as usize] += 1;
+                }
+            }
+            let consensus = plurality(counts).unwrap_or(Base::A);
+
+            // 2. Estimate the upcoming window from reads that agree now.
+            let window: Vec<Option<Base>> = (0..w)
+                .map(|d| {
+                    let mut tally = [0usize; 4];
+                    for (r, &c) in reads.iter().zip(&cursors) {
+                        if c + d + 1 < r.len() && r[c] == consensus {
+                            tally[r[c + d + 1] as usize] += 1;
+                        }
+                    }
+                    plurality(tally)
+                })
+                .collect();
+
+            // 3. Advance agreeing reads; diagnose and repair outliers.
+            for (r, cursor) in reads.iter().zip(cursors.iter_mut()) {
+                if *cursor >= r.len() {
+                    continue;
+                }
+                if r[*cursor] == consensus {
+                    *cursor += 1;
+                    continue;
+                }
+                let score = |offset: usize| -> usize {
+                    let mut s = 0usize;
+                    for (d, expected) in window.iter().enumerate() {
+                        let pos = *cursor + offset + d;
+                        if pos < r.len() && Some(r[pos]) == *expected {
+                            s += 1;
+                        }
+                    }
+                    s
+                };
+                let sub_score = score(1);
+                let del_gate = matches!(window.first(), Some(&Some(m)) if r[*cursor] == m);
+                let del_score = if del_gate { score(0) } else { 0 };
+                let ins_gate = *cursor + 1 < r.len() && r[*cursor + 1] == consensus;
+                let ins_score = if ins_gate { score(2) + 1 } else { 0 };
+                if sub_score >= del_score && sub_score >= ins_score {
+                    *cursor += 1;
+                } else if del_score >= ins_score {
+                    // stay
+                } else {
+                    *cursor = (*cursor + 2).min(r.len());
+                }
+            }
+            out.push(consensus);
+        }
+        out
+    }
+
+    /// The two-way procedure: full scans from both ends, left half of the
+    /// forward estimate, right half of the backward one.
+    pub(super) fn two_way(reads: &[DnaString], target_len: usize, w: usize) -> DnaString {
+        let split = target_len.div_ceil(2);
+        let forward = one_way(reads, target_len, w);
+        let reversed: Vec<DnaString> = reads.iter().map(DnaString::reversed).collect();
+        let backward = one_way(&reversed, target_len, w);
+        (0..target_len)
+            .map(|i| {
+                if i < split {
+                    forward[i]
+                } else {
+                    backward[target_len - 1 - i]
+                }
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use dna_channel::{ErrorModel, IdsChannel};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A read set for the equivalence properties, drawn from `seed`: a
+    /// strand of 0..300 bases through a substitution-only or an
+    /// indel-heavy channel at 0–35%, some reads emptied or replaced by
+    /// reads 3× the strand, and a target equal to, shorter or longer than
+    /// the strand.
+    fn case(seed: u64, n: usize) -> (Vec<DnaString>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = rng.gen_range(0..300);
+        let p = rng.gen_range(0.0..0.35);
+        let model = if rng.gen_bool(0.5) {
+            ErrorModel::substitutions_only(p)
+        } else {
+            ErrorModel::new(p / 10.0, 0.45 * p, 0.45 * p).unwrap()
+        };
+        let original = DnaString::random(len, &mut rng);
+        let mut reads = IdsChannel::new(model).transmit_many(&original, n, &mut rng);
+        for read in &mut reads {
+            match rng.gen_range(0..16) {
+                0 => *read = DnaString::new(),
+                1 => *read = DnaString::random(3 * len, &mut rng),
+                _ => {}
+            }
+        }
+        let target = match rng.gen_range(0..3) {
+            0 => len,
+            1 => rng.gen_range(0..=len),
+            _ => len + rng.gen_range(1..100usize),
+        };
+        (reads, target)
+    }
+
+    /// Read counts at the edges of the kernel's 64-read bitmask words.
+    const READ_COUNTS: [usize; 9] = [0, 1, 2, 63, 64, 65, 255, 256, 257];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn one_way_kernel_matches_the_reference(
+            seed in any::<u64>(),
+            n in 0usize..READ_COUNTS.len(),
+            lookahead in 1usize..=8,
+        ) {
+            let (reads, target) = case(seed, READ_COUNTS[n]);
+            prop_assert_eq!(
+                BmaOneWay::new(lookahead).reconstruct(&reads, target),
+                reference::one_way(&reads, target, lookahead)
+            );
+        }
+
+        #[test]
+        fn two_way_kernel_matches_the_reference(
+            seed in any::<u64>(),
+            n in 0usize..READ_COUNTS.len(),
+            lookahead in 1usize..=8,
+        ) {
+            let (reads, target) = case(seed, READ_COUNTS[n]);
+            prop_assert_eq!(
+                BmaTwoWay::new(lookahead).reconstruct(&reads, target),
+                reference::two_way(&reads, target, lookahead)
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_at_every_read_count_and_lookahead() {
+        // Every pairing once, plus windows spanning three words.
+        for (i, &n) in READ_COUNTS.iter().enumerate() {
+            for lookahead in (1..=8).chain([15, 22]) {
+                let (reads, target) = case(1000 * i as u64 + lookahead as u64, n);
+                assert_eq!(
+                    BmaTwoWay::new(lookahead).reconstruct(&reads, target),
+                    reference::two_way(&reads, target, lookahead),
+                    "n={n} lookahead={lookahead}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn substitution_only_noise_is_fixed_by_majority() {
@@ -426,25 +611,6 @@ mod tests {
         let got = BmaTwoWay::default().reconstruct(&[], 10);
         assert_eq!(got.len(), 10);
         assert!(got.iter().all(|&b| b == Base::A));
-    }
-
-    #[test]
-    fn chunked_probe_is_identical_to_scalar_mode() {
-        use dna_gf::dispatch::{self, SimdMode};
-        let mut rng = StdRng::seed_from_u64(6);
-        let ch = IdsChannel::new(ErrorModel::uniform(0.04));
-        for len in [7usize, 8, 9, 64, 123, 200] {
-            let original = DnaString::random(len, &mut rng);
-            let reads = ch.transmit_many(&original, 5, &mut rng);
-            for algo in [BmaTwoWay::new(2), BmaTwoWay::new(3)] {
-                dispatch::force_mode(Some(SimdMode::Scalar));
-                let scalar = algo.reconstruct(&reads, len);
-                dispatch::force_mode(Some(SimdMode::Auto));
-                let chunked = algo.reconstruct(&reads, len);
-                dispatch::force_mode(None);
-                assert_eq!(scalar, chunked, "len={len}");
-            }
-        }
     }
 
     #[test]

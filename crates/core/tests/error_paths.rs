@@ -281,3 +281,81 @@ fn builder_missing_geometry_remains_descriptive() {
     assert!(err.to_string().contains("needs a geometry"), "{err}");
     assert!(err.to_string().contains("set .params"), "{err}");
 }
+
+/// Seeded garbage cluster sets through both `UnitReads` arms: sources out
+/// of range or `usize::MAX`, empty reads, reads 3× the strand length, and
+/// 300-read clusters. A decode may fail with a typed error or flag
+/// degradation, but it must never panic and never hand back wrong bytes
+/// under a clean report.
+#[test]
+fn garbage_clusters_never_panic_or_decode_silently_wrong() {
+    use dna_channel::Cluster;
+    use dna_strand::DnaString;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let (pipeline, _) = recovery_fixture();
+    let payload: Vec<u8> = (0..30u8).map(|i| i.wrapping_mul(13)).collect();
+    let unit = pipeline.encode_unit(&payload).unwrap();
+    let cols = unit.strands().len();
+    let strand_len = unit.strands()[0].len();
+    let sequencer = SimulatedSequencer::new(ErrorModel::nanopore(0.08), CoverageModel::Fixed(4));
+    let check = |what: &str, result: Result<(Vec<u8>, DecodeReport), StorageError>| {
+        if let Ok((decoded, report)) = result {
+            assert!(
+                decoded[..payload.len()] == payload[..] || report.flags_degradation(),
+                "{what}: wrong bytes with a clean report"
+            );
+        }
+    };
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut clusters = sequencer
+            .sequence_unit(0, unit.strands(), seed)
+            .clusters()
+            .to_vec();
+        for cluster in &mut clusters {
+            match rng.gen_range(0..6) {
+                0 => cluster.source = cols + rng.gen_range(0..cols),
+                1 => cluster.source = usize::MAX,
+                _ => {}
+            }
+            for read in &mut cluster.reads {
+                match rng.gen_range(0..8) {
+                    0 => *read = DnaString::new(),
+                    1 => *read = DnaString::random(3 * strand_len, &mut rng),
+                    _ => {}
+                }
+            }
+        }
+        let big = rng.gen_range(0..clusters.len());
+        let template = unit.strands()[clusters[big].source.min(cols - 1)].clone();
+        clusters[big].reads = (0..300)
+            .map(|i| match i % 3 {
+                0 => template.clone(),
+                1 => DnaString::random(strand_len, &mut rng),
+                _ => DnaString::new(),
+            })
+            .collect();
+        clusters.push(Cluster {
+            source: rng.gen(),
+            reads: vec![DnaString::random(strand_len, &mut rng); 2],
+        });
+
+        for trust in [false, true] {
+            let opts = RetrieveOptions {
+                trust_cluster_sources: trust,
+                ..pipeline.decode_options().clone()
+            };
+            let result = pipeline
+                .decode(&[UnitReads::Clusters(&clusters)], &opts, None)
+                .map(|mut units| units.remove(0));
+            check(&format!("seed {seed} clusters trust={trust}"), result);
+        }
+        let pool = AnonymousPool::from_reads(clusters.into_iter().flat_map(|c| c.reads));
+        let result = pipeline
+            .decode(&[UnitReads::Pool(&pool)], pipeline.decode_options(), None)
+            .map(|mut units| units.remove(0));
+        check(&format!("seed {seed} pool"), result);
+    }
+}

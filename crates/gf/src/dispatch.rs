@@ -5,9 +5,8 @@
 //! Two levels of acceleration exist, selected **once** per process:
 //!
 //! - **Portable batch kernels** (register-blocked multi-root syndromes,
-//!   word-at-a-time strand pack/unpack, the consensus chunk probe):
-//!   plain Rust, faster on every target. Active whenever [`mode`] is
-//!   [`SimdMode::Auto`].
+//!   word-at-a-time strand pack/unpack): plain Rust, faster on every
+//!   target. Active whenever [`mode`] is [`SimdMode::Auto`].
 //! - **SIMD slice kernels** (SSSE3 `_mm_shuffle_epi8` nibble-table
 //!   GF(256) products): active only when the mode is `Auto` *and* the
 //!   CPU reports SSSE3 at runtime ([`kernel`] returns
@@ -79,8 +78,7 @@ pub fn mode() -> SimdMode {
 }
 
 /// Whether the portable batch kernels (blocked syndromes, word-at-a-time
-/// pack/unpack, the consensus chunk probe) are active — true unless the
-/// mode forces scalar.
+/// pack/unpack) are active — true unless the mode forces scalar.
 pub fn accelerated() -> bool {
     mode() == SimdMode::Auto
 }

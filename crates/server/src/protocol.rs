@@ -19,11 +19,17 @@
 //! `ERR <code> <message>` with no body. Every response is framed, so a
 //! client never needs to guess where one reply ends and the next starts.
 
-use std::io::{self, BufRead, Write};
+use dna_object::capsule::MAX_NAME_LEN;
+use std::io::{self, BufRead, Read, Write};
 
 /// Hard cap on any framed body (request or response): a wire-corrupted
 /// or hostile length prefix must not become an allocation bomb.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Hard cap on one request line, newline included: the longest verb, a
+/// [`MAX_NAME_LEN`] name, a 20-digit length and the separators. A line
+/// with no newline within it must not grow server memory without bound.
+pub const MAX_LINE_BYTES: usize = "RFETCH".len() + MAX_NAME_LEN + 20 + 4;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,12 +188,20 @@ pub fn write_quit(w: &mut impl Write) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] on malformed lines, oversized frames,
-/// or EOF inside a body; reader I/O errors otherwise.
+/// [`io::ErrorKind::InvalidData`] on malformed lines, lines longer than
+/// [`MAX_LINE_BYTES`], oversized frames, or EOF inside a body; reader I/O
+/// errors otherwise.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let read = r
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_line(&mut line)?;
+    if read == 0 {
         return Ok(None);
+    }
+    if read == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(bad(format!("request line exceeds {MAX_LINE_BYTES} bytes")));
     }
     let line = line.trim_end_matches(['\r', '\n']);
     let mut parts = line.split(' ');
@@ -355,5 +369,27 @@ mod tests {
         assert!(read_frame(&mut Cursor::new(huge.as_bytes())).is_err());
         let huge = format!("OK {}\n", MAX_FRAME_BYTES + 1);
         assert!(read_response(&mut Cursor::new(huge.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn an_endless_request_line_is_capped() {
+        // 1 MiB with no newline: the reader stops at the cap instead of
+        // buffering the whole line.
+        let wire = vec![b'A'; 1 << 20];
+        let mut reader = Cursor::new(&wire);
+        let err = read_frame(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(reader.position(), MAX_LINE_BYTES as u64);
+        // The longest well-formed lines still fit.
+        let name = "n".repeat(MAX_NAME_LEN);
+        round_trip_request(Request::Put {
+            name: name.clone(),
+            data: vec![7; 3],
+        });
+        round_trip_request(Request::Fetch {
+            target: name.clone(),
+            recover: true,
+        });
+        assert!(format!("PUT {name} {}\n", usize::MAX).len() <= MAX_LINE_BYTES);
     }
 }
