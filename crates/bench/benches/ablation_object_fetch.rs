@@ -9,10 +9,9 @@
 //! throughput at the laptop geometry and reports peak RSS, the
 //! bounded-memory half of the claim.
 //!
-//! It prints criterion-style `min/median/mean` lines; the TSV goes to
-//! `target/figures/ablation_object_fetch.csv`.
+//! `fetch_one_us` is the fastest of `samples` timed fetches; the TSV goes
+//! to `target/figures/ablation_object_fetch.csv`.
 
-use criterion::Criterion;
 use dna_bench::{FigureOutput, Scale};
 use dna_object::{ObjectStore, StoreConfig};
 use std::io::{Read, Write};
@@ -85,7 +84,6 @@ fn main() {
         Scale::Wetlab => &[2, 8, 32, 64],
     };
     let samples = scale.pick(5, 20, 50);
-    let mut c = Criterion::default().sample_size(samples);
     eprintln!("ablation_object_fetch: pools {pool_sizes:?}, {samples} samples/bench");
 
     // Tiny geometry keeps capsules small (3 × 30 B units) so pool growth
@@ -120,16 +118,13 @@ fn main() {
             .fetch(target, &mut CountingSink(0))
             .expect("fetch target");
 
-        let mut fetch_us = f64::MAX;
-        c.bench_function(&format!("object_fetch_one_pool{n}"), |b| {
-            b.iter(|| {
-                let mut sink = CountingSink(0);
+        let fetch_us = (0..samples)
+            .map(|_| {
                 let start = Instant::now();
-                store.fetch(target, &mut sink).expect("fetch");
-                fetch_us = fetch_us.min(start.elapsed().as_secs_f64() * 1e6);
-                sink.0
+                store.fetch(target, &mut CountingSink(0)).expect("fetch");
+                start.elapsed().as_secs_f64() * 1e6
             })
-        });
+            .fold(f64::MAX, f64::min);
         let drain_start = Instant::now();
         for &id in &ids {
             store.fetch(id, &mut CountingSink(0)).expect("drain fetch");

@@ -644,6 +644,21 @@ pub fn resolve_object(store: &ObjectStore, target: &str) -> Result<u64, CliError
         .ok_or_else(|| CliError::Usage(format!("no live object named {target:?}")))
 }
 
+/// The file `fetch` writes when no `--output` is given: the object's
+/// stored name, accepted only when it is one plain file name in the
+/// working directory. Names come from the pool — any `PUT` client, or a
+/// crafted pool or sidecar — so `..`, absolute paths and anything with a
+/// separator are refused rather than followed.
+pub fn default_output_name(name: &str) -> Result<&str, CliError> {
+    let mut components = std::path::Path::new(name).components();
+    match (components.next(), components.next()) {
+        (Some(std::path::Component::Normal(_)), None) => Ok(name),
+        _ => Err(CliError::Usage(format!(
+            "object name {name:?} is not a plain file name; pass --output <file>"
+        ))),
+    }
+}
+
 /// `pack`: streams each file into the store under its base name,
 /// returning `(id, name, bytes)` per file.
 pub fn pack_files(
@@ -1106,6 +1121,16 @@ mod tests {
         );
         assert!(again.is_err(), "duplicate live name is rejected");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fetch_default_output_is_one_plain_file_name() {
+        assert_eq!(default_output_name("a.bin").unwrap(), "a.bin");
+        for name in ["../x", "/tmp/x", "a/b", "..", ".", ""] {
+            let err = default_output_name(name).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{name:?}: {err}");
+            assert!(err.to_string().contains("--output"), "{name:?}: {err}");
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@
 
 use dna_channel::ChannelModel;
 use dna_object::{LayoutKind, ObjectStore};
-use dna_server::{run_bench, serve_tcp, BenchConfig, LoadMode, ServeConfig, Server};
+use dna_server::{serve_tcp, ServeConfig, Server};
 use dna_skew_cli::{
-    decode, encode, open_or_create_store, pack_files, parse_channel_model, parse_error_model,
-    parse_layout, parse_plan_arg, parse_transcoder, resolve_object, simulate_planned,
-    simulate_unlabeled, CliError, ClustererChoice, PlanChoice,
+    decode, default_output_name, encode, open_or_create_store, pack_files, parse_channel_model,
+    parse_error_model, parse_layout, parse_plan_arg, parse_transcoder, resolve_object,
+    simulate_planned, simulate_unlabeled, CliError, ClustererChoice, PlanChoice,
 };
 use dna_strand::TranscoderSpec;
 use std::collections::HashMap;
@@ -35,9 +35,6 @@ USAGE:
   dnastore fetch    <object-id|name> --store <pool-dir> [--output <file>]
   dnastore ls       --store <pool-dir>
   dnastore serve    --store <pool-dir> [--addr 127.0.0.1:7070] [--workers N] [--queue N]
-  dnastore bench-serve [--workers 1,2,4,8] [--clients N] [--requests N]
-                    [--objects N] [--object-bytes N] [--open <interval-ms>]
-                    [--seed N] [--json <path>]
   dnastore chaos    [--seed N] [--trials N] [--scenario <substring>]
 
 error model kinds: uniform, ngs, nanopore, subs, indels, enzymatic (rate in [0,1])
@@ -68,11 +65,6 @@ serve runs a long-lived service over one store: a bounded work queue in
      the line/length-prefixed protocol (PING, LS, STATS, FETCH, RFETCH,
      PUT, DEL, QUIT) on loopback TCP. Concurrent fetches of the same
      object coalesce into one shared decode.
-
-bench-serve sweeps the server across worker counts under a duplicate-heavy
-     mixed workload (closed-loop by default; --open paces arrivals) and
-     prints p50/p99 latency, requests/s, and MB/s per configuration;
-     --json also writes the machine-readable report.
 
 chaos runs the built-in adversarial fault-injection campaign (sustained
      dropout, index bursts, contamination, truncation + chimeras,
@@ -190,14 +182,8 @@ fn run() -> Result<(), CliError> {
                     ChannelModel::uniform(parse_error_model(errors.map_or("uniform:0.06", |v| v))?)
                 }
             };
-            let coverage: f64 = flags.get("coverage").map_or(Ok(12.0), |v| {
-                v.parse()
-                    .map_err(|_| CliError::Usage(format!("bad coverage {v:?}")))
-            })?;
-            let seed: u64 = flags.get("seed").map_or(Ok(0), |v| {
-                v.parse()
-                    .map_err(|_| CliError::Usage(format!("bad seed {v:?}")))
-            })?;
+            let coverage: f64 = numeric(&flags, "coverage", 12.0)?;
+            let seed: u64 = numeric(&flags, "seed", 0)?;
             let plan = flags
                 .get("plan")
                 .map_or(Ok(PlanChoice::Uniform), |v| parse_plan_arg(v))?;
@@ -301,12 +287,15 @@ fn run() -> Result<(), CliError> {
             let id = resolve_object(&store, target)?;
             let out_path = match flags.get("output") {
                 Some(p) => p.clone(),
-                None => store.manifest().object(id).map(|o| o.name.clone()).ok_or(
-                    dna_storage::StorageError::ObjectNotFound {
-                        id,
-                        tombstoned: false,
-                    },
-                )?,
+                None => {
+                    let object = store.manifest().object(id).ok_or(
+                        dna_storage::StorageError::ObjectNotFound {
+                            id,
+                            tombstoned: false,
+                        },
+                    )?;
+                    default_output_name(&object.name)?.to_string()
+                }
             };
             let mut file = std::io::BufWriter::new(std::fs::File::create(&out_path)?);
             let report = store.fetch(id, &mut file)?;
@@ -354,48 +343,9 @@ fn run() -> Result<(), CliError> {
                 std::thread::park();
             }
         }
-        "bench-serve" => {
-            let workers: Vec<usize> = flags.get("workers").map_or(Ok(vec![1, 2, 4, 8]), |v| {
-                v.split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad worker count {t:?}")))
-                    })
-                    .collect()
-            })?;
-            let mut config = BenchConfig {
-                workers,
-                ..BenchConfig::default()
-            };
-            config.clients = numeric(&flags, "clients", config.clients)?;
-            config.requests_per_client = numeric(&flags, "requests", config.requests_per_client)?;
-            config.hot_objects = numeric(&flags, "objects", config.hot_objects)?;
-            config.object_bytes = numeric(&flags, "object-bytes", config.object_bytes)?;
-            config.seed = numeric(&flags, "seed", config.seed)?;
-            if flags.contains_key("open") {
-                config.mode = LoadMode::Open {
-                    interval_ms: numeric(&flags, "open", 10)?,
-                };
-            }
-            let dir =
-                std::env::temp_dir().join(format!("dnastore-bench-serve-{}", std::process::id()));
-            let report = run_bench(&dir, &config)?;
-            print!("{}", report.to_table());
-            if let Some(path) = flags.get("json") {
-                std::fs::write(path, report.to_json())?;
-                println!("wrote bench report -> {path}");
-            }
-        }
         "chaos" => {
-            let seed: u64 = flags.get("seed").map_or(Ok(42), |v| {
-                v.parse()
-                    .map_err(|_| CliError::Usage(format!("bad seed {v:?}")))
-            })?;
-            let trials: usize = flags.get("trials").map_or(Ok(25), |v| {
-                v.parse()
-                    .map_err(|_| CliError::Usage(format!("bad trials {v:?}")))
-            })?;
+            let seed: u64 = numeric(&flags, "seed", 42)?;
+            let trials: usize = numeric(&flags, "trials", 25)?;
             let mut scenarios = dna_chaos::builtin_presets();
             if let Some(filter) = flags.get("scenario") {
                 scenarios.retain(|s| s.name.contains(filter.as_str()));

@@ -329,7 +329,11 @@ impl ObjectStore {
             .build()?;
         let manifest_path = dir.join(MANIFEST_FILE);
         let manifest = if manifest_path.exists() {
-            let text = std::fs::read_to_string(&manifest_path)?;
+            let text = String::from_utf8(std::fs::read(&manifest_path)?).map_err(|_| {
+                StorageError::ManifestCorrupt {
+                    reason: "sidecar manifest is not UTF-8".into(),
+                }
+            })?;
             Manifest::from_text(&text)?
         } else {
             Self::recover_manifest(&mut file, &header, &base)?

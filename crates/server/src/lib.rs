@@ -10,21 +10,15 @@
 //! over loopback TCP ([`serve_tcp`]) speaking the line/length-prefixed
 //! [`protocol`], and concurrent fetches of the same object coalesce
 //! into one shared decode.
-//!
-//! [`mod@bench`] drives the same stack with closed- or open-loop client
-//! load and reports p50/p99 latency, requests/s, and MB/s per worker
-//! count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod tcp;
 
-pub use bench::{run_bench, BenchConfig, BenchReport, LoadMode, WorkerRun};
 pub use protocol::{ErrorCode, Frame, Request, Response, MAX_FRAME_BYTES};
 pub use server::{LocalClient, ServeConfig, Server, StatsSnapshot};
 pub use tcp::{serve_tcp, TcpHandle};

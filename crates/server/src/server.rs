@@ -527,6 +527,61 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_puts_mix_with_direct_and_recovery_fetches() {
+        for workers in [1, 4] {
+            let dir = tmp_dir(&format!("puts-under-load-w{workers}"));
+            let mut store = ObjectStore::create(&dir, StoreConfig::tiny().unwrap()).unwrap();
+            let hot: Vec<Vec<u8>> = (0..2).map(|h| payload(4 * 90 + h)).collect();
+            for (h, data) in hot.iter().enumerate() {
+                store.put_bytes(&format!("hot-{h}"), data).unwrap();
+            }
+            let hot = Arc::new(hot);
+            let server = Server::start(
+                store,
+                &ServeConfig {
+                    workers,
+                    queue_depth: 8,
+                },
+            );
+            // Every 5th request is a PUT of a fresh object; the rest
+            // fetch a hot object, every other one through recovery.
+            let clients: Vec<_> = (0..4)
+                .map(|c| {
+                    let client = server.client();
+                    let hot = Arc::clone(&hot);
+                    std::thread::spawn(move || {
+                        for i in 0..10 {
+                            if (i + 1) % 5 == 0 {
+                                let response = client.put(&format!("c{c}-i{i}"), payload(64 + c));
+                                assert!(response.is_ok(), "put c{c}-i{i}: {response:?}");
+                            } else {
+                                let h = (c + i) % 2;
+                                let recover = i % 2 == 0;
+                                assert_eq!(
+                                    client.fetch(&format!("hot-{h}"), recover),
+                                    Response::Ok(hot[h].clone()),
+                                    "workers={workers} client {c} request {i}"
+                                );
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for client in clients {
+                client.join().unwrap();
+            }
+            let stats = server.stats();
+            assert_eq!(stats.requests, 40, "workers={workers}");
+            assert_eq!(stats.puts, 8, "workers={workers}");
+            assert_eq!(stats.fetches, 32, "workers={workers}");
+            assert_eq!(stats.errors, 0, "workers={workers}");
+            let store = server.shutdown().expect("no other handles");
+            assert_eq!(store.list().len(), 2 + 8);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn calls_after_shutdown_fail_busy() {
         let dir = tmp_dir("busy");
         let server = tiny_server(&dir, 1);
