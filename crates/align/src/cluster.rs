@@ -17,7 +17,7 @@
 //!   into fresh clusters; a downstream index-vote demultiplexer merges
 //!   such fragments back together.
 
-use crate::edit_distance_bounded_with;
+use crate::BasePattern;
 use dna_strand::DnaString;
 use std::collections::HashMap;
 
@@ -116,27 +116,23 @@ impl GreedyClusterer {
         self.threshold
     }
 
-    /// Clusters `reads`; O(reads × clusters × bounded-distance). One
-    /// scratch buffer is reused across every pairwise comparison.
+    /// Clusters `reads`; O(reads × clusters × bounded-distance). Each
+    /// representative is compiled once, when it opens its cluster, and
+    /// one scratch buffer is reused across every pairwise comparison.
     pub fn cluster(&self, reads: &[DnaString]) -> ClusterResult {
         let mut clusters: Vec<Vec<usize>> = Vec::new();
-        let mut representatives: Vec<&DnaString> = Vec::new();
-        let mut row = Vec::new();
+        let mut representatives: Vec<BasePattern> = Vec::new();
+        let mut state = Vec::new();
         for (i, read) in reads.iter().enumerate() {
             let found = representatives.iter().position(|rep| {
-                edit_distance_bounded_with(
-                    rep.as_slice(),
-                    read.as_slice(),
-                    self.threshold,
-                    &mut row,
-                )
-                .is_some()
+                rep.distance_bounded(read.as_slice(), self.threshold, &mut state)
+                    .is_some()
             });
             match found {
                 Some(c) => clusters[c].push(i),
                 None => {
                     clusters.push(vec![i]);
-                    representatives.push(read);
+                    representatives.push(BasePattern::new(read.as_slice()));
                 }
             }
         }
@@ -227,7 +223,10 @@ impl AnchoredClusterer {
     fn anchor_key(&self, read: &DnaString) -> u64 {
         let bases = read.as_slice();
         let start = self.anchor_offset.min(bases.len());
-        let end = (self.anchor_offset + self.anchor_len).min(bases.len());
+        let end = self
+            .anchor_offset
+            .saturating_add(self.anchor_len)
+            .min(bases.len());
         let window = &bases[start..end];
         let mut key = 0u64;
         for &b in window {
@@ -256,12 +255,12 @@ impl ReadClusterer for AnchoredClusterer {
 
     fn cluster(&self, reads: &[DnaString]) -> ClusterResult {
         let mut clusters: Vec<Vec<usize>> = Vec::new();
-        let mut representatives: Vec<&DnaString> = Vec::new();
+        let mut representatives: Vec<BasePattern> = Vec::new();
         // Anchor key → clusters whose representative carries that anchor,
         // in discovery order (kept deterministic: candidate lists are
         // plain Vecs; the map is only ever probed by key).
         let mut bins: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut row = Vec::new();
+        let mut state = Vec::new();
         let mut candidates: Vec<usize> = Vec::new();
         for (i, read) in reads.iter().enumerate() {
             let key = self.anchor_key(read);
@@ -278,20 +277,16 @@ impl ReadClusterer for AnchoredClusterer {
             // greedy clusterer's first-match rule.
             candidates.sort_unstable();
             let found = candidates.iter().copied().find(|&c| {
-                edit_distance_bounded_with(
-                    representatives[c].as_slice(),
-                    read.as_slice(),
-                    self.threshold,
-                    &mut row,
-                )
-                .is_some()
+                representatives[c]
+                    .distance_bounded(read.as_slice(), self.threshold, &mut state)
+                    .is_some()
             });
             match found {
                 Some(c) => clusters[c].push(i),
                 None => {
                     let c = clusters.len();
                     clusters.push(vec![i]);
-                    representatives.push(read);
+                    representatives.push(BasePattern::new(read.as_slice()));
                     bins.entry(key).or_default().push(c);
                 }
             }
@@ -350,6 +345,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Copies `s` with each base substituted, duplicated-with-an-insert
+    /// or deleted with probability `rate`, so lengths drift.
+    fn mutate(s: &DnaString, rate: f64, rng: &mut StdRng) -> DnaString {
+        use dna_strand::Base;
+        let mut out = Vec::with_capacity(s.len() + 8);
+        for &b in s.as_slice() {
+            if !rng.gen_bool(rate) {
+                out.push(b);
+                continue;
+            }
+            match rng.gen_range(0..3) {
+                0 => out.push(Base::from_bits(rng.gen())),
+                1 => out.extend([b, Base::from_bits(rng.gen())]),
+                _ => {}
+            }
+        }
+        DnaString::from_bases(out)
+    }
+
+    /// Reference clustering on the textbook bounded distance: each read
+    /// joins the first earlier cluster (in discovery order) whose
+    /// representative `eligible` admits and lies within `threshold`.
+    fn oracle_cluster(
+        reads: &[DnaString],
+        threshold: usize,
+        eligible: impl Fn(&DnaString, &DnaString) -> bool,
+    ) -> ClusterResult {
+        let mut clusters: Vec<Vec<usize>> = Vec::new();
+        let mut reps: Vec<&DnaString> = Vec::new();
+        for (i, read) in reads.iter().enumerate() {
+            let found = reps.iter().position(|rep| {
+                eligible(rep, read)
+                    && crate::edit_distance_bounded(rep.as_slice(), read.as_slice(), threshold)
+                        .is_some()
+            });
+            match found {
+                Some(c) => clusters[c].push(i),
+                None => {
+                    clusters.push(vec![i]);
+                    reps.push(read);
+                }
+            }
+        }
+        ClusterResult { clusters }
+    }
+
+    #[test]
+    fn compiled_representatives_cluster_like_the_reference_distance() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        for _ in 0..4 {
+            // Lengths straddle the 64- and 128-base word edges.
+            let centers: Vec<DnaString> = (0..8)
+                .map(|_| {
+                    let len = rng.gen_range(50..170);
+                    DnaString::random(len, &mut rng)
+                })
+                .collect();
+            let reads: Vec<DnaString> = (0..6)
+                .flat_map(|_| centers.iter())
+                .map(|c| mutate(c, 0.08, &mut rng))
+                .collect();
+            for threshold in [0, 4, 12, 40] {
+                assert_eq!(
+                    GreedyClusterer::new(threshold).cluster(&reads),
+                    oracle_cluster(&reads, threshold, |_, _| true),
+                    "greedy, threshold {threshold}"
+                );
+                let anchored = AnchoredClusterer::new(threshold).with_anchor(3, 6);
+                let near = |rep: &DnaString, read: &DnaString| {
+                    let (rep, read) = (anchored.anchor_key(rep), anchored.anchor_key(read));
+                    rep == read || AnchoredClusterer::key_variants(rep).any(|v| v == read)
+                };
+                assert_eq!(
+                    anchored.cluster(&reads),
+                    oracle_cluster(&reads, threshold, near),
+                    "anchored, threshold {threshold}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_anchor_near_usize_max_saturates_instead_of_overflowing() {
+        // `anchor_offset + anchor_len` used to overflow: a panic in
+        // debug, and in release a wrapped end before the start. Past
+        // every read, the window is empty, so all representatives are
+        // candidates, exactly as in greedy clustering.
+        let (reads, _) = planted_reads(4, 3, 1, 5);
+        let far = AnchoredClusterer::new(8).with_anchor(usize::MAX - 3, 8);
+        assert_eq!(far.cluster(&reads), GreedyClusterer::new(8).cluster(&reads));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Unit-cost Levenshtein distance.
 
+use dna_strand::Base;
+
 /// Bits per word of the bit-parallel kernel.
 const WORD: usize = usize::BITS as usize;
 
@@ -59,15 +61,18 @@ pub fn edit_distance_bounded<T: Eq>(a: &[T], b: &[T], bound: usize) -> Option<us
 }
 
 /// [`edit_distance_bounded`] against a caller-owned scratch buffer, so hot
-/// comparison loops — read clustering, orientation, primer filtering —
-/// stop paying allocations per call.
+/// comparison loops stop paying allocations per call.
 ///
-/// `row` holds the kernel's bit masks: the vertical delta vectors, an
-/// all-zero record for symbols the shorter input lacks, then one record
-/// per symbol class of the shorter input (its first position and its
-/// match mask). With `n = min(|a|,|b|)`, `w = ⌈n/64⌉` and `k` classes
-/// (at most 4 for DNA), once `row`'s capacity covers
-/// `2w + (k + 1)(w + 1)` words the comparison allocates nothing. The
+/// The shorter input becomes the pattern: its symbol classes are compiled
+/// into match masks in `row`, then the text is scanned by the same kernel
+/// [`BasePattern`] runs. DNA callers that compare one pattern against
+/// many texts should compile it once as a [`BasePattern`] instead.
+///
+/// `row` holds the vertical delta vectors, each class's first pattern
+/// position, an all-zero mask row for symbols the pattern lacks, then one
+/// mask row per class. With `n = min(|a|,|b|)`, `w = ⌈n/64⌉` and `k`
+/// classes (at most 4 for DNA), once `row`'s capacity covers
+/// `2w + k + (k + 1)w` words the comparison allocates nothing. The
 /// buffer's prior contents are ignored and overwritten.
 ///
 /// # Examples
@@ -90,39 +95,167 @@ pub fn edit_distance_bounded_with<T: Eq>(
     row: &mut Vec<usize>,
 ) -> Option<usize> {
     let (pat, txt) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let (n, m) = (pat.len(), txt.len());
-    if m - n > bound {
+    if txt.len() - pat.len() > bound {
+        return None;
+    }
+    let words = pat.len().div_ceil(WORD);
+    row.clear();
+    row.resize(2 * words, 0);
+    for (i, s) in pat.iter().enumerate() {
+        if !row[2 * words..].iter().any(|&first| pat[first] == *s) {
+            row.push(i);
+        }
+    }
+    let k = row.len() - 2 * words;
+    row.resize(row.len() + (k + 1) * words, 0);
+    let (state, records) = row.split_at_mut(2 * words);
+    let (firsts, masks) = records.split_at_mut(k);
+    // Branch-free: text symbols arrive in no predictable order.
+    let row_of = |s: &T| -> usize {
+        firsts
+            .iter()
+            .enumerate()
+            .map(|(c, &first)| (c + 1) * usize::from(pat[first] == *s))
+            .sum()
+    };
+    for (i, s) in pat.iter().enumerate() {
+        masks[row_of(s) * words + i / WORD] |= 1 << (i % WORD);
+    }
+    scan(masks, pat.len(), txt.iter(), row_of, state, bound, |_| {})
+}
+
+/// A DNA pattern compiled once for many comparisons: four match-mask rows
+/// of ⌈len/64⌉ words, indexed by [`Base::to_bits`]. Comparing it against
+/// a text costs one bit-parallel scan of the text, with no per-call mask
+/// build and no per-symbol class search — the form primers, anchors and
+/// cluster representatives take in the retrieval path.
+///
+/// # Examples
+///
+/// ```
+/// use dna_align::{edit_distance, BasePattern};
+/// use dna_strand::DnaString;
+///
+/// let primer: DnaString = "ACGTTGCA".parse()?;
+/// let read: DnaString = "ACGTGCAGG".parse()?;
+/// let pattern = BasePattern::new(primer.as_slice());
+/// let mut state = Vec::new();
+/// assert_eq!(pattern.distance_bounded(read.as_slice(), 3, &mut state), Some(3));
+/// assert_eq!(pattern.distance_bounded(read.as_slice(), 2, &mut state), None);
+///
+/// // Every prefix of the read at once: out[j] = D(primer, read[..j]).
+/// let mut out = Vec::new();
+/// pattern.prefix_distances(read.as_slice(), &mut state, &mut out);
+/// assert_eq!(out[7], edit_distance(primer.as_slice(), &read.as_slice()[..7]));
+/// # Ok::<(), dna_strand::StrandError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BasePattern {
+    len: usize,
+    /// Row `b` (words `b·w .. (b+1)·w`) has bit `i` set where the pattern
+    /// holds the base whose 2-bit code is `b`.
+    masks: Vec<usize>,
+}
+
+impl BasePattern {
+    /// Compiles `pattern` into its match masks.
+    pub fn new(pattern: &[Base]) -> BasePattern {
+        let words = pattern.len().div_ceil(WORD);
+        let mut masks = vec![0; 4 * words];
+        for (i, &b) in pattern.iter().enumerate() {
+            masks[usize::from(b.to_bits()) * words + i / WORD] |= 1 << (i % WORD);
+        }
+        BasePattern {
+            len: pattern.len(),
+            masks,
+        }
+    }
+
+    /// The pattern length in bases.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the pattern is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The edit distance between the pattern and `text` when it is at
+    /// most `bound`, else `None` — exactly [`edit_distance_bounded`]'s
+    /// answer, whichever of the two is longer. `state` is scratch for the
+    /// delta vectors (2 words per 64 pattern bases); its prior contents
+    /// are ignored.
+    pub fn distance_bounded(
+        &self,
+        text: &[Base],
+        bound: usize,
+        state: &mut Vec<usize>,
+    ) -> Option<usize> {
+        self.scan_bases(text.iter().copied(), bound, state, |_| {})
+    }
+
+    /// Fills `out` with `out[j] = D(pattern, text[..j])` for every
+    /// `j` in `0..=text.len()`, from one scan of `text`. `out`'s prior
+    /// contents are replaced; `state` is as in
+    /// [`BasePattern::distance_bounded`].
+    pub fn prefix_distances(&self, text: &[Base], state: &mut Vec<usize>, out: &mut Vec<usize>) {
+        out.clear();
+        out.push(self.len);
+        self.scan_bases(text.iter().copied(), usize::MAX, state, |d| out.push(d));
+    }
+
+    /// The kernel over any exact-length run of bases, so callers can
+    /// score a transformed window (a complemented tail) without copying
+    /// it.
+    pub(crate) fn scan_bases(
+        &self,
+        text: impl ExactSizeIterator<Item = Base>,
+        bound: usize,
+        state: &mut Vec<usize>,
+        column: impl FnMut(usize),
+    ) -> Option<usize> {
+        state.resize(2 * self.len.div_ceil(WORD), 0);
+        let row_of = |b: Base| usize::from(b.to_bits());
+        scan(&self.masks, self.len, text, row_of, state, bound, column)
+    }
+}
+
+/// Myers' bit-parallel edit distance in Hyyrö's block form, the one scan
+/// under every bounded comparison. The `n`-symbol pattern is given as
+/// match-mask rows of `w = ⌈n/64⌉` words in `masks`; `row_of` maps a text
+/// symbol to its row. `state` (2w words, contents ignored) holds the
+/// vertical delta vectors. `column` sees D(pattern, text[..j]) for each
+/// `j ≥ 1` in turn. Returns the distance when it is at most `bound`,
+/// stopping early once it provably exceeds `bound`.
+fn scan<S>(
+    masks: &[usize],
+    n: usize,
+    text: impl ExactSizeIterator<Item = S>,
+    row_of: impl Fn(S) -> usize,
+    state: &mut [usize],
+    bound: usize,
+    mut column: impl FnMut(usize),
+) -> Option<usize> {
+    let m = text.len();
+    if n.abs_diff(m) > bound {
         return None;
     }
     if n == 0 {
+        (1..=m).for_each(column);
         return Some(m);
     }
     let words = n.div_ceil(WORD);
-    let stride = words + 1;
-    // row = [pv | mv | the all-zero record | one record per class: its
-    // first pattern position, then its match mask].
-    row.clear();
-    row.resize(2 * words + stride, 0);
-    let mut k = 0;
-    for (i, s) in pat.iter().enumerate() {
-        let mut class = class_of(pat, &row[2 * words..], stride, k, s);
-        if class == 0 {
-            k += 1;
-            class = k;
-            row.resize(row.len() + stride, 0);
-            row[2 * words + class * stride] = i;
-        }
-        row[2 * words + class * stride + 1 + i / WORD] |= 1 << (i % WORD);
-    }
-    let (state, records) = row.split_at_mut(2 * words);
     let (pv, mv) = state.split_at_mut(words);
     // Column 0: D[i][0] = i, so every vertical delta is +1.
     pv.fill(!0);
+    mv.fill(0);
     let last_row = 1 << ((n - 1) % WORD);
+    // D never exceeds max(n, m), so a bound at or past it never exits.
+    let probe = bound < n.max(m);
     let mut score = n;
-    for (j, s) in txt.iter().enumerate() {
-        let class = class_of(pat, records, stride, k, s);
-        let eq = &records[class * stride + 1..(class + 1) * stride];
+    for (j, s) in text.enumerate() {
+        let eq = &masks[row_of(s) * words..][..words];
         // Myers' step per 64-row block, with Hyyrö's carry of the
         // horizontal delta `hin` from block to block. The top row
         // D[0][j] = j rises by one every column.
@@ -146,29 +279,22 @@ pub fn edit_distance_bounded_with<T: Eq>(
             hin = hout;
         }
         score = score.wrapping_add_signed(hin);
+        column(score);
         // Exact early exit: distances never decrease along a diagonal, so
-        // the cell on this column's diagonal through (n, m) is a lower
-        // bound on the final distance. Every 8th column keeps the
-        // popcounts off the per-column cost.
+        // the cell on this column's diagonal through (n, m) — row
+        // col + n − m, when that row exists — is a lower bound on the
+        // final distance. Every 8th column keeps the popcounts off the
+        // per-column cost.
         let col = j + 1;
-        if col % 8 == 0
-            && col < m
-            && col >= m - n
-            && diagonal_cell(pv, mv, col, col - (m - n)) > bound
-        {
-            return None;
+        if probe && col % 8 == 0 && col < m {
+            if let Some(i) = (col + n).checked_sub(m) {
+                if diagonal_cell(pv, mv, col, i) > bound {
+                    return None;
+                }
+            }
         }
     }
     (score <= bound).then_some(score)
-}
-
-/// The class of symbol `s`: the index of the record among the first `k`
-/// whose pattern position holds `s`, or 0 (the all-zero record) when none
-/// does. Branch-free, since text symbols arrive in no predictable order.
-fn class_of<T: Eq>(pat: &[T], records: &[usize], stride: usize, k: usize, s: &T) -> usize {
-    (1..k + 1)
-        .map(|c| c * usize::from(pat[records[c * stride]] == *s))
-        .sum()
 }
 
 /// D[i][col] read off the vertical delta vectors: the top row's `col`

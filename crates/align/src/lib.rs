@@ -11,7 +11,11 @@
 //!
 //! All distance/alignment functions are generic over the symbol type, so
 //! they serve both DNA ([`dna_strand::Base`]) and the binary alphabet the
-//! paper uses for its optimal-reconstruction study (Fig. 6).
+//! paper uses for its optimal-reconstruction study (Fig. 6). A DNA
+//! pattern compared against many texts — a primer, an orientation
+//! anchor, a cluster representative — is compiled once into a
+//! [`BasePattern`], whose match masks are indexed by the base's 2-bit
+//! code; it also scores every prefix of a text in one scan.
 //!
 //! # Examples
 //!
@@ -34,5 +38,5 @@ pub use alignment::{align, AlignOp, Alignment};
 pub use cluster::{
     AnchoredClusterer, ClusterResult, GreedyClusterer, ReadClusterer, MAX_ANCHOR_LEN,
 };
-pub use distance::{edit_distance, edit_distance_bounded, edit_distance_bounded_with};
+pub use distance::{edit_distance, edit_distance_bounded, edit_distance_bounded_with, BasePattern};
 pub use orient::{canonical_orientation, AnchorOrienter, ReadOrientation};

@@ -22,7 +22,7 @@
 //! makes recovery insensitive to how the sequencer happened to flip each
 //! molecule.
 
-use crate::edit_distance_bounded_with;
+use crate::BasePattern;
 use dna_strand::{Base, DnaString};
 
 /// Which physical orientation a read was decided to be in.
@@ -68,6 +68,8 @@ impl ReadOrientation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnchorOrienter {
     anchor: DnaString,
+    /// The anchor compiled once for every read's two comparisons.
+    pattern: BasePattern,
     slack: usize,
 }
 
@@ -76,7 +78,12 @@ impl AnchorOrienter {
     /// (a fifth of the anchor length, at least 2 extra bases of prefix).
     pub fn new(anchor: DnaString) -> AnchorOrienter {
         let slack = (anchor.len() / 5).max(2);
-        AnchorOrienter { anchor, slack }
+        let pattern = BasePattern::new(anchor.as_slice());
+        AnchorOrienter {
+            anchor,
+            pattern,
+            slack,
+        }
     }
 
     /// Overrides the indel slack: how many extra prefix bases beyond the
@@ -91,19 +98,22 @@ impl AnchorOrienter {
         &self.anchor
     }
 
-    /// Edit distance between the anchor and `read`'s prefix (anchor
-    /// length + slack bases).
-    fn prefix_score(&self, read: &[Base], row: &mut Vec<usize>) -> usize {
-        let window = (self.anchor.len() + self.slack).min(read.len());
+    /// The anchor compiled for bounded comparisons.
+    pub fn pattern(&self) -> &BasePattern {
+        &self.pattern
+    }
+
+    /// Edit distance between the anchor and a read prefix.
+    fn prefix_score(
+        &self,
+        prefix: impl ExactSizeIterator<Item = Base>,
+        state: &mut Vec<usize>,
+    ) -> usize {
         // The bound is the anchor length: an empty prefix scores exactly
         // that, so the bounded search always returns Some.
-        edit_distance_bounded_with(
-            self.anchor.as_slice(),
-            &read[..window],
-            self.anchor.len().max(1),
-            row,
-        )
-        .unwrap_or(self.anchor.len())
+        self.pattern
+            .scan_bases(prefix, self.anchor.len().max(1), state, |_| {})
+            .unwrap_or(self.anchor.len())
     }
 
     /// Decides `read`'s orientation and returns it with the canonical
@@ -114,11 +124,11 @@ impl AnchorOrienter {
     }
 
     /// [`AnchorOrienter::orient`] against a caller-owned scratch buffer.
-    /// The reverse orientation is scored against a small complemented
-    /// window of the read's tail (never a full flipped copy), so
-    /// pool-scale orientation loops allocate one anchor-sized scratch
-    /// per read plus the canonical strand itself — which for reads
-    /// decided `Forward` is just a clone of the input.
+    /// The reverse orientation is scored straight off the complemented,
+    /// back-to-front tail of the read (never a flipped copy), so
+    /// pool-scale orientation loops allocate only the canonical strand
+    /// itself — which for reads decided `Forward` is just a clone of the
+    /// input.
     ///
     /// Ties (both orientations equally close to the anchor) are broken by
     /// comparing the two candidate canonical strands lexicographically —
@@ -131,17 +141,18 @@ impl AnchorOrienter {
         row: &mut Vec<usize>,
     ) -> (ReadOrientation, DnaString) {
         let bases = read.as_slice();
-        let forward_score = self.prefix_score(bases, row);
+        // Anchor length plus slack, saturating: a huge slack means the
+        // whole read.
+        let window = self
+            .anchor
+            .len()
+            .saturating_add(self.slack)
+            .min(bases.len());
+        let forward_score = self.prefix_score(bases[..window].iter().copied(), row);
         // The reverse complement's prefix is the complemented,
         // back-to-front tail of the read.
-        let window = (self.anchor.len() + self.slack).min(bases.len());
-        let rc_prefix: Vec<Base> = bases
-            .iter()
-            .rev()
-            .take(window)
-            .map(|b| b.complement())
-            .collect();
-        let reverse_score = self.prefix_score(&rc_prefix, row);
+        let tail = bases[bases.len() - window..].iter().rev();
+        let reverse_score = self.prefix_score(tail.map(|b| b.complement()), row);
         let orientation = match forward_score.cmp(&reverse_score) {
             std::cmp::Ordering::Less => ReadOrientation::Forward,
             std::cmp::Ordering::Greater => ReadOrientation::ReverseComplement,
@@ -242,6 +253,19 @@ mod tests {
             let (_, a) = canonical_orientation(&read);
             let (_, b) = canonical_orientation(&read.reverse_complement());
             assert_eq!(a, b, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_huge_slack_saturates_to_the_whole_read() {
+        // `anchor.len() + slack` used to overflow: a panic in debug, and
+        // in release a wrapped window shorter than the anchor.
+        let anchor = random_strand(12, 9);
+        let read = DnaString::concat([&anchor, &random_strand(30, 10)]);
+        let whole = AnchorOrienter::new(anchor.clone()).with_slack(read.len());
+        let huge = AnchorOrienter::new(anchor).with_slack(usize::MAX);
+        for r in [read.clone(), read.reverse_complement()] {
+            assert_eq!(huge.orient(&r), whole.orient(&r));
         }
     }
 

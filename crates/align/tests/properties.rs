@@ -1,11 +1,12 @@
 //! Property tests: edit distance is a metric; the bounded bit-parallel
-//! kernel agrees with the reference DP across word boundaries; alignment
-//! distance equals edit distance; orientation recovery is an involution;
-//! clusterers are deterministic and order-stable.
+//! kernel, generic and compiled (`BasePattern`), agrees with the
+//! reference DP across word boundaries; alignment distance equals edit
+//! distance; orientation recovery is an involution; clusterers are
+//! deterministic and order-stable.
 
 use dna_align::{
-    align, canonical_orientation, edit_distance, edit_distance_bounded_with, AnchorOrienter,
-    AnchoredClusterer, GreedyClusterer, ReadClusterer,
+    align, canonical_orientation, edit_distance, edit_distance_bounded, edit_distance_bounded_with,
+    AnchorOrienter, AnchoredClusterer, BasePattern, GreedyClusterer, ReadClusterer,
 };
 use dna_strand::{Base, DnaString};
 use proptest::prelude::*;
@@ -16,41 +17,72 @@ fn dna_seq() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..4, 0..40)
 }
 
+/// Lengths at and around the 64-bit word edges.
+const BOUNDARIES: [usize; 6] = [63, 64, 65, 127, 128, 129];
+
+/// `len` random symbols below `alphabet`.
+fn draw(rng: &mut StdRng, len: usize, alphabet: u8) -> Vec<u8> {
+    (0..len).map(|_| rng.gen_range(0..alphabet)).collect()
+}
+
+/// A copy of `a` with 0–20% substitutions, insertions and deletions.
+fn mutated(a: &[u8], rng: &mut StdRng, alphabet: u8) -> Vec<u8> {
+    let rate = rng.gen_range(0.0..0.2);
+    let mut b = Vec::new();
+    for &s in a {
+        if !rng.gen_bool(rate) {
+            b.push(s);
+            continue;
+        }
+        match rng.gen_range(0..3) {
+            0 => b.push(rng.gen_range(0..alphabet)),
+            1 => b.extend([s, rng.gen_range(0..alphabet)]),
+            _ => {}
+        }
+    }
+    b
+}
+
 /// A pair for the bounded kernel over `alphabet` symbols. `a` has 0..300
 /// symbols (1–5 words), half the time right at a word boundary; `b` is
 /// either an independent draw or a copy of `a` with 0–20% substitutions,
 /// insertions and deletions.
 fn kernel_pair(seed: u64, alphabet: u8) -> (Vec<u8>, Vec<u8>) {
-    const BOUNDARIES: [usize; 6] = [63, 64, 65, 127, 128, 129];
     let mut rng = StdRng::seed_from_u64(seed);
-    let draw = |rng: &mut StdRng| -> Vec<u8> {
-        let len = if rng.gen_bool(0.5) {
+    let len = |rng: &mut StdRng| {
+        if rng.gen_bool(0.5) {
             BOUNDARIES[rng.gen_range(0..BOUNDARIES.len())]
         } else {
             rng.gen_range(0..300)
-        };
-        (0..len).map(|_| rng.gen_range(0..alphabet)).collect()
-    };
-    let a = draw(&mut rng);
-    let b = if rng.gen_bool(0.5) {
-        draw(&mut rng)
-    } else {
-        let rate = rng.gen_range(0.0..0.2);
-        let mut b = Vec::new();
-        for &s in &a {
-            if !rng.gen_bool(rate) {
-                b.push(s);
-                continue;
-            }
-            match rng.gen_range(0..3) {
-                0 => b.push(rng.gen_range(0..alphabet)),
-                1 => b.extend([s, rng.gen_range(0..alphabet)]),
-                _ => {}
-            }
         }
-        b
+    };
+    let n = len(&mut rng);
+    let a = draw(&mut rng, n, alphabet);
+    let b = if rng.gen_bool(0.5) {
+        let n = len(&mut rng);
+        draw(&mut rng, n, alphabet)
+    } else {
+        mutated(&a, &mut rng, alphabet)
     };
     (a, b)
+}
+
+fn bases(v: &[u8]) -> Vec<Base> {
+    v.iter().map(|&b| Base::from_bits(b)).collect()
+}
+
+/// Texts for one compiled pattern `p`: `p` itself, a mutated prefix and
+/// a mutated extension of `p` (so texts both shorter and longer than the
+/// pattern occur), and an independent draw.
+fn pattern_texts(p: &[u8], rng: &mut StdRng) -> [Vec<u8>; 4] {
+    let cut = rng.gen_range(0..=p.len());
+    let shorter = mutated(&p[..cut], rng, 4);
+    let extra = rng.gen_range(1..30);
+    let mut longer = p.to_vec();
+    longer.extend(draw(rng, extra, 4));
+    let longer = mutated(&longer, rng, 4);
+    let n = rng.gen_range(0..p.len() + 30);
+    [p.to_vec(), shorter, longer, draw(rng, n, 4)]
 }
 
 /// Checks the kernel against the reference DP in both argument orders at
@@ -120,8 +152,35 @@ proptest! {
     #[test]
     fn bounded_kernel_matches_reference_on_bases(seed in any::<u64>(), bound in 0usize..=80) {
         let (a, b) = kernel_pair(seed, 4);
-        let bases = |v: Vec<u8>| -> Vec<Base> { v.into_iter().map(Base::from_bits).collect() };
-        check_kernel(&bases(a), &bases(b), bound)?;
+        check_kernel(&bases(&a), &bases(&b), bound)?;
+    }
+
+    /// One compiled pattern, reused across texts shorter and longer than
+    /// it through a state left over from the previous comparison (and
+    /// stale garbage at first), answers exactly as the generic kernel,
+    /// at bounds 0, exact − 1, exact, exact + 1 and `usize::MAX`.
+    #[test]
+    fn compiled_pattern_matches_the_generic_kernel(seed in any::<u64>(), bound in 0usize..=80) {
+        let (p, _) = kernel_pair(seed, 4);
+        let pattern = BasePattern::new(&bases(&p));
+        prop_assert_eq!(pattern.len(), p.len());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+        let mut state = vec![usize::MAX; 9];
+        for t in pattern_texts(&p, &mut rng) {
+            let exact = edit_distance(&p, &t);
+            for bound in [0, bound, exact.saturating_sub(1), exact, exact + 1, usize::MAX] {
+                let want = (exact <= bound).then_some(exact);
+                prop_assert_eq!(
+                    pattern.distance_bounded(&bases(&t), bound, &mut state),
+                    want,
+                    "p={:?} t={:?} bound={}",
+                    p,
+                    t,
+                    bound
+                );
+                prop_assert_eq!(edit_distance_bounded(&bases(&p), &bases(&t), bound), want);
+            }
+        }
     }
 
     #[test]
@@ -238,4 +297,59 @@ proptest! {
             prop_assert_eq!(key(&a, &reads), key(&b, &shuffled), "{} order-sensitive", clusterer.name());
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `prefix_distances` scores every prefix of the text in one scan:
+    /// `out[j]` is the reference distance to `text[..j]`, for patterns
+    /// at the word edges and texts from empty to two words past them.
+    #[test]
+    fn prefix_distances_match_the_reference_on_every_prefix(
+        seed in any::<u64>(),
+        edge in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = if edge {
+            BOUNDARIES[rng.gen_range(0..BOUNDARIES.len())]
+        } else {
+            rng.gen_range(0..40)
+        };
+        let p = draw(&mut rng, n, 4);
+        let pattern = BasePattern::new(&bases(&p));
+        let mut state = vec![usize::MAX; 5];
+        let mut out = vec![7; 3];
+        for t in pattern_texts(&p, &mut rng) {
+            pattern.prefix_distances(&bases(&t), &mut state, &mut out);
+            let want: Vec<usize> = (0..=t.len()).map(|j| edit_distance(&p, &t[..j])).collect();
+            prop_assert_eq!(&out, &want, "p={:?} t={:?}", p, t);
+        }
+    }
+}
+
+#[test]
+fn prefix_distances_of_empty_patterns_and_texts() {
+    let mut state = Vec::new();
+    let mut out = Vec::new();
+    let acgt = bases(&[0, 1, 2, 3]);
+    BasePattern::new(&[]).prefix_distances(&acgt, &mut state, &mut out);
+    assert_eq!(out, [0, 1, 2, 3, 4]);
+    BasePattern::new(&acgt).prefix_distances(&[], &mut state, &mut out);
+    assert_eq!(out, [4]);
+    BasePattern::new(&[]).prefix_distances(&[], &mut state, &mut out);
+    assert_eq!(out, [0]);
+    assert!(BasePattern::new(&[]).is_empty());
+    assert_eq!(
+        BasePattern::new(&[]).distance_bounded(&acgt, 4, &mut state),
+        Some(4)
+    );
+    assert_eq!(
+        BasePattern::new(&[]).distance_bounded(&acgt, 3, &mut state),
+        None
+    );
+    assert_eq!(
+        BasePattern::new(&acgt).distance_bounded(&[], 4, &mut state),
+        Some(4)
+    );
 }

@@ -11,7 +11,7 @@ use crate::recovery::{RecoveryPipeline, RecoveryReport};
 use crate::report::{CodewordReport, DecodeReport};
 use crate::workspace::DecodeWorkspace;
 use crate::StorageError;
-use dna_align::edit_distance_bounded_with;
+use dna_align::BasePattern;
 use dna_channel::{AnonymousPool, Cluster, ReadPool, SequencingBackend};
 use dna_consensus::TraceReconstructor;
 use dna_reed_solomon::{CodeFamily, RsError};
@@ -565,13 +565,15 @@ impl Pipeline {
         present.clear();
         present.resize(cols, false);
         let mut report = DecodeReport::default();
+        let primer = self
+            .primers
+            .as_ref()
+            .map(|(left, _)| BasePattern::new(left.strand().as_slice()));
 
         for cluster in clusters {
-            let reads: &[DnaString] = if self.primers.is_some() {
-                self.filter_reads_into(cluster, filtered, dp_row);
-                filtered
-            } else {
-                &cluster.reads
+            let reads = match &primer {
+                Some(primer) => primed_reads(primer, cluster, filtered, dp_row),
+                None => &cluster.reads,
             };
             if reads.is_empty() {
                 continue;
@@ -689,27 +691,38 @@ impl Pipeline {
         let payload = bits::symbols_to_bytes(symbols, m, self.payload_capacity())?;
         Ok((payload, report))
     }
+}
 
-    /// Collects the reads that pass the primer check into `out`: the read
-    /// must begin with something close to the left primer. Only called
-    /// when primers are configured; the scratch buffer is reused across
-    /// every comparison.
-    fn filter_reads_into(&self, cluster: &Cluster, out: &mut Vec<DnaString>, row: &mut Vec<usize>) {
-        out.clear();
-        let Some((left, _)) = &self.primers else {
-            return;
-        };
-        let p = left.len();
-        let slack = (p / 5).max(2);
-        for read in &cluster.reads {
-            let prefix = &read.as_slice()[..(p + slack / 2).min(read.len())];
-            if edit_distance_bounded_with(left.strand().as_slice(), prefix, slack + slack / 2, row)
-                .is_some()
-            {
-                out.push(read.clone());
-            }
-        }
-    }
+/// The reads of `cluster` that pass the primer check — each must begin
+/// with something close to the left `primer`. When every read passes
+/// (the common case) that is the cluster's own slice, and nothing is
+/// copied; otherwise the passing reads are cloned into `out`.
+fn primed_reads<'a>(
+    primer: &BasePattern,
+    cluster: &'a Cluster,
+    out: &'a mut Vec<DnaString>,
+    state: &mut Vec<usize>,
+) -> &'a [DnaString] {
+    let p = primer.len();
+    let slack = (p / 5).max(2);
+    let mut passes = |read: &DnaString| {
+        let prefix = &read.as_slice()[..(p + slack / 2).min(read.len())];
+        primer
+            .distance_bounded(prefix, slack + slack / 2, state)
+            .is_some()
+    };
+    let Some(first_fail) = cluster.reads.iter().position(|read| !passes(read)) else {
+        return &cluster.reads;
+    };
+    out.clear();
+    out.extend_from_slice(&cluster.reads[..first_fail]);
+    out.extend(
+        cluster.reads[first_fail + 1..]
+            .iter()
+            .filter(|read| passes(read))
+            .cloned(),
+    );
+    out
 }
 
 #[cfg(test)]

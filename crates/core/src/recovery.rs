@@ -37,8 +37,8 @@
 use crate::params::CodecParams;
 use crate::StorageError;
 use dna_align::{
-    canonical_orientation, edit_distance_bounded_with, AnchorOrienter, AnchoredClusterer,
-    GreedyClusterer, ReadClusterer,
+    canonical_orientation, AnchorOrienter, AnchoredClusterer, BasePattern, GreedyClusterer,
+    ReadClusterer,
 };
 use dna_channel::{AnonymousPool, Cluster};
 use dna_strand::{decode_index, Base, DnaString, Primer};
@@ -344,11 +344,12 @@ impl RecoveryPipeline {
         };
 
         // 1. Orientation recovery: map every read to a canonical strand.
+        // The orienter compiles the primer once; demux reuses it.
+        let orienter = left_primer.map(|primer| AnchorOrienter::new(primer.strand().clone()));
         let mut oriented: Vec<DnaString> = Vec::with_capacity(pool.len());
         let mut read_flips: Vec<bool> = Vec::with_capacity(pool.len());
-        match left_primer {
-            Some(primer) => {
-                let orienter = AnchorOrienter::new(primer.strand().clone());
+        match &orienter {
+            Some(orienter) => {
                 let mut row = Vec::new();
                 for read in pool.reads() {
                     let (o, canonical) = orienter.orient_with(read, &mut row);
@@ -426,9 +427,11 @@ impl RecoveryPipeline {
             columns[column].extend(members.iter().map(|&r| (r, flip)));
             Ok(())
         };
-        match left_primer {
-            Some(primer) => {
-                let mut sync_row: Vec<usize> = Vec::new();
+        match &orienter {
+            Some(orienter) => {
+                let primer = orienter.pattern();
+                let mut sync_state: Vec<usize> = Vec::new();
+                let mut prefix_scores: Vec<usize> = Vec::new();
                 for members in &clusters.clusters {
                     if members.len() < self.min_cluster_size {
                         report.orphaned_clusters += 1;
@@ -446,10 +449,11 @@ impl RecoveryPipeline {
                     for &r in members {
                         let idx = synced_forward_index(
                             &oriented[r],
-                            primer.strand().as_slice(),
+                            primer,
                             offset,
                             index_bits,
-                            &mut sync_row,
+                            &mut sync_state,
+                            &mut prefix_scores,
                         )
                         .map(|idx| idx as usize)
                         .filter(|&idx| idx < cols);
@@ -700,34 +704,45 @@ fn tally(
 /// [`forward_index`] with the offset re-synchronized against the known
 /// primer: the index starts wherever the primer *actually* ends in this
 /// read, which an indel inside the primer region shifts by a base or
-/// two. The candidate shifts are scored by the edit distance between the
-/// primer and the read prefix of that length; ties keep the earlier
-/// candidate (the unshifted offset first), so a clean read decodes at
-/// exactly the nominal offset.
+/// two. Each candidate end is scored by the edit distance between the
+/// primer and the read prefix of that length — all five from one
+/// [`BasePattern::prefix_distances`] scan — with a distance past
+/// `max(primer length, 1)` scored as the primer length. Ties keep the
+/// earlier candidate (the unshifted offset first), so a clean read
+/// decodes at exactly the nominal offset. `state` and `scores` are
+/// scratch for the kernel and the per-prefix distances.
 fn synced_forward_index(
     read: &DnaString,
-    primer: &[Base],
+    primer: &BasePattern,
     offset: usize,
     index_bits: u8,
-    row: &mut Vec<usize>,
+    state: &mut Vec<usize>,
+    scores: &mut Vec<usize>,
 ) -> Option<u32> {
+    let bases = read.as_slice();
+    let end = offset.saturating_add(2).min(bases.len());
+    primer.prefix_distances(&bases[..end], state, scores);
+    let cap = primer.len().max(1);
     let mut best = (usize::MAX, offset);
-    for delta in [0isize, -1, 1, -2, 2] {
+    for delta in SYNC_SHIFTS {
         let Some(end) = offset.checked_add_signed(delta) else {
             continue;
         };
-        if end > read.len() {
+        // `scores[end]` exists exactly when the read is long enough.
+        let Some(&d) = scores.get(end) else {
             continue;
-        }
-        let d =
-            edit_distance_bounded_with(primer, &read.as_slice()[..end], primer.len().max(1), row)
-                .unwrap_or(primer.len());
+        };
+        let d = if d <= cap { d } else { primer.len() };
         if d < best.0 {
             best = (d, end);
         }
     }
     forward_index(read, best.1, index_bits)
 }
+
+/// The primer-end shifts [`synced_forward_index`] tries, in tie-break
+/// order.
+const SYNC_SHIFTS: [isize; 5] = [0, -1, 1, -2, 2];
 
 /// The index decoded from the read as delivered, or `None` for reads too
 /// short to carry one.
@@ -788,6 +803,81 @@ mod tests {
                 Some(idx)
             );
         }
+    }
+
+    /// The five-call resync the one-pass form replaced: one bounded
+    /// comparison per candidate primer end.
+    fn synced_forward_index_oracle(
+        read: &DnaString,
+        primer: &[Base],
+        offset: usize,
+        index_bits: u8,
+    ) -> Option<u32> {
+        let mut best = (usize::MAX, offset);
+        for delta in SYNC_SHIFTS {
+            let Some(end) = offset.checked_add_signed(delta) else {
+                continue;
+            };
+            if end > read.len() {
+                continue;
+            }
+            let d = dna_align::edit_distance_bounded(
+                primer,
+                &read.as_slice()[..end],
+                primer.len().max(1),
+            )
+            .unwrap_or(primer.len());
+            if d < best.0 {
+                best = (d, end);
+            }
+        }
+        forward_index(read, best.1, index_bits)
+    }
+
+    #[test]
+    fn one_pass_resync_matches_the_five_call_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut state = Vec::new();
+        let mut scores = Vec::new();
+        let mut checked = 0;
+        for primer_len in [0usize, 1, 2, 5, 12, 16, 20] {
+            let primer = DnaString::random(primer_len, &mut rng);
+            let pattern = BasePattern::new(primer.as_slice());
+            for _ in 0..200 {
+                // 0–2 indels or substitutions inside the primer, then an
+                // index and a payload of any length (reads shorter than
+                // `offset + 2` included).
+                let mut read = primer.as_slice().to_vec();
+                for _ in 0..rng.gen_range(0..=2) {
+                    let at = rng.gen_range(0..=read.len());
+                    match rng.gen_range(0..3) {
+                        0 => read.insert(at, Base::from_bits(rng.gen())),
+                        _ if at < read.len() => {
+                            if rng.gen_bool(0.5) {
+                                read.remove(at);
+                            } else {
+                                read[at] = Base::from_bits(rng.gen());
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                let tail = rng.gen_range(0..12);
+                read.extend(DnaString::random(tail, &mut rng).iter().copied());
+                let read = DnaString::from_bases(read);
+                for offset in [primer_len, primer_len.saturating_sub(1), primer_len + 1] {
+                    assert_eq!(
+                        synced_forward_index(&read, &pattern, offset, 4, &mut state, &mut scores),
+                        synced_forward_index_oracle(&read, primer.as_slice(), offset, 4),
+                        "primer {primer} read {read} offset {offset}"
+                    );
+                    checked += usize::from(read.len() < offset + 2);
+                }
+            }
+        }
+        assert!(checked > 100, "too few short reads: {checked}");
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub struct DecodeWorkspace {
     pub(crate) symbols: Vec<u16>,
     /// Reed–Solomon decode scratch.
     pub(crate) rs: RsScratch,
-    /// Primer-filtered reads (only used when primers are configured).
+    /// Primer-filtered reads (only used when some read of a cluster fails
+    /// the primer check).
     pub(crate) filtered: Vec<DnaString>,
     /// Scratch for the primer-check bounded edit distance.
     pub(crate) dp_row: Vec<usize>,
