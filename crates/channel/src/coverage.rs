@@ -47,15 +47,17 @@ impl CoverageModel {
         }
     }
 
-    /// Samples a cluster size.
+    /// Samples a cluster size. A `Gamma` model with mean 0 is the point
+    /// mass at zero: every molecule is lost, as under `Fixed(0)`.
     ///
     /// # Panics
     ///
     /// Panics if a `Gamma` variant was constructed manually with a
-    /// non-positive `mean` or `shape`.
+    /// negative `mean` or a non-positive `shape`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         match *self {
             CoverageModel::Fixed(n) => n,
+            CoverageModel::Gamma { mean: 0.0, .. } => 0,
             CoverageModel::Gamma { mean, shape } => {
                 let scale = mean / shape;
                 let gamma = Gamma::new(shape, scale).expect("validated Gamma parameters");
@@ -100,6 +102,16 @@ mod tests {
         let max = *samples.iter().max().unwrap();
         assert!(min <= 2, "min sample {min}");
         assert!(max >= 10, "max sample {max}");
+    }
+
+    #[test]
+    fn zero_mean_gamma_loses_every_molecule() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let m = CoverageModel::Gamma {
+            mean: 0.0,
+            shape: 6.0,
+        };
+        assert!((0..100).all(|_| m.sample(&mut rng) == 0));
     }
 
     #[test]

@@ -97,8 +97,15 @@ impl CampaignConfig {
     ///
     /// # Errors
     ///
-    /// Propagates [`StorageError::InvalidParams`] (never in practice).
+    /// Returns [`StorageError::InvalidParams`] when `trials` is zero: a
+    /// campaign that runs nothing cannot pass the silent-corruption gate.
     pub fn quick(seed: u64, trials: usize) -> Result<CampaignConfig, StorageError> {
+        if trials == 0 {
+            return Err(StorageError::InvalidParams(
+                "chaos campaign has zero trials: nothing would be checked (trials must be ≥ 1)"
+                    .into(),
+            ));
+        }
         Ok(CampaignConfig {
             seed,
             trials,
@@ -577,4 +584,18 @@ pub fn closed_loop(
         trials: config.trials,
         plan_summary,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_campaign_of_zero_trials_is_rejected() {
+        assert!(matches!(
+            CampaignConfig::quick(1, 0),
+            Err(StorageError::InvalidParams(_))
+        ));
+        assert_eq!(CampaignConfig::quick(1, 1).unwrap().trials, 1);
+    }
 }

@@ -476,13 +476,13 @@ pub fn simulate_planned(
     parity_cols: Option<usize>,
     transcoder: TranscoderSpec,
 ) -> Result<SimulationRun, CliError> {
-    let (pipeline, warnings) =
-        planned_pipeline(layout, parity_cols, plan, &channel, coverage, transcoder)?;
-    let scenario = Scenario::with_channel(channel)
+    let scenario = Scenario::with_channel(channel.clone())
         .single_coverage(coverage)
         .seed(seed)
         .transcoder(transcoder);
     scenario.validate()?;
+    let (pipeline, warnings) =
+        planned_pipeline(layout, parity_cols, plan, &channel, coverage, transcoder)?;
     let units = pipeline.encode_chunked(payload)?;
     let pools = pipeline.sequence_batch(&scenario.backend(), &units, scenario.seed);
     let per_unit_clusters: Vec<Vec<dna_channel::Cluster>> =
@@ -1159,5 +1159,43 @@ mod tests {
             "gini at 6%/coverage 14 should decode: {noisy:?}"
         );
         assert!(noisy.corrected > 0);
+    }
+
+    #[test]
+    fn zero_coverage_loses_everything_and_absurd_coverage_is_rejected() {
+        let payload: Vec<u8> = (0..600u32).map(|i| (i % 256) as u8).collect();
+        let channel = || ChannelModel::uniform(ErrorModel::uniform(0.05));
+        let labeled = |coverage| {
+            simulate_planned(
+                &payload,
+                LayoutKind::Gini,
+                channel(),
+                coverage,
+                3,
+                &PlanChoice::Uniform,
+                None,
+                TranscoderSpec::Direct,
+            )
+        };
+        let unlabeled = |coverage| {
+            simulate_unlabeled(
+                &payload,
+                LayoutKind::Gini,
+                channel(),
+                coverage,
+                3,
+                ClustererChoice::default(),
+            )
+        };
+        for run in [labeled(0.0).unwrap(), unlabeled(0.0).unwrap()] {
+            assert!(!run.outcome.exact);
+            assert!(run.outcome.byte_accuracy < 0.1, "{:?}", run.outcome);
+        }
+        for err in [labeled(1e30).unwrap_err(), unlabeled(1e30).unwrap_err()] {
+            assert!(
+                matches!(err, CliError::Storage(StorageError::InvalidParams(_))),
+                "{err}"
+            );
+        }
     }
 }

@@ -68,7 +68,7 @@ pub use pipeline::{EncodedUnit, Pipeline, RetrieveOptions, UnitReads};
 pub use plan::{PlannerWarning, Protection, ProtectionClass, ProtectionPlan, ProtectionPlanner};
 pub use recovery::{RecoveryPipeline, RecoveryReport};
 pub use report::{ClassReport, CodewordReport, DecodeReport};
-pub use scenario::{Scenario, GAMMA_SHAPE};
+pub use scenario::{Scenario, GAMMA_SHAPE, MAX_COVERAGE};
 pub use skew::SkewProfile;
 pub use workspace::DecodeWorkspace;
 

@@ -15,6 +15,11 @@ use dna_strand::TranscoderSpec;
 /// The default Gamma shape used across the paper's experiments (§6.1.2).
 pub const GAMMA_SHAPE: f64 = 6.0;
 
+/// The largest mean coverage [`Scenario::validate`] accepts. The paper
+/// sweeps coverages up to 45; a pool is generated at the sweep maximum,
+/// so a coverage far beyond this would allocate reads without bound.
+pub const MAX_COVERAGE: f64 = 5000.0;
+
 /// One channel operating point: channel model + coverage draw + sweep +
 /// trials + seed.
 ///
@@ -199,8 +204,9 @@ impl Scenario {
     }
 
     /// Checks that the scenario can actually measure something: at least
-    /// one trial, a non-empty coverage sweep, and finite, non-negative
-    /// coverages. The experiment harnesses treat degenerate scenarios as
+    /// one trial, a non-empty coverage sweep, and coverages in
+    /// `0..=`[`MAX_COVERAGE`] (a zero coverage loses every molecule). The
+    /// experiment harnesses treat degenerate scenarios as
     /// vacuous (they return `None`/empty); strict callers — the CLI, the
     /// conformance suite — call this first to get a descriptive error
     /// instead.
@@ -225,6 +231,11 @@ impl Scenario {
         if let Some(&bad) = self.coverages.iter().find(|c| !c.is_finite() || **c < 0.0) {
             return Err(StorageError::InvalidParams(format!(
                 "coverage {bad} must be finite and non-negative"
+            )));
+        }
+        if let Some(&bad) = self.coverages.iter().find(|&&c| c > MAX_COVERAGE) {
+            return Err(StorageError::InvalidParams(format!(
+                "coverage {bad} exceeds the maximum of {MAX_COVERAGE}"
             )));
         }
         Ok(())
@@ -312,6 +323,19 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), seeds.len());
+    }
+
+    #[test]
+    fn coverage_above_the_cap_is_rejected() {
+        let ok = Scenario::new(ErrorModel::noiseless()).single_coverage(MAX_COVERAGE);
+        assert!(ok.validate().is_ok());
+        for bad in [MAX_COVERAGE * 2.0, 1e30] {
+            let s = Scenario::new(ErrorModel::noiseless()).single_coverage(bad);
+            assert!(
+                matches!(s.validate(), Err(StorageError::InvalidParams(_))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -2,17 +2,14 @@
 //! [`DecodeWorkspace`] removes every allocation the workspace manages
 //! (column assembly, erasure maps, received-codeword scratch, the whole
 //! Reed–Solomon stage), leaving only the per-call outputs (payload,
-//! report) and the consensus layer's working strands.
-//!
-//! The single-worker proof runs under both `DNA_SKEW_SIMD` dispatch
-//! modes: the SIMD/batched kernels must add zero steady-state
-//! allocations of their own.
+//! report) and the consensus layer's working strands. The blocked
+//! syndrome, SSSE3 slice and word-at-a-time pack kernels are on this
+//! path, so they must add zero steady-state allocations of their own.
 
 use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, UnitReads};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -46,10 +43,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests: one forces SIMD modes process-wide, and a mode
-/// flip in the middle of another test's measurement changes its counts.
-static DISPATCH: Mutex<()> = Mutex::new(());
-
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
@@ -58,16 +51,6 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn warm_workspace_decode_allocates_strictly_less_and_is_steady() {
-    let _serial = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
-    use dna_gf::dispatch::{self, SimdMode};
-    for mode in [SimdMode::Scalar, SimdMode::Auto] {
-        dispatch::force_mode(Some(mode));
-        warm_workspace_case();
-    }
-    dispatch::force_mode(None);
-}
-
-fn warm_workspace_case() {
     let params = CodecParams::new(dna_gf::Field::gf256(), 8, 40, 10, 8).unwrap();
     let pipeline = Pipeline::builder()
         .params(params)
@@ -124,7 +107,6 @@ fn warm_workspace_case() {
 
 #[test]
 fn concurrent_workers_with_pooled_workspaces_stay_allocation_steady() {
-    let _serial = DISPATCH.lock().unwrap_or_else(|e| e.into_inner());
     // The serve-mode contract: N workers share one pipeline, each owns
     // one workspace for its whole life, and after each worker's warm-up
     // decode the workspace-managed stages allocate nothing more — no

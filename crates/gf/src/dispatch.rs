@@ -1,165 +1,32 @@
-//! Runtime kernel dispatch: pick the fastest hot-path kernel the CPU
-//! supports, with a guaranteed-identical scalar reference for every
-//! accelerated path.
+//! Runtime kernel selection: the crate's one platform fork.
 //!
-//! Two levels of acceleration exist, selected **once** per process:
-//!
-//! - **Portable batch kernels** (register-blocked multi-root syndromes,
-//!   word-at-a-time strand pack/unpack): plain Rust, faster on every
-//!   target. Active whenever [`mode`] is [`SimdMode::Auto`].
-//! - **SIMD slice kernels** (SSSE3 `_mm_shuffle_epi8` nibble-table
-//!   GF(256) products): active only when the mode is `Auto` *and* the
-//!   CPU reports SSSE3 at runtime ([`kernel`] returns
-//!   [`Kernel::Ssse3`]).
-//!
-//! The `DNA_SKEW_SIMD` environment variable overrides the selection:
-//! `auto` (default) enables everything the CPU supports, `scalar`
-//! forces the reference kernels everywhere — the escape hatch for
-//! exotic targets and the comparison arm for dispatch-identity tests.
-//! Every accelerated kernel is exact GF/bit arithmetic, so outputs are
-//! byte-identical under either setting; the conformance goldens pin
-//! this.
+//! GF(2^m≤8) slice products run the SSSE3 `_mm_shuffle_epi8`
+//! nibble-table kernels when the CPU reports SSSE3 ([`kernel`] returns
+//! [`Kernel::Ssse3`]), and the scalar byte-table loops otherwise — the
+//! only path on targets without SSSE3. The choice depends on the CPU
+//! alone: std caches the feature probe, so [`kernel`] costs one atomic
+//! load. Both kernels are exact field arithmetic and byte-identical;
+//! [`MulTable::mul_slice_in`](crate::MulTable::mul_slice_in) and
+//! [`MulTable::mul_add_slice_in`](crate::MulTable::mul_add_slice_in)
+//! run either one explicitly, which is how tests on an SSSE3 machine
+//! reach the scalar loop.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// The process-wide dispatch policy, from `DNA_SKEW_SIMD`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdMode {
-    /// Use the fastest kernels the target and CPU support (default).
-    Auto,
-    /// Force the scalar reference kernels everywhere.
-    Scalar,
-}
-
-/// The slice-kernel implementation selected for this process.
+/// A GF(2^m≤8) slice-kernel implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The scalar reference loops.
+    /// The scalar byte-table loops.
     Scalar,
     /// SSSE3 nibble-table kernels (x86-64 with runtime-detected SSSE3).
     Ssse3,
 }
 
-// 0 = uninitialized; 1 = scalar; 2 = auto (mode) / ssse3 (kernel).
-static MODE: AtomicU8 = AtomicU8::new(0);
-static KERNEL: AtomicU8 = AtomicU8::new(0);
-// 0 = no override; 1 = force scalar; 2 = force auto.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn mode_from_env() -> SimdMode {
-    match std::env::var("DNA_SKEW_SIMD") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => SimdMode::Scalar,
-        Ok(v) if v.eq_ignore_ascii_case("auto") || v.is_empty() => SimdMode::Auto,
-        Ok(v) => {
-            eprintln!("warning: ignoring invalid DNA_SKEW_SIMD value {v:?} (want auto or scalar)");
-            SimdMode::Auto
-        }
-        Err(_) => SimdMode::Auto,
-    }
-}
-
-/// The active dispatch mode: the `DNA_SKEW_SIMD` environment variable,
-/// read once and cached for the life of the process.
-pub fn mode() -> SimdMode {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => return SimdMode::Scalar,
-        2 => return SimdMode::Auto,
-        _ => {}
-    }
-    match MODE.load(Ordering::Relaxed) {
-        1 => SimdMode::Scalar,
-        2 => SimdMode::Auto,
-        _ => {
-            let m = mode_from_env();
-            MODE.store(if m == SimdMode::Scalar { 1 } else { 2 }, Ordering::Relaxed);
-            m
-        }
-    }
-}
-
-/// Whether the portable batch kernels (blocked syndromes, word-at-a-time
-/// pack/unpack) are active — true unless the mode forces scalar.
-pub fn accelerated() -> bool {
-    mode() == SimdMode::Auto
-}
-
-fn detect_kernel() -> Kernel {
-    if mode() == SimdMode::Scalar {
-        return Kernel::Scalar;
-    }
+/// The slice kernel this CPU runs: [`Kernel::Ssse3`] when it reports
+/// SSSE3, [`Kernel::Scalar`] otherwise.
+#[inline]
+pub fn kernel() -> Kernel {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::is_x86_feature_detected!("ssse3") {
-            return Kernel::Ssse3;
-        }
+    if std::is_x86_feature_detected!("ssse3") {
+        return Kernel::Ssse3;
     }
     Kernel::Scalar
-}
-
-/// The slice-kernel implementation for this process: [`Kernel::Ssse3`]
-/// when the mode allows it and the CPU supports it, [`Kernel::Scalar`]
-/// otherwise. Detected once and cached.
-pub fn kernel() -> Kernel {
-    if OVERRIDE.load(Ordering::Relaxed) != 0 {
-        return detect_kernel();
-    }
-    match KERNEL.load(Ordering::Relaxed) {
-        1 => Kernel::Scalar,
-        2 => Kernel::Ssse3,
-        _ => {
-            let k = detect_kernel();
-            KERNEL.store(if k == Kernel::Scalar { 1 } else { 2 }, Ordering::Relaxed);
-            k
-        }
-    }
-}
-
-/// Process-wide mode override for dispatch-identity tests: `Some(mode)`
-/// pins the mode regardless of the environment, `None` returns to the
-/// cached `DNA_SKEW_SIMD` selection. Accelerated and scalar kernels are
-/// byte-identical, so flipping this mid-flight is safe — it exists so a
-/// single test process can exercise both arms.
-pub fn force_mode(mode: Option<SimdMode>) {
-    OVERRIDE.store(
-        match mode {
-            None => 0,
-            Some(SimdMode::Scalar) => 1,
-            Some(SimdMode::Auto) => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Mutex;
-
-    /// Both tests flip the process-wide override, so running them on
-    /// parallel test threads would let one observe the other's mode.
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn force_mode_overrides_and_restores() {
-        let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        force_mode(Some(SimdMode::Scalar));
-        assert_eq!(mode(), SimdMode::Scalar);
-        assert_eq!(kernel(), Kernel::Scalar);
-        assert!(!accelerated());
-        force_mode(Some(SimdMode::Auto));
-        assert_eq!(mode(), SimdMode::Auto);
-        assert!(accelerated());
-        force_mode(None);
-        // Back to the cached env selection; on a default environment that
-        // is Auto, but all we can assert portably is self-consistency.
-        assert_eq!(mode() == SimdMode::Auto, accelerated());
-    }
-
-    #[test]
-    fn ssse3_kernel_only_under_auto() {
-        let _serial = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        force_mode(Some(SimdMode::Scalar));
-        assert_eq!(kernel(), Kernel::Scalar);
-        force_mode(None);
-    }
 }

@@ -14,10 +14,9 @@
 //! [`MulTable`] for fixed constants, [`Field::mul_slice`] /
 //! [`Field::mul_add_slice`] for per-call constants, [`horner_eval_block`]
 //! for multi-root syndromes — instead of scalar [`Field::mul`]; the kernel
-//! design is documented in `PERFORMANCE.md` at the repository root. Slice
-//! kernels pick SIMD or scalar implementations once per process via
-//! [`dispatch`] (override with `DNA_SKEW_SIMD=scalar`); every accelerated
-//! path is byte-identical to its scalar reference.
+//! design is documented in `PERFORMANCE.md` at the repository root. GF(256)
+//! slice products run SSSE3 shuffles when the CPU has them and scalar
+//! table loops otherwise ([`dispatch`]); both are byte-identical.
 //!
 //! # Examples
 //!
@@ -48,9 +47,7 @@ mod simd;
 mod tables;
 
 pub use field::Field;
-pub use mul_table::{
-    horner_all_zero, horner_all_zero_in, horner_eval_block, horner_eval_block_in, MulTable,
-};
+pub use mul_table::{horner_all_zero, horner_eval_block, MulTable};
 
 use std::error::Error;
 use std::fmt;

@@ -9,22 +9,21 @@
 //! pipelines use, and it is what the workspace's zero-allocation decode
 //! kernels are built on (see `PERFORMANCE.md` at the repository root).
 //!
-//! On top of the tables sit two dispatched accelerations (selected once
-//! per process by [`crate::dispatch`], forced off by
-//! `DNA_SKEW_SIMD=scalar`):
+//! On top of the tables sit two batch kernels:
 //!
 //! - byte-wide fields carry split low/high-nibble product LUTs next to
 //!   the full table, which the SSSE3 slice kernels shuffle 16 lanes at a
-//!   time ([`MulTable::mul_slice`] / [`MulTable::mul_add_slice`] and the
+//!   time when the CPU has SSSE3 ([`crate::dispatch`]; used by
+//!   [`MulTable::mul_slice`] / [`MulTable::mul_add_slice`] and the
 //!   per-call-constant [`Field::mul_slice`] / [`Field::mul_add_slice`]);
 //! - [`horner_eval_block`] streams a word **once** through a register
 //!   block of up to 8 per-root Horner accumulators instead of one pass
 //!   per root — the multi-root syndrome kernel.
 //!
-//! Every accelerated path is exact field arithmetic and byte-identical
-//! to the scalar reference loops.
+//! Both are exact field arithmetic and byte-identical to the per-element
+//! and per-root loops ([`MulTable::horner_eval`] is the Horner oracle).
 
-use crate::dispatch::{self, Kernel, SimdMode};
+use crate::dispatch::{self, Kernel};
 use crate::simd::NibbleTable;
 use crate::Field;
 
@@ -146,9 +145,9 @@ impl MulTable {
     }
 
     /// [`MulTable::mul_slice`] through an explicit kernel — the entry
-    /// point dispatch-identity tests use to compare the scalar reference
-    /// against the SIMD path in one process. Requesting
-    /// [`Kernel::Ssse3`] on a target without it falls back to scalar.
+    /// point kernel-identity tests use to run the scalar loop on an SSSE3
+    /// machine. Requesting [`Kernel::Ssse3`] on a CPU without it falls
+    /// back to scalar.
     pub fn mul_slice_in(&self, kernel: Kernel, xs: &mut [u16]) {
         match &self.repr {
             Repr::Byte { full, nib } => {
@@ -220,32 +219,20 @@ impl MulTable {
 }
 
 /// Evaluates the same descending-order polynomial at *every* table's
-/// constant — the batched multi-root syndrome kernel. The scalar
-/// reference runs one Horner pass over `coeffs` per root; the dispatched
-/// form (any target, unless `DNA_SKEW_SIMD=scalar`) streams `coeffs`
-/// **once per block of up to 8 roots**, keeping the block's accumulators
-/// in registers, which is both one memory pass instead of `E` and an
-/// 8-way independent-chain ILP win. Results are identical — every step
-/// is the same exact table load and XOR.
+/// constant — the batched multi-root syndrome kernel. Byte-wide tables
+/// stream `coeffs` **once per block of up to 8 roots**, keeping the
+/// block's accumulators in registers, which is both one memory pass
+/// instead of `E` and an 8-way independent-chain ILP win. Results equal
+/// one [`MulTable::horner_eval`] per root — every step is the same exact
+/// table load and XOR.
 ///
 /// `out` is cleared and filled with one evaluation per table, in order.
-/// Wide (`m > 8`) tables always use the per-root reference: blocking
-/// their 128 KiB tables would thrash L2 instead of helping.
+/// Wide (`m > 8`) tables run one [`MulTable::horner_eval`] per root:
+/// blocking their 128 KiB tables would thrash L2 instead of helping.
 pub fn horner_eval_block(tables: &[MulTable], coeffs: &[u16], out: &mut Vec<u16>) {
-    horner_eval_block_in(dispatch::mode(), tables, coeffs, out);
-}
-
-/// [`horner_eval_block`] under an explicit mode — the comparison entry
-/// point for dispatch-identity tests.
-pub fn horner_eval_block_in(
-    mode: SimdMode,
-    tables: &[MulTable],
-    coeffs: &[u16],
-    out: &mut Vec<u16>,
-) {
     out.clear();
     out.reserve(tables.len());
-    if mode == SimdMode::Scalar || tables.first().is_none_or(|t| t.byte_table().is_none()) {
+    if tables.first().is_none_or(|t| t.byte_table().is_none()) {
         out.extend(tables.iter().map(|t| t.horner_eval(coeffs)));
         return;
     }
@@ -265,16 +252,10 @@ pub fn horner_eval_block_in(
 
 /// Whether the polynomial evaluates to zero at **every** table's constant
 /// (all syndromes vanish — the `is_codeword` kernel). Exits early at the
-/// first non-zero evaluation: per root in scalar mode, per block of roots
-/// in the dispatched form.
+/// first non-zero evaluation: per block of roots on byte-wide tables,
+/// per root on wide ones.
 pub fn horner_all_zero(tables: &[MulTable], coeffs: &[u16]) -> bool {
-    horner_all_zero_in(dispatch::mode(), tables, coeffs)
-}
-
-/// [`horner_all_zero`] under an explicit mode (see
-/// [`horner_eval_block_in`]).
-pub fn horner_all_zero_in(mode: SimdMode, tables: &[MulTable], coeffs: &[u16]) -> bool {
-    if mode == SimdMode::Scalar || tables.first().is_none_or(|t| t.byte_table().is_none()) {
+    if tables.first().is_none_or(|t| t.byte_table().is_none()) {
         return tables.iter().all(|t| t.horner_eval(coeffs) == 0);
     }
     let mut rest = tables;
@@ -333,7 +314,7 @@ impl Field {
     /// Multiplies every element of `xs` by the scalar `c` in place without
     /// building a full table: `log(c)` is looked up once and each element
     /// costs one exp-load plus a zero-branch. On byte-wide fields, long
-    /// slices route through the SSSE3 nibble kernel when dispatched
+    /// slices route through the SSSE3 nibble kernel when the CPU has it
     /// (two 16-entry LUTs are built on the fly — 32 products — then 16
     /// lanes per shuffle pass). Prefer [`Field::mul_table`] when the
     /// constant is reused across many calls.
@@ -364,7 +345,7 @@ impl Field {
     /// Fused multiply-accumulate without a table: `acc[i] ^= c·src[i]`.
     /// The scalar's log is looked up once; zero elements of `src` cost one
     /// branch. Long byte-field slices route through the SSSE3 nibble
-    /// kernel when dispatched, as in [`Field::mul_slice`]. This is the
+    /// kernel when the CPU has it, as in [`Field::mul_slice`]. This is the
     /// kernel for polynomial updates whose constant changes every call
     /// (Berlekamp–Massey, locator products).
     ///
@@ -521,13 +502,10 @@ mod tests {
             let word: Vec<u16> = (0..255u16).map(|i| i % max).collect();
             let per_root: Vec<u16> = tables.iter().map(|t| t.horner_eval(&word)).collect();
             let mut blocked = Vec::new();
-            horner_eval_block_in(SimdMode::Auto, &tables, &word, &mut blocked);
+            horner_eval_block(&tables, &word, &mut blocked);
             assert_eq!(blocked, per_root);
-            let mut scalar = Vec::new();
-            horner_eval_block_in(SimdMode::Scalar, &tables, &word, &mut scalar);
-            assert_eq!(scalar, per_root);
-            assert!(!horner_all_zero_in(SimdMode::Auto, &tables, &word));
-            assert!(horner_all_zero_in(SimdMode::Auto, &tables, &[]));
+            assert!(!horner_all_zero(&tables, &word));
+            assert!(horner_all_zero(&tables, &[]));
         }
     }
 }

@@ -10,14 +10,14 @@
 //! the halves, and widen back to `u16`.
 //!
 //! Inputs must be field elements (`< 256`); that is the same contract the
-//! scalar byte-table kernels enforce by construction, and the dispatched
-//! results are bit-for-bit identical to them (see the dispatch-identity
-//! proptests in `tests/dispatch_identity.rs`).
+//! scalar byte-table kernels enforce by construction, and the results
+//! are bit-for-bit identical to them (see the kernel-identity proptests
+//! in `tests/dispatch_identity.rs`).
 //!
 //! This is the only module in the crate allowed to use `unsafe`: the
 //! intrinsics require it, every pointer stays inside caller-provided
-//! slices, and callers gate on runtime SSSE3 detection via
-//! [`crate::dispatch::kernel`].
+//! slices, and callers gate on runtime SSSE3 detection
+//! ([`crate::dispatch::kernel`] or `is_x86_feature_detected!`).
 
 #![allow(unsafe_code)]
 
@@ -74,7 +74,7 @@ pub(crate) fn mul_slice_ssse3(nib: &NibbleTable, xs: &mut [u16]) {
     let head = simd_head_len(xs.len());
     debug_assert!(xs[..head].iter().all(|&x| x < 256));
     // SAFETY: the caller dispatched here only after runtime SSSE3
-    // detection (`dispatch::kernel() == Kernel::Ssse3`).
+    // detection (`is_x86_feature_detected!("ssse3")`).
     unsafe { mul_slice_ssse3_impl(nib, &mut xs[..head]) }
 }
 

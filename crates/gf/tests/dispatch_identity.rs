@@ -1,10 +1,11 @@
-//! Dispatch-identity properties: every accelerated kernel must be
-//! byte-identical to its scalar reference — over random inputs, both
-//! fields (byte-wide GF(256) and wide GF(65536)), empty slices,
+//! Kernel-identity properties: the SSSE3 slice kernels must be
+//! byte-identical to the scalar loops, and the blocked multi-root Horner
+//! kernel to one per-root Horner pass — over random inputs, both fields
+//! (byte-wide GF(256) and wide GF(65536)), empty slices,
 //! non-multiple-of-16 lengths, and the all-zeros / all-0xFF edges.
 
-use dna_gf::dispatch::{Kernel, SimdMode};
-use dna_gf::{horner_all_zero_in, horner_eval_block_in, Field, MulTable};
+use dna_gf::dispatch::Kernel;
+use dna_gf::{horner_all_zero, horner_eval_block, Field, MulTable};
 use proptest::prelude::*;
 
 /// A field, a constant in it, and a random element vector whose length
@@ -70,19 +71,12 @@ proptest! {
         let tables: Vec<MulTable> = (1..=n_roots as i64)
             .map(|j| f.mul_table(f.alpha_pow(j)))
             .collect();
-        let mut scalar = Vec::new();
         let mut blocked = Vec::new();
-        horner_eval_block_in(SimdMode::Scalar, &tables, &word, &mut scalar);
-        horner_eval_block_in(SimdMode::Auto, &tables, &word, &mut blocked);
-        prop_assert_eq!(&scalar, &blocked);
+        horner_eval_block(&tables, &word, &mut blocked);
         let per_root: Vec<u16> = tables.iter().map(|t| t.horner_eval(&word)).collect();
-        prop_assert_eq!(&scalar, &per_root);
+        prop_assert_eq!(&blocked, &per_root);
         prop_assert_eq!(
-            horner_all_zero_in(SimdMode::Auto, &tables, &word),
-            horner_all_zero_in(SimdMode::Scalar, &tables, &word)
-        );
-        prop_assert_eq!(
-            horner_all_zero_in(SimdMode::Auto, &tables, &word),
+            horner_all_zero(&tables, &word),
             per_root.iter().all(|&s| s == 0)
         );
     }

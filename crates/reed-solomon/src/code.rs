@@ -223,14 +223,15 @@ impl ReedSolomon {
     /// Computes the `E` syndromes `S_j = r(α^j)`, `j = 1..=E`, into `out`
     /// via the batched multi-root Horner kernel ([`dna_gf::horner_eval_block`]):
     /// one streaming pass over `received` per register block of up to 8
-    /// roots, instead of `E` independent passes. `DNA_SKEW_SIMD=scalar`
-    /// forces the per-root reference; results are identical either way.
+    /// roots, instead of `E` independent passes. Wide fields (m > 8) run
+    /// one pass per root; results are identical either way.
     pub fn syndromes_into(&self, received: &[u16], out: &mut Vec<u16>) {
         dna_gf::horner_eval_block(&self.tables.roots, received, out);
     }
 
     /// Whether every syndrome of `word` vanishes; exits at the first
-    /// non-zero syndrome (block of syndromes under batched dispatch).
+    /// block of syndromes (single syndrome on wide fields) with a non-zero
+    /// value.
     pub(crate) fn syndromes_vanish(&self, word: &[u16]) -> bool {
         dna_gf::horner_all_zero(&self.tables.roots, word)
     }

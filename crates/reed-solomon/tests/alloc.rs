@@ -2,12 +2,10 @@
 //! steady-state `decode_with_scratch` (and the scratch-backed `decode`)
 //! perform **no heap allocations** — the only exception being the
 //! `positions` vector of a returned `Correction` that actually fixed
-//! symbols, which is user-facing output, not scratch.
-//!
-//! Every assertion runs under both `DNA_SKEW_SIMD` dispatch modes: the
-//! SIMD/batched kernels must add zero steady-state allocations.
+//! symbols, which is user-facing output, not scratch. The blocked
+//! syndrome and SSSE3 slice kernels are on this path, so they must add
+//! zero steady-state allocations of their own.
 
-use dna_gf::dispatch::{self, SimdMode};
 use dna_gf::Field;
 use dna_reed_solomon::{ReedSolomon, RsScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,22 +52,8 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
-/// Runs `f` under forced-scalar and forced-auto dispatch in turn, so the
-/// zero-allocation contract is proved for both kernel arms.
-fn in_both_modes(mut f: impl FnMut(SimdMode)) {
-    for mode in [SimdMode::Scalar, SimdMode::Auto] {
-        dispatch::force_mode(Some(mode));
-        f(mode);
-    }
-    dispatch::force_mode(None);
-}
-
 #[test]
 fn steady_state_scratch_decode_allocates_nothing() {
-    in_both_modes(steady_state_scratch_decode_case);
-}
-
-fn steady_state_scratch_decode_case(mode: SimdMode) {
     let rs = ReedSolomon::new(Field::gf256(), 40, 16).unwrap();
     let data: Vec<u16> = (0..40).map(|i| (i * 7) % 256).collect();
     let clean = rs.encode(&data).unwrap();
@@ -90,10 +74,7 @@ fn steady_state_scratch_decode_case(mode: SimdMode) {
     let erasures = [7usize, 12];
     let (n, result) = allocations_in(|| rs.decode_with_scratch(&mut cw, &erasures, &mut scratch));
     result.unwrap();
-    assert_eq!(
-        n, 0,
-        "clean steady-state decode must not allocate ({mode:?})"
-    );
+    assert_eq!(n, 0, "clean steady-state decode must not allocate");
 
     // Errors + erasures: the only allocation is the returned Correction's
     // positions vector (user-facing output, unavoidable by signature).
@@ -106,14 +87,14 @@ fn steady_state_scratch_decode_case(mode: SimdMode) {
     assert_eq!(cw, clean);
     assert!(
         n <= 1,
-        "corrected decode may only allocate the Correction position list, saw {n} ({mode:?})"
+        "corrected decode may only allocate the Correction position list, saw {n}"
     );
 
     // A failing decode allocates nothing either.
     let mut junk: Vec<u16> = (0..rs.codeword_len() as u16).map(|i| i % 251).collect();
     let (n, result) = allocations_in(|| rs.decode_with_scratch(&mut junk, &[], &mut scratch));
     assert!(result.is_err());
-    assert_eq!(n, 0, "failed decode must not allocate ({mode:?})");
+    assert_eq!(n, 0, "failed decode must not allocate");
 }
 
 #[test]
@@ -143,9 +124,6 @@ fn warm_up_presizes_a_cold_scratch() {
     let clean = rs.encode(&data).unwrap();
     let mut scratch = RsScratch::new();
     scratch.warm_up(&rs);
-    // Resolve the SIMD mode first: reading a set `DNA_SKEW_SIMD` allocates
-    // once per process, in whichever test gets there first.
-    dispatch::mode();
     // Even the *first* decode through an explicitly warmed scratch stays
     // allocation-free on the clean path.
     let mut cw = clean.clone();

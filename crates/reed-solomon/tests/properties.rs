@@ -4,6 +4,17 @@
 use dna_gf::Field;
 use dna_reed_solomon::{ReedSolomon, RsError, RsScratch};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// Data length of [`wide_code`].
+const WIDE_DATA_LEN: usize = 50;
+
+/// One GF(65536) code shared by every property case: its 128 KiB root
+/// tables would dominate the run time if each case built them.
+fn wide_code() -> &'static ReedSolomon {
+    static CODE: OnceLock<ReedSolomon> = OnceLock::new();
+    CODE.get_or_init(|| ReedSolomon::new(Field::gf65536(), WIDE_DATA_LEN, 14).unwrap())
+}
 
 /// Geometry + payload + a noise plan that respects `2ν + ρ ≤ E`.
 #[derive(Debug, Clone)]
@@ -116,34 +127,42 @@ proptest! {
     }
 
     #[test]
-    fn decode_and_syndromes_identical_across_dispatch_modes(s in scenario()) {
-        use dna_gf::dispatch::{self, SimdMode};
-        let rs = ReedSolomon::new(Field::gf256(), s.data_len, s.parity_len).unwrap();
-        let clean = rs.encode(&s.data).unwrap();
-        let mut noisy = clean.clone();
-        for &(pos, mask) in &s.errors {
-            noisy[pos] ^= mask;
+    fn syndromes_equal_poly_eval_and_decide_is_codeword(
+        wide in any::<bool>(),
+        data_len in 2usize..40,
+        parity_len in 2usize..24,
+        symbols in proptest::collection::vec(any::<u16>(), WIDE_DATA_LEN),
+        noise in proptest::collection::vec((any::<usize>(), any::<u16>()), 0..4),
+    ) {
+        let narrow;
+        let rs = if wide {
+            wide_code()
+        } else {
+            narrow = ReedSolomon::new(Field::gf256(), data_len, parity_len).unwrap();
+            &narrow
+        };
+        let f = rs.field();
+        let data: Vec<u16> = symbols[..rs.data_len()]
+            .iter()
+            .map(|&x| (usize::from(x) % f.order()) as u16)
+            .collect();
+        let mut received = rs.encode(&data).unwrap();
+        for &(pos, mask) in &noise {
+            received[pos % rs.codeword_len()] ^= (usize::from(mask) % f.order()) as u16;
         }
-        for &pos in &s.erasures {
-            noisy[pos] = 0;
+        // Reference: r(x) = Σ received[i]·x^(L−1−i) at α^1 … α^E, by the
+        // plain polynomial evaluator over ascending coefficients.
+        let ascending: Vec<u16> = received.iter().rev().copied().collect();
+        let expected: Vec<u16> = (1..=rs.parity_len() as i64)
+            .map(|j| dna_gf::poly::eval(f, &ascending, f.alpha_pow(j)))
+            .collect();
+        let mut syndromes = Vec::new();
+        rs.syndromes_into(&received, &mut syndromes);
+        prop_assert_eq!(&syndromes, &expected);
+        prop_assert_eq!(rs.is_codeword(&received), expected.iter().all(|&s| s == 0));
+        if noise.is_empty() {
+            prop_assert!(rs.is_codeword(&received));
         }
-        dispatch::force_mode(Some(SimdMode::Scalar));
-        let mut synd_scalar = Vec::new();
-        rs.syndromes_into(&noisy, &mut synd_scalar);
-        let clean_scalar = rs.is_codeword(&noisy);
-        let mut cw_scalar = noisy.clone();
-        let res_scalar = rs.decode(&mut cw_scalar, &s.erasures);
-        dispatch::force_mode(Some(SimdMode::Auto));
-        let mut synd_auto = Vec::new();
-        rs.syndromes_into(&noisy, &mut synd_auto);
-        let clean_auto = rs.is_codeword(&noisy);
-        let mut cw_auto = noisy.clone();
-        let res_auto = rs.decode(&mut cw_auto, &s.erasures);
-        dispatch::force_mode(None);
-        prop_assert_eq!(synd_scalar, synd_auto);
-        prop_assert_eq!(clean_scalar, clean_auto);
-        prop_assert_eq!(res_scalar, res_auto);
-        prop_assert_eq!(cw_scalar, cw_auto);
     }
 
     #[test]

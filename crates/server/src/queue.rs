@@ -20,12 +20,13 @@ pub struct Bounded<T> {
 }
 
 impl<T> Bounded<T> {
-    /// A queue holding at most `capacity` items (clamped to ≥ 1).
+    /// A queue holding at most `capacity` items (clamped to ≥ 1). Storage
+    /// grows with the items actually queued, so any bound is cheap.
     pub fn new(capacity: usize) -> Bounded<T> {
         let capacity = capacity.max(1);
         Bounded {
             state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity),
+                items: VecDeque::new(),
                 closed: false,
             }),
             not_full: Condvar::new(),
@@ -110,6 +111,20 @@ mod tests {
             vec![0, 1, 2, 3]
         );
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn an_unbounded_capacity_allocates_only_what_is_queued() {
+        let q = Bounded::new(usize::MAX);
+        for i in 0..3 {
+            q.push(i).unwrap();
+        }
+        assert_eq!(q.len(), 3);
+        assert_eq!(
+            (0..3).map(|_| q.pop().unwrap()).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Bit-packing helpers: slicing byte payloads into m-bit Reed–Solomon
 //! symbols and back (MSB-first), plus the 2-bit base pack/unpack kernels
 //! used by the capsule strand sections (four bases per byte, low bits
-//! first). The base kernels have a word-at-a-time fast path — 32 bases
-//! per `u64` — selected by [`dna_gf::dispatch`] and byte-identical to the
-//! scalar reference (`DNA_SKEW_SIMD=scalar` forces the reference).
+//! first). The base kernels work a word at a time — 32 bases per `u64`
+//! — and are byte-identical to the one-base-at-a-time loops kept as the
+//! oracles in `tests/pack_identity.rs`.
 
 use crate::{Base, DnaString, StrandError};
-use dna_gf::dispatch::{self, SimdMode};
 
 /// Packs `bytes` into `width`-bit symbols (MSB-first), zero-padding the
 /// final symbol. `width` must be in 1..=16.
@@ -185,39 +184,20 @@ pub fn pack_bases(bases: &[Base]) -> Vec<u8> {
 }
 
 /// [`pack_bases`] into a caller-provided buffer of exactly
-/// [`packed_base_len`] bytes, via the dispatched kernel.
+/// [`packed_base_len`] bytes, assembling 32 bases per `u64` store.
 ///
 /// # Panics
 ///
 /// Panics when `out` has the wrong length.
 pub fn pack_bases_into(bases: &[Base], out: &mut [u8]) {
-    pack_bases_into_in(dispatch::mode(), bases, out);
-}
-
-/// [`pack_bases_into`] under an explicit dispatch mode — the comparison
-/// entry point for dispatch-identity tests. The accelerated form
-/// assembles 32 bases per `u64` store; the scalar reference shifts one
-/// base at a time. Outputs are identical.
-///
-/// # Panics
-///
-/// Panics when `out` has the wrong length.
-pub fn pack_bases_into_in(mode: SimdMode, bases: &[Base], out: &mut [u8]) {
     assert_eq!(
         out.len(),
         packed_base_len(bases.len()),
         "pack_bases_into output length mismatch"
     );
-    if mode == SimdMode::Scalar {
-        out.fill(0);
-        for (i, b) in bases.iter().enumerate() {
-            out[i / 4] |= b.to_bits() << ((i % 4) * 2);
-        }
-        return;
-    }
     // Word-at-a-time: 32 bases become one u64 (base i at bit 2·i), whose
     // little-endian bytes are exactly the four-per-byte low-bits-first
-    // layout of the scalar loop.
+    // layout.
     let head = bases.len() & !31;
     for (blk, slot) in bases[..head]
         .chunks_exact(32)
@@ -249,36 +229,19 @@ pub fn unpack_bases(packed: &[u8], n_bases: usize) -> Vec<Base> {
     out
 }
 
-/// [`unpack_bases`] appending into a caller-provided vector (cleared
-/// first), via the dispatched kernel.
+/// [`unpack_bases`] into a caller-provided vector (cleared first),
+/// loading 8 packed bytes per `u64` and emitting 32 bases from register
+/// shifts.
 ///
 /// # Panics
 ///
 /// Panics when `packed` is shorter than [`packed_base_len`] bytes.
 pub fn unpack_bases_into(packed: &[u8], n_bases: usize, out: &mut Vec<Base>) {
-    unpack_bases_into_in(dispatch::mode(), packed, n_bases, out);
-}
-
-/// [`unpack_bases_into`] under an explicit dispatch mode (see
-/// [`pack_bases_into_in`]). The accelerated form loads 8 packed bytes per
-/// `u64` and emits 32 bases from register shifts.
-///
-/// # Panics
-///
-/// Panics when `packed` is shorter than [`packed_base_len`] bytes.
-pub fn unpack_bases_into_in(mode: SimdMode, packed: &[u8], n_bases: usize, out: &mut Vec<Base>) {
     assert!(
         packed.len() >= packed_base_len(n_bases),
         "unpack_bases input too short"
     );
     out.clear();
-    out.reserve(n_bases);
-    if mode == SimdMode::Scalar {
-        for i in 0..n_bases {
-            out.push(Base::from_bits(packed[i / 4] >> ((i % 4) * 2)));
-        }
-        return;
-    }
     // Fill by slice writes instead of per-base pushes: resize once, then
     // each u64 load fans out into a fixed 32-element window (no length
     // bookkeeping in the inner loop).
@@ -377,23 +340,19 @@ mod tests {
     }
 
     #[test]
-    fn base_packing_round_trips_both_modes() {
-        let bases: Vec<Base> = (0..131).map(|i| Base::from_bits(i as u8)).collect();
+    fn base_packing_round_trips_across_word_edges() {
+        let bases: Vec<Base> = (0..131)
+            .map(|i| Base::from_bits((i * 7 + 3) as u8))
+            .collect();
         for len in [0usize, 1, 3, 4, 31, 32, 33, 64, 131] {
             let slice = &bases[..len];
-            let mut scalar = vec![0u8; packed_base_len(len)];
-            let mut fast = vec![0xAAu8; packed_base_len(len)];
-            pack_bases_into_in(SimdMode::Scalar, slice, &mut scalar);
-            pack_bases_into_in(SimdMode::Auto, slice, &mut fast);
-            assert_eq!(scalar, fast, "pack len={len}");
-            let mut back_s = Vec::new();
-            let mut back_f = Vec::new();
-            unpack_bases_into_in(SimdMode::Scalar, &scalar, len, &mut back_s);
-            unpack_bases_into_in(SimdMode::Auto, &scalar, len, &mut back_f);
-            assert_eq!(back_s, slice, "unpack len={len}");
-            assert_eq!(back_f, slice, "unpack auto len={len}");
-            assert_eq!(pack_bases(slice), scalar);
-            assert_eq!(unpack_bases(&scalar, len), slice);
+            let mut packed = vec![0xAAu8; packed_base_len(len)];
+            pack_bases_into(slice, &mut packed);
+            assert_eq!(pack_bases(slice), packed, "pack len={len}");
+            let mut back = vec![Base::T; 7];
+            unpack_bases_into(&packed, len, &mut back);
+            assert_eq!(back, slice, "unpack len={len}");
+            assert_eq!(unpack_bases(&packed, len), slice);
         }
     }
 

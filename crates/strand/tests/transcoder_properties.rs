@@ -2,8 +2,8 @@
 //! [`StrandTranscoder`] must round-trip encode→decode exactly across
 //! random geometries (field widths, row counts) and values, and the
 //! trellis transcoder's payloads must satisfy the synthesis constraints
-//! primers are held to. These run under the CI `DNA_SKEW_SIMD` ×
-//! `DNA_SKEW_THREADS` matrix like every other test.
+//! primers are held to. These run under the CI `DNA_SKEW_THREADS`
+//! matrix like every other test.
 //!
 //! [`StrandTranscoder`]: dna_strand::StrandTranscoder
 
