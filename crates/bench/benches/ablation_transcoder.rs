@@ -94,8 +94,7 @@ fn main() {
             let scenario = Scenario::with_channel(channel)
                 .single_coverage(coverage)
                 .trials(trials)
-                .seed(23)
-                .transcoder(spec);
+                .seed(23);
             scenario.validate().expect("static scenario is valid");
             let backend = scenario.backend();
             let mut ok = 0usize;

@@ -16,20 +16,20 @@ use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
 use dna_channel::{CoverageModel, ErrorModel, ReadPool, SequencingBackend, SimulatedSequencer};
 use dna_consensus::{BmaTwoWay, TraceReconstructor};
 use dna_storage::{CodecParams, Layout};
-use dna_strand::{bits, DnaString};
+use dna_strand::DnaString;
 
 /// Per-row symbol-error counts of one sequencing trial (ground truth from
-/// perfect clustering; the index region is ignored).
+/// perfect clustering; the index region is ignored). Symbols are read
+/// through the unit's transcoder, as the decoder reads them.
 fn row_errors(
     strands: &[DnaString],
     pool: &ReadPool,
     coverage: f64,
-    rows: usize,
-    index_bases: usize,
-    sym_bases: usize,
+    params: &CodecParams,
 ) -> Vec<usize> {
+    let (transcoder, geom) = (params.transcoder(), params.payload_geometry());
     let consensus = BmaTwoWay::default();
-    let mut errs = vec![0usize; rows];
+    let mut errs = vec![0usize; params.rows()];
     for cluster in pool.at_coverage(coverage) {
         let truth = &strands[cluster.source];
         if cluster.reads.is_empty() {
@@ -41,10 +41,11 @@ fn row_errors(
         }
         let got = consensus.reconstruct(&cluster.reads, truth.len());
         for (r, err) in errs.iter_mut().enumerate() {
-            let start = index_bases + r * sym_bases;
-            let a = bits::decode_symbol(truth.slice(start, start + sym_bases).as_slice(), 8)
+            let a = transcoder
+                .decode_symbol(truth.as_slice(), r, geom)
                 .expect("truth symbol");
-            let b = bits::decode_symbol(got.slice(start, start + sym_bases).as_slice(), 8)
+            let b = transcoder
+                .decode_symbol(got.as_slice(), r, geom)
                 .expect("consensus symbol");
             if a != b {
                 *err += 1;
@@ -63,8 +64,6 @@ fn main() {
     let model = ErrorModel::uniform(0.09);
     let provision_cov = 20.0f64;
     let deploy_covs = [20.0f64, 16.0, 13.0, 11.0];
-    let index_bases = usize::from(params.index_bits()) / 2;
-    let sym_bases = usize::from(params.symbol_bits()) / 2;
     eprintln!("ablation_unequal_ec: provision at coverage {provision_cov}, trials={trials}");
 
     // Any layout works for strand generation; errors depend on position,
@@ -84,16 +83,9 @@ fn main() {
             },
         )
         .sequence_unit(0, unit.strands(), 2500 + t as u64);
-        for (r, e) in row_errors(
-            unit.strands(),
-            &pool,
-            provision_cov,
-            rows,
-            index_bases,
-            sym_bases,
-        )
-        .into_iter()
-        .enumerate()
+        for (r, e) in row_errors(unit.strands(), &pool, provision_cov, &params)
+            .into_iter()
+            .enumerate()
         {
             profile[r] += e;
         }
@@ -149,7 +141,7 @@ fn main() {
                 },
             )
             .sequence_unit(0, unit.strands(), 3500 + t as u64);
-            let errs = row_errors(unit.strands(), &pool, cov, rows, index_bases, sym_bases);
+            let errs = row_errors(unit.strands(), &pool, cov, &params);
             let total_errs: usize = errs.iter().sum();
             // uniform rows: each row corrects uniform_cap
             failed[0] += errs.iter().filter(|&&e| e > uniform_cap).count();

@@ -394,10 +394,11 @@ pub fn run_scenario(
             } else {
                 Vec::new()
             };
+            let params = pipeline.params();
+            let (index_start, index_len) =
+                params.transcoder().field_span(0, params.payload_geometry());
             let ctx = FaultContext {
-                index_region: pipeline.params().primer_len()
-                    + usize::from(pipeline.params().index_bits()).div_ceil(2)
-                    + 2,
+                index_region: params.primer_len() + index_start + index_len + 2,
                 foreign_reads,
             };
             let opts = RetrieveOptions {

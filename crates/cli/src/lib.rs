@@ -478,8 +478,7 @@ pub fn simulate_planned(
 ) -> Result<SimulationRun, CliError> {
     let scenario = Scenario::with_channel(channel.clone())
         .single_coverage(coverage)
-        .seed(seed)
-        .transcoder(transcoder);
+        .seed(seed);
     scenario.validate()?;
     let (pipeline, warnings) =
         planned_pipeline(layout, parity_cols, plan, &channel, coverage, transcoder)?;
@@ -504,10 +503,13 @@ pub fn simulate_planned(
 }
 
 /// `simulate --unlabeled`: [`simulate_planned`]'s round trip (uniform
-/// plan, direct transcoder) over *unlabeled* pools: reads are anonymized
-/// (labels dropped, orientation randomized, order shuffled) after
-/// sequencing, and the pipeline must cluster, orient, and demultiplex
-/// them back before decoding.
+/// plan) over *unlabeled* pools: reads are anonymized (labels dropped,
+/// orientation randomized, order shuffled) after sequencing, and the
+/// pipeline must cluster, orient, and demultiplex them back before
+/// decoding, reading each index through `transcoder`. A unit whose pool
+/// cannot be recovered at all decodes as the labeled path decodes a
+/// unit with no reads, so both report the same failed codewords and
+/// lost molecules.
 ///
 /// Strands are wrapped in 16-base primers — the orientation anchor every
 /// real unlabeled-retrieval system relies on — so the encoded form
@@ -522,8 +524,11 @@ pub fn simulate_unlabeled(
     coverage: f64,
     seed: u64,
     clusterer: ClustererChoice,
+    transcoder: TranscoderSpec,
 ) -> Result<SimulationRun, CliError> {
-    let params = CodecParams::laptop()?.with_primer_len(16);
+    let params = CodecParams::laptop()?
+        .with_primer_len(16)
+        .with_transcoder(transcoder);
     let pipeline = Pipeline::builder()
         .params(params)
         .layout(layout.to_layout())
@@ -552,20 +557,20 @@ pub fn simulate_unlabeled(
     for (u, anon) in anonymous.iter().enumerate() {
         let lo = (u * cap).min(payload.len());
         let hi = ((u + 1) * cap).min(payload.len());
-        match pipeline.decode_pool(anon) {
-            Ok((bytes, report)) => {
-                decoded.extend_from_slice(&bytes[..hi - lo]);
-                merged.merge_from(&report);
-            }
+        let (bytes, report) = match pipeline.decode_pool(anon) {
+            Ok(decoded) => decoded,
             // A unit whose pool could not be recovered at all is a
-            // failed retrieval (zero recovered bytes), not a crash —
-            // exactly the marginal-coverage regime the flag measures.
+            // failed retrieval, not a crash — exactly the
+            // marginal-coverage regime the flag measures. Decoding it
+            // from no reads loses every molecule and fails every
+            // codeword, as the labeled path reports the same loss.
             Err(StorageError::EmptyPool) | Err(StorageError::AllReadsOrphaned { .. }) => {
-                decoded.resize(decoded.len() + (hi - lo), 0);
-                merged.lost_columns += pipeline.params().cols();
+                pipeline.decode_unit(&[])?
             }
             Err(e) => return Err(e.into()),
-        }
+        };
+        decoded.extend_from_slice(&bytes[..hi - lo]);
+        merged.merge_from(&report);
     }
     Ok(scored_run(&pipeline, payload, &decoded, merged, Vec::new()))
 }
@@ -918,6 +923,7 @@ mod tests {
             10.0,
             19,
             ClustererChoice::Anchored,
+            TranscoderSpec::Direct,
         )
         .unwrap();
         assert!(
@@ -939,6 +945,28 @@ mod tests {
     }
 
     #[test]
+    fn unlabeled_simulation_decodes_every_transcoder_exactly() {
+        // The demultiplexer reads each index through the transcoder that
+        // wrote it; a direct 2-bit read of a trellis index names the
+        // wrong column for almost every read.
+        let payload: Vec<u8> = (0..1500u32).map(|i| (i * 29 % 256) as u8).collect();
+        for spec in TranscoderSpec::ALL {
+            let run = simulate_unlabeled(
+                &payload,
+                LayoutKind::Gini,
+                parse_channel_model("uniform:0.01").unwrap(),
+                10.0,
+                5,
+                ClustererChoice::Anchored,
+                spec,
+            )
+            .unwrap();
+            assert!(run.outcome.exact, "{spec}: {:?}", run.outcome);
+            assert_eq!(run.outcome.failed_codewords, 0, "{spec}");
+        }
+    }
+
+    #[test]
     fn unlabeled_simulation_degrades_gracefully_when_nothing_survives() {
         // dropout 0.999 starves the pool outright: an unrecoverable unit
         // (EmptyPool / AllReadsOrphaned) must count as a failed
@@ -953,6 +981,7 @@ mod tests {
             4.0,
             0,
             ClustererChoice::Anchored,
+            TranscoderSpec::Direct,
         )
         .unwrap();
         assert!(!run.outcome.exact);
@@ -1185,12 +1214,25 @@ mod tests {
                 coverage,
                 3,
                 ClustererChoice::default(),
+                TranscoderSpec::Direct,
             )
         };
-        for run in [labeled(0.0).unwrap(), unlabeled(0.0).unwrap()] {
+        let (labeled_run, unlabeled_run) = (labeled(0.0).unwrap(), unlabeled(0.0).unwrap());
+        for run in [&labeled_run, &unlabeled_run] {
             assert!(!run.outcome.exact);
             assert!(run.outcome.byte_accuracy < 0.1, "{:?}", run.outcome);
         }
+        // Both arms report a total loss the same way: every molecule
+        // lost and every codeword failed.
+        assert!(labeled_run.outcome.failed_codewords > 0);
+        assert_eq!(
+            unlabeled_run.outcome.failed_codewords,
+            labeled_run.outcome.failed_codewords
+        );
+        assert_eq!(
+            unlabeled_run.outcome.lost_molecules,
+            labeled_run.outcome.lost_molecules
+        );
         for err in [labeled(1e30).unwrap_err(), unlabeled(1e30).unwrap_err()] {
             assert!(
                 matches!(err, CliError::Storage(StorageError::InvalidParams(_))),

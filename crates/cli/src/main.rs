@@ -52,7 +52,8 @@ protection plans:  uniform (default), auto (skew-profiled unequal protection),
 --tsv writes the per-row corrected-error/erasure histograms of the run.
 --unlabeled anonymizes the sequencer output (no labels, random orientation,
             shuffled order); retrieval must cluster, orient, and demultiplex
-            the reads before decoding. Strands are primer-wrapped; --clusterer
+            the reads before decoding, reading each index through the
+            --transcoder layout. Strands are primer-wrapped; --clusterer
             picks the clustering algorithm (default anchored).
 
 pack streams files into a capsule-pool object store (created on first use:
@@ -210,16 +211,11 @@ fn run() -> Result<(), CliError> {
                     "--unlabeled does not combine with --plan/--parity yet".into(),
                 ));
             }
-            if unlabeled && transcoder != TranscoderSpec::Direct {
-                return Err(CliError::Usage(
-                    "--unlabeled requires the direct transcoder (unlabeled recovery \
-                     demultiplexes by the direct index layout)"
-                        .into(),
-                ));
-            }
             let base_rate = channel.base().total_rate();
             let run = if unlabeled {
-                simulate_unlabeled(&input, layout, channel, coverage, seed, clusterer)?
+                simulate_unlabeled(
+                    &input, layout, channel, coverage, seed, clusterer, transcoder,
+                )?
             } else {
                 simulate_planned(
                     &input, layout, channel, coverage, seed, &plan, parity, transcoder,
@@ -301,8 +297,8 @@ fn run() -> Result<(), CliError> {
             let report = store.fetch(id, &mut file)?;
             println!(
                 "fetched object {id} -> {out_path}: {} bytes from {} capsule(s), \
-                 {} unit(s), {} reads ({} dropped by primer prefilter)",
-                report.bytes, report.capsules, report.units, report.reads, report.prefilter_dropped
+                 {} unit(s), {} reads",
+                report.bytes, report.capsules, report.units, report.reads
             );
         }
         "ls" => {

@@ -15,7 +15,7 @@ use dna_align::BasePattern;
 use dna_channel::{AnonymousPool, Cluster, ReadPool, SequencingBackend};
 use dna_consensus::TraceReconstructor;
 use dna_reed_solomon::{CodeFamily, RsError};
-use dna_strand::{bits, DnaString, Primer, StrandTranscoder};
+use dna_strand::{bits, DnaString, Primer, TranscoderSpec};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -114,10 +114,6 @@ pub struct Pipeline {
     /// plan) so the per-unit hot paths never re-derive (or re-allocate)
     /// them.
     cw_positions: Arc<Vec<Vec<(usize, usize)>>>,
-    /// The payload transcoder, built once from
-    /// [`CodecParams::transcoder`] so the per-strand hot paths never
-    /// re-dispatch on the spec.
-    transcoder: Arc<dyn StrandTranscoder>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -150,7 +146,6 @@ impl Pipeline {
         primers: Option<(Primer, Primer)>,
         default_retrieve: RetrieveOptions,
     ) -> Pipeline {
-        let transcoder = params.transcoder().build();
         Pipeline {
             params,
             layout,
@@ -160,14 +155,12 @@ impl Pipeline {
             primers,
             default_retrieve,
             cw_positions: Arc::new(cw_positions),
-            transcoder,
         }
     }
 
-    /// The payload transcoder in effect (built from
-    /// [`CodecParams::transcoder`]).
-    pub fn transcoder(&self) -> &dyn StrandTranscoder {
-        self.transcoder.as_ref()
+    /// The payload transcoder in effect ([`CodecParams::transcoder`]).
+    pub fn transcoder(&self) -> TranscoderSpec {
+        self.params.transcoder()
     }
 
     /// The unit geometry.
@@ -305,7 +298,7 @@ impl Pipeline {
             for (r, slot) in column.iter_mut().enumerate() {
                 *slot = matrix.get(r, c);
             }
-            self.transcoder
+            self.transcoder()
                 .encode_payload_into(c as u32, &column, geom, &mut strand)?;
             if let Some((_, right)) = &self.primers {
                 strand.extend(right.strand().iter().copied());
@@ -548,6 +541,7 @@ impl Pipeline {
         let rows = self.params.rows();
         let m = self.params.symbol_bits();
         let geom = self.params.payload_geometry();
+        let transcoder = self.params.transcoder();
         // Split the workspace into disjoint buffers and rebuild each from
         // scratch; nothing from a previous decode can leak through.
         let DecodeWorkspace {
@@ -591,7 +585,7 @@ impl Pipeline {
             let idx = if trust_cluster_sources {
                 cluster.source
             } else {
-                self.transcoder.decode_index(strand, geom)? as usize
+                transcoder.decode_index(strand, geom)? as usize
             };
             if idx >= cols {
                 report.invalid_indexes += 1;
@@ -602,7 +596,7 @@ impl Pipeline {
                 continue;
             }
             for r in 0..rows {
-                let sym = self.transcoder.decode_symbol(strand, r, geom)?;
+                let sym = transcoder.decode_symbol(strand, r, geom)?;
                 matrix.set(r, idx, sym);
             }
             present[idx] = true;

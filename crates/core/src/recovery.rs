@@ -20,13 +20,12 @@
 //!    clusters voting for the same column are merged (they are fragments
 //!    of one molecule), invalid-vote clusters are orphaned.
 //!
-//! The demultiplex step reads the index through the **direct** 2-bit
-//! layout only — per-read index decode predates the pluggable
-//! transcoders and has not been generalized. The CLI therefore rejects
-//! `simulate --unlabeled` combined with a non-direct `--transcoder`;
-//! lifting that restriction means teaching step 3 to consult
-//! [`dna_strand::TranscoderSpec::field_span`] and the transcoder's
-//! `decode_index` for the per-read vote.
+//! Steps 2 and 3 read the index through the unit's
+//! [`TranscoderSpec`]: its field-0
+//! [`field_span`](TranscoderSpec::field_span) sizes the clusterer's
+//! anchor window and the reverse-complement vote window, and its
+//! [`decode_index`](TranscoderSpec::decode_index) decodes every vote, so
+//! unlabeled pools recover under any layout the decoder reads.
 //!
 //! The outcome is the `Vec<Cluster>` shape the existing decode path has
 //! always consumed, plus a [`RecoveryReport`] scoring the reconstruction
@@ -41,7 +40,7 @@ use dna_align::{
     ReadClusterer,
 };
 use dna_channel::{AnonymousPool, Cluster};
-use dna_strand::{decode_index, Base, DnaString, Primer};
+use dna_strand::{Base, DnaString, PayloadGeometry, Primer, TranscoderSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -376,7 +375,7 @@ impl RecoveryPipeline {
         let clusters = match &self.spec {
             ClustererSpec::Greedy { .. } => GreedyClusterer::new(threshold).cluster(&oriented),
             ClustererSpec::Anchored { .. } => {
-                let anchor_len = usize::from(params.index_bits()) / 2 + 6;
+                let anchor_len = IndexField::new(params).bases + 6;
                 AnchoredClusterer::new(threshold)
                     .with_anchor(params.primer_len(), anchor_len)
                     .cluster(&oriented)
@@ -409,7 +408,7 @@ impl RecoveryPipeline {
         // ambiguity primers exist to remove.
         let cols = params.cols();
         let offset = params.primer_len();
-        let index_bits = params.index_bits();
+        let index = IndexField::new(params);
         // Per column: (members in merge order, flip-at-materialization).
         let mut columns: Vec<Vec<(usize, bool)>> = vec![Vec::new(); cols];
         let assign = |columns: &mut Vec<Vec<(usize, bool)>>,
@@ -451,7 +450,7 @@ impl RecoveryPipeline {
                             &oriented[r],
                             primer,
                             offset,
-                            index_bits,
+                            &index,
                             &mut sync_state,
                             &mut prefix_scores,
                         )
@@ -513,7 +512,7 @@ impl RecoveryPipeline {
                     let forward = tally_votes(
                         members.iter().map(|&r| &oriented[r]),
                         offset,
-                        index_bits,
+                        &index,
                         cols,
                         &mut votes,
                         &mut touched,
@@ -521,7 +520,7 @@ impl RecoveryPipeline {
                     let reverse = tally_votes_rc(
                         members.iter().map(|&r| &oriented[r]),
                         offset,
-                        index_bits,
+                        &index,
                         cols,
                         &mut votes,
                         &mut touched,
@@ -641,13 +640,13 @@ impl RecoveryPipeline {
 fn tally_votes<'a>(
     reads: impl Iterator<Item = &'a DnaString>,
     offset: usize,
-    index_bits: u8,
+    index: &IndexField,
     cols: usize,
     votes: &mut [usize],
     touched: &mut Vec<usize>,
 ) -> Option<usize> {
     tally(
-        reads.filter_map(|r| forward_index(r, offset, index_bits)),
+        reads.filter_map(|r| index.forward(r, offset)),
         cols,
         votes,
         touched,
@@ -659,13 +658,13 @@ fn tally_votes<'a>(
 fn tally_votes_rc<'a>(
     reads: impl Iterator<Item = &'a DnaString>,
     offset: usize,
-    index_bits: u8,
+    index: &IndexField,
     cols: usize,
     votes: &mut [usize],
     touched: &mut Vec<usize>,
 ) -> Option<usize> {
     tally(
-        reads.filter_map(|r| reverse_index(r, offset, index_bits)),
+        reads.filter_map(|r| index.reverse(r, offset)),
         cols,
         votes,
         touched,
@@ -701,7 +700,7 @@ fn tally(
     winner.map(|(idx, _)| idx)
 }
 
-/// [`forward_index`] with the offset re-synchronized against the known
+/// [`IndexField::forward`] with the offset re-synchronized against the known
 /// primer: the index starts wherever the primer *actually* ends in this
 /// read, which an indel inside the primer region shifts by a base or
 /// two. Each candidate end is scored by the edit distance between the
@@ -715,7 +714,7 @@ fn synced_forward_index(
     read: &DnaString,
     primer: &BasePattern,
     offset: usize,
-    index_bits: u8,
+    index: &IndexField,
     state: &mut Vec<usize>,
     scores: &mut Vec<usize>,
 ) -> Option<u32> {
@@ -737,39 +736,65 @@ fn synced_forward_index(
             best = (d, end);
         }
     }
-    forward_index(read, best.1, index_bits)
+    index.forward(read, best.1)
 }
 
 /// The primer-end shifts [`synced_forward_index`] tries, in tie-break
 /// order.
 const SYNC_SHIFTS: [isize; 5] = [0, -1, 1, -2, 2];
 
-/// The index decoded from the read as delivered, or `None` for reads too
-/// short to carry one.
-fn forward_index(read: &DnaString, offset: usize, index_bits: u8) -> Option<u32> {
-    let ib = usize::from(index_bits) / 2;
-    let bases = read.as_slice();
-    if bases.len() < offset + ib {
-        return None;
-    }
-    decode_index(&bases[offset..offset + ib], index_bits).ok()
+/// Where a read carries its ordering index and how to decode it: the
+/// unit's transcoder and geometry, plus the length of the index window
+/// (field 0's span end), all fixed per unit so the per-read votes
+/// allocate nothing.
+struct IndexField {
+    transcoder: TranscoderSpec,
+    geom: PayloadGeometry,
+    /// Payload bases up to and including the index field's last base.
+    bases: usize,
 }
 
-/// The index the read would carry if it were the reverse complement of a
-/// strand — the index window is complemented in place (no full flipped
-/// copy) and decoded by the same [`decode_index`] as the forward path,
-/// so the two decoders cannot diverge.
-fn reverse_index(read: &DnaString, offset: usize, index_bits: u8) -> Option<u32> {
-    let ib = usize::from(index_bits) / 2;
-    let bases = read.as_slice();
-    if bases.len() < offset + ib || ib > 16 {
-        return None;
+/// The widest index window a reverse vote complements on the stack: a
+/// 32-bit index spans at most 23 bases (trellis).
+const MAX_INDEX_BASES: usize = 32;
+
+impl IndexField {
+    fn new(params: &CodecParams) -> IndexField {
+        let transcoder = params.transcoder();
+        let geom = params.payload_geometry();
+        let (start, len) = transcoder.field_span(0, geom);
+        IndexField {
+            transcoder,
+            geom,
+            bases: start + len,
+        }
     }
-    let mut window = [Base::A; 16];
-    for (j, slot) in window[..ib].iter_mut().enumerate() {
-        *slot = bases[bases.len() - 1 - offset - j].complement();
+
+    /// The index decoded from the read as delivered, with the payload
+    /// starting `offset` bases in, or `None` for reads too short to
+    /// carry one.
+    fn forward(&self, read: &DnaString, offset: usize) -> Option<u32> {
+        let payload = read.as_slice().get(offset..)?;
+        self.transcoder.decode_index(payload, self.geom).ok()
     }
-    decode_index(&window[..ib], index_bits).ok()
+
+    /// The index the read would carry if it were the reverse complement
+    /// of a strand — the index window is complemented in place (no full
+    /// flipped copy) and decoded by the same transcoder as the forward
+    /// path, so the two decoders cannot diverge.
+    fn reverse(&self, read: &DnaString, offset: usize) -> Option<u32> {
+        let bases = read.as_slice();
+        if bases.len() < offset + self.bases || self.bases > MAX_INDEX_BASES {
+            return None;
+        }
+        let mut window = [Base::A; MAX_INDEX_BASES];
+        for (j, slot) in window[..self.bases].iter_mut().enumerate() {
+            *slot = bases[bases.len() - 1 - offset - j].complement();
+        }
+        self.transcoder
+            .decode_index(&window[..self.bases], self.geom)
+            .ok()
+    }
 }
 
 #[cfg(test)]
@@ -790,18 +815,49 @@ mod tests {
 
     #[test]
     fn forward_and_reverse_index_agree_with_materialized_flips() {
+        let index = IndexField::new(&params());
         for idx in [0u32, 3, 9, 14] {
             let s = strand(idx, "ACGTACGTACGT");
-            assert_eq!(forward_index(&s, 0, 4), Some(idx));
-            assert_eq!(reverse_index(&s.reverse_complement(), 0, 4), Some(idx));
+            assert_eq!(index.forward(&s, 0), Some(idx));
+            assert_eq!(index.reverse(&s.reverse_complement(), 0), Some(idx));
             let offset = 3;
             let mut padded: DnaString = "GGG".parse().unwrap();
             padded.extend(s.iter().copied());
-            assert_eq!(forward_index(&padded, offset, 4), Some(idx));
+            assert_eq!(index.forward(&padded, offset), Some(idx));
             assert_eq!(
-                reverse_index(&padded.reverse_complement(), offset, 4),
+                index.reverse(&padded.reverse_complement(), offset),
                 Some(idx)
             );
+        }
+    }
+
+    #[test]
+    fn votes_read_the_index_through_every_transcoder() {
+        // A 16-bit index puts a gc-padded pad base inside the index
+        // field, and the trellis spreads it over 12 bases: a direct
+        // 2-bit read of either decodes the wrong column.
+        let geometries = [
+            params(),
+            CodecParams::new(dna_gf::Field::gf256(), 30, 160, 24, 16).unwrap(),
+        ];
+        for base in geometries {
+            for spec in TranscoderSpec::ALL {
+                let params = base.clone().with_transcoder(spec);
+                let geom = params.payload_geometry();
+                let index = IndexField::new(&params);
+                let symbols: Vec<u16> = (0..geom.rows as u16).map(|r| r * 7 % 16).collect();
+                for idx in [0u32, 1, 9, (params.cols() - 1) as u32] {
+                    let mut s: DnaString = "GGG".parse().unwrap();
+                    spec.encode_payload_into(idx, &symbols, geom, &mut s)
+                        .unwrap();
+                    assert_eq!(index.forward(&s, 3), Some(idx), "{spec} idx {idx}");
+                    assert_eq!(
+                        index.reverse(&s.reverse_complement(), 3),
+                        Some(idx),
+                        "{spec} idx {idx}"
+                    );
+                }
+            }
         }
     }
 
@@ -811,7 +867,7 @@ mod tests {
         read: &DnaString,
         primer: &[Base],
         offset: usize,
-        index_bits: u8,
+        index: &IndexField,
     ) -> Option<u32> {
         let mut best = (usize::MAX, offset);
         for delta in SYNC_SHIFTS {
@@ -831,7 +887,7 @@ mod tests {
                 best = (d, end);
             }
         }
-        forward_index(read, best.1, index_bits)
+        index.forward(read, best.1)
     }
 
     #[test]
@@ -842,6 +898,7 @@ mod tests {
         let mut state = Vec::new();
         let mut scores = Vec::new();
         let mut checked = 0;
+        let index = IndexField::new(&params());
         for primer_len in [0usize, 1, 2, 5, 12, 16, 20] {
             let primer = DnaString::random(primer_len, &mut rng);
             let pattern = BasePattern::new(primer.as_slice());
@@ -869,8 +926,15 @@ mod tests {
                 let read = DnaString::from_bases(read);
                 for offset in [primer_len, primer_len.saturating_sub(1), primer_len + 1] {
                     assert_eq!(
-                        synced_forward_index(&read, &pattern, offset, 4, &mut state, &mut scores),
-                        synced_forward_index_oracle(&read, primer.as_slice(), offset, 4),
+                        synced_forward_index(
+                            &read,
+                            &pattern,
+                            offset,
+                            &index,
+                            &mut state,
+                            &mut scores
+                        ),
+                        synced_forward_index_oracle(&read, primer.as_slice(), offset, &index),
                         "primer {primer} read {read} offset {offset}"
                     );
                     checked += usize::from(read.len() < offset + 2);
@@ -883,8 +947,9 @@ mod tests {
     #[test]
     fn short_reads_do_not_vote() {
         let s: DnaString = "A".parse().unwrap();
-        assert_eq!(forward_index(&s, 0, 4), None);
-        assert_eq!(reverse_index(&s, 0, 4), None);
+        let index = IndexField::new(&params());
+        assert_eq!(index.forward(&s, 0), None);
+        assert_eq!(index.reverse(&s, 0), None);
     }
 
     #[test]

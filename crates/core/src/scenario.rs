@@ -10,7 +10,6 @@
 
 use crate::StorageError;
 use dna_channel::{ChannelModel, CoverageModel, ErrorModel, SimulatedSequencer};
-use dna_strand::TranscoderSpec;
 
 /// The default Gamma shape used across the paper's experiments (§6.1.2).
 pub const GAMMA_SHAPE: f64 = 6.0;
@@ -63,12 +62,6 @@ pub struct Scenario {
     /// clustering + demultiplexing before decode, instead of the paper's
     /// perfect-clustering methodology.
     pub unlabeled: bool,
-    /// Byte→base transcoder strands are written with. Consumers building
-    /// a pipeline for this operating point apply it via
-    /// [`CodecParams::with_transcoder`](crate::CodecParams::with_transcoder)
-    /// (the CLI and conformance suite do); it defaults to the historical
-    /// direct 2-bit layout.
-    pub transcoder: TranscoderSpec,
 }
 
 impl Scenario {
@@ -88,14 +81,7 @@ impl Scenario {
             trials: 5,
             seed: 1,
             unlabeled: false,
-            transcoder: TranscoderSpec::Direct,
         }
-    }
-
-    /// Sets the byte→base transcoder for this operating point.
-    pub fn transcoder(mut self, spec: TranscoderSpec) -> Scenario {
-        self.transcoder = spec;
-        self
     }
 
     /// Replaces the channel model, keeping the sweep, trials, and seed.
@@ -260,9 +246,6 @@ mod tests {
         let s = Scenario::new(ErrorModel::uniform(0.09));
         assert_eq!(s.coverages.len(), 28);
         assert!(s.gamma);
-        assert_eq!(s.transcoder, TranscoderSpec::Direct);
-        let s = s.transcoder(TranscoderSpec::Trellis);
-        assert_eq!(s.transcoder, TranscoderSpec::Trellis);
         assert_eq!(s.trials, 5);
         assert_eq!(s.max_coverage(), 30.0);
         assert_eq!(

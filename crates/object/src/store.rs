@@ -141,8 +141,6 @@ pub struct FetchReport {
     pub units: usize,
     /// Reads (strands) fed to the decoder.
     pub reads: usize,
-    /// Reads dropped by the primer prefilter.
-    pub prefilter_dropped: usize,
     /// Payload bytes written out.
     pub bytes: u64,
 }
@@ -365,7 +363,7 @@ impl ObjectStore {
         let Some((offset, cap)) = newest else {
             return Err(StorageError::ManifestMissing);
         };
-        let (stored, _, _) = decode_capsule_at(file, header, base, offset, &cap)?;
+        let (stored, _) = decode_capsule_at(file, header, base, offset, &cap)?;
         let text = String::from_utf8(stored).map_err(|_| StorageError::ManifestCorrupt {
             reason: "super-capsule payload is not UTF-8".into(),
         })?;
@@ -790,7 +788,7 @@ impl ObjectStore {
                     ),
                 });
             }
-            let (mut stored, reads, dropped) = decode_capsule_body(
+            let (mut stored, reads) = decode_capsule_body(
                 &mut file,
                 &self.header,
                 &self.base,
@@ -827,7 +825,6 @@ impl ObjectStore {
             report.capsules += 1;
             report.units += cap.units as usize;
             report.reads += reads;
-            report.prefilter_dropped += dropped;
             report.bytes += plain.len() as u64;
         }
         writer.flush()?;
@@ -1006,7 +1003,14 @@ fn read_capsule_header_at(
 
 /// Reads + decodes one capsule's payload given its header has just been
 /// read (the reader sits at the strand section). Returns the stored bytes
-/// (still compressed/encrypted as flagged) plus read accounting.
+/// (still compressed/encrypted as flagged) plus the reads decoded.
+///
+/// The strand section's CRC-64 and the header's CRC-32 have already
+/// proven every strand is what `append_capsule` encoded with the
+/// header's primers, so the strands go to the decoder as read. A unit
+/// that still decodes with a failed codeword was read under the wrong
+/// layout or damaged past what the CRC sees; its bytes are wrong, so
+/// the fetch fails instead of returning them.
 fn decode_capsule_body(
     file: &mut (impl Read + Seek),
     header: &PoolHeader,
@@ -1014,30 +1018,13 @@ fn decode_capsule_body(
     cap: &CapsuleHeader,
     via_recovery: bool,
     workspace: Option<&mut DecodeWorkspace>,
-) -> Result<(Vec<u8>, usize, usize), StorageError> {
+) -> Result<(Vec<u8>, usize), StorageError> {
     let strand_bases = base.params().strand_bases();
     let units = crate::capsule::read_strands(file, cap.units, header.cols(), strand_bases)?;
     let pipeline = base
         .clone()
         .with_primers(cap.left.clone(), cap.right.clone())?;
-    let primer_len = usize::from(header.primer_len);
-    let mut reads = 0usize;
-    let mut dropped = 0usize;
-    // Primer prefilter: only strands carrying this capsule's primer pair
-    // may enter the decoder (the in-silico analogue of PCR selection).
-    let filtered: Vec<Vec<DnaString>> = units
-        .into_iter()
-        .map(|unit| {
-            let before = unit.len();
-            let kept: Vec<DnaString> = unit
-                .into_iter()
-                .filter(|s| strand_has_primers(s, &cap.left, &cap.right, primer_len))
-                .collect();
-            dropped += before - kept.len();
-            reads += kept.len();
-            kept
-        })
-        .collect();
+    let reads = units.iter().map(Vec::len).sum();
     // Recovery fetches send each unit's reads through the full unlabeled-
     // pool pipeline (cluster → orient → demux → decode); direct fetches
     // place the clean coverage-1 strands as clusters. A caller workspace
@@ -1046,21 +1033,26 @@ fn decode_capsule_body(
     let anonymous: Vec<AnonymousPool>;
     let labeled: Vec<ReadPool>;
     let units: Vec<UnitReads> = if via_recovery {
-        anonymous = filtered
-            .into_iter()
-            .map(AnonymousPool::from_reads)
-            .collect();
+        anonymous = units.into_iter().map(AnonymousPool::from_reads).collect();
         anonymous.iter().map(UnitReads::Pool).collect()
     } else {
-        labeled = filtered.into_iter().map(ReadPool::from_strands).collect();
+        labeled = units.into_iter().map(ReadPool::from_strands).collect();
         labeled
             .iter()
             .map(|pool| UnitReads::Clusters(pool.clusters()))
             .collect()
     };
     let mut stored = Vec::with_capacity(cap.stored_len as usize);
-    for (payload, _report) in pipeline.decode(&units, pipeline.decode_options(), workspace)? {
+    let mut failed = 0usize;
+    for (payload, report) in pipeline.decode(&units, pipeline.decode_options(), workspace)? {
         stored.extend_from_slice(&payload);
+        failed += report.failed_codewords();
+    }
+    if failed > 0 {
+        return Err(StorageError::Substrate(format!(
+            "capsule {} decoded with {failed} failed codeword(s)",
+            cap.seq
+        )));
     }
     stored.truncate(cap.stored_len as usize);
     if (stored.len() as u64) < cap.stored_len {
@@ -1071,7 +1063,7 @@ fn decode_capsule_body(
             cap.stored_len
         )));
     }
-    Ok((stored, reads, dropped))
+    Ok((stored, reads))
 }
 
 /// Reads + decodes a whole capsule record at `offset` (header included).
@@ -1081,7 +1073,7 @@ fn decode_capsule_at(
     base: &Pipeline,
     offset: u64,
     cap: &CapsuleHeader,
-) -> Result<(Vec<u8>, usize, usize), StorageError> {
+) -> Result<(Vec<u8>, usize), StorageError> {
     let reread = read_capsule_header_at(file, header, offset)?;
     if &reread != cap {
         return Err(StorageError::ManifestCorrupt {
@@ -1089,14 +1081,6 @@ fn decode_capsule_at(
         });
     }
     decode_capsule_body(file, header, base, cap, false, None)
-}
-
-fn strand_has_primers(s: &DnaString, left: &Primer, right: &Primer, primer_len: usize) -> bool {
-    if s.len() < 2 * primer_len {
-        return false;
-    }
-    s.as_slice()[..primer_len] == *left.strand().as_slice()
-        && s.as_slice()[s.len() - primer_len..] == *right.strand().as_slice()
 }
 
 #[cfg(test)]
@@ -1148,7 +1132,6 @@ mod tests {
         let big_report = store.fetch(big_id, &mut sink).unwrap();
         assert_eq!(big_report.capsules, 6, "500 B / 90 B per capsule");
         assert!(small_report.reads < big_report.reads);
-        assert_eq!(small_report.prefilter_dropped, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

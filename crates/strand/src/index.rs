@@ -7,7 +7,7 @@
 //! the strand.
 
 use crate::bits::encode_symbol_into;
-use crate::{Base, DnaString, StrandError};
+use crate::{DnaString, StrandError};
 
 /// Encodes `index` into `width_bits / 2` bases (MSB-first).
 ///
@@ -19,11 +19,10 @@ use crate::{Base, DnaString, StrandError};
 /// # Examples
 ///
 /// ```
-/// use dna_strand::{decode_index, encode_index};
+/// use dna_strand::encode_index;
 ///
 /// let bases = encode_index(5, 8)?;
-/// assert_eq!(bases.len(), 4);
-/// assert_eq!(decode_index(bases.as_slice(), 8)?, 5);
+/// assert_eq!(bases.to_string(), "AACC");
 /// # Ok::<(), dna_strand::StrandError>(())
 /// ```
 pub fn encode_index(index: u32, width_bits: u8) -> Result<DnaString, StrandError> {
@@ -61,32 +60,20 @@ pub fn encode_index_into(
     encode_symbol_into((index & 0xFFFF) as u16, 16, out)
 }
 
-/// Decodes `width_bits / 2` bases back into an index value.
-///
-/// # Errors
-///
-/// Returns [`StrandError::OddSymbolWidth`] / [`StrandError::LengthMismatch`]
-/// for malformed input.
-pub fn decode_index(bases: &[Base], width_bits: u8) -> Result<u32, StrandError> {
-    if width_bits == 0 || !width_bits.is_multiple_of(2) || width_bits > 32 {
-        return Err(StrandError::OddSymbolWidth(width_bits));
-    }
-    if bases.len() != usize::from(width_bits) / 2 {
-        return Err(StrandError::LengthMismatch {
-            expected: usize::from(width_bits) / 2,
-            actual: bases.len(),
-        });
-    }
-    let mut value = 0u32;
-    for &b in bases {
-        value = (value << 2) | u32::from(b.to_bits());
-    }
-    Ok(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Base, PayloadGeometry, TranscoderSpec};
+
+    /// The index decode the pipeline runs: the direct transcoder's.
+    fn decode_index(bases: &[Base], index_bits: u8) -> Result<u32, StrandError> {
+        let geom = PayloadGeometry {
+            index_bits,
+            rows: 0,
+            symbol_bits: 2,
+        };
+        TranscoderSpec::Direct.decode_index(bases, geom)
+    }
 
     #[test]
     fn round_trips_common_widths() {

@@ -1,10 +1,10 @@
 //! DNA strand primitives for the reliability-skew reproduction.
 //!
 //! This crate provides the vocabulary types shared by the whole workspace:
-//! nucleotide [`Base`]s, [`DnaString`] strands, the pluggable
-//! [`StrandTranscoder`]s that lay payload fields out as bases (the paper's
-//! maximum-density 2-bits-per-base direct mapping plus constraint-aware
-//! layouts), biochemical constraint checks (GC content, homopolymer runs),
+//! nucleotide [`Base`]s, [`DnaString`] strands, the [`TranscoderSpec`]
+//! that lays payload fields out as bases and reads them back (the paper's
+//! maximum-density 2-bits-per-base direct mapping plus two
+//! constraint-aware layouts), biochemical constraint checks (GC content, homopolymer runs),
 //! PCR [`Primer`]s with a constraint-aware generator, and the bit-packing
 //! helpers used to slice payloads into Reed–Solomon symbols.
 //!
@@ -34,10 +34,10 @@ mod strand;
 pub mod transcode;
 
 pub use base::Base;
-pub use index::{decode_index, encode_index, encode_index_into};
+pub use index::{encode_index, encode_index_into};
 pub use primer::{Primer, PrimerLibrary};
 pub use strand::DnaString;
-pub use transcode::{PayloadGeometry, StrandTranscoder, TranscoderSpec};
+pub use transcode::{PayloadGeometry, TranscoderSpec};
 
 use std::error::Error;
 use std::fmt;

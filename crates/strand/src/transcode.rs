@@ -2,28 +2,31 @@
 //!
 //! The pipeline assembles each strand as `[left primer][index][row
 //! symbols][right primer]`. Everything between the primers is the
-//! *payload*, and a [`StrandTranscoder`] owns its base-level layout: how
+//! *payload*, and a [`TranscoderSpec`] owns its base-level layout: how
 //! many bases it occupies, where each logical field lands, and how
-//! index/symbol values map to bases. All transcoders are **fixed-rate**
-//! — payload length depends only on the geometry, never on the data —
-//! because consensus reconstructs every cluster to the same expected
-//! strand length.
+//! index/symbol values map to bases. Every reader of a strand field —
+//! the decoder, the unlabeled-pool demultiplexer, the anchored
+//! clusterer, the fault injector — asks the spec, so no second copy of
+//! a layout exists. All transcoders are **fixed-rate** — payload length
+//! depends only on the geometry, never on the data — because consensus
+//! reconstructs every cluster to the same expected strand length.
 //!
-//! Three implementations ship:
+//! Three layouts ship:
 //!
-//! * [`DirectTranscoder`] — the paper's maximum-density 2-bits-per-base
-//!   mapping (byte-identical to the historical hard-coded layout).
-//! * [`GcPaddedTranscoder`] — DNAproof-style: the direct layout plus a
-//!   fixed-length corrective pad that steers whole-payload GC toward
-//!   50%. Best-effort compliance at modest density cost.
-//! * [`TrellisTranscoder`] — Helix-style fixed-rate base-3 rotating
-//!   trellis. Each trit advances the base by 1–3 positions, so no base
-//!   ever repeats (homopolymer run ≤ 1 in the payload, provably), and
-//!   whitened digits plus periodic balance bases keep GC near 50%.
+//! * [`TranscoderSpec::Direct`] — the paper's maximum-density
+//!   2-bits-per-base mapping (byte-identical to the historical
+//!   hard-coded layout).
+//! * [`TranscoderSpec::GcPadded`] — DNAproof-style: the direct layout
+//!   plus a fixed-length corrective pad that steers GC toward 50%.
+//!   Best-effort compliance at modest density cost.
+//! * [`TranscoderSpec::Trellis`] — Helix-style fixed-rate base-3
+//!   rotating trellis. Each trit advances the base by 1–3 positions, so
+//!   no base ever repeats (homopolymer run ≤ 1 in the payload,
+//!   provably), and whitened digits plus periodic balance bases keep GC
+//!   near 50%.
 
 use crate::{Base, DnaString, StrandError};
 use std::fmt;
-use std::sync::Arc;
 
 /// The logical shape of a strand payload: one index field followed by
 /// `rows` symbol fields. Field 0 is the index; field `1 + r` is row `r`.
@@ -63,76 +66,21 @@ impl PayloadGeometry {
     }
 }
 
-/// A fixed-rate mapping between payload fields and bases.
+/// A fixed-rate mapping between payload fields and bases, stored as a
+/// plain value in configs, capsule headers and `CodecParams`.
 ///
-/// Implementations must be deterministic and total on decode: noisy
-/// payloads still produce *some* value, because error correction above
-/// this layer handles wrong values far better than missing ones.
-pub trait StrandTranscoder: fmt::Debug + Send + Sync {
-    /// Stable human-readable name (also the CLI spelling).
-    fn name(&self) -> &'static str;
-
-    /// Payload length in bases for `geom`. Fixed for a given geometry.
-    fn payload_bases(&self, geom: PayloadGeometry) -> usize;
-
-    /// `(start, len)` of the base span that field `field` occupies
-    /// within the payload. Spans are used by the skew profiler to
-    /// attribute position-dependent channel error to logical fields, so
-    /// they must cover every base whose corruption can change the
-    /// decoded field value.
-    fn field_span(&self, field: usize, geom: PayloadGeometry) -> (usize, usize);
-
-    /// Appends the encoded payload (index, then `geom.rows` symbols) to
-    /// `out`. Exactly [`payload_bases`](Self::payload_bases) bases are
-    /// appended on success; on error `out` may hold a partial payload
-    /// and should be discarded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StrandError::ValueTooWide`] when a value exceeds its
-    /// field width, [`StrandError::LengthMismatch`] when `symbols` has
-    /// the wrong count, and [`StrandError::OddSymbolWidth`] for invalid
-    /// geometry.
-    fn encode_payload_into(
-        &self,
-        index: u32,
-        symbols: &[u16],
-        geom: PayloadGeometry,
-        out: &mut DnaString,
-    ) -> Result<(), StrandError>;
-
-    /// Decodes the column index from a (primer-trimmed) payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StrandError::LengthMismatch`] when the payload is too
-    /// short to carry the index field.
-    fn decode_index(&self, payload: &[Base], geom: PayloadGeometry) -> Result<u32, StrandError>;
-
-    /// Decodes row `row`'s symbol from a (primer-trimmed) payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StrandError::LengthMismatch`] when the payload is too
-    /// short to carry the row's field.
-    fn decode_symbol(
-        &self,
-        payload: &[Base],
-        row: usize,
-        geom: PayloadGeometry,
-    ) -> Result<u16, StrandError>;
-}
-
-/// A value-type selector for a [`StrandTranscoder`], suitable for
-/// storage in configs, capsule headers, and `CodecParams`.
+/// Every layout is deterministic and total on decode: noisy payloads
+/// still produce *some* value, because error correction above this layer
+/// handles wrong values far better than missing ones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TranscoderSpec {
-    /// [`DirectTranscoder`]: 2 bits/base, no constraints.
+    /// 2 bits/base, MSB-first, no constraints.
     #[default]
     Direct,
-    /// [`GcPaddedTranscoder`]: direct data + GC-corrective pad.
+    /// Direct data with one GC-corrective pad base interleaved after
+    /// every four data bases.
     GcPadded,
-    /// [`TrellisTranscoder`]: base-3 rotating trellis, run ≤ 1.
+    /// Base-3 rotating trellis, homopolymer run ≤ 1.
     Trellis,
 }
 
@@ -186,31 +134,99 @@ impl TranscoderSpec {
         TranscoderSpec::ALL.into_iter().find(|s| s.name() == text)
     }
 
-    /// Builds the transcoder this spec names.
-    pub fn build(self) -> Arc<dyn StrandTranscoder> {
-        match self {
-            TranscoderSpec::Direct => Arc::new(DirectTranscoder),
-            TranscoderSpec::GcPadded => Arc::new(GcPaddedTranscoder),
-            TranscoderSpec::Trellis => Arc::new(TrellisTranscoder),
-        }
-    }
-
-    /// Payload length without allocating a trait object (hot for
-    /// geometry queries on `CodecParams`).
+    /// Payload length in bases for `geom`. Fixed for a given geometry.
     pub fn payload_bases(self, geom: PayloadGeometry) -> usize {
         match self {
-            TranscoderSpec::Direct => DirectTranscoder.payload_bases(geom),
-            TranscoderSpec::GcPadded => GcPaddedTranscoder.payload_bases(geom),
-            TranscoderSpec::Trellis => TrellisTranscoder.payload_bases(geom),
+            TranscoderSpec::Direct => Direct::payload_bases(geom),
+            TranscoderSpec::GcPadded => GcPadded::payload_bases(geom),
+            TranscoderSpec::Trellis => Trellis::payload_bases(geom),
         }
     }
 
-    /// Field span without allocating a trait object.
+    /// `(start, len)` of the base span that field `field` occupies
+    /// within the payload. Spans must cover every base whose corruption
+    /// can change the decoded field value: the skew profiler attributes
+    /// position-dependent channel error by them, and field 0's span is
+    /// the window the demultiplexer, the anchored clusterer and the
+    /// fault injector treat as the index.
     pub fn field_span(self, field: usize, geom: PayloadGeometry) -> (usize, usize) {
         match self {
-            TranscoderSpec::Direct => DirectTranscoder.field_span(field, geom),
-            TranscoderSpec::GcPadded => GcPaddedTranscoder.field_span(field, geom),
-            TranscoderSpec::Trellis => TrellisTranscoder.field_span(field, geom),
+            TranscoderSpec::Direct => Direct::field_span(field, geom),
+            TranscoderSpec::GcPadded => GcPadded::field_span(field, geom),
+            TranscoderSpec::Trellis => Trellis::field_span(field, geom),
+        }
+    }
+
+    /// Appends the encoded payload (index, then `geom.rows` symbols) to
+    /// `out`. Exactly [`payload_bases`](Self::payload_bases) bases are
+    /// appended on success; on error `out` may hold a partial payload
+    /// and should be discarded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StrandError::ValueTooWide`] when a value exceeds its
+    /// field width, [`StrandError::LengthMismatch`] when `symbols` has
+    /// the wrong count, and [`StrandError::OddSymbolWidth`] for invalid
+    /// geometry.
+    pub fn encode_payload_into(
+        self,
+        index: u32,
+        symbols: &[u16],
+        geom: PayloadGeometry,
+        out: &mut DnaString,
+    ) -> Result<(), StrandError> {
+        match self {
+            TranscoderSpec::Direct => Direct::encode_payload_into(index, symbols, geom, out),
+            TranscoderSpec::GcPadded => GcPadded::encode_payload_into(index, symbols, geom, out),
+            TranscoderSpec::Trellis => Trellis::encode_payload_into(index, symbols, geom, out),
+        }
+    }
+
+    /// Decodes the column index from a (primer-trimmed) payload. Only
+    /// the bases of field 0's [`field_span`](Self::field_span) are read,
+    /// and nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StrandError::LengthMismatch`] when the payload is too
+    /// short to carry the index field, and
+    /// [`StrandError::OddSymbolWidth`] for invalid geometry.
+    #[inline]
+    pub fn decode_index(self, payload: &[Base], geom: PayloadGeometry) -> Result<u32, StrandError> {
+        self.decode_field(payload, 0, geom).map(|v| v as u32)
+    }
+
+    /// Decodes row `row`'s symbol from a (primer-trimmed) payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StrandError::LengthMismatch`] when the payload is too
+    /// short to carry the row's field, and
+    /// [`StrandError::OddSymbolWidth`] for invalid geometry.
+    #[inline]
+    pub fn decode_symbol(
+        self,
+        payload: &[Base],
+        row: usize,
+        geom: PayloadGeometry,
+    ) -> Result<u16, StrandError> {
+        self.decode_field(payload, 1 + row, geom).map(|v| v as u16)
+    }
+
+    // Inlined into the decoder's per-row loop, where the geometry check
+    // and the dispatch are loop-invariant and hoist out of it.
+    #[inline]
+    fn decode_field(
+        self,
+        payload: &[Base],
+        field: usize,
+        geom: PayloadGeometry,
+    ) -> Result<u64, StrandError> {
+        geom.validate()?;
+        match self {
+            TranscoderSpec::Direct => Direct::decode_field(payload, field, geom),
+            TranscoderSpec::GcPadded => GcPadded::decode_field(payload, field, geom),
+            TranscoderSpec::Trellis => Trellis::decode_field(payload, field, geom),
         }
     }
 }
@@ -251,10 +267,9 @@ fn check_len(payload: &[Base], needed: usize) -> Result<(), StrandError> {
 /// 2-bit MSB-first direct mapping: index bases then contiguous row
 /// symbols. Byte-identical to the layout the pipeline used before
 /// transcoders existed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirectTranscoder;
+struct Direct;
 
-impl DirectTranscoder {
+impl Direct {
     fn index_bases(geom: PayloadGeometry) -> usize {
         usize::from(geom.index_bits) / 2
     }
@@ -262,18 +277,12 @@ impl DirectTranscoder {
     fn sym_bases(geom: PayloadGeometry) -> usize {
         usize::from(geom.symbol_bits) / 2
     }
-}
 
-impl StrandTranscoder for DirectTranscoder {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn payload_bases(&self, geom: PayloadGeometry) -> usize {
+    fn payload_bases(geom: PayloadGeometry) -> usize {
         Self::index_bases(geom) + geom.rows * Self::sym_bases(geom)
     }
 
-    fn field_span(&self, field: usize, geom: PayloadGeometry) -> (usize, usize) {
+    fn field_span(field: usize, geom: PayloadGeometry) -> (usize, usize) {
         let ib = Self::index_bases(geom);
         let sb = Self::sym_bases(geom);
         if field == 0 {
@@ -284,7 +293,6 @@ impl StrandTranscoder for DirectTranscoder {
     }
 
     fn encode_payload_into(
-        &self,
         index: u32,
         symbols: &[u16],
         geom: PayloadGeometry,
@@ -299,32 +307,36 @@ impl StrandTranscoder for DirectTranscoder {
         Ok(())
     }
 
-    fn decode_index(&self, payload: &[Base], geom: PayloadGeometry) -> Result<u32, StrandError> {
-        let ib = Self::index_bases(geom);
-        check_len(payload, ib)?;
-        crate::index::decode_index(&payload[..ib], geom.index_bits)
-    }
-
-    fn decode_symbol(
-        &self,
+    /// Field `field`'s value, read MSB-first at two bits per base.
+    fn decode_field(
         payload: &[Base],
-        row: usize,
+        field: usize,
         geom: PayloadGeometry,
-    ) -> Result<u16, StrandError> {
-        let (start, len) = self.field_span(1 + row, geom);
+    ) -> Result<u64, StrandError> {
+        let (start, len) = Self::field_span(field, geom);
         check_len(payload, start + len)?;
-        crate::bits::decode_symbol(&payload[start..start + len], geom.symbol_bits)
+        Ok(payload[start..start + len]
+            .iter()
+            .fold(0, |value, b| value << 2 | u64::from(b.to_bits())))
     }
 }
 
+/// One GC-corrective pad base follows every this-many data bases. Enough
+/// leverage to move GC by ~10 percentage points, and frequent enough to
+/// bound pad-free stretches to `PAD_INTERVAL` bases.
+const PAD_INTERVAL: usize = 4;
+
+/// One trellis balance base is emitted after every this-many data trits.
+const BALANCE_INTERVAL: usize = 8;
+
 /// DNAproof-style layout: the direct 2-bit data stream with one
-/// corrective pad base interleaved after every
-/// [`Self::PAD_INTERVAL`] data bases. Each pad base is drawn from the GC
-/// side that reduces running disparity, whitened by a position-keyed
-/// stream (`pad_base`) and never repeating the previous base.
-/// Data bases remain unconstrained, so compliance is best-effort (the
-/// ablation quantifies it) — but the interleaved pad corrects GC
-/// *locally*, where windowed constraints actually look.
+/// corrective pad base interleaved after every [`PAD_INTERVAL`] data
+/// bases. Each pad base is drawn from the GC side that reduces running
+/// disparity, whitened by a position-keyed stream (`pad_base`) and never
+/// repeating the previous base. Data bases remain unconstrained, so
+/// compliance is best-effort (the ablation quantifies it) — but the
+/// interleaved pad corrects GC *locally*, where windowed constraints
+/// actually look.
 ///
 /// The pad was originally a contiguous tail after the data region. That
 /// shape is a consensus hazard, not just a stylistic choice: the
@@ -339,28 +351,19 @@ impl StrandTranscoder for DirectTranscoder {
 /// Decoding skips the pad by position arithmetic (`data_pos`) —
 /// the schedule is fixed, so every field still decodes with random
 /// access.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcPaddedTranscoder;
+struct GcPadded;
 
-impl GcPaddedTranscoder {
-    /// One corrective base follows every this-many data bases. Enough
-    /// leverage to move GC by ~10 percentage points, and frequent enough
-    /// to bound pad-free stretches to `PAD_INTERVAL` bases.
-    pub const PAD_INTERVAL: usize = 4;
-
-    /// Pad length: one corrective base per [`Self::PAD_INTERVAL`] data
-    /// bases (a final pad closes any partial group, keeping the rate
-    /// fixed).
+impl GcPadded {
+    /// Pad length: one corrective base per [`PAD_INTERVAL`] data bases
+    /// (a final pad closes any partial group, keeping the rate fixed).
     fn pad_bases(geom: PayloadGeometry) -> usize {
-        DirectTranscoder
-            .payload_bases(geom)
-            .div_ceil(Self::PAD_INTERVAL)
+        Direct::payload_bases(geom).div_ceil(PAD_INTERVAL)
     }
 
     /// Strand position of data base `i`: `i` plus the pads scheduled
     /// before it.
     fn data_pos(i: usize) -> usize {
-        i + i / Self::PAD_INTERVAL
+        i + i / PAD_INTERVAL
     }
 
     /// Whitened, run-free corrective base for pad position `p`. The
@@ -406,34 +409,27 @@ impl GcPaddedTranscoder {
         }
         best.expect("at least three candidates remain").1
     }
-}
 
-impl StrandTranscoder for GcPaddedTranscoder {
-    fn name(&self) -> &'static str {
-        "gc-padded"
+    fn payload_bases(geom: PayloadGeometry) -> usize {
+        Direct::payload_bases(geom) + Self::pad_bases(geom)
     }
 
-    fn payload_bases(&self, geom: PayloadGeometry) -> usize {
-        DirectTranscoder.payload_bases(geom) + Self::pad_bases(geom)
-    }
-
-    fn field_span(&self, field: usize, geom: PayloadGeometry) -> (usize, usize) {
+    fn field_span(field: usize, geom: PayloadGeometry) -> (usize, usize) {
         // The direct span, stretched over the pads interleaved inside it.
-        let (start, len) = DirectTranscoder.field_span(field, geom);
+        let (start, len) = Direct::field_span(field, geom);
         let mapped_start = Self::data_pos(start);
         let mapped_end = Self::data_pos(start + len - 1) + 1;
         (mapped_start, mapped_end - mapped_start)
     }
 
     fn encode_payload_into(
-        &self,
         index: u32,
         symbols: &[u16],
         geom: PayloadGeometry,
         out: &mut DnaString,
     ) -> Result<(), StrandError> {
         let mut data = DnaString::new();
-        DirectTranscoder.encode_payload_into(index, symbols, geom, &mut data)?;
+        Direct::encode_payload_into(index, symbols, geom, &mut data)?;
         let mut gc = 0usize;
         let mut emitted = 0usize;
         let mut prev: Option<Base> = None;
@@ -452,7 +448,7 @@ impl StrandTranscoder for GcPaddedTranscoder {
         }
         for (i, &b) in data.as_slice().iter().enumerate() {
             push(b, out, &mut gc, &mut emitted, &mut prev);
-            if (i + 1).is_multiple_of(Self::PAD_INTERVAL) {
+            if (i + 1).is_multiple_of(PAD_INTERVAL) {
                 let pad = Self::pad_base(prev, gc, emitted, pads);
                 push(pad, out, &mut gc, &mut emitted, &mut prev);
                 pads += 1;
@@ -467,25 +463,18 @@ impl StrandTranscoder for GcPaddedTranscoder {
         Ok(())
     }
 
-    fn decode_index(&self, payload: &[Base], geom: PayloadGeometry) -> Result<u32, StrandError> {
-        let ib = usize::from(geom.index_bits) / 2;
-        check_len(payload, Self::data_pos(ib - 1) + 1)?;
-        let data: DnaString = (0..ib).map(|i| payload[Self::data_pos(i)]).collect();
-        crate::index::decode_index(data.as_slice(), geom.index_bits)
-    }
-
-    fn decode_symbol(
-        &self,
+    /// Field `field`'s direct 2-bit value, read MSB-first from its data
+    /// bases with the pads skipped in place.
+    fn decode_field(
         payload: &[Base],
-        row: usize,
+        field: usize,
         geom: PayloadGeometry,
-    ) -> Result<u16, StrandError> {
-        let (start, len) = DirectTranscoder.field_span(1 + row, geom);
+    ) -> Result<u64, StrandError> {
+        let (start, len) = Direct::field_span(field, geom);
         check_len(payload, Self::data_pos(start + len - 1) + 1)?;
-        let data: DnaString = (start..start + len)
-            .map(|i| payload[Self::data_pos(i)])
-            .collect();
-        crate::bits::decode_symbol(data.as_slice(), geom.symbol_bits)
+        Ok((start..start + len).fold(0u64, |value, i| {
+            value << 2 | u64::from(payload[Self::data_pos(i)].to_bits())
+        }))
     }
 }
 
@@ -496,25 +485,21 @@ impl StrandTranscoder for GcPaddedTranscoder {
 /// (mod 4), so **the emitted base never equals its predecessor** and the
 /// payload's homopolymer run is provably ≤ 1. Digits are whitened with a
 /// position-keyed `splitmix64` stream so constant data still produces
-/// balanced bases, and after every [`Self::BALANCE_INTERVAL`] data trits
-/// one corrective balance base (schedule-determined, skipped by the
-/// decoder) steers GC toward 50%.
+/// balanced bases, and after every [`BALANCE_INTERVAL`] data trits one
+/// corrective balance base (schedule-determined, skipped by the decoder)
+/// steers GC toward 50%.
 ///
 /// Density: a `w`-bit field costs `⌈w·log₂3⁻¹⌉`-ish trits — the smallest
 /// `n` with `3ⁿ ≥ 2^w` — about 1.19 bits/base after balance overhead,
-/// versus 2.0 for [`DirectTranscoder`].
+/// versus 2.0 for the direct layout.
 ///
 /// Every field decodes with random access: the balance schedule depends
 /// only on global trit position, and the rotation predecessor is simply
 /// the payload base before the field's span (a virtual `A` at position
 /// 0), never hidden encoder state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrellisTranscoder;
+struct Trellis;
 
-impl TrellisTranscoder {
-    /// One balance base is emitted after every this-many data trits.
-    pub const BALANCE_INTERVAL: usize = 8;
-
+impl Trellis {
     /// Smallest trit count `n` with `3^n >= 2^width`.
     fn trits_for_bits(width: u8) -> usize {
         let target = 1u128 << width;
@@ -530,12 +515,7 @@ impl TrellisTranscoder {
     /// Payload base position of data trit `t` under the balance
     /// schedule (one extra base after each complete interval).
     fn base_pos(t: usize) -> usize {
-        t + t / Self::BALANCE_INTERVAL
-    }
-
-    /// Total bases for `trits` data trits, balance bases included.
-    fn bases_for_trits(trits: usize) -> usize {
-        trits + trits / Self::BALANCE_INTERVAL
+        t + t / BALANCE_INTERVAL
     }
 
     /// `(first_trit, trit_count)` of a field.
@@ -601,20 +581,14 @@ impl TrellisTranscoder {
         };
         Ok(value.min(max))
     }
-}
 
-impl StrandTranscoder for TrellisTranscoder {
-    fn name(&self) -> &'static str {
-        "trellis"
-    }
-
-    fn payload_bases(&self, geom: PayloadGeometry) -> usize {
+    fn payload_bases(geom: PayloadGeometry) -> usize {
         let trits = Self::trits_for_bits(geom.index_bits)
             + geom.rows * Self::trits_for_bits(geom.symbol_bits);
-        Self::bases_for_trits(trits)
+        Self::base_pos(trits)
     }
 
-    fn field_span(&self, field: usize, geom: PayloadGeometry) -> (usize, usize) {
+    fn field_span(field: usize, geom: PayloadGeometry) -> (usize, usize) {
         let (t0, n) = Self::field_trits(field, geom);
         let first = Self::base_pos(t0);
         let last = Self::base_pos(t0 + n - 1);
@@ -622,7 +596,6 @@ impl StrandTranscoder for TrellisTranscoder {
     }
 
     fn encode_payload_into(
-        &self,
         index: u32,
         symbols: &[u16],
         geom: PayloadGeometry,
@@ -655,8 +628,8 @@ impl StrandTranscoder for TrellisTranscoder {
             gc += usize::from(b.is_gc());
             emitted += 1;
             prev = b;
-            if (t + 1).is_multiple_of(Self::BALANCE_INTERVAL) {
-                let bal = GcPaddedTranscoder::balance_base(Some(prev), gc, emitted);
+            if (t + 1).is_multiple_of(BALANCE_INTERVAL) {
+                let bal = GcPadded::balance_base(Some(prev), gc, emitted);
                 out.push(bal);
                 gc += usize::from(bal.is_gc());
                 emitted += 1;
@@ -664,19 +637,6 @@ impl StrandTranscoder for TrellisTranscoder {
             }
         }
         Ok(())
-    }
-
-    fn decode_index(&self, payload: &[Base], geom: PayloadGeometry) -> Result<u32, StrandError> {
-        Self::decode_field(payload, 0, geom).map(|v| v as u32)
-    }
-
-    fn decode_symbol(
-        &self,
-        payload: &[Base],
-        row: usize,
-        geom: PayloadGeometry,
-    ) -> Result<u16, StrandError> {
-        Self::decode_field(payload, 1 + row, geom).map(|v| v as u16)
     }
 }
 
@@ -700,10 +660,6 @@ mod tests {
         }
     }
 
-    fn all_transcoders() -> Vec<Arc<dyn StrandTranscoder>> {
-        TranscoderSpec::ALL.iter().map(|s| s.build()).collect()
-    }
-
     fn sample_symbols(rows: usize, width: u8, salt: u64) -> Vec<u16> {
         let max = if width == 16 {
             u16::MAX
@@ -717,7 +673,7 @@ mod tests {
 
     #[test]
     fn every_transcoder_round_trips_every_field() {
-        for tc in all_transcoders() {
+        for tc in TranscoderSpec::ALL {
             for (ib, rows, sb) in [(8u8, 30usize, 8u8), (4, 6, 4), (12, 5, 16), (2, 1, 2)] {
                 let g = geom(ib, rows, sb);
                 let index = u32::from(splitmix64(7) as u16) & ((1u32 << ib) - 1);
@@ -746,7 +702,7 @@ mod tests {
         let g = geom(8, 3, 8);
         let symbols = [0xE4u16, 0x00, 0xFF];
         let mut out = DnaString::new();
-        DirectTranscoder
+        TranscoderSpec::Direct
             .encode_payload_into(0xA5, &symbols, g, &mut out)
             .unwrap();
         let mut expected = DnaString::new();
@@ -763,7 +719,7 @@ mod tests {
             let g = geom(8, 30, 8);
             let symbols = sample_symbols(30, 8, salt);
             let mut out = DnaString::new();
-            TrellisTranscoder
+            TranscoderSpec::Trellis
                 .encode_payload_into((salt as u32) & 0xFF, &symbols, g, &mut out)
                 .unwrap();
             assert_eq!(constraints::max_homopolymer_run(&out), 1, "salt {salt}");
@@ -778,7 +734,7 @@ mod tests {
             let g = geom(8, 30, 8);
             let symbols = vec![fill; 30];
             let mut out = DnaString::new();
-            TrellisTranscoder
+            TranscoderSpec::Trellis
                 .encode_payload_into(0, &symbols, g, &mut out)
                 .unwrap();
             let gc = constraints::gc_content(&out);
@@ -795,11 +751,11 @@ mod tests {
             .map(|r| if r % 3 == 0 { 0x00 } else { 0xC3 })
             .collect();
         let mut direct = DnaString::new();
-        DirectTranscoder
+        TranscoderSpec::Direct
             .encode_payload_into(1, &symbols, g, &mut direct)
             .unwrap();
         let mut padded = DnaString::new();
-        GcPaddedTranscoder
+        TranscoderSpec::GcPadded
             .encode_payload_into(1, &symbols, g, &mut padded)
             .unwrap();
         let before = (constraints::gc_content(&direct) - 0.5).abs();
@@ -818,22 +774,22 @@ mod tests {
         // interleaved on the fixed schedule, never repeat its
         // predecessor, and never be periodic over any long window.
         let g = geom(8, 30, 8);
-        let interval = GcPaddedTranscoder::PAD_INTERVAL;
+        let interval = PAD_INTERVAL;
         for salt in 0..16u64 {
             let symbols = sample_symbols(30, 8, salt);
             let mut direct = DnaString::new();
-            DirectTranscoder
+            TranscoderSpec::Direct
                 .encode_payload_into(salt as u32, &symbols, g, &mut direct)
                 .unwrap();
             let mut out = DnaString::new();
-            GcPaddedTranscoder
+            TranscoderSpec::GcPadded
                 .encode_payload_into(salt as u32, &symbols, g, &mut out)
                 .unwrap();
             let bases = out.as_slice();
             // Data bases sit at their scheduled positions, pads between.
             let mut pad_positions = Vec::new();
             for (i, &d) in direct.as_slice().iter().enumerate() {
-                assert_eq!(bases[GcPaddedTranscoder::data_pos(i)], d, "salt {salt}");
+                assert_eq!(bases[GcPadded::data_pos(i)], d, "salt {salt}");
             }
             for (pos, _) in bases.iter().enumerate() {
                 if (pos + 1).is_multiple_of(interval + 1) {
@@ -864,7 +820,7 @@ mod tests {
 
     #[test]
     fn field_spans_tile_the_payload() {
-        for tc in all_transcoders() {
+        for tc in TranscoderSpec::ALL {
             let g = geom(8, 5, 8);
             let total = tc.payload_bases(g);
             let mut prev_end = 0usize;
@@ -884,7 +840,7 @@ mod tests {
         // in range, never panic or error.
         let g = geom(8, 4, 8);
         let symbols = sample_symbols(4, 8, 9);
-        for tc in all_transcoders() {
+        for tc in TranscoderSpec::ALL {
             let mut out = DnaString::new();
             tc.encode_payload_into(3, &symbols, g, &mut out).unwrap();
             for i in 0..out.len() {
@@ -905,7 +861,6 @@ mod tests {
         for spec in TranscoderSpec::ALL {
             assert_eq!(TranscoderSpec::from_id(spec.id()), Some(spec));
             assert_eq!(TranscoderSpec::parse(spec.name()), Some(spec));
-            assert_eq!(spec.build().name(), spec.name());
         }
         assert_eq!(TranscoderSpec::from_id(200), None);
         assert_eq!(TranscoderSpec::from_id(3), None);
@@ -920,7 +875,7 @@ mod tests {
     #[test]
     fn too_wide_values_are_rejected() {
         let g = geom(4, 1, 4);
-        for tc in all_transcoders() {
+        for tc in TranscoderSpec::ALL {
             let mut out = DnaString::new();
             assert!(matches!(
                 tc.encode_payload_into(16, &[0], g, &mut out),
@@ -937,7 +892,7 @@ mod tests {
     #[test]
     fn short_payload_reports_length_mismatch() {
         let g = geom(8, 2, 8);
-        for tc in all_transcoders() {
+        for tc in TranscoderSpec::ALL {
             let short = [Base::A; 2];
             assert!(matches!(
                 tc.decode_symbol(&short, 1, g),

@@ -1,11 +1,9 @@
 //! Property tests for the pluggable byte→base transcoders: every
-//! [`StrandTranscoder`] must round-trip encode→decode exactly across
+//! [`TranscoderSpec`] must round-trip encode→decode exactly across
 //! random geometries (field widths, row counts) and values, and the
 //! trellis transcoder's payloads must satisfy the synthesis constraints
 //! primers are held to. These run under the CI `DNA_SKEW_THREADS`
 //! matrix like every other test.
-//!
-//! [`StrandTranscoder`]: dna_strand::StrandTranscoder
 
 use dna_strand::constraints::{self, ConstraintSet};
 use dna_strand::{DnaString, PayloadGeometry, TranscoderSpec};
@@ -49,9 +47,8 @@ proptest! {
     #[test]
     fn every_transcoder_round_trips((geom, index, symbols) in payload_case()) {
         for spec in TranscoderSpec::ALL {
-            let t = spec.build();
             let mut strand = DnaString::new();
-            t.encode_payload_into(index, &symbols, geom, &mut strand).unwrap();
+            spec.encode_payload_into(index, &symbols, geom, &mut strand).unwrap();
             prop_assert_eq!(
                 strand.len(),
                 spec.payload_bases(geom),
@@ -59,14 +56,14 @@ proptest! {
                 spec
             );
             prop_assert_eq!(
-                t.decode_index(strand.as_slice(), geom).unwrap(),
+                spec.decode_index(strand.as_slice(), geom).unwrap(),
                 index,
                 "{:?} index",
                 spec
             );
             for (r, &s) in symbols.iter().enumerate() {
                 prop_assert_eq!(
-                    t.decode_symbol(strand.as_slice(), r, geom).unwrap(),
+                    spec.decode_symbol(strand.as_slice(), r, geom).unwrap(),
                     s,
                     "{:?} row {}",
                     spec,
@@ -86,9 +83,8 @@ proptest! {
         symbols in proptest::collection::vec(0u16..=255, 30)
     ) {
         let geom = PayloadGeometry { index_bits: 8, rows: 30, symbol_bits: 8 };
-        let t = TranscoderSpec::Trellis.build();
         let mut strand = DnaString::new();
-        t.encode_payload_into(index, &symbols, geom, &mut strand).unwrap();
+        TranscoderSpec::Trellis.encode_payload_into(index, &symbols, geom, &mut strand).unwrap();
         let rules = ConstraintSet::primer_default();
         prop_assert!(
             rules.check(&strand),

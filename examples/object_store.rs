@@ -145,13 +145,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(sink.hash, want_hash, "fetched bytes are byte-identical");
     println!(
         "fetched object {target_id}: {:.2} GiB in {fetch_secs:.1} s ({:.3} GB/s) from \
-         {} capsules / {} units / {} reads ({} dropped by primer prefilter)",
+         {} capsules / {} units / {} reads",
         gib(sink.bytes),
         sink.bytes as f64 / 1e9 / fetch_secs,
         report.capsules,
         report.units,
         report.reads,
-        report.prefilter_dropped,
     );
 
     match peak_rss_mib() {

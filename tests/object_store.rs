@@ -216,27 +216,89 @@ fn store_lifecycle_is_thread_count_invariant() {
 }
 
 /// The recovery-path fetch (capsule-scoped cluster → orient → demux →
-/// decode) returns the same bytes as the direct fetch.
+/// decode) returns the same bytes as the direct fetch under every
+/// transcoder, with and without compression: the demux reads each index
+/// through the layout the pool was written with.
 #[test]
 fn recovery_fetch_is_byte_identical_to_direct_fetch() {
-    let dir = tmp_dir("recovery");
-    let mut store =
-        dna_skew::object::ObjectStore::create(&dir, StoreConfig::tiny().expect("config"))
-            .expect("create");
-    let payload = payload_from_seed(7, 270);
+    for spec in dna_skew::strand::TranscoderSpec::ALL {
+        for compress in [true, false] {
+            let dir = tmp_dir("recovery");
+            let mut config = StoreConfig::tiny()
+                .expect("config")
+                .with_compression(compress);
+            config.params = config.params.with_transcoder(spec);
+            let mut store = ObjectStore::create(&dir, config).expect("create");
+            let payload = payload_from_seed(7, 270);
+            let id = store.put_bytes("payload", &payload).expect("put");
+            let mut direct = Vec::new();
+            store.fetch(id, &mut direct).expect("direct");
+            let mut recovered = Vec::new();
+            store
+                .fetch_with(
+                    id,
+                    &mut recovered,
+                    &dna_skew::object::FetchOptions { via_recovery: true },
+                )
+                .unwrap_or_else(|e| panic!("{spec} compress={compress}: {e}"));
+            assert_eq!(direct, payload, "{spec} compress={compress}");
+            assert_eq!(recovered, payload, "{spec} compress={compress}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A capsule whose strands pass the CRC-64 yet cannot be decoded — more
+/// than parity/2 damaged columns per unit, with the trailer rewritten to
+/// match — fails the fetch instead of returning uncorrected bytes.
+#[test]
+fn undecodable_capsule_fails_the_fetch() {
+    use dna_skew::object::capsule::{packed_strand_len, CapsuleHeader};
+    use dna_skew::object::checksum::crc64;
+
+    let dir = tmp_dir("failed-codeword");
+    let config = StoreConfig::tiny().expect("config").with_compression(false);
+    let mut store = ObjectStore::create(&dir, config).expect("create");
+    let payload = payload_from_seed(5, 200);
     let id = store.put_bytes("payload", &payload).expect("put");
-    let mut direct = Vec::new();
-    store.fetch(id, &mut direct).expect("direct");
-    let mut recovered = Vec::new();
-    store
-        .fetch_with(
-            id,
-            &mut recovered,
-            &dna_skew::object::FetchOptions { via_recovery: true },
-        )
-        .expect("via recovery");
-    assert_eq!(direct, payload);
-    assert_eq!(recovered, payload);
+    let params = store.header().params().expect("params");
+    let (primer_len, strand_bases, cols) =
+        (params.primer_len(), params.strand_bases(), params.cols());
+    let (index_start, index_len) = params.transcoder().field_span(0, params.payload_geometry());
+    let seq = store.manifest().object(id).expect("object").capsules.start;
+    let offset = store.manifest().capsule(seq).expect("capsule").offset as usize;
+    drop(store);
+
+    let path = dir.join(POOL_FILE);
+    let mut pool = std::fs::read(&path).expect("read pool");
+    let mut cursor = &pool[offset..];
+    let cap = CapsuleHeader::read_from(&mut cursor, primer_len).expect("capsule header");
+    let strands_at = pool.len() - cursor.len();
+    let packed_len = packed_strand_len(strand_bases);
+    let section = cap.units as usize * cols * packed_len;
+    // Every symbol base of the first parity/2 + 1 columns of each unit
+    // is replaced; primers and index stay intact, so each strand still
+    // lands in its own column.
+    let damaged_cols = (cols - params.data_cols()) / 2 + 1;
+    for unit in 0..cap.units as usize {
+        for col in 0..damaged_cols {
+            let strand = strands_at + (unit * cols + col) * packed_len;
+            for base in primer_len + index_start + index_len..strand_bases - primer_len {
+                pool[strand + base / 4] ^= 0b11 << (2 * (base % 4));
+            }
+        }
+    }
+    let crc = crc64(&pool[strands_at..strands_at + section]);
+    pool[strands_at + section..strands_at + section + 8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &pool).expect("write pool");
+
+    let store = ObjectStore::open(&dir).expect("open");
+    let mut out = Vec::new();
+    let fetched = store.fetch(id, &mut out);
+    assert!(
+        matches!(fetched, Err(StorageError::Substrate(ref reason)) if reason.contains("failed codeword")),
+        "{fetched:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -204,8 +204,7 @@ fn transcoded_cell_summary(spec: TranscoderSpec, preset: &str, channel: &Channel
         .expect("transcoded tiny pipeline");
     let scenario = Scenario::with_channel(channel.clone())
         .single_coverage(cov)
-        .seed(MATRIX_SEED)
-        .transcoder(spec);
+        .seed(MATRIX_SEED);
     scenario.validate().expect("matrix scenarios are valid");
     let units = pipeline.encode_chunked(&matrix_payload()).expect("encode");
     let pools = pipeline.sequence_batch(&scenario.backend(), &units, scenario.seed);
@@ -878,6 +877,95 @@ fn layout_tables_match_golden_cell_maps() {
         &compute_layout_tables(),
         &LAYOUT_TABLES_GOLDEN,
         "layout tables",
+    );
+}
+
+/// The transcoder conformance table: every [`TranscoderSpec`]'s payload
+/// length, field spans, encoded bases and noisy decodes at three
+/// geometries. The third has a 16-bit index, so gc-padded places a pad
+/// base inside the index field. `TRANSCODED_GOLDEN` hashes only decoded
+/// payloads, which a layout that moves bases in step on both sides
+/// leaves intact; this table pins the bases themselves. Regenerate only
+/// after an *intentional* pool-format change with `DNA_SKEW_BLESS=1`.
+fn compute_transcoder_tables() -> Vec<String> {
+    let geometries = [
+        ("tiny", CodecParams::tiny().unwrap()),
+        ("laptop", CodecParams::laptop().unwrap()),
+        (
+            "gf256-30x160+24/16",
+            CodecParams::new(dna_skew::gf::Field::gf256(), 30, 160, 24, 16).unwrap(),
+        ),
+    ];
+    let mut out = Vec::new();
+    for (gname, params) in geometries {
+        let geom = params.payload_geometry();
+        let index_mask = (1u64 << geom.index_bits) as u32 - 1;
+        let symbol_mask = ((1u32 << geom.symbol_bits) - 1) as u16;
+        for spec in TranscoderSpec::ALL {
+            let mut spans = Vec::new();
+            for field in 0..geom.fields() {
+                let (start, len) = spec.field_span(field, geom);
+                spans.extend_from_slice(&(start as u32).to_le_bytes());
+                spans.extend_from_slice(&(len as u32).to_le_bytes());
+            }
+            let (mut encoded, mut decoded) = (Vec::new(), Vec::new());
+            for k in 0..8u32 {
+                let index = k.wrapping_mul(0x9E37_79B9) & index_mask;
+                let symbols: Vec<u16> = (0..geom.rows as u32)
+                    .map(|r| (k.wrapping_mul(31) + r.wrapping_mul(151)) as u16 & symbol_mask)
+                    .collect();
+                let mut payload = DnaString::new();
+                spec.encode_payload_into(index, &symbols, geom, &mut payload)
+                    .unwrap();
+                encoded.push(0xFD);
+                encoded.extend(payload.iter().map(|b| b.to_bits()));
+                // One substituted base per payload, walking the strand,
+                // pins how decode reads a noisy field too.
+                let mut noisy: Vec<Base> = payload.as_slice().to_vec();
+                let at = (k as usize * 7) % noisy.len();
+                noisy[at] = Base::ALL[(usize::from(noisy[at].to_bits()) + 1) % 4];
+                decoded.extend_from_slice(&spec.decode_index(&noisy, geom).unwrap().to_le_bytes());
+                for r in 0..geom.rows {
+                    let sym = spec.decode_symbol(&noisy, r, geom).unwrap();
+                    decoded.extend_from_slice(&sym.to_le_bytes());
+                }
+            }
+            out.push(format!(
+                "geometry={gname} transcoder={} payload_bases={} index_span={:?} spans={:#018x} encoded={:#018x} decoded={:#018x}",
+                spec.name(),
+                spec.payload_bases(geom),
+                spec.field_span(0, geom),
+                fnv64(&spans),
+                fnv64(&encoded),
+                fnv64(&decoded),
+            ));
+        }
+    }
+    out
+}
+
+/// Golden transcoder tables, generated before `StrandTranscoder` was
+/// folded into `TranscoderSpec`; they must never change without a
+/// pool-format version bump.
+const TRANSCODER_TABLES_GOLDEN: [&str; 9] = [
+    "geometry=tiny transcoder=direct payload_bases=14 index_span=(0, 2) spans=0x3ed2d50094b7e069 encoded=0x0a1ccb2d11ed127f decoded=0xfc39d146b56391dd",
+    "geometry=tiny transcoder=gc-padded payload_bases=18 index_span=(0, 2) spans=0xe70049ca082aac2e encoded=0xf508a4807921a82b decoded=0x6de132ab79df9e3a",
+    "geometry=tiny transcoder=trellis payload_bases=23 index_span=(0, 3) spans=0x67bd20c55c1345f0 encoded=0x77f6b255e1d389c7 decoded=0x438a96cf80cbd9c4",
+    "geometry=laptop transcoder=direct payload_bases=124 index_span=(0, 4) spans=0x50aa12d72dee32bd encoded=0x2c6b7b0dec9c84a2 decoded=0xc814ffe05590e45f",
+    "geometry=laptop transcoder=gc-padded payload_bases=155 index_span=(0, 4) spans=0x1d858f09f2d57a9a encoded=0x9069ea9391bb92ea decoded=0x8c2a89aafac1a894",
+    "geometry=laptop transcoder=trellis payload_bases=209 index_span=(0, 6) spans=0x679f4e2c4471855a encoded=0xaf0062a858f70d61 decoded=0x6293d53cf35b1b12",
+    "geometry=gf256-30x160+24/16 transcoder=direct payload_bases=128 index_span=(0, 8) spans=0x50bfcb1e52fded89 encoded=0xdfec4362f6aa6dd7 decoded=0x9630ce8ab89e662c",
+    "geometry=gf256-30x160+24/16 transcoder=gc-padded payload_bases=160 index_span=(0, 9) spans=0x1b0a6b5793752359 encoded=0x85521792bfcf57d1 decoded=0x04f2eb5c358cf053",
+    "geometry=gf256-30x160+24/16 transcoder=trellis payload_bases=214 index_span=(0, 12) spans=0x47fe274f2d948322 encoded=0xadcd0c5af99d2cff decoded=0x9afa32379f02944e",
+];
+
+#[test]
+fn transcoder_tables_match_golden_encodings() {
+    let _guard = env_guard();
+    assert_matches(
+        &compute_transcoder_tables(),
+        &TRANSCODER_TABLES_GOLDEN,
+        "transcoder tables",
     );
 }
 
