@@ -6,8 +6,8 @@
 //! (constrained) edit-distance median. This crate provides the shared
 //! machinery: unit-cost Levenshtein distance (full, and bounded with a
 //! bit-parallel kernel), global alignment with traceback, pluggable read
-//! clusterers (greedy and anchor-binned), and read orientation recovery
-//! (primer-anchored and canonical).
+//! clusterers (greedy and anchor-binned), and primer-anchored read
+//! orientation recovery.
 //!
 //! All distance/alignment functions are generic over the symbol type, so
 //! they serve both DNA ([`dna_strand::Base`]) and the binary alphabet the
@@ -39,4 +39,4 @@ pub use cluster::{
     AnchoredClusterer, ClusterResult, GreedyClusterer, ReadClusterer, MAX_ANCHOR_LEN,
 };
 pub use distance::{edit_distance, edit_distance_bounded, edit_distance_bounded_with, BasePattern};
-pub use orient::{canonical_orientation, AnchorOrienter, ReadOrientation};
+pub use orient::{AnchorOrienter, ReadOrientation};

@@ -3,24 +3,16 @@
 //! Sequencers read double-stranded DNA from either end: roughly half the
 //! reads of an unlabeled pool arrive as the reverse complement of the
 //! synthesized strand. Before clustering or consensus can work, every
-//! read must be mapped back to a common orientation. Two mechanisms are
-//! provided:
+//! read must be mapped back to a common orientation.
 //!
-//! - [`AnchorOrienter`]: scores the read's prefix against a known anchor
-//!   sequence (in practice the left PCR primer) in both orientations and
-//!   keeps the better fit — the primer-based orientation detection used
-//!   by real retrieval pipelines (Yazdi et al., *A Rewritable,
-//!   Random-Access DNA-Based Storage System*);
-//! - [`canonical_orientation`]: the anchor-free fallback — each read is
-//!   mapped to the lexicographically smaller of itself and its reverse
-//!   complement, so all copies of one strand land on the same side
-//!   regardless of how they were read (final forward/reverse resolution
-//!   is deferred to whoever can check content, e.g. an index decoder).
-//!
-//! Both are *involutions on pools*: orienting a read and orienting its
-//! reverse complement produce the same canonical strand, which is what
-//! makes recovery insensitive to how the sequencer happened to flip each
-//! molecule.
+//! [`AnchorOrienter`] scores the read's prefix against a known anchor
+//! sequence (in practice the left PCR primer) in both orientations and
+//! keeps the better fit — the primer-based orientation detection used by
+//! real retrieval pipelines (Yazdi et al., *A Rewritable, Random-Access
+//! DNA-Based Storage System*). It is an *involution on pools*: orienting a
+//! read and orienting its reverse complement produce the same canonical
+//! strand, which is what makes recovery insensitive to how the sequencer
+//! happened to flip each molecule.
 
 use crate::BasePattern;
 use dna_strand::{Base, DnaString};
@@ -177,35 +169,6 @@ impl AnchorOrienter {
     }
 }
 
-/// Anchor-free canonical orientation: the lexicographically smaller of
-/// the read and its reverse complement, with the orientation that was
-/// kept. All reads of one molecule (noise aside) canonicalize to the
-/// same side, so an orientation-blind clusterer can group them; whether
-/// that side is the synthesized strand or its complement is resolved
-/// later by content (e.g. decoding the ordering index both ways).
-///
-/// # Examples
-///
-/// ```
-/// use dna_align::canonical_orientation;
-/// use dna_strand::DnaString;
-///
-/// let s: DnaString = "TTGCAACG".parse()?;
-/// let (o1, c1) = canonical_orientation(&s);
-/// let (o2, c2) = canonical_orientation(&s.reverse_complement());
-/// assert_eq!(c1, c2);           // involution on pools
-/// assert_ne!(o1.is_flipped(), o2.is_flipped());
-/// # Ok::<(), dna_strand::StrandError>(())
-/// ```
-pub fn canonical_orientation(read: &DnaString) -> (ReadOrientation, DnaString) {
-    let flipped = read.reverse_complement();
-    if read.as_slice() <= flipped.as_slice() {
-        (ReadOrientation::Forward, read.clone())
-    } else {
-        (ReadOrientation::ReverseComplement, flipped)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,16 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_orientation_is_stable_under_flips() {
-        for seed in 0..30u64 {
-            let read = random_strand(28, seed);
-            let (_, a) = canonical_orientation(&read);
-            let (_, b) = canonical_orientation(&read.reverse_complement());
-            assert_eq!(a, b, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn a_huge_slack_saturates_to_the_whole_read() {
         // `anchor.len() + slack` used to overflow: a panic in debug, and
         // in release a wrapped window shorter than the anchor.
@@ -273,9 +226,6 @@ mod tests {
     fn empty_read_orients_without_panicking() {
         let orienter = AnchorOrienter::new(random_strand(10, 5));
         let (o, c) = orienter.orient(&DnaString::new());
-        assert_eq!(o, ReadOrientation::Forward);
-        assert!(c.is_empty());
-        let (o, c) = canonical_orientation(&DnaString::new());
         assert_eq!(o, ReadOrientation::Forward);
         assert!(c.is_empty());
     }

@@ -4,6 +4,14 @@ use crate::ChannelError;
 use rand::Rng;
 use rand_distr::{Distribution, Gamma};
 
+/// The largest mean coverage a validated scenario accepts
+/// (`dna_storage::Scenario::validate`). The paper sweeps coverages up to
+/// 45; a pool is generated at the sweep maximum, so a coverage far
+/// beyond this would allocate reads without bound. Pool generation caps
+/// every molecule's reads at a fixed multiple of it
+/// ([`ReadPool::generate_with`](crate::ReadPool::generate_with)).
+pub const MAX_COVERAGE: f64 = 5000.0;
+
 /// How many noisy reads each original molecule receives.
 ///
 /// The paper emphasizes (§4.1) that "coverage is never fixed across all

@@ -58,7 +58,7 @@ mod pool;
 pub use anonymous::{AnonymousPool, ReadOrigin};
 pub use backend::{unit_seed, SequencingBackend, SimulatedSequencer, TraceReplay};
 pub use channel::IdsChannel;
-pub use coverage::CoverageModel;
+pub use coverage::{CoverageModel, MAX_COVERAGE};
 pub use error_model::ErrorModel;
 pub use model::{BurstModel, ChannelModel, ConstraintStress, PcrBias, PositionProfile};
 pub use pool::{Cluster, ReadPool};

@@ -7,7 +7,7 @@
 //! coverage, then take nested prefixes for every lower coverage point, so
 //! higher-coverage experiments strictly extend lower-coverage ones.
 
-use crate::{ChannelModel, CoverageModel, IdsChannel};
+use crate::{ChannelModel, CoverageModel, IdsChannel, MAX_COVERAGE};
 use dna_strand::DnaString;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +43,14 @@ pub struct ReadPool {
     /// Full cluster (at `max_mean`) per strand.
     full: Vec<Cluster>,
 }
+
+/// The most reads one molecule receives in a generated pool: ten times
+/// [`MAX_COVERAGE`]. No validated coverage comes near it (a Gamma draw at
+/// the maximum mean, times a PCR multiplier of mean 1, exceeds it with
+/// negligible probability); it keeps a hand-built coverage model such as
+/// `CoverageModel::Fixed(usize::MAX)` from asking for more reads than
+/// memory can address.
+const MAX_READS_PER_MOLECULE: usize = 10 * MAX_COVERAGE as usize;
 
 /// Mixes a stream index into a seed (splitmix64 finalizer) — the one
 /// derivation behind both per-strand streams (here) and per-unit streams
@@ -90,6 +98,12 @@ impl ReadPool {
     /// a [`ChannelModel::uniform`] model consumes exactly the historical
     /// RNG stream and this function is byte-identical to
     /// [`ReadPool::generate`] for any `(seed, model, coverage)`.
+    ///
+    /// Each molecule's read count, after the PCR multiplier, is capped at
+    /// ten times [`MAX_COVERAGE`], so even a coverage model built by hand
+    /// with an unbounded size (`CoverageModel::Fixed(usize::MAX)`, a huge
+    /// Gamma mean) generates a bounded pool instead of overflowing the
+    /// read vector's capacity.
     pub fn generate_with(
         strands: &[DnaString],
         model: &ChannelModel,
@@ -111,6 +125,7 @@ impl ReadPool {
                 if let Some(pcr) = model.pcr() {
                     n = ((n as f64) * pcr.sample(&mut rng)).round() as usize;
                 }
+                let n = n.min(MAX_READS_PER_MOLECULE);
                 Cluster {
                     source: i,
                     reads: (0..n).map(|_| model.transmit(s, &mut rng)).collect(),
@@ -260,6 +275,28 @@ mod tests {
             CoverageModel::gamma_with_mean(mean).unwrap(),
             7,
         )
+    }
+
+    #[test]
+    fn unbounded_coverage_models_generate_capped_clusters() {
+        // Both used to ask `Vec` for ~usize::MAX reads and panic with a
+        // capacity overflow.
+        let strand: DnaString = "ACGTACGT".parse().unwrap();
+        for coverage in [
+            CoverageModel::Fixed(usize::MAX),
+            CoverageModel::Gamma {
+                mean: 1e300,
+                shape: 6.0,
+            },
+        ] {
+            let pool = ReadPool::generate_with(
+                std::slice::from_ref(&strand),
+                &ChannelModel::uniform(ErrorModel::noiseless()),
+                coverage,
+                3,
+            );
+            assert_eq!(pool.clusters()[0].coverage(), MAX_READS_PER_MOLECULE);
+        }
     }
 
     #[test]

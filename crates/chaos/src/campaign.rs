@@ -84,7 +84,8 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Trials per scenario.
     pub trials: usize,
-    /// Codec geometry for pool scenarios.
+    /// Codec geometry for pool scenarios (unlabeled ones need a primer
+    /// length, see [`CodecParams::with_primer_len`]).
     pub params: CodecParams,
     /// Scratch root for object-store trials (one subdirectory per
     /// trial, removed afterwards).
@@ -92,8 +93,11 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A quick campaign at the tiny GF(16) geometry — the conformance
-    /// and smoke-test operating point.
+    /// A quick campaign at the tiny GF(16) geometry wrapped in 15-base
+    /// primers — the conformance and smoke-test operating point, and the
+    /// geometry of the recovery conformance cell. Unlabeled pool
+    /// scenarios need the primers: they orient and demultiplex every
+    /// read.
     ///
     /// # Errors
     ///
@@ -109,7 +113,7 @@ impl CampaignConfig {
         Ok(CampaignConfig {
             seed,
             trials,
-            params: CodecParams::tiny()?,
+            params: CodecParams::tiny()?.with_primer_len(15),
             scratch: std::env::temp_dir()
                 .join(format!("dna-chaos-{}-{seed:08x}", std::process::id())),
         })

@@ -58,8 +58,9 @@ impl From<std::io::Error> for CliError {
 }
 
 /// A parsed error-model choice, e.g. `uniform:0.06`, `ngs:0.01`,
-/// `nanopore:0.12`, `subs:0.1`, `indels:0.1`.
-pub fn parse_error_model(s: &str) -> Result<ErrorModel, CliError> {
+/// `nanopore:0.12`, `subs:0.1`, `indels:0.1` — the flat channels
+/// [`parse_channel_model`] accepts beside its presets.
+fn parse_error_model(s: &str) -> Result<ErrorModel, CliError> {
     let (kind, rate) = s
         .split_once(':')
         .ok_or_else(|| CliError::Usage(format!("error model {s:?} must be kind:rate")))?;
@@ -101,8 +102,9 @@ pub fn parse_error_model(s: &str) -> Result<ErrorModel, CliError> {
 ///   elevated IDS rates, so constraint-violating strands pay for it at
 ///   the channel (default 8%).
 ///
-/// Any base error-model `kind:rate` accepted by [`parse_error_model`]
-/// (e.g. `ngs:0.01`) is also accepted and runs as a flat channel.
+/// Any base error-model `kind:rate` (`uniform`, `ngs`, `nanopore`,
+/// `subs`, `indels` or `enzymatic`, e.g. `ngs:0.01`) is also accepted
+/// and runs as a flat channel.
 pub fn parse_channel_model(s: &str) -> Result<ChannelModel, CliError> {
     let (kind, rate) = match s.split_once(':') {
         Some((k, r)) => (k, Some(r)),

@@ -5,16 +5,15 @@
 //! dnastore encode   --input report.pdf --layout gini --output report.dna
 //! dnastore decode   --input report.dna --output report.pdf
 //! dnastore simulate --input report.pdf --layout dnamapper \
-//!                   --errors nanopore:0.12 --coverage 18 --seed 7
+//!                   --channel nanopore:0.12 --coverage 18 --seed 7
 //! ```
 
-use dna_channel::ChannelModel;
 use dna_object::{LayoutKind, ObjectStore};
 use dna_server::{serve_tcp, ServeConfig, Server};
 use dna_skew_cli::{
     decode, default_output_name, encode, open_or_create_store, pack_files, parse_channel_model,
-    parse_error_model, parse_layout, parse_plan_arg, parse_transcoder, resolve_object,
-    simulate_planned, simulate_unlabeled, CliError, ClustererChoice, PlanChoice,
+    parse_layout, parse_plan_arg, parse_transcoder, resolve_object, simulate_planned,
+    simulate_unlabeled, CliError, ClustererChoice, PlanChoice,
 };
 use dna_strand::TranscoderSpec;
 use std::collections::HashMap;
@@ -26,7 +25,7 @@ dnastore — DNA storage pipeline from 'Managing Reliability Bias in DNA Storage
 USAGE:
   dnastore encode   --input <file> [--layout baseline|gini|dnamapper] --output <strands>
   dnastore decode   --input <strands> --output <file>
-  dnastore simulate --input <file> [--layout …] [--errors kind:rate | --channel preset[:rate]]
+  dnastore simulate --input <file> [--layout …] [--channel preset[:rate]]
                     [--coverage N] [--seed N] [--plan auto|uniform|file:<path>]
                     [--parity E] [--tsv <path>]
                     [--transcoder direct|gc-padded|trellis]
@@ -37,10 +36,11 @@ USAGE:
   dnastore serve    --store <pool-dir> [--addr 127.0.0.1:7070] [--workers N] [--queue N]
   dnastore chaos    [--seed N] [--trials N] [--scenario <substring>]
 
-error model kinds: uniform, ngs, nanopore, subs, indels, enzymatic (rate in [0,1])
-channel presets:   uniform, nanopore-decay, pcr-skewed, dropout, bursty,
-                   constraint-stressed (position-, strand-, and
-                   content-aware models; rate optional)
+channel presets:   uniform (default, rate 0.06), nanopore-decay, pcr-skewed,
+                   dropout, bursty, constraint-stressed (position-,
+                   strand-, and content-aware models; rate optional), or a
+                   flat error model kind:rate with kind one of uniform,
+                   ngs, nanopore, subs, indels, enzymatic (rate in [0,1])
 transcoders:       direct (2 bits/base, default), gc-padded (GC-balancing
                    pad bases), trellis (base-3, homopolymer-free) — the
                    byte->base mapping strands are written with; pack
@@ -105,6 +105,39 @@ fn parse_flags(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>)
     Ok((flags, positionals))
 }
 
+/// Rejects any flag `command` does not read: a misspelt or retired flag
+/// is a usage error, never a silently ignored setting. Unknown commands
+/// pass through to their own error.
+fn check_flags(command: &str, flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let known: &[&str] = match command {
+        "encode" => &["input", "layout", "output"],
+        "decode" => &["input", "output"],
+        "simulate" => &[
+            "input",
+            "layout",
+            "channel",
+            "coverage",
+            "seed",
+            "plan",
+            "parity",
+            "tsv",
+            "transcoder",
+            "unlabeled",
+            "clusterer",
+        ],
+        "pack" => &["out", "transcoder"],
+        "fetch" => &["store", "output"],
+        "ls" => &["store"],
+        "serve" => &["store", "addr", "workers", "queue"],
+        "chaos" => &["seed", "trials", "scenario"],
+        _ => return Ok(()),
+    };
+    match flags.keys().filter(|k| !known.contains(&k.as_str())).min() {
+        Some(flag) => Err(CliError::Usage(format!("{command} does not take --{flag}"))),
+        None => Ok(()),
+    }
+}
+
 fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, CliError> {
     flags
         .get(key)
@@ -130,6 +163,7 @@ fn run() -> Result<(), CliError> {
         return Err(CliError::Usage("no command given".into()));
     };
     let (flags, positionals) = parse_flags(&args[1..])?;
+    check_flags(command, &flags)?;
     if !positionals.is_empty() && !matches!(command.as_str(), "pack" | "fetch") {
         return Err(CliError::Usage(format!(
             "unexpected argument {:?} (only pack/fetch take positionals)",
@@ -172,17 +206,7 @@ fn run() -> Result<(), CliError> {
         }
         "simulate" => {
             let input = std::fs::read(required(&flags, "input")?)?;
-            let channel = match (flags.get("channel"), flags.get("errors")) {
-                (Some(_), Some(_)) => {
-                    return Err(CliError::Usage(
-                        "--channel and --errors are mutually exclusive".into(),
-                    ))
-                }
-                (Some(c), None) => parse_channel_model(c)?,
-                (None, errors) => {
-                    ChannelModel::uniform(parse_error_model(errors.map_or("uniform:0.06", |v| v))?)
-                }
-            };
+            let channel = parse_channel_model(flags.get("channel").map_or("uniform", |v| v))?;
             let coverage: f64 = numeric(&flags, "coverage", 12.0)?;
             let seed: u64 = numeric(&flags, "seed", 0)?;
             let plan = flags
@@ -381,5 +405,30 @@ fn main() -> ExitCode {
             eprintln!("dnastore: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flags_a_command_does_not_read_are_usage_errors() {
+        let flags = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_flags(&args).unwrap().0
+        };
+        let ok = flags(&["--input", "f", "--channel", "ngs:0.01", "--unlabeled"]);
+        assert!(check_flags("simulate", &ok).is_ok());
+        // A retired or misspelt flag used to be dropped silently, so the
+        // run went ahead at the default setting.
+        let err =
+            check_flags("simulate", &flags(&["--input", "f", "--error", "ngs:0.01"])).unwrap_err();
+        assert!(
+            err.to_string().contains("simulate does not take --error"),
+            "{err}"
+        );
+        assert!(check_flags("ls", &flags(&["--store", "d", "--layout", "gini"])).is_err());
+        assert!(check_flags("no-such-command", &flags(&["--x", "1"])).is_ok());
     }
 }

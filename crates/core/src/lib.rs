@@ -96,20 +96,14 @@ pub enum StorageError {
     /// An anonymous pool with no reads at all was handed to recovery —
     /// there is nothing to cluster, orient, or decode.
     EmptyPool,
-    /// Unlabeled-pool recovery orphaned every read: no cluster produced
-    /// a valid index vote (or all fell below the minimum cluster size).
+    /// Unlabeled-pool recovery orphaned every read: no read carried a
+    /// readable in-range index past the primer (reads too short, or
+    /// index regions destroyed).
     AllReadsOrphaned {
         /// Reads in the pool.
         reads: usize,
         /// Clusters the clusterer produced.
         clusters: usize,
-    },
-    /// Two recovered clusters claimed the same unit column while strict
-    /// duplicate handling was enabled
-    /// (see [`RecoveryPipeline::strict_duplicates`]).
-    DuplicateClusterIndex {
-        /// The contested unit column.
-        index: usize,
     },
     /// An object pool has no manifest — neither the sidecar file nor a
     /// recoverable super-capsule. Callers can fall back to
@@ -169,7 +163,7 @@ impl fmt::Display for StorageError {
             StorageError::AllReadsOrphaned { reads, clusters } => write!(
                 f,
                 "recovery orphaned all {reads} reads across {clusters} clusters: \
-                 no cluster produced a valid index vote"
+                 no read carried a readable index"
             ),
             StorageError::ManifestMissing => write!(
                 f,
@@ -194,10 +188,6 @@ impl fmt::Display for StorageError {
             StorageError::RetiredTranscoder { id, name } => write!(
                 f,
                 "retired transcoder ({name}, wire id {id}): this pool needs a release that still ships it"
-            ),
-            StorageError::DuplicateClusterIndex { index } => write!(
-                f,
-                "two recovered clusters claimed unit column {index} (strict duplicate handling)"
             ),
         }
     }

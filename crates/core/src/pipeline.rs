@@ -53,9 +53,10 @@ pub enum UnitReads<'a> {
     /// Labeled clusters, one per molecule: perfect clustering, a trace
     /// replay, or the output of [`Pipeline::recover_pool`].
     Clusters(&'a [Cluster]),
-    /// An unlabeled, orientation-randomized pool. Recovery (cluster →
-    /// orient → demux) runs first; placement then trusts the recovered
-    /// labels, because the demux vote already decoded each index, and
+    /// An unlabeled, orientation-randomized pool of primer-wrapped
+    /// strands (the pipeline must have a primer length). Recovery
+    /// (orient → cluster → demux) runs first; placement then trusts the
+    /// recovered labels, because demux already decoded each index, and
     /// the report carries the outcome in [`DecodeReport::recovery`].
     Pool(&'a AnonymousPool),
 }
@@ -376,10 +377,12 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns the first (lowest-index) unit's [`StorageError`]: a
-    /// substrate failure, or a recovery error (see
-    /// [`RecoveryPipeline::recover`]). Codeword decode failures are *not*
-    /// errors — they are recorded in the report and the affected symbols
-    /// pass through uncorrected (graceful degradation).
+    /// substrate failure, a recovery error (see
+    /// [`RecoveryPipeline::recover`]), or [`StorageError::InvalidParams`]
+    /// for a [`UnitReads::Pool`] on a pipeline without primers. Codeword
+    /// decode failures are *not* errors — they are recorded in the report
+    /// and the affected symbols pass through uncorrected (graceful
+    /// degradation).
     pub fn decode(
         &self,
         units: &[UnitReads<'_>],
@@ -480,7 +483,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// See [`RecoveryPipeline::recover`].
+    /// [`StorageError::InvalidParams`] when the pipeline has no primers;
+    /// otherwise see [`RecoveryPipeline::recover`].
     pub fn recover_pool(
         &self,
         pool: &AnonymousPool,
@@ -490,12 +494,23 @@ impl Pipeline {
 
     /// Runs `opts.recovery`, else the pipeline's configured stage, else
     /// the default greedy stage.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::InvalidParams`] when the pipeline has no primers:
+    /// the left primer is what orients and demultiplexes every read.
     fn recover_with(
         &self,
         pool: &AnonymousPool,
         opts: &RetrieveOptions,
     ) -> Result<(Vec<Cluster>, RecoveryReport), StorageError> {
-        let primer = self.primers.as_ref().map(|(l, _)| l);
+        let Some((primer, _)) = &self.primers else {
+            return Err(StorageError::InvalidParams(
+                "unlabeled pools need primer-wrapped strands to orient and demultiplex \
+                 reads: build the pipeline with CodecParams::with_primer_len"
+                    .into(),
+            ));
+        };
         match opts
             .recovery
             .as_ref()

@@ -7,23 +7,25 @@
 //! half reverse-complemented. [`RecoveryPipeline`] reconstructs the
 //! labeled structure the decoder needs:
 //!
-//! 1. **Orient** — each read is mapped to a canonical orientation:
-//!    primer-anchored scoring ([`dna_align::AnchorOrienter`]) when the
-//!    pipeline wraps strands in primers, lexicographic canonicalization
-//!    otherwise (final forward/reverse resolution then falls to step 3);
+//! 1. **Orient** — each read is flipped to the synthesized strand's
+//!    orientation by scoring both ends against the left PCR primer
+//!    ([`dna_align::AnchorOrienter`]). Primers are mandatory: every read
+//!    of a random-access pool carries them, and they are the only anchor
+//!    that tells a strand from its reverse complement;
 //! 2. **Cluster** — a pluggable [`ReadClusterer`] groups putative copies
 //!    of one molecule: the exhaustive [`GreedyClusterer`] or the
 //!    index-anchor-binned [`AnchoredClusterer`] fast path;
-//! 3. **Demultiplex** — each cluster votes on the ordering index carried
-//!    at the front of every strand (majority over per-read decodes,
-//!    trying the reverse complement when the forward vote fails);
-//!    clusters voting for the same column are merged (they are fragments
-//!    of one molecule), invalid-vote clusters are orphaned.
+//! 3. **Demultiplex** — each read decodes the ordering index just past
+//!    the primer (re-synchronized against the primer's actual end) and
+//!    is routed to the column it names; the cluster only pools evidence
+//!    for reads whose index is unreadable. Groups landing on the same
+//!    column are merged (they are fragments of one molecule), and
+//!    clusters with no readable index are orphaned.
 //!
 //! Steps 2 and 3 read the index through the unit's
 //! [`TranscoderSpec`]: its field-0
 //! [`field_span`](TranscoderSpec::field_span) sizes the clusterer's
-//! anchor window and the reverse-complement vote window, and its
+//! anchor window, and its
 //! [`decode_index`](TranscoderSpec::decode_index) decodes every vote, so
 //! unlabeled pools recover under any layout the decoder reads.
 //!
@@ -35,12 +37,9 @@
 
 use crate::params::CodecParams;
 use crate::StorageError;
-use dna_align::{
-    canonical_orientation, AnchorOrienter, AnchoredClusterer, BasePattern, GreedyClusterer,
-    ReadClusterer,
-};
+use dna_align::{AnchorOrienter, AnchoredClusterer, BasePattern, GreedyClusterer, ReadClusterer};
 use dna_channel::{AnonymousPool, Cluster};
-use dna_strand::{Base, DnaString, PayloadGeometry, Primer, TranscoderSpec};
+use dna_strand::{DnaString, PayloadGeometry, Primer, TranscoderSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -62,13 +61,13 @@ const MODAL_FOLD_MIN: usize = 4;
 pub struct RecoveryReport {
     /// Reads in the anonymous pool.
     pub total_reads: usize,
-    /// Reads whose delivered orientation was flipped back to forward
-    /// (read-level orientation decisions XOR cluster-level resolution).
+    /// Assigned reads whose delivered orientation was flipped back to
+    /// forward.
     pub flipped_reads: usize,
     /// Clusters the clusterer produced (before demux merging).
     pub clusters_found: usize,
-    /// Clusters that could not be assigned to any unit column (no valid
-    /// index vote, or below the minimum cluster size).
+    /// Clusters that could not be assigned to any unit column (no read
+    /// carried a readable in-range index).
     pub orphaned_clusters: usize,
     /// Reads inside orphaned clusters (they take no part in decoding).
     pub orphaned_reads: usize,
@@ -219,23 +218,12 @@ enum ClustererSpec {
 #[derive(Clone)]
 pub struct RecoveryPipeline {
     spec: ClustererSpec,
-    min_cluster_size: usize,
-    strict_duplicates: bool,
 }
 
 impl std::fmt::Debug for RecoveryPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecoveryPipeline")
-            .field(
-                "clusterer",
-                &match &self.spec {
-                    ClustererSpec::Greedy { .. } => "greedy",
-                    ClustererSpec::Anchored { .. } => "anchored",
-                    ClustererSpec::Custom(c) => c.name(),
-                },
-            )
-            .field("min_cluster_size", &self.min_cluster_size)
-            .field("strict_duplicates", &self.strict_duplicates)
+            .field("clusterer", &self.clusterer_name())
             .finish()
     }
 }
@@ -253,8 +241,6 @@ impl RecoveryPipeline {
     pub fn greedy(threshold: Option<usize>) -> RecoveryPipeline {
         RecoveryPipeline {
             spec: ClustererSpec::Greedy { threshold },
-            min_cluster_size: 1,
-            strict_duplicates: false,
         }
     }
 
@@ -265,8 +251,6 @@ impl RecoveryPipeline {
     pub fn anchored(threshold: Option<usize>) -> RecoveryPipeline {
         RecoveryPipeline {
             spec: ClustererSpec::Anchored { threshold },
-            min_cluster_size: 1,
-            strict_duplicates: false,
         }
     }
 
@@ -274,24 +258,7 @@ impl RecoveryPipeline {
     pub fn with_clusterer(clusterer: Arc<dyn ReadClusterer + Send + Sync>) -> RecoveryPipeline {
         RecoveryPipeline {
             spec: ClustererSpec::Custom(clusterer),
-            min_cluster_size: 1,
-            strict_duplicates: false,
         }
-    }
-
-    /// Clusters smaller than `size` are orphaned instead of voting (a
-    /// guard against singleton junk reads at high coverage).
-    pub fn min_cluster_size(mut self, size: usize) -> RecoveryPipeline {
-        self.min_cluster_size = size;
-        self
-    }
-
-    /// When on, a second cluster claiming an already-claimed column is a
-    /// typed error ([`StorageError::DuplicateClusterIndex`]) instead of a
-    /// fragment merge — for callers that treat collisions as corruption.
-    pub fn strict_duplicates(mut self, strict: bool) -> RecoveryPipeline {
-        self.strict_duplicates = strict;
-        self
     }
 
     /// The short name of the configured clusterer.
@@ -312,25 +279,21 @@ impl RecoveryPipeline {
         (payload_region / 4).max(3)
     }
 
-    /// Runs cluster → orient → demux on `pool` for a unit with geometry
-    /// `params`, whose strands start with `left_primer` (when the
-    /// pipeline wraps strands in primers). Returns the labeled clusters
-    /// (`source` = recovered unit column, reads in canonical
-    /// orientation) ready for the trusted decode path, plus the
-    /// [`RecoveryReport`].
+    /// Runs orient → cluster → demux on `pool` for a unit with geometry
+    /// `params`, whose strands start with `left_primer`. Returns the
+    /// labeled clusters (`source` = recovered unit column, reads flipped
+    /// to the synthesized orientation) ready for the trusted decode path,
+    /// plus the [`RecoveryReport`].
     ///
     /// # Errors
     ///
     /// - [`StorageError::EmptyPool`] when the pool has no reads;
-    /// - [`StorageError::AllReadsOrphaned`] when no cluster produced a
-    ///   valid index vote;
-    /// - [`StorageError::DuplicateClusterIndex`] when
-    ///   [`strict_duplicates`](RecoveryPipeline::strict_duplicates) is on
-    ///   and two clusters claimed the same column.
+    /// - [`StorageError::AllReadsOrphaned`] when no read carried a
+    ///   readable in-range index.
     pub fn recover(
         &self,
         params: &CodecParams,
-        left_primer: Option<&Primer>,
+        left_primer: &Primer,
         pool: &AnonymousPool,
     ) -> Result<(Vec<Cluster>, RecoveryReport), StorageError> {
         if pool.is_empty() {
@@ -342,27 +305,17 @@ impl RecoveryPipeline {
             ..RecoveryReport::default()
         };
 
-        // 1. Orientation recovery: map every read to a canonical strand.
-        // The orienter compiles the primer once; demux reuses it.
-        let orienter = left_primer.map(|primer| AnchorOrienter::new(primer.strand().clone()));
+        // 1. Orientation recovery: flip every read to the synthesized
+        // strand's orientation. The orienter compiles the primer once;
+        // demux reuses it.
+        let orienter = AnchorOrienter::new(left_primer.strand().clone());
         let mut oriented: Vec<DnaString> = Vec::with_capacity(pool.len());
         let mut read_flips: Vec<bool> = Vec::with_capacity(pool.len());
-        match &orienter {
-            Some(orienter) => {
-                let mut row = Vec::new();
-                for read in pool.reads() {
-                    let (o, canonical) = orienter.orient_with(read, &mut row);
-                    read_flips.push(o.is_flipped());
-                    oriented.push(canonical);
-                }
-            }
-            None => {
-                for read in pool.reads() {
-                    let (o, canonical) = canonical_orientation(read);
-                    read_flips.push(o.is_flipped());
-                    oriented.push(canonical);
-                }
-            }
+        let mut row = Vec::new();
+        for read in pool.reads() {
+            let (o, canonical) = orienter.orient_with(read, &mut row);
+            read_flips.push(o.is_flipped());
+            oriented.push(canonical);
         }
 
         // 2. Clustering over the co-oriented reads.
@@ -393,170 +346,69 @@ impl RecoveryPipeline {
         // well-supported cluster are folded back as decode noise). This
         // also keeps molecules apart that clustering cannot separate —
         // strands with identical payloads differ only in their index.
-        //
-        // With a primer the per-read orientation is already trusted and
-        // the index offset is re-synchronized against the primer (an
-        // indel inside it shifts the whole strand; a fixed offset would
-        // then decode a random column). Without one, the canonical side
-        // of a cluster is lexicographic — possibly the reverse
-        // complement of the synthesized strand — so demux falls back to
-        // cluster-level votes with *two* candidate columns each (forward
-        // and reverse decode), resolved in two deterministic passes:
-        // unambiguous clusters first, then both-valid clusters
-        // preferring an unclaimed column (forward on a tie). Content
-        // that defeats even that merges forward — the fundamental
-        // ambiguity primers exist to remove.
+        // The index offset is re-synchronized against the primer: an
+        // indel inside it shifts the whole strand, and a fixed offset
+        // would then decode a random column.
         let cols = params.cols();
         let offset = params.primer_len();
         let index = IndexField::new(params);
-        // Per column: (members in merge order, flip-at-materialization).
-        let mut columns: Vec<Vec<(usize, bool)>> = vec![Vec::new(); cols];
-        let assign = |columns: &mut Vec<Vec<(usize, bool)>>,
-                      report: &mut RecoveryReport,
-                      members: &[usize],
-                      column: usize,
-                      flip: bool|
-         -> Result<(), StorageError> {
-            if !columns[column].is_empty() {
-                if self.strict_duplicates {
-                    return Err(StorageError::DuplicateClusterIndex { index: column });
-                }
-                report.duplicate_index_merges += 1;
-            }
-            columns[column].extend(members.iter().map(|&r| (r, flip)));
-            Ok(())
-        };
-        match &orienter {
-            Some(orienter) => {
-                let primer = orienter.pattern();
-                let mut sync_state: Vec<usize> = Vec::new();
-                let mut prefix_scores: Vec<usize> = Vec::new();
-                for members in &clusters.clusters {
-                    if members.len() < self.min_cluster_size {
-                        report.orphaned_clusters += 1;
-                        report.orphaned_reads += members.len();
-                        continue;
-                    }
-                    // Group the cluster's reads by their decoded index
-                    // (BTreeMap: deterministic ascending-column order).
-                    // Each read belongs to exactly one cluster, so
-                    // decoding here — after the size filter — pays the
-                    // synced decode only for reads of surviving
-                    // clusters.
-                    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                    let mut unreadable: Vec<usize> = Vec::new();
-                    for &r in members {
-                        let idx = synced_forward_index(
-                            &oriented[r],
-                            primer,
-                            offset,
-                            &index,
-                            &mut sync_state,
-                            &mut prefix_scores,
-                        )
-                        .map(|idx| idx as usize)
-                        .filter(|&idx| idx < cols);
-                        match idx {
-                            Some(idx) => groups.entry(idx).or_default().push(r),
-                            None => unreadable.push(r),
-                        }
-                    }
-                    if groups.is_empty() {
-                        report.orphaned_clusters += 1;
-                        report.orphaned_reads += members.len();
-                        continue;
-                    }
-                    // Modal group: the largest, ties toward the smaller
-                    // column. Unreadable reads follow it; so does a
-                    // singleton disagreement when the modal group is
-                    // strong (a lone divergent decode inside a
-                    // well-supported cluster is noise, while same-sized
-                    // groups are genuinely different molecules
-                    // clustering could not separate).
-                    let modal = groups
-                        .iter()
-                        .map(|(&idx, group)| (group.len(), std::cmp::Reverse(idx)))
-                        .max()
-                        .map(|(_, std::cmp::Reverse(idx))| idx)
-                        .expect("groups is non-empty");
-                    let modal_len = groups[&modal].len();
-                    let fold = |idx: usize, len: usize| {
-                        idx != modal && len == 1 && modal_len >= MODAL_FOLD_MIN
-                    };
-                    let mut modal_members: Vec<usize> = Vec::new();
-                    for (&idx, group) in &groups {
-                        if idx == modal || fold(idx, group.len()) {
-                            modal_members.extend_from_slice(group);
-                        }
-                    }
-                    modal_members.extend_from_slice(&unreadable);
-                    assign(&mut columns, &mut report, &modal_members, modal, false)?;
-                    for (&idx, group) in &groups {
-                        if idx != modal && !fold(idx, group.len()) {
-                            assign(&mut columns, &mut report, group, idx, false)?;
-                        }
-                    }
+        let primer = orienter.pattern();
+        // Per column: its reads, in merge order.
+        let mut columns: Vec<Vec<usize>> = vec![Vec::new(); cols];
+        let mut sync_state: Vec<usize> = Vec::new();
+        let mut prefix_scores: Vec<usize> = Vec::new();
+        for members in &clusters.clusters {
+            // Group the cluster's reads by their decoded index
+            // (BTreeMap: deterministic ascending-column order).
+            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            let mut unreadable: Vec<usize> = Vec::new();
+            for &r in members {
+                let idx = synced_forward_index(
+                    &oriented[r],
+                    primer,
+                    offset,
+                    &index,
+                    &mut sync_state,
+                    &mut prefix_scores,
+                )
+                .map(|idx| idx as usize)
+                .filter(|&idx| idx < cols);
+                match idx {
+                    Some(idx) => groups.entry(idx).or_default().push(r),
+                    None => unreadable.push(r),
                 }
             }
-            None => {
-                let mut votes = vec![0usize; cols];
-                let mut touched: Vec<usize> = Vec::new();
-                // Per cluster: its members and the two candidate columns.
-                let mut candidates: Vec<(&Vec<usize>, Option<usize>, Option<usize>)> = Vec::new();
-                for members in &clusters.clusters {
-                    if members.len() < self.min_cluster_size {
-                        report.orphaned_clusters += 1;
-                        report.orphaned_reads += members.len();
-                        continue;
-                    }
-                    let forward = tally_votes(
-                        members.iter().map(|&r| &oriented[r]),
-                        offset,
-                        &index,
-                        cols,
-                        &mut votes,
-                        &mut touched,
-                    );
-                    let reverse = tally_votes_rc(
-                        members.iter().map(|&r| &oriented[r]),
-                        offset,
-                        &index,
-                        cols,
-                        &mut votes,
-                        &mut touched,
-                    );
-                    candidates.push((members, forward, reverse));
+            if groups.is_empty() {
+                report.orphaned_clusters += 1;
+                report.orphaned_reads += members.len();
+                continue;
+            }
+            // Modal group: the largest, ties toward the smaller column.
+            // Unreadable reads follow it; so does a singleton
+            // disagreement when the modal group is strong (a lone
+            // divergent decode inside a well-supported cluster is noise,
+            // while same-sized groups are genuinely different molecules
+            // clustering could not separate).
+            let modal = groups
+                .iter()
+                .map(|(&idx, group)| (group.len(), std::cmp::Reverse(idx)))
+                .max()
+                .map(|(_, std::cmp::Reverse(idx))| idx)
+                .expect("groups is non-empty");
+            let modal_len = groups[&modal].len();
+            let fold =
+                |idx: usize, len: usize| idx != modal && len == 1 && modal_len >= MODAL_FOLD_MIN;
+            let mut modal_members: Vec<usize> = Vec::new();
+            for (&idx, group) in &groups {
+                if idx == modal || fold(idx, group.len()) {
+                    modal_members.extend_from_slice(group);
                 }
-                // Pass 1: clusters with exactly one valid candidate.
-                for (members, forward, reverse) in &candidates {
-                    match (forward, reverse) {
-                        (Some(column), None) => {
-                            assign(&mut columns, &mut report, members, *column, false)?
-                        }
-                        (None, Some(column)) => {
-                            assign(&mut columns, &mut report, members, *column, true)?
-                        }
-                        _ => {}
-                    }
-                }
-                // Pass 2: both-valid clusters prefer an unclaimed column.
-                for (members, forward, reverse) in &candidates {
-                    match (forward, reverse) {
-                        (Some(fwd), Some(rc)) => {
-                            let (column, flip) =
-                                if columns[*fwd].is_empty() || !columns[*rc].is_empty() {
-                                    (*fwd, false)
-                                } else {
-                                    (*rc, true)
-                                };
-                            assign(&mut columns, &mut report, members, column, flip)?;
-                        }
-                        (None, None) => {
-                            report.orphaned_clusters += 1;
-                            report.orphaned_reads += members.len();
-                        }
-                        _ => {}
-                    }
+            }
+            modal_members.extend_from_slice(&unreadable);
+            claim(&mut columns, &mut report, modal, &modal_members);
+            for (&idx, group) in &groups {
+                if idx != modal && !fold(idx, group.len()) {
+                    claim(&mut columns, &mut report, idx, group);
                 }
             }
         }
@@ -599,23 +451,12 @@ impl RecoveryPipeline {
             }
             report.assigned_columns += 1;
             report.coverage_histogram[column] = members.len();
-            let mut reads = Vec::with_capacity(members.len());
-            for &(r, cluster_flip) in members {
-                // Final delivered orientation differs from arrival when
-                // exactly one of the two flips applies.
-                if read_flips[r] != cluster_flip {
-                    report.flipped_reads += 1;
-                }
-                reads.push(if cluster_flip {
-                    oriented[r].reverse_complement()
-                } else {
-                    oriented[r].clone()
-                });
-            }
+            report.flipped_reads += members.iter().filter(|&&r| read_flips[r]).count();
+            let reads = members.iter().map(|&r| oriented[r].clone()).collect();
             if let Some(truth) = truth {
                 report.purity_den += members.len();
                 modal.iter_mut().for_each(|c| *c = 0);
-                for &(r, _) in members {
+                for &r in members {
                     let source = truth[r].source;
                     modal[source] += 1;
                     if source != column {
@@ -633,71 +474,18 @@ impl RecoveryPipeline {
     }
 }
 
-/// Majority vote over per-read forward index decodes; `None` when no
-/// read yielded a valid in-range index. Ties break toward the smaller
-/// index (deterministic). `votes` is a caller-owned scratch of `cols`
-/// zeros; `touched` tracks the dirtied entries for cheap reset.
-fn tally_votes<'a>(
-    reads: impl Iterator<Item = &'a DnaString>,
-    offset: usize,
-    index: &IndexField,
-    cols: usize,
-    votes: &mut [usize],
-    touched: &mut Vec<usize>,
-) -> Option<usize> {
-    tally(
-        reads.filter_map(|r| index.forward(r, offset)),
-        cols,
-        votes,
-        touched,
-    )
-}
-
-/// [`tally_votes`] over the reverse complement of each read, computed in
-/// place (no flipped copies are allocated just to vote).
-fn tally_votes_rc<'a>(
-    reads: impl Iterator<Item = &'a DnaString>,
-    offset: usize,
-    index: &IndexField,
-    cols: usize,
-    votes: &mut [usize],
-    touched: &mut Vec<usize>,
-) -> Option<usize> {
-    tally(
-        reads.filter_map(|r| index.reverse(r, offset)),
-        cols,
-        votes,
-        touched,
-    )
-}
-
-fn tally(
-    indexes: impl Iterator<Item = u32>,
-    cols: usize,
-    votes: &mut [usize],
-    touched: &mut Vec<usize>,
-) -> Option<usize> {
-    touched.clear();
-    for idx in indexes {
-        let idx = idx as usize;
-        if idx < cols {
-            if votes[idx] == 0 {
-                touched.push(idx);
-            }
-            votes[idx] += 1;
-        }
+/// Appends `members` to `column`, counting a merge when another group
+/// already claimed it (fragment repair, or rarely a genuine collision).
+fn claim(
+    columns: &mut [Vec<usize>],
+    report: &mut RecoveryReport,
+    column: usize,
+    members: &[usize],
+) {
+    if !columns[column].is_empty() {
+        report.duplicate_index_merges += 1;
     }
-    let mut winner: Option<(usize, usize)> = None;
-    touched.sort_unstable();
-    for &idx in touched.iter() {
-        let count = votes[idx];
-        votes[idx] = 0;
-        match winner {
-            Some((_, best)) if count <= best => {}
-            _ => winner = Some((idx, count)),
-        }
-    }
-    winner.map(|(idx, _)| idx)
+    columns[column].extend_from_slice(members);
 }
 
 /// [`IndexField::forward`] with the offset re-synchronized against the known
@@ -745,18 +533,14 @@ const SYNC_SHIFTS: [isize; 5] = [0, -1, 1, -2, 2];
 
 /// Where a read carries its ordering index and how to decode it: the
 /// unit's transcoder and geometry, plus the length of the index window
-/// (field 0's span end), all fixed per unit so the per-read votes
-/// allocate nothing.
+/// (field 0's span end, which sizes the anchored clusterer's window),
+/// all fixed per unit so the per-read decodes allocate nothing.
 struct IndexField {
     transcoder: TranscoderSpec,
     geom: PayloadGeometry,
     /// Payload bases up to and including the index field's last base.
     bases: usize,
 }
-
-/// The widest index window a reverse vote complements on the stack: a
-/// 32-bit index spans at most 23 bases (trellis).
-const MAX_INDEX_BASES: usize = 32;
 
 impl IndexField {
     fn new(params: &CodecParams) -> IndexField {
@@ -777,30 +561,12 @@ impl IndexField {
         let payload = read.as_slice().get(offset..)?;
         self.transcoder.decode_index(payload, self.geom).ok()
     }
-
-    /// The index the read would carry if it were the reverse complement
-    /// of a strand — the index window is complemented in place (no full
-    /// flipped copy) and decoded by the same transcoder as the forward
-    /// path, so the two decoders cannot diverge.
-    fn reverse(&self, read: &DnaString, offset: usize) -> Option<u32> {
-        let bases = read.as_slice();
-        if bases.len() < offset + self.bases || self.bases > MAX_INDEX_BASES {
-            return None;
-        }
-        let mut window = [Base::A; MAX_INDEX_BASES];
-        for (j, slot) in window[..self.bases].iter_mut().enumerate() {
-            *slot = bases[bases.len() - 1 - offset - j].complement();
-        }
-        self.transcoder
-            .decode_index(&window[..self.bases], self.geom)
-            .ok()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dna_strand::encode_index;
+    use dna_strand::{encode_index, Base};
 
     fn params() -> CodecParams {
         CodecParams::tiny().unwrap()
@@ -814,20 +580,14 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_reverse_index_agree_with_materialized_flips() {
+    fn the_index_decodes_at_the_payload_offset() {
         let index = IndexField::new(&params());
         for idx in [0u32, 3, 9, 14] {
             let s = strand(idx, "ACGTACGTACGT");
             assert_eq!(index.forward(&s, 0), Some(idx));
-            assert_eq!(index.reverse(&s.reverse_complement(), 0), Some(idx));
-            let offset = 3;
             let mut padded: DnaString = "GGG".parse().unwrap();
             padded.extend(s.iter().copied());
-            assert_eq!(index.forward(&padded, offset), Some(idx));
-            assert_eq!(
-                index.reverse(&padded.reverse_complement(), offset),
-                Some(idx)
-            );
+            assert_eq!(index.forward(&padded, 3), Some(idx));
         }
     }
 
@@ -851,11 +611,6 @@ mod tests {
                     spec.encode_payload_into(idx, &symbols, geom, &mut s)
                         .unwrap();
                     assert_eq!(index.forward(&s, 3), Some(idx), "{spec} idx {idx}");
-                    assert_eq!(
-                        index.reverse(&s.reverse_complement(), 3),
-                        Some(idx),
-                        "{spec} idx {idx}"
-                    );
                 }
             }
         }
@@ -949,23 +704,23 @@ mod tests {
         let s: DnaString = "A".parse().unwrap();
         let index = IndexField::new(&params());
         assert_eq!(index.forward(&s, 0), None);
-        assert_eq!(index.reverse(&s, 0), None);
     }
 
-    #[test]
-    fn tally_breaks_ties_toward_the_smaller_index() {
-        let mut votes = vec![0usize; 8];
-        let mut touched = Vec::new();
-        let winner = tally([5u32, 2, 5, 2].into_iter(), 8, &mut votes, &mut touched);
-        assert_eq!(winner, Some(2));
-        // Scratch is clean again.
-        assert!(votes.iter().all(|&v| v == 0));
-        assert_eq!(tally(std::iter::empty(), 8, &mut votes, &mut touched), None);
-        // Out-of-range indexes are ignored entirely.
-        assert_eq!(
-            tally([20u32].into_iter(), 8, &mut votes, &mut touched),
-            None
-        );
+    /// The left primer of the primered tiny geometry the recovery tests
+    /// run at.
+    fn left() -> Primer {
+        Primer::from_strand("ACGGTCAACGTT".parse().unwrap())
+    }
+
+    fn primered() -> CodecParams {
+        params().with_primer_len(12)
+    }
+
+    /// A primer-wrapped synthetic strand.
+    fn wrapped(idx: u32, fill: &str) -> DnaString {
+        let mut s = left().strand().clone();
+        s.extend(strand(idx, fill).iter().copied());
+        s
     }
 
     #[test]
@@ -973,7 +728,6 @@ mod tests {
         // Four primer-wrapped strands, three identical reads each, mixed
         // orientations and shuffled order — the well-supported retrieval
         // shape (primers give the orienter its anchor).
-        let left: Primer = Primer::from_strand("ACGGTCAACGTT".parse().unwrap());
         let right: Primer = Primer::from_strand("TGCCAGGTTCAA".parse().unwrap());
         let fills = [
             "AAAACCCCGGGG",
@@ -983,8 +737,7 @@ mod tests {
         ];
         let mut clusters = Vec::new();
         for (i, fill) in fills.iter().enumerate() {
-            let mut s = left.strand().clone();
-            s.extend(strand(i as u32, fill).iter().copied());
+            let mut s = wrapped(i as u32, fill);
             s.extend(right.strand().iter().copied());
             clusters.push(Cluster {
                 source: i,
@@ -992,9 +745,8 @@ mod tests {
             });
         }
         let pool = AnonymousPool::from_clusters(&clusters, 11);
-        let p = CodecParams::tiny().unwrap().with_primer_len(12);
         let (recovered, report) = RecoveryPipeline::default()
-            .recover(&p, Some(&left), &pool)
+            .recover(&primered(), &left(), &pool)
             .unwrap();
         assert_eq!(recovered.len(), 4);
         for c in &recovered {
@@ -1009,53 +761,23 @@ mod tests {
     }
 
     #[test]
-    fn primerless_recovery_resolves_canonical_sides_by_column_claims() {
-        // Without primers the canonical side of a cluster is
-        // lexicographic; the two-pass demux still lands every cluster on
-        // its true column here because each strand's bogus-side decode
-        // either is invalid or loses to a pass-1 claim.
-        let fills = [
-            "AAAACCCCGGGG",
-            "TTTTGGGGAAAA",
-            "CCGGTTAAGCTA",
-            "GATCGATCGATC",
-        ];
-        let mut clusters = Vec::new();
-        for (i, fill) in fills.iter().enumerate() {
-            clusters.push(Cluster {
-                source: i,
-                reads: vec![strand(i as u32, fill); 3],
-            });
-        }
-        let pool = AnonymousPool::from_clusters(&clusters, 11);
-        let (recovered, report) = RecoveryPipeline::greedy(Some(2))
-            .recover(&params(), None, &pool)
-            .unwrap();
-        assert_eq!(recovered.len(), 4);
-        let columns: Vec<usize> = recovered.iter().map(|c| c.source).collect();
-        assert_eq!(columns, vec![0, 1, 2, 3]);
-        assert_eq!(report.misassigned_reads, 0);
-        assert_eq!(report.purity(), Some(1.0));
-    }
-
-    #[test]
     fn empty_pools_are_a_typed_error() {
         let err = RecoveryPipeline::default()
-            .recover(&params(), None, &AnonymousPool::default())
+            .recover(&primered(), &left(), &AnonymousPool::default())
             .unwrap_err();
         assert!(matches!(err, StorageError::EmptyPool), "{err}");
     }
 
     #[test]
-    fn min_cluster_size_orphans_everything_to_a_typed_error() {
+    fn reads_too_short_to_carry_an_index_orphan_everything_to_a_typed_error() {
+        // The primer alone: no index past it, whatever the resync shift.
         let clusters = vec![Cluster {
             source: 0,
-            reads: vec![strand(0, "ACGTACGTACGT"); 2],
+            reads: vec![left().strand().clone(); 2],
         }];
         let pool = AnonymousPool::from_clusters(&clusters, 1);
         let err = RecoveryPipeline::default()
-            .min_cluster_size(10)
-            .recover(&params(), None, &pool)
+            .recover(&primered(), &left(), &pool)
             .unwrap_err();
         assert!(
             matches!(err, StorageError::AllReadsOrphaned { reads: 2, .. }),
@@ -1064,41 +786,27 @@ mod tests {
     }
 
     #[test]
-    fn strict_duplicates_turn_collisions_into_typed_errors() {
-        // Two far-apart primer-wrapped clusters carrying the same index:
-        // lenient mode merges them; strict mode errors.
-        let left: Primer = Primer::from_strand("ACGGTCAACGTT".parse().unwrap());
-        let wrap = |fill: &str| {
-            let mut s = left.strand().clone();
-            s.extend(strand(2, fill).iter().copied());
-            s
-        };
+    fn clusters_naming_one_column_merge_as_fragments() {
+        // Two far-apart clusters carrying the same index land in one
+        // column, counted as a merge.
         let clusters = vec![
             Cluster {
                 source: 0,
-                reads: vec![wrap("AAAAAAAAAAAA"); 2],
+                reads: vec![wrapped(2, "AAAAAAAAAAAA"); 2],
             },
             Cluster {
                 source: 1,
-                reads: vec![wrap("GGGGGGGGGGGG"); 2],
+                reads: vec![wrapped(2, "GGGGGGGGGGGG"); 2],
             },
         ];
         let pool = AnonymousPool::from_clusters(&clusters, 5);
-        let p = CodecParams::tiny().unwrap().with_primer_len(12);
-        let lenient = RecoveryPipeline::greedy(Some(2));
-        let (recovered, report) = lenient.recover(&p, Some(&left), &pool).unwrap();
+        let (recovered, report) = RecoveryPipeline::greedy(Some(2))
+            .recover(&primered(), &left(), &pool)
+            .unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].source, 2);
+        assert_eq!(recovered[0].reads.len(), 4);
         assert_eq!(report.duplicate_index_merges, 1);
-
-        let err = RecoveryPipeline::greedy(Some(2))
-            .strict_duplicates(true)
-            .recover(&p, Some(&left), &pool)
-            .unwrap_err();
-        assert!(
-            matches!(err, StorageError::DuplicateClusterIndex { index: 2 }),
-            "{err}"
-        );
     }
 
     #[test]

@@ -9,15 +9,11 @@
 //! per-trial seeds, and a ready-made [`SimulatedSequencer`] backend.
 
 use crate::StorageError;
+pub use dna_channel::MAX_COVERAGE;
 use dna_channel::{ChannelModel, CoverageModel, ErrorModel, SimulatedSequencer};
 
 /// The default Gamma shape used across the paper's experiments (§6.1.2).
 pub const GAMMA_SHAPE: f64 = 6.0;
-
-/// The largest mean coverage [`Scenario::validate`] accepts. The paper
-/// sweeps coverages up to 45; a pool is generated at the sweep maximum,
-/// so a coverage far beyond this would allocate reads without bound.
-pub const MAX_COVERAGE: f64 = 5000.0;
 
 /// One channel operating point: channel model + coverage draw + sweep +
 /// trials + seed.

@@ -233,11 +233,17 @@ fn empty_anonymous_pool_is_a_typed_error() {
 }
 
 #[test]
-fn every_read_orphaned_by_the_size_threshold_is_a_typed_error() {
+fn reads_too_short_to_carry_an_index_are_all_orphaned() {
     let (pipeline, pool) = recovery_fixture();
-    // Coverage 3 per cluster; a minimum size of 50 orphans everything.
-    let recovery = RecoveryPipeline::greedy(None).min_cluster_size(50);
-    let err = decode_pool_via(&pipeline, &pool.anonymize(9), recovery).unwrap_err();
+    // Each read cut to half its primer: no index survives past it,
+    // whatever the resync shift, so every cluster is orphaned.
+    let short = AnonymousPool::from_reads(
+        pool.anonymize(9)
+            .reads()
+            .iter()
+            .map(|r| dna_strand::DnaString::from_bases(r.as_slice()[..8].to_vec())),
+    );
+    let err = pipeline.decode_pool(&short).unwrap_err();
     assert!(
         matches!(err, StorageError::AllReadsOrphaned { reads: 45, .. }),
         "{err}"
@@ -246,11 +252,33 @@ fn every_read_orphaned_by_the_size_threshold_is_a_typed_error() {
 }
 
 #[test]
-fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
+fn a_pool_decode_without_primers_is_invalid_params() {
+    // Primers orient and demultiplex every read: a pool on a primer-less
+    // pipeline is a configuration error, whatever the reads.
+    let pipeline = Pipeline::builder()
+        .params(tiny())
+        .layout(Layout::Baseline)
+        .build()
+        .unwrap();
+    let unit = pipeline.encode_unit(&[7; 30]).unwrap();
+    let pool = SimulatedSequencer::new(ErrorModel::noiseless(), CoverageModel::Fixed(3))
+        .sequence_unit(0, unit.strands(), 6)
+        .anonymize(1);
+    for pool in [pool, AnonymousPool::default()] {
+        let err = pipeline.decode_pool(&pool).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
+        assert!(err.to_string().contains("with_primer_len"), "{err}");
+        let err = pipeline.recover_pool(&pool).unwrap_err();
+        assert!(matches!(err, StorageError::InvalidParams(_)), "{err}");
+    }
+}
+
+#[test]
+fn clusters_claiming_one_column_merge_as_fragments() {
     let (pipeline, pool) = recovery_fixture();
     // A zero clustering threshold splits each cluster's reads whenever
     // anything differs; duplicating one molecule's reads under a shifted
-    // seed guarantees two distinct clusters voting for the same column.
+    // seed guarantees two distinct clusters naming the same column.
     let mut doubled: Vec<dna_strand::DnaString> = pool.anonymize(3).reads().to_vec();
     doubled.extend(pool.clusters()[0].reads.iter().cloned());
     doubled.extend(pool.clusters()[0].reads.iter().map(|r| {
@@ -259,17 +287,8 @@ fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
         dna_strand::DnaString::from_bases(bases)
     }));
     let anon = AnonymousPool::from_reads(doubled);
-    let strict = RecoveryPipeline::greedy(Some(0)).strict_duplicates(true);
-    let err = decode_pool_via(&pipeline, &anon, strict).unwrap_err();
-    assert!(
-        matches!(err, StorageError::DuplicateClusterIndex { .. }),
-        "{err}"
-    );
-    assert!(err.to_string().contains("strict duplicate"), "{err}");
-
-    // The default (lenient) stage merges the fragments and decodes.
-    let lenient = RecoveryPipeline::greedy(Some(0));
-    let (decoded, report) = decode_pool_via(&pipeline, &anon, lenient).unwrap();
+    let (decoded, report) =
+        decode_pool_via(&pipeline, &anon, RecoveryPipeline::greedy(Some(0))).unwrap();
     assert_eq!(decoded.len(), pipeline.payload_capacity());
     assert!(report.recovery.unwrap().duplicate_index_merges > 0);
 }

@@ -188,8 +188,9 @@ pub fn write_quit(w: &mut impl Write) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] on malformed lines, lines longer than
-/// [`MAX_LINE_BYTES`], oversized frames, or EOF inside a body; reader I/O
+/// [`io::ErrorKind::InvalidData`] on malformed lines (invalid UTF-8
+/// included), lines longer than [`MAX_LINE_BYTES`], or oversized frames;
+/// [`io::ErrorKind::UnexpectedEof`] on EOF inside a body; reader I/O
 /// errors otherwise.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
     let mut line = String::new();
@@ -391,5 +392,95 @@ mod tests {
             recover: true,
         });
         assert!(format!("PUT {name} {}\n", usize::MAX).len() <= MAX_LINE_BYTES);
+    }
+
+    #[test]
+    fn mutated_and_truncated_frames_are_typed_outcomes() {
+        // A seeded splitmix64 stream drives the mutations.
+        let mut state = 0x00F0_22ED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as usize
+        };
+        let long_name = "n".repeat(MAX_NAME_LEN);
+        let mut valid: Vec<Vec<u8>> = [
+            Request::Ping,
+            Request::Ls,
+            Request::Stats,
+            Request::Fetch {
+                target: "42".into(),
+                recover: false,
+            },
+            Request::Fetch {
+                target: long_name.clone(),
+                recover: true,
+            },
+            Request::Put {
+                name: "obj".into(),
+                data: (0..40).collect(),
+            },
+            Request::Put {
+                name: long_name,
+                data: Vec::new(),
+            },
+            Request::Del {
+                target: "obj".into(),
+            },
+        ]
+        .iter()
+        .map(|request| {
+            let mut wire = Vec::new();
+            write_request(&mut wire, request).unwrap();
+            wire
+        })
+        .collect();
+        valid.push(b"QUIT\n".to_vec());
+        // Bytes that move frame structure: separators, line ends, digits.
+        let structural = b" \n\r0123456789";
+        let (mut frames, mut errors) = (0usize, 0usize);
+        for _ in 0..200_000 {
+            let mut wire = valid[next() % valid.len()].clone();
+            for _ in 0..=next() % 3 {
+                let at = next() % (wire.len() + 1);
+                match next() % 5 {
+                    0 => wire.truncate(at),
+                    1 => wire.insert(at, next() as u8),
+                    2 => wire.insert(at, structural[next() % structural.len()]),
+                    3 if at < wire.len() => wire[at] = next() as u8,
+                    _ if at < wire.len() => {
+                        wire.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            // Read frames until a clean end or the first error: an
+            // inserted newline may split one frame into several.
+            let mut reader = Cursor::new(&wire);
+            loop {
+                match read_frame(&mut reader) {
+                    Ok(Some(_)) => frames += 1,
+                    Ok(None) => break,
+                    Err(e) => {
+                        assert!(
+                            matches!(
+                                e.kind(),
+                                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                            ),
+                            "{wire:?}: {e}"
+                        );
+                        errors += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        // Both outcomes are exercised, not just one.
+        assert!(
+            frames > 1_000 && errors > 1_000,
+            "{frames} frames, {errors} errors"
+        );
     }
 }

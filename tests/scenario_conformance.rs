@@ -585,9 +585,9 @@ const CHAOS_SEED: u64 = 0xC4A05;
 const CHAOS_GOLDEN: [&str; 10] = [
     "dropout-sustained exact=2 degraded=2 loud=0 silent=0",
     "index-burst exact=0 degraded=4 loud=0 silent=0",
-    "contamination exact=0 degraded=4 loud=0 silent=0",
+    "contamination exact=3 degraded=1 loud=0 silent=0",
     "truncate-chimera exact=0 degraded=4 loud=0 silent=0",
-    "near-duplicate exact=0 degraded=4 loud=0 silent=0",
+    "near-duplicate exact=4 degraded=0 loud=0 silent=0",
     "torn-append exact=4 degraded=0 loud=0 silent=0",
     "header-flip exact=0 degraded=0 loud=4 silent=0",
     "strand-flip exact=0 degraded=0 loud=4 silent=0",
