@@ -3,11 +3,10 @@
 //! The paper's methodology hands the decoder perfectly clustered reads
 //! (§6.1.2). This ablation removes that oracle: the same pools are
 //! anonymized (labels dropped, orientation randomized, order shuffled)
-//! and must pass through the cluster → orient → demux recovery stage
+//! and must pass through the orient → route → validate recovery stage
 //! before decoding. The gap between the two arms *is* the price of
-//! realistic retrieval — clustering-error skew layered on top of the
-//! channel's — and shrinks as coverage grows, because both the demux
-//! index votes and the consensus sharpen together.
+//! realistic retrieval — misrouted and dropped reads layered on top of
+//! the channel's errors — and shrinks as coverage grows.
 
 use dna_bench::{patterned_payload, FigureOutput, Scale};
 use dna_channel::{AnonymousPool, ChannelModel, ErrorModel, SequencingBackend};
@@ -103,7 +102,7 @@ fn main() {
     }
     fig.finish();
     println!(
-        "\n(oracle = the paper's perfect clustering; recovered = anonymize → cluster → \
-         orient → demux → decode with the anchored clusterer)"
+        "\n(oracle = the paper's perfect clustering; recovered = anonymize → orient → \
+         route → validate → decode, the anchored stage)"
     );
 }

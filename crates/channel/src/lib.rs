@@ -22,8 +22,8 @@
 //!   the paper's methodology describes (§6.1.2);
 //! - [`AnonymousPool`]: the same reads with the labels stripped, the
 //!   orientation randomized, and the order shuffled — the realistic
-//!   unlabeled soup a recovery pipeline must cluster, orient, and
-//!   demultiplex before decoding;
+//!   unlabeled soup a recovery pipeline must orient and demultiplex
+//!   before decoding;
 //! - [`SequencingBackend`]: pluggable read generation — the simulator
 //!   above as [`SimulatedSequencer`], and [`TraceReplay`] for replaying
 //!   recorded read pools (wetlab or captured traces) through the same

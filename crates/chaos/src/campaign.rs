@@ -26,7 +26,7 @@ pub enum PayloadKind {
     Patterned,
     /// A constant byte — every molecule is a near-duplicate of every
     /// other, distinguishable only by its ordering index. Adversarial
-    /// for index-anchor-binned clustering.
+    /// for any recovery that groups reads by content rather than index.
     Constant,
 }
 
@@ -52,10 +52,10 @@ pub enum ScenarioKind {
         /// Mean reads per molecule.
         coverage: f64,
         /// Shuffle/flip into an [`AnonymousPool`] and decode through
-        /// cluster → orient → demux recovery.
+        /// the recovery stage.
         unlabeled: bool,
-        /// Use the index-anchor-binned clusterer (vs greedy) for
-        /// unlabeled recovery.
+        /// Recover unlabeled pools by index-first routing
+        /// ([`RecoveryPipeline::anchored`]) instead of greedy clustering.
         anchored: bool,
         /// Ground-truth payload family.
         payload: PayloadKind,

@@ -169,14 +169,13 @@ pub fn parse_layout(s: &str) -> Result<LayoutKind, CliError> {
     }
 }
 
-/// The clustering algorithm selected for unlabeled retrieval
-/// (`--clusterer`).
+/// The recovery stage selected for unlabeled retrieval (`--clusterer`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClustererChoice {
     /// Exhaustive greedy comparison against every cluster representative.
     Greedy,
-    /// Index-anchor binning before the bounded comparison (the fast
-    /// path, and the default).
+    /// Index-first routing with per-column validation, no clustering
+    /// (the fast path, and the default).
     #[default]
     Anchored,
 }
@@ -507,11 +506,11 @@ pub fn simulate_planned(
 /// `simulate --unlabeled`: [`simulate_planned`]'s round trip (uniform
 /// plan) over *unlabeled* pools: reads are anonymized (labels dropped,
 /// orientation randomized, order shuffled) after sequencing, and the
-/// pipeline must cluster, orient, and demultiplex them back before
-/// decoding, reading each index through `transcoder`. A unit whose pool
-/// cannot be recovered at all decodes as the labeled path decodes a
-/// unit with no reads, so both report the same failed codewords and
-/// lost molecules.
+/// pipeline must orient and demultiplex them back (the `clusterer`
+/// stage) before decoding, reading each index through `transcoder`. A
+/// unit whose pool cannot be recovered at all decodes as the labeled
+/// path decodes a unit with no reads, so both report the same failed
+/// codewords and lost molecules.
 ///
 /// Strands are wrapped in 16-base primers — the orientation anchor every
 /// real unlabeled-retrieval system relies on — so the encoded form

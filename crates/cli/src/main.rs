@@ -51,10 +51,12 @@ protection plans:  uniform (default), auto (skew-profiled unequal protection),
                    values below 47 leave the headroom auto plans reallocate.
 --tsv writes the per-row corrected-error/erasure histograms of the run.
 --unlabeled anonymizes the sequencer output (no labels, random orientation,
-            shuffled order); retrieval must cluster, orient, and demultiplex
-            the reads before decoding, reading each index through the
+            shuffled order); retrieval must orient and demultiplex the
+            reads before decoding, reading each index through the
             --transcoder layout. Strands are primer-wrapped; --clusterer
-            picks the clustering algorithm (default anchored).
+            picks the recovery: anchored (default) routes every read by
+            its decoded index and checks each column's reads against one
+            another, greedy clusters the reads by similarity first.
 
 pack streams files into a capsule-pool object store (created on first use:
      laptop geometry, 16-base per-capsule primers); fetch streams one object

@@ -62,7 +62,7 @@ pub fn min_coverage(
 /// When the scenario is [unlabeled](Scenario::unlabeled), every coverage
 /// draw runs the full realistic front half first — anonymize (labels
 /// dropped, orientation randomized, order shuffled), then
-/// cluster → orient → demux through the pipeline's recovery stage — so
+/// orient → demultiplex through the pipeline's recovery stage — so
 /// the measured minimum coverage includes the recovery tax. Draws whose
 /// recovery orphans everything count as failures at that coverage.
 ///
@@ -142,7 +142,7 @@ pub struct QualityPoint {
 /// unrecoverable (catastrophic loss — eval decides the penalty).
 ///
 /// When the scenario is [unlabeled](Scenario::unlabeled), every unit's
-/// coverage draw is anonymized and recovered (cluster → orient → demux)
+/// coverage draw is anonymized and recovered (orient → demultiplex)
 /// before the archive decode, so the sweep measures the realistic
 /// retrieval path; a unit whose recovery orphans everything contributes
 /// all-lost clusters (graceful degradation, as with lost molecules).

@@ -96,13 +96,14 @@ pub enum StorageError {
     /// An anonymous pool with no reads at all was handed to recovery —
     /// there is nothing to cluster, orient, or decode.
     EmptyPool,
-    /// Unlabeled-pool recovery orphaned every read: no read carried a
-    /// readable in-range index past the primer (reads too short, or
-    /// index regions destroyed).
+    /// Unlabeled-pool recovery orphaned every read: no read carried the
+    /// primer and a readable in-range index past it (reads too short, or
+    /// primer or index regions destroyed).
     AllReadsOrphaned {
         /// Reads in the pool.
         reads: usize,
-        /// Clusters the clusterer produced.
+        /// Clusters the clusterer produced (routing: validation groups,
+        /// zero when no read was routed).
         clusters: usize,
     },
     /// An object pool has no manifest — neither the sidecar file nor a

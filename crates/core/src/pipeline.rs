@@ -475,11 +475,11 @@ impl Pipeline {
     }
 
     /// Reconstructs labeled clusters from an unlabeled pool — the
-    /// cluster → orient → demux front half of retrieval — without
-    /// decoding, returning the clusters alongside the
-    /// [`RecoveryReport`]. Uses the builder-configured
-    /// [`RecoveryPipeline`] (or the default greedy stage); decode the
-    /// result with [`RetrieveOptions::recovered`] placement.
+    /// front half of retrieval — without decoding, returning the
+    /// clusters alongside the [`RecoveryReport`]. Uses the
+    /// builder-configured [`RecoveryPipeline`] (or the default greedy
+    /// stage); decode the result with [`RetrieveOptions::recovered`]
+    /// placement.
     ///
     /// # Errors
     ///
@@ -489,35 +489,33 @@ impl Pipeline {
         &self,
         pool: &AnonymousPool,
     ) -> Result<(Vec<Cluster>, RecoveryReport), StorageError> {
-        self.recover_with(pool, &self.default_retrieve)
+        self.recovery_stage(&self.default_retrieve)
+            .recover(&self.params, self.left_primer()?, pool)
     }
 
-    /// Runs `opts.recovery`, else the pipeline's configured stage, else
-    /// the default greedy stage.
+    /// `opts.recovery`, else the pipeline's configured stage, else the
+    /// default greedy stage.
+    fn recovery_stage<'a>(&'a self, opts: &'a RetrieveOptions) -> &'a RecoveryPipeline {
+        static GREEDY: RecoveryPipeline = RecoveryPipeline::greedy(None);
+        opts.recovery
+            .as_ref()
+            .or(self.default_retrieve.recovery.as_ref())
+            .unwrap_or(&GREEDY)
+    }
+
+    /// The left primer, which orients and routes every pool read.
     ///
     /// # Errors
     ///
-    /// [`StorageError::InvalidParams`] when the pipeline has no primers:
-    /// the left primer is what orients and demultiplexes every read.
-    fn recover_with(
-        &self,
-        pool: &AnonymousPool,
-        opts: &RetrieveOptions,
-    ) -> Result<(Vec<Cluster>, RecoveryReport), StorageError> {
-        let Some((primer, _)) = &self.primers else {
-            return Err(StorageError::InvalidParams(
+    /// [`StorageError::InvalidParams`] when the pipeline has no primers.
+    fn left_primer(&self) -> Result<&Primer, StorageError> {
+        match &self.primers {
+            Some((left, _)) => Ok(left),
+            None => Err(StorageError::InvalidParams(
                 "unlabeled pools need primer-wrapped strands to orient and demultiplex \
                  reads: build the pipeline with CodecParams::with_primer_len"
                     .into(),
-            ));
-        };
-        match opts
-            .recovery
-            .as_ref()
-            .or(self.default_retrieve.recovery.as_ref())
-        {
-            Some(recovery) => recovery.recover(&self.params, primer, pool),
-            None => RecoveryPipeline::default().recover(&self.params, primer, pool),
+            )),
         }
     }
 
@@ -532,23 +530,36 @@ impl Pipeline {
             UnitReads::Clusters(clusters) => self.decode_clusters(
                 clusters,
                 opts.trust_cluster_sources,
+                true,
                 &opts.forced_erasures,
                 ws,
             ),
             UnitReads::Pool(pool) => {
-                let (clusters, recovery) = self.recover_with(pool, opts)?;
-                let (payload, mut report) =
-                    self.decode_clusters(&clusters, true, &opts.forced_erasures, ws)?;
+                let stage = self.recovery_stage(opts);
+                let (clusters, recovery) =
+                    stage.recover(&self.params, self.left_primer()?, pool)?;
+                // Routing already applied the primer check to every read
+                // it assigned; a clustered stage did not.
+                let (payload, mut report) = self.decode_clusters(
+                    &clusters,
+                    true,
+                    !stage.checks_primers(),
+                    &opts.forced_erasures,
+                    ws,
+                )?;
                 report.recovery = Some(recovery);
                 Ok((payload, report))
             }
         }
     }
 
+    /// Decodes labeled clusters on `ws`. With `check_primers`, reads that
+    /// do not begin with the left primer are left out of consensus.
     fn decode_clusters(
         &self,
         clusters: &[Cluster],
         trust_cluster_sources: bool,
+        check_primers: bool,
         forced_erasures: &[usize],
         ws: &mut DecodeWorkspace,
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
@@ -577,6 +588,7 @@ impl Pipeline {
         let primer = self
             .primers
             .as_ref()
+            .filter(|_| check_primers)
             .map(|(left, _)| BasePattern::new(left.strand().as_slice()));
 
         for cluster in clusters {
@@ -702,23 +714,30 @@ impl Pipeline {
     }
 }
 
+/// The primer check for a `p`-base primer, as `(prefix, bound)`: a read
+/// passes when the primer is within `bound` edits of its first `prefix`
+/// bases. The slack (`p / 5`, at least 2) absorbs indels near the start.
+pub(crate) fn primer_check(p: usize) -> (usize, usize) {
+    let slack = (p / 5).max(2);
+    (p + slack / 2, slack + slack / 2)
+}
+
 /// The reads of `cluster` that pass the primer check — each must begin
 /// with something close to the left `primer`. When every read passes
 /// (the common case) that is the cluster's own slice, and nothing is
-/// copied; otherwise the passing reads are cloned into `out`.
-fn primed_reads<'a>(
+/// copied; otherwise the passing reads are cloned into `out`. Routing
+/// recovery derives this same verdict from its own primer scan, so its
+/// columns skip this pass.
+pub(crate) fn primed_reads<'a>(
     primer: &BasePattern,
     cluster: &'a Cluster,
     out: &'a mut Vec<DnaString>,
     state: &mut Vec<usize>,
 ) -> &'a [DnaString] {
-    let p = primer.len();
-    let slack = (p / 5).max(2);
+    let (prefix_len, bound) = primer_check(primer.len());
     let mut passes = |read: &DnaString| {
-        let prefix = &read.as_slice()[..(p + slack / 2).min(read.len())];
-        primer
-            .distance_bounded(prefix, slack + slack / 2, state)
-            .is_some()
+        let prefix = &read.as_slice()[..prefix_len.min(read.len())];
+        primer.distance_bounded(prefix, bound, state).is_some()
     };
     let Some(first_fail) = cluster.reads.iter().position(|read| !passes(read)) else {
         return &cluster.reads;

@@ -1,4 +1,4 @@
-//! Unlabeled-pool recovery: cluster → orient → demultiplex.
+//! Unlabeled-pool recovery: orient → route → validate.
 //!
 //! Every decode path in the paper's methodology consumes *perfectly
 //! clustered* reads — each read pre-attributed to its source molecule
@@ -12,22 +12,38 @@
 //!    ([`dna_align::AnchorOrienter`]). Primers are mandatory: every read
 //!    of a random-access pool carries them, and they are the only anchor
 //!    that tells a strand from its reverse complement;
-//! 2. **Cluster** — a pluggable [`ReadClusterer`] groups putative copies
-//!    of one molecule: the exhaustive [`GreedyClusterer`] or the
-//!    index-anchor-binned [`AnchoredClusterer`] fast path;
-//! 3. **Demultiplex** — each read decodes the ordering index just past
-//!    the primer (re-synchronized against the primer's actual end) and
-//!    is routed to the column it names; the cluster only pools evidence
-//!    for reads whose index is unreadable. Groups landing on the same
-//!    column are merged (they are fragments of one molecule), and
-//!    clusters with no readable index are orphaned.
+//! 2. **Route** — the ordering index sits just past the primer, in the
+//!    strand's most reliable region, so it names a read's molecule
+//!    without any similarity search. One primer scan per read
+//!    re-synchronizes the index offset against the primer's actual end
+//!    and also gives the decoder's primer verdict, so routed columns skip
+//!    the decoder's own primer prefilter. The read then goes to the
+//!    column its decoded index names; reads that fail the primer check or
+//!    carry no readable in-range index are orphaned;
+//! 3. **Validate** — each column groups its reads greedily with one
+//!    compiled comparison over a window of bases past the index
+//!    (`min(32, remaining payload)` bases; a read joins a group within a
+//!    quarter of the window) and keeps the largest group. An outlier
+//!    moves to the column of a single-edit neighbour of its index (one
+//!    substitution, or one lost or gained base, decoded through the
+//!    transcoder) when that column's group matches it; otherwise it stays
+//!    when within 2/5 of the window of its own column's group, and is
+//!    orphaned when not (a foreign read, or one misrouted beyond repair).
 //!
-//! Steps 2 and 3 read the index through the unit's
-//! [`TranscoderSpec`]: its field-0
-//! [`field_span`](TranscoderSpec::field_span) sizes the clusterer's
-//! anchor window, and its
-//! [`decode_index`](TranscoderSpec::decode_index) decodes every vote, so
-//! unlabeled pools recover under any layout the decoder reads.
+//! That is [`RecoveryPipeline::anchored`]. [`RecoveryPipeline::greedy`]
+//! and [`RecoveryPipeline::with_clusterer`] keep the older
+//! cluster → demultiplex arm: a [`ReadClusterer`] groups putative copies
+//! of one molecule, each read is routed to the column its index names,
+//! and the cluster only pools evidence for reads whose index is
+//! unreadable. Groups landing on the same column are merged (they are
+//! fragments of one molecule), and clusters with no readable index are
+//! orphaned.
+//!
+//! Both arms read the index through the unit's [`TranscoderSpec`]: its
+//! field-0 [`field_span`](TranscoderSpec::field_span) says where the
+//! index ends and the validation window starts, and its
+//! [`decode_index`](TranscoderSpec::decode_index) decodes every read's
+//! index, so unlabeled pools recover under any layout the decoder reads.
 //!
 //! The outcome is the `Vec<Cluster>` shape the existing decode path has
 //! always consumed, plus a [`RecoveryReport`] scoring the reconstruction
@@ -36,10 +52,11 @@
 //! [`DecodeReport`](crate::DecodeReport).
 
 use crate::params::CodecParams;
+use crate::pipeline::primer_check;
 use crate::StorageError;
-use dna_align::{AnchorOrienter, AnchoredClusterer, BasePattern, GreedyClusterer, ReadClusterer};
+use dna_align::{AnchorOrienter, BasePattern, GreedyClusterer, ReadClusterer};
 use dna_channel::{AnonymousPool, Cluster};
-use dna_strand::{DnaString, PayloadGeometry, Primer, TranscoderSpec};
+use dna_strand::{Base, DnaString, PayloadGeometry, Primer, TranscoderSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -48,8 +65,12 @@ use std::sync::Arc;
 /// group rather than assigned to its own column.
 const MODAL_FOLD_MIN: usize = 4;
 
+/// The longest validation window routing compares, in bases past the
+/// index.
+const WINDOW_MAX: usize = 32;
+
 /// How the recovered clusters are scored and shaped — the measurable
-/// outcome of the cluster → orient → demux stage.
+/// outcome of the recovery stage.
 ///
 /// All tallies are integer counts so reports stay `Eq`-comparable and
 /// mergeable; the ratio views ([`RecoveryReport::purity`],
@@ -57,6 +78,10 @@ const MODAL_FOLD_MIN: usize = 4;
 /// scores (purity, completeness, misassignment) are only available when
 /// the pool carried hidden provenance (simulated pools); replayed traces
 /// score structurally (orphans, merges, coverage) only.
+///
+/// Under routing ([`RecoveryPipeline::anchored`]) a "cluster" is a
+/// validation group, and the structural tallies count per read; the
+/// field docs say what each arm counts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Reads in the anonymous pool.
@@ -64,28 +89,36 @@ pub struct RecoveryReport {
     /// Assigned reads whose delivered orientation was flipped back to
     /// forward.
     pub flipped_reads: usize,
-    /// Clusters the clusterer produced (before demux merging).
+    /// Clustered arms: clusters the clusterer produced (before demux
+    /// merging). Routing: validation groups, summed over columns.
     pub clusters_found: usize,
-    /// Clusters that could not be assigned to any unit column (no read
-    /// carried a readable in-range index).
+    /// Clustered arms: clusters that could not be assigned to any unit
+    /// column (no read carried a readable in-range index). Routing
+    /// orphans reads, not clusters, and leaves this at zero.
     pub orphaned_clusters: usize,
-    /// Reads inside orphaned clusters (they take no part in decoding).
+    /// Reads that take no part in decoding. Clustered arms: the reads
+    /// inside orphaned clusters. Routing: reads that failed the primer
+    /// check, carried no readable in-range index, or matched no column's
+    /// group (foreign reads).
     pub orphaned_reads: usize,
-    /// Distinct unit columns that received at least one cluster.
+    /// Distinct unit columns that received at least one read.
     pub assigned_columns: usize,
-    /// Clusters merged into a column that another cluster had already
-    /// claimed — fragment repair (or, rarely, a genuine collision).
+    /// Clustered arms: clusters merged into a column that another cluster
+    /// had already claimed — fragment repair (or, rarely, a genuine
+    /// collision). Routing: outlier reads re-routed to the column of a
+    /// single-edit neighbour of their index.
     pub duplicate_index_merges: usize,
     /// Truth-scored: reads placed in a column other than their true
     /// source strand. Zero when no provenance was available.
     pub misassigned_reads: usize,
-    /// Truth-scored purity numerator: per recovered cluster, the reads
-    /// of its modal true source, summed over assigned clusters.
+    /// Truth-scored purity numerator: per recovered column, the reads
+    /// of its modal true source, summed over assigned columns.
     pub purity_num: usize,
-    /// Purity denominator: reads across all assigned clusters.
+    /// Purity denominator: reads across all assigned columns.
     pub purity_den: usize,
     /// Truth-scored completeness numerator: per true source, the largest
-    /// number of its reads found together in one cluster.
+    /// number of its reads found together in one recovered column,
+    /// summed over sources.
     pub completeness_num: usize,
     /// Completeness denominator: all reads with known provenance.
     pub completeness_den: usize,
@@ -95,21 +128,21 @@ pub struct RecoveryReport {
 
 impl RecoveryReport {
     /// Weighted cluster purity ∈ [0, 1]: the fraction of assigned reads
-    /// agreeing with their cluster's modal source. `None` when the pool
+    /// agreeing with their column's modal source. `None` when the pool
     /// carried no ground truth (or nothing was assigned).
     pub fn purity(&self) -> Option<f64> {
         (self.purity_den > 0).then(|| self.purity_num as f64 / self.purity_den as f64)
     }
 
-    /// Completeness ∈ [0, 1]: averaged over source strands, the fraction
-    /// of each strand's reads that ended up together in its best single
-    /// cluster. `None` without ground truth.
+    /// Read-weighted completeness ∈ [0, 1]: Σ over source strands of the
+    /// reads in each strand's best single column, divided by all reads
+    /// with known provenance. `None` without ground truth.
     pub fn completeness(&self) -> Option<f64> {
         (self.completeness_den > 0)
             .then(|| self.completeness_num as f64 / self.completeness_den as f64)
     }
 
-    /// Reads that made it into assigned clusters.
+    /// Reads that made it into assigned columns.
     pub fn assigned_reads(&self) -> usize {
         self.total_reads - self.orphaned_reads
     }
@@ -172,19 +205,19 @@ impl RecoveryReport {
     }
 }
 
-/// Which clustering algorithm the recovery stage runs.
+/// Which recovery algorithm the stage runs.
 #[derive(Clone)]
 enum ClustererSpec {
-    /// Exhaustive greedy comparison against every representative.
+    /// Exhaustive greedy clustering, then per-read demux.
     Greedy { threshold: Option<usize> },
-    /// Index-anchor binning before the bounded comparison.
+    /// Index-first routing and per-column validation; no clusterer.
     Anchored { threshold: Option<usize> },
-    /// A caller-provided algorithm.
+    /// A caller-provided clusterer, then per-read demux.
     Custom(Arc<dyn ReadClusterer + Send + Sync>),
 }
 
-/// The cluster → orient → demux stage preceding decode on unlabeled
-/// pools. Configure it on the builder
+/// The recovery stage preceding decode on unlabeled pools. Configure it
+/// on the builder
 /// ([`PipelineBuilder::recovery`](crate::PipelineBuilder::recovery)) or
 /// per call in [`RetrieveOptions::recovery`](crate::RetrieveOptions::recovery).
 ///
@@ -199,8 +232,8 @@ enum ClustererSpec {
 ///     .params(CodecParams::tiny()?.with_primer_len(12))
 ///     .recovery(RecoveryPipeline::anchored(None))
 ///     .build()?;
-/// // A varied payload: strands must differ for clustering to separate
-/// // them (constant fills make every molecule near-identical).
+/// // A varied payload: strands must differ for validation to tell a
+/// // misrouted read from its column's own copies.
 /// let payload: Vec<u8> = (0..pipeline.payload_capacity())
 ///     .map(|i| (i * 37 + 11) as u8)
 ///     .collect();
@@ -238,16 +271,24 @@ impl Default for RecoveryPipeline {
 impl RecoveryPipeline {
     /// Greedy clustering; `threshold: None` derives the edit-distance
     /// threshold from the geometry (a quarter of the payload region).
-    pub fn greedy(threshold: Option<usize>) -> RecoveryPipeline {
+    pub const fn greedy(threshold: Option<usize>) -> RecoveryPipeline {
         RecoveryPipeline {
             spec: ClustererSpec::Greedy { threshold },
         }
     }
 
-    /// Anchor-binned clustering (the fast path); `threshold: None`
-    /// derives the threshold from the geometry. The anchor window is
-    /// always geometry-derived: it starts past the left primer and
-    /// covers the index region plus a few payload bases.
+    /// Index-first routing (the fast path), with no clusterer. One primer
+    /// scan per read re-synchronizes the index offset and gives the
+    /// decoder's primer verdict; the read then goes to the column its
+    /// decoded index names. Each column groups its reads over a window of
+    /// `min(32, remaining payload)` bases past the index and keeps the
+    /// largest group. An outlier moves to a column named by a single-edit
+    /// neighbour of its index whose group it matches, stays when within
+    /// 2/5 of the window of its own group, and is orphaned otherwise.
+    ///
+    /// `threshold` bounds the window comparison: the edit distance at
+    /// which a read joins a group. `None` takes a quarter of the window.
+    /// The window itself is always geometry-derived.
     pub fn anchored(threshold: Option<usize>) -> RecoveryPipeline {
         RecoveryPipeline {
             spec: ClustererSpec::Anchored { threshold },
@@ -270,6 +311,13 @@ impl RecoveryPipeline {
         }
     }
 
+    /// Whether every read this stage assigns already passed the
+    /// decoder's primer check (routing applies it while it routes), so
+    /// the decoder need not scan the primer again.
+    pub(crate) fn checks_primers(&self) -> bool {
+        matches!(self.spec, ClustererSpec::Anchored { .. })
+    }
+
     /// The geometry-derived clustering threshold: a quarter of the
     /// payload region (index + data bases, primers excluded — primers
     /// are shared by every strand so they contribute nothing to
@@ -279,7 +327,7 @@ impl RecoveryPipeline {
         (payload_region / 4).max(3)
     }
 
-    /// Runs orient → cluster → demux on `pool` for a unit with geometry
+    /// Runs the recovery stage on `pool` for a unit with geometry
     /// `params`, whose strands start with `left_primer`. Returns the
     /// labeled clusters (`source` = recovered unit column, reads flipped
     /// to the synthesized orientation) ready for the trusted decode path,
@@ -307,7 +355,7 @@ impl RecoveryPipeline {
 
         // 1. Orientation recovery: flip every read to the synthesized
         // strand's orientation. The orienter compiles the primer once;
-        // demux reuses it.
+        // routing and demux reuse it.
         let orienter = AnchorOrienter::new(left_primer.strand().clone());
         let mut oriented: Vec<DnaString> = Vec::with_capacity(pool.len());
         let mut read_flips: Vec<bool> = Vec::with_capacity(pool.len());
@@ -318,133 +366,39 @@ impl RecoveryPipeline {
             oriented.push(canonical);
         }
 
-        // 2. Clustering over the co-oriented reads.
-        let threshold = match &self.spec {
-            ClustererSpec::Greedy { threshold } | ClustererSpec::Anchored { threshold } => {
-                threshold.unwrap_or_else(|| Self::derived_threshold(params))
-            }
-            ClustererSpec::Custom(_) => 0,
-        };
-        let clusters = match &self.spec {
-            ClustererSpec::Greedy { .. } => GreedyClusterer::new(threshold).cluster(&oriented),
-            ClustererSpec::Anchored { .. } => {
-                let anchor_len = IndexField::new(params).bases + 6;
-                AnchoredClusterer::new(threshold)
-                    .with_anchor(params.primer_len(), anchor_len)
-                    .cluster(&oriented)
-            }
-            ClustererSpec::Custom(c) => c.cluster(&oriented),
-        };
-        report.clusters_found = clusters.len();
-
-        // 3. Demultiplex. The ordering index just past the primer — not
-        // cluster identity — is what names a molecule, so demux is
-        // fundamentally *per read*: each read is routed to the column
-        // its decoded index names, and the cluster only pools evidence
-        // (reads whose index region was destroyed follow their cluster's
-        // modal group, and singleton disagreements inside a
-        // well-supported cluster are folded back as decode noise). This
-        // also keeps molecules apart that clustering cannot separate —
-        // strands with identical payloads differ only in their index.
-        // The index offset is re-synchronized against the primer: an
-        // indel inside it shifts the whole strand, and a fixed offset
-        // would then decode a random column.
-        let cols = params.cols();
-        let offset = params.primer_len();
-        let index = IndexField::new(params);
+        // 2. Assign reads to columns.
         let primer = orienter.pattern();
-        // Per column: its reads, in merge order.
-        let mut columns: Vec<Vec<usize>> = vec![Vec::new(); cols];
-        let mut sync_state: Vec<usize> = Vec::new();
-        let mut prefix_scores: Vec<usize> = Vec::new();
-        for members in &clusters.clusters {
-            // Group the cluster's reads by their decoded index
-            // (BTreeMap: deterministic ascending-column order).
-            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            let mut unreadable: Vec<usize> = Vec::new();
-            for &r in members {
-                let idx = synced_forward_index(
-                    &oriented[r],
-                    primer,
-                    offset,
-                    &index,
-                    &mut sync_state,
-                    &mut prefix_scores,
-                )
-                .map(|idx| idx as usize)
-                .filter(|&idx| idx < cols);
-                match idx {
-                    Some(idx) => groups.entry(idx).or_default().push(r),
-                    None => unreadable.push(r),
-                }
+        let columns = match &self.spec {
+            ClustererSpec::Anchored { threshold } => {
+                route(params, primer, &oriented, *threshold, &mut report)
             }
-            if groups.is_empty() {
-                report.orphaned_clusters += 1;
-                report.orphaned_reads += members.len();
-                continue;
+            ClustererSpec::Greedy { threshold } => {
+                let threshold = threshold.unwrap_or_else(|| Self::derived_threshold(params));
+                let clusters = GreedyClusterer::new(threshold).cluster(&oriented).clusters;
+                demux_clusters(params, primer, &oriented, &clusters, &mut report)
             }
-            // Modal group: the largest, ties toward the smaller column.
-            // Unreadable reads follow it; so does a singleton
-            // disagreement when the modal group is strong (a lone
-            // divergent decode inside a well-supported cluster is noise,
-            // while same-sized groups are genuinely different molecules
-            // clustering could not separate).
-            let modal = groups
-                .iter()
-                .map(|(&idx, group)| (group.len(), std::cmp::Reverse(idx)))
-                .max()
-                .map(|(_, std::cmp::Reverse(idx))| idx)
-                .expect("groups is non-empty");
-            let modal_len = groups[&modal].len();
-            let fold =
-                |idx: usize, len: usize| idx != modal && len == 1 && modal_len >= MODAL_FOLD_MIN;
-            let mut modal_members: Vec<usize> = Vec::new();
-            for (&idx, group) in &groups {
-                if idx == modal || fold(idx, group.len()) {
-                    modal_members.extend_from_slice(group);
-                }
+            ClustererSpec::Custom(c) => {
+                let clusters = c.cluster(&oriented).clusters;
+                demux_clusters(params, primer, &oriented, &clusters, &mut report)
             }
-            modal_members.extend_from_slice(&unreadable);
-            claim(&mut columns, &mut report, modal, &modal_members);
-            for (&idx, group) in &groups {
-                if idx != modal && !fold(idx, group.len()) {
-                    claim(&mut columns, &mut report, idx, group);
-                }
-            }
-        }
+        };
         if columns.iter().all(Vec::is_empty) {
             return Err(StorageError::AllReadsOrphaned {
                 reads: pool.len(),
-                clusters: clusters.len(),
+                clusters: report.clusters_found,
             });
         }
 
-        // 4. Materialize the labeled clusters and score the outcome.
+        // 3. Materialize the labeled clusters and score the outcome. Each
+        // read sits in at most one column, so it is moved, not copied.
         let truth = pool.provenance();
         report.completeness_den = truth.map_or(0, <[_]>::len);
-        // Per true source: total reads and the best single cluster. The
-        // "best cluster" scan reuses the clusterer output (pre-merge),
-        // which is the granularity completeness is defined on.
-        if let Some(truth) = truth {
-            let n_sources = truth.iter().map(|o| o.source + 1).max().unwrap_or(0);
-            let mut best = vec![0usize; n_sources];
-            let mut per_source = vec![0usize; n_sources];
-            for members in &clusters.clusters {
-                per_source.iter_mut().for_each(|c| *c = 0);
-                for &r in members {
-                    per_source[truth[r].source] += 1;
-                }
-                for (s, &c) in per_source.iter().enumerate() {
-                    best[s] = best[s].max(c);
-                }
-                // Purity counts only clusters that survived to a column;
-                // recompute membership below instead of here.
-            }
-            report.completeness_num = best.iter().sum();
-        }
         let mut recovered = Vec::new();
-        let mut modal =
-            vec![0usize; truth.map_or(0, |t| t.iter().map(|o| o.source + 1).max().unwrap_or(0))];
+        // Per true source: its reads in this column, and the most of them
+        // any one column holds.
+        let n_sources = truth.map_or(0, |t| t.iter().map(|o| o.source + 1).max().unwrap_or(0));
+        let mut per_source = vec![0usize; n_sources];
+        let mut best = vec![0usize; n_sources];
         for (column, members) in columns.iter().enumerate() {
             if members.is_empty() {
                 continue;
@@ -452,26 +406,287 @@ impl RecoveryPipeline {
             report.assigned_columns += 1;
             report.coverage_histogram[column] = members.len();
             report.flipped_reads += members.iter().filter(|&&r| read_flips[r]).count();
-            let reads = members.iter().map(|&r| oriented[r].clone()).collect();
+            let reads = members
+                .iter()
+                .map(|&r| std::mem::take(&mut oriented[r]))
+                .collect();
             if let Some(truth) = truth {
                 report.purity_den += members.len();
-                modal.iter_mut().for_each(|c| *c = 0);
+                per_source.fill(0);
                 for &r in members {
                     let source = truth[r].source;
-                    modal[source] += 1;
+                    per_source[source] += 1;
                     if source != column {
                         report.misassigned_reads += 1;
                     }
                 }
-                report.purity_num += modal.iter().max().copied().unwrap_or(0);
+                report.purity_num += per_source.iter().max().copied().unwrap_or(0);
+                for (b, &c) in best.iter_mut().zip(&per_source) {
+                    *b = (*b).max(c);
+                }
             }
             recovered.push(Cluster {
                 source: column,
                 reads,
             });
         }
+        report.completeness_num = best.iter().sum();
         Ok((recovered, report))
     }
+}
+
+/// Index-first routing: each read goes to the column its decoded index
+/// names, and each column is then validated against a window of bases
+/// past the index (see the module docs). Returns the read ids of every
+/// column (its largest group in pool order, then the outliers it gained
+/// or kept) and tallies groups, re-routes and orphans into `report`.
+/// `threshold` overrides the join bound (a quarter of the window).
+fn route(
+    params: &CodecParams,
+    primer: &BasePattern,
+    oriented: &[DnaString],
+    threshold: Option<usize>,
+    report: &mut RecoveryReport,
+) -> Vec<Vec<usize>> {
+    let cols = params.cols();
+    let index = IndexField::new(params);
+    let window = WINDOW_MAX.min(params.strand_payload_bases().saturating_sub(index.bases));
+    let join = threshold.unwrap_or(window / 4);
+    let keep = (2 * window / 5).max(join);
+    let mut state = Vec::new();
+    let mut scores = Vec::new();
+
+    // Route. `windows[r]` is where read `r`'s validation window starts.
+    let mut columns: Vec<Vec<usize>> = vec![Vec::new(); cols];
+    let mut windows = vec![0usize; oriented.len()];
+    for (r, read) in oriented.iter().enumerate() {
+        let scan = scan_primer(read, primer, params.primer_len(), &mut state, &mut scores);
+        let idx = scan
+            .primed
+            .then(|| index.forward(read, scan.end))
+            .flatten()
+            .map(|idx| idx as usize)
+            .filter(|&idx| idx < cols);
+        match idx {
+            Some(idx) => {
+                windows[r] = scan.end + index.bases;
+                columns[idx].push(r);
+            }
+            None => report.orphaned_reads += 1,
+        }
+    }
+    let window_of = |r: usize| {
+        let bases = oriented[r].as_slice();
+        let start = windows[r].min(bases.len());
+        &bases[start..(start + window).min(bases.len())]
+    };
+
+    // Validate: group each column greedily against each group's first
+    // read; the largest group (ties to the earliest) stays, and its first
+    // read represents the column.
+    let mut reps: Vec<Option<BasePattern>> = vec![None; cols];
+    let mut outliers: Vec<(usize, usize)> = Vec::new();
+    let mut groups: Vec<(BasePattern, Vec<usize>)> = Vec::new();
+    for (c, members) in columns.iter_mut().enumerate() {
+        if members.is_empty() {
+            continue;
+        }
+        groups.clear();
+        for &r in members.iter() {
+            let w = window_of(r);
+            match groups
+                .iter_mut()
+                .find(|(rep, _)| rep.distance_bounded(w, join, &mut state).is_some())
+            {
+                Some((_, group)) => group.push(r),
+                None => groups.push((BasePattern::new(w), vec![r])),
+            }
+        }
+        report.clusters_found += groups.len();
+        let main = (0..groups.len())
+            .max_by_key(|&g| (groups[g].1.len(), std::cmp::Reverse(g)))
+            .expect("a non-empty column has a group");
+        let (rep, kept) = groups.swap_remove(main);
+        for (_, group) in groups.drain(..) {
+            outliers.extend(group.into_iter().map(|r| (c, r)));
+        }
+        *members = kept;
+        reps[c] = Some(rep);
+    }
+
+    // Outliers: re-route to the first single-edit neighbour of the index
+    // whose group matches, else keep within `keep` of the own column's
+    // group, else orphan.
+    let mut field: Vec<Base> = Vec::with_capacity(index.bases + 1);
+    let mut tried: Vec<usize> = Vec::new();
+    for (c, r) in outliers {
+        let w = window_of(r);
+        let payload = &oriented[r].as_slice()[windows[r] - index.bases..];
+        let mut target = None;
+        tried.clear();
+        edit_neighbours(payload, index.bases, &mut field, |neighbour| {
+            let Some(n) = index.decode(neighbour).map(|n| n as usize) else {
+                return false;
+            };
+            if n == c || n >= cols || tried.contains(&n) {
+                return false;
+            }
+            tried.push(n);
+            let matches = reps[n]
+                .as_ref()
+                .is_some_and(|rep| rep.distance_bounded(w, join, &mut state).is_some());
+            if matches {
+                target = Some(n);
+            }
+            matches
+        });
+        let own = reps[c].as_ref().expect("an outlier's column has a group");
+        if let Some(n) = target {
+            columns[n].push(r);
+            report.duplicate_index_merges += 1;
+        } else if own.distance_bounded(w, keep, &mut state).is_some() {
+            columns[c].push(r);
+        } else {
+            report.orphaned_reads += 1;
+        }
+    }
+    columns
+}
+
+/// Calls `visit` with the index fields one edit away from the `len`
+/// bases at the front of `payload` until it returns `true`: first each
+/// single substitution, then each base the read may have lost (one
+/// inserted back at every position of its first `len - 1` bases), then
+/// each base it may have gained (one dropped from its first `len + 1`).
+/// Fields the payload is too short for are skipped; some fields repeat.
+/// `field` is scratch.
+fn edit_neighbours(
+    payload: &[Base],
+    len: usize,
+    field: &mut Vec<Base>,
+    mut visit: impl FnMut(&[Base]) -> bool,
+) {
+    if let Some(read) = payload.get(..len) {
+        field.clear();
+        field.extend_from_slice(read);
+        for i in 0..len {
+            for b in Base::ALL.into_iter().filter(|&b| b != read[i]) {
+                field[i] = b;
+                if visit(field) {
+                    return;
+                }
+            }
+            field[i] = read[i];
+        }
+    }
+    if let Some(read) = len.checked_sub(1).and_then(|short| payload.get(..short)) {
+        for i in 0..len {
+            for b in Base::ALL {
+                field.clear();
+                field.extend_from_slice(&read[..i]);
+                field.push(b);
+                field.extend_from_slice(&read[i..]);
+                if visit(field) {
+                    return;
+                }
+            }
+        }
+    }
+    if let Some(read) = payload.get(..len + 1) {
+        for i in 0..=len {
+            field.clear();
+            field.extend_from_slice(&read[..i]);
+            field.extend_from_slice(&read[i + 1..]);
+            if visit(field) {
+                return;
+            }
+        }
+    }
+}
+
+/// The clustered arm's demultiplex: each cluster's reads are routed to
+/// the column their index names, the cluster pooling evidence for reads
+/// whose index is unreadable. Returns the read ids of every column.
+fn demux_clusters(
+    params: &CodecParams,
+    primer: &BasePattern,
+    oriented: &[DnaString],
+    clusters: &[Vec<usize>],
+    report: &mut RecoveryReport,
+) -> Vec<Vec<usize>> {
+    report.clusters_found = clusters.len();
+    // The ordering index just past the primer — not cluster identity —
+    // is what names a molecule, so demux is fundamentally *per read*:
+    // each read is routed to the column its decoded index names, and the
+    // cluster only pools evidence (reads whose index region was destroyed
+    // follow their cluster's modal group, and singleton disagreements
+    // inside a well-supported cluster are folded back as decode noise).
+    // This also keeps molecules apart that clustering cannot separate —
+    // strands with identical payloads differ only in their index. The
+    // index offset is re-synchronized against the primer: an indel inside
+    // it shifts the whole strand, and a fixed offset would then decode a
+    // random column.
+    let cols = params.cols();
+    let index = IndexField::new(params);
+    // Per column: its reads, in merge order.
+    let mut columns: Vec<Vec<usize>> = vec![Vec::new(); cols];
+    let mut state: Vec<usize> = Vec::new();
+    let mut scores: Vec<usize> = Vec::new();
+    for members in clusters {
+        // Group the cluster's reads by their decoded index (BTreeMap:
+        // deterministic ascending-column order).
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut unreadable: Vec<usize> = Vec::new();
+        for &r in members {
+            let scan = scan_primer(
+                &oriented[r],
+                primer,
+                params.primer_len(),
+                &mut state,
+                &mut scores,
+            );
+            let idx = index
+                .forward(&oriented[r], scan.end)
+                .map(|idx| idx as usize)
+                .filter(|&idx| idx < cols);
+            match idx {
+                Some(idx) => groups.entry(idx).or_default().push(r),
+                None => unreadable.push(r),
+            }
+        }
+        if groups.is_empty() {
+            report.orphaned_clusters += 1;
+            report.orphaned_reads += members.len();
+            continue;
+        }
+        // Modal group: the largest, ties toward the smaller column.
+        // Unreadable reads follow it; so does a singleton disagreement
+        // when the modal group is strong (a lone divergent decode inside
+        // a well-supported cluster is noise, while same-sized groups are
+        // genuinely different molecules clustering could not separate).
+        let modal = groups
+            .iter()
+            .map(|(&idx, group)| (group.len(), std::cmp::Reverse(idx)))
+            .max()
+            .map(|(_, std::cmp::Reverse(idx))| idx)
+            .expect("groups is non-empty");
+        let modal_len = groups[&modal].len();
+        let fold = |idx: usize, len: usize| idx != modal && len == 1 && modal_len >= MODAL_FOLD_MIN;
+        let mut modal_members: Vec<usize> = Vec::new();
+        for (&idx, group) in &groups {
+            if idx == modal || fold(idx, group.len()) {
+                modal_members.extend_from_slice(group);
+            }
+        }
+        modal_members.extend_from_slice(&unreadable);
+        claim(&mut columns, report, modal, &modal_members);
+        for (&idx, group) in &groups {
+            if idx != modal && !fold(idx, group.len()) {
+                claim(&mut columns, report, idx, group);
+            }
+        }
+    }
+    columns
 }
 
 /// Appends `members` to `column`, counting a merge when another group
@@ -488,28 +703,40 @@ fn claim(
     columns[column].extend_from_slice(members);
 }
 
-/// [`IndexField::forward`] with the offset re-synchronized against the known
-/// primer: the index starts wherever the primer *actually* ends in this
-/// read, which an indel inside the primer region shifts by a base or
-/// two. Each candidate end is scored by the edit distance between the
-/// primer and the read prefix of that length — all five from one
-/// [`BasePattern::prefix_distances`] scan — with a distance past
-/// `max(primer length, 1)` scored as the primer length. Ties keep the
-/// earlier candidate (the unshifted offset first), so a clean read
-/// decodes at exactly the nominal offset. `state` and `scores` are
-/// scratch for the kernel and the per-prefix distances.
-fn synced_forward_index(
+/// What one primer scan of a read yields.
+struct PrimerScan {
+    /// The decoder's primer verdict ([`primer_check`]): the read begins
+    /// with something close to the primer.
+    primed: bool,
+    /// Where the primer actually ends, i.e. where the payload starts.
+    end: usize,
+}
+
+/// One [`BasePattern::prefix_distances`] scan of the read's front gives
+/// both the primer verdict and the re-synchronized primer end: the index
+/// starts wherever the primer *actually* ends in this read, which an
+/// indel inside the primer region shifts by a base or two. Each
+/// candidate end around the nominal `offset` is scored by the edit
+/// distance between the primer and the read prefix of that length, with
+/// a distance past `max(primer length, 1)` scored as the primer length.
+/// Ties keep the earlier candidate (the unshifted offset first), so a
+/// clean read decodes at exactly the nominal offset; a read too short
+/// for any candidate keeps `offset`. `state` and `scores` are scratch for
+/// the kernel and the per-prefix distances.
+fn scan_primer(
     read: &DnaString,
     primer: &BasePattern,
     offset: usize,
-    index: &IndexField,
     state: &mut Vec<usize>,
     scores: &mut Vec<usize>,
-) -> Option<u32> {
+) -> PrimerScan {
     let bases = read.as_slice();
-    let end = offset.saturating_add(2).min(bases.len());
+    let p = primer.len();
+    let (prefix_len, bound) = primer_check(p);
+    // The scan covers both the resync candidates and the verdict prefix.
+    let end = offset.saturating_add(2).max(prefix_len).min(bases.len());
     primer.prefix_distances(&bases[..end], state, scores);
-    let cap = primer.len().max(1);
+    let cap = p.max(1);
     let mut best = (usize::MAX, offset);
     for delta in SYNC_SHIFTS {
         let Some(end) = offset.checked_add_signed(delta) else {
@@ -519,22 +746,24 @@ fn synced_forward_index(
         let Some(&d) = scores.get(end) else {
             continue;
         };
-        let d = if d <= cap { d } else { primer.len() };
+        let d = if d <= cap { d } else { p };
         if d < best.0 {
             best = (d, end);
         }
     }
-    index.forward(read, best.1)
+    PrimerScan {
+        primed: scores[prefix_len.min(bases.len())] <= bound,
+        end: best.1,
+    }
 }
 
-/// The primer-end shifts [`synced_forward_index`] tries, in tie-break
-/// order.
+/// The primer-end shifts [`scan_primer`] tries, in tie-break order.
 const SYNC_SHIFTS: [isize; 5] = [0, -1, 1, -2, 2];
 
 /// Where a read carries its ordering index and how to decode it: the
-/// unit's transcoder and geometry, plus the length of the index window
-/// (field 0's span end, which sizes the anchored clusterer's window),
-/// all fixed per unit so the per-read decodes allocate nothing.
+/// unit's transcoder and geometry, plus the length of the index field
+/// (field 0's span end, where the validation window starts), all fixed
+/// per unit so the per-read decodes allocate nothing.
 struct IndexField {
     transcoder: TranscoderSpec,
     geom: PayloadGeometry,
@@ -558,7 +787,12 @@ impl IndexField {
     /// starting `offset` bases in, or `None` for reads too short to
     /// carry one.
     fn forward(&self, read: &DnaString, offset: usize) -> Option<u32> {
-        let payload = read.as_slice().get(offset..)?;
+        self.decode(read.as_slice().get(offset..)?)
+    }
+
+    /// The index decoded from a payload prefix (at least the index
+    /// field's bases).
+    fn decode(&self, payload: &[Base]) -> Option<u32> {
         self.transcoder.decode_index(payload, self.geom).ok()
     }
 }
@@ -618,7 +852,7 @@ mod tests {
 
     /// The five-call resync the one-pass form replaced: one bounded
     /// comparison per candidate primer end.
-    fn synced_forward_index_oracle(
+    fn synced_index_oracle(
         read: &DnaString,
         primer: &[Base],
         offset: usize,
@@ -681,15 +915,11 @@ mod tests {
                 let read = DnaString::from_bases(read);
                 for offset in [primer_len, primer_len.saturating_sub(1), primer_len + 1] {
                     assert_eq!(
-                        synced_forward_index(
+                        index.forward(
                             &read,
-                            &pattern,
-                            offset,
-                            &index,
-                            &mut state,
-                            &mut scores
+                            scan_primer(&read, &pattern, offset, &mut state, &mut scores).end
                         ),
-                        synced_forward_index_oracle(&read, primer.as_slice(), offset, &index),
+                        synced_index_oracle(&read, primer.as_slice(), offset, &index),
                         "primer {primer} read {read} offset {offset}"
                     );
                     checked += usize::from(read.len() < offset + 2);
@@ -723,41 +953,250 @@ mod tests {
         s
     }
 
+    /// The right primer of the synthetic strands.
+    fn right() -> Primer {
+        Primer::from_strand("TGCCAGGTTCAA".parse().unwrap())
+    }
+
+    /// A read of the synthetic strand `idx`/`fill`, wrapped in both
+    /// primers.
+    fn read_of(idx: u32, fill: &str) -> DnaString {
+        let mut s = wrapped(idx, fill);
+        s.extend(right().strand().iter().copied());
+        s
+    }
+
+    /// `copies` reads per `(source, index, fill, copies)` entry,
+    /// anonymized; `source` is the reads' true column.
+    fn pool_of(strands: &[(usize, u32, &str, usize)], seed: u64) -> AnonymousPool {
+        let clusters: Vec<Cluster> = strands
+            .iter()
+            .map(|&(source, idx, fill, copies)| Cluster {
+                source,
+                reads: vec![read_of(idx, fill); copies],
+            })
+            .collect();
+        AnonymousPool::from_clusters(&clusters, seed)
+    }
+
+    fn column_sizes(recovered: &[Cluster]) -> Vec<(usize, usize)> {
+        recovered
+            .iter()
+            .map(|c| (c.source, c.reads.len()))
+            .collect()
+    }
+
     #[test]
     fn recovery_on_a_clean_primered_pool_assigns_every_column() {
         // Four primer-wrapped strands, three identical reads each, mixed
         // orientations and shuffled order — the well-supported retrieval
         // shape (primers give the orienter its anchor).
-        let right: Primer = Primer::from_strand("TGCCAGGTTCAA".parse().unwrap());
-        let fills = [
-            "AAAACCCCGGGG",
-            "TTTTGGGGAAAA",
-            "CCGGTTAAGCTA",
-            "GATCGATCGATC",
-        ];
-        let mut clusters = Vec::new();
-        for (i, fill) in fills.iter().enumerate() {
-            let mut s = wrapped(i as u32, fill);
-            s.extend(right.strand().iter().copied());
-            clusters.push(Cluster {
-                source: i,
-                reads: vec![s; 3],
-            });
+        let pool = pool_of(
+            &[
+                (0, 0, "AAAACCCCGGGG", 3),
+                (1, 1, "TTTTGGGGAAAA", 3),
+                (2, 2, "CCGGTTAAGCTA", 3),
+                (3, 3, "GATCGATCGATC", 3),
+            ],
+            11,
+        );
+        for stage in [
+            RecoveryPipeline::default(),
+            RecoveryPipeline::anchored(None),
+        ] {
+            let (recovered, report) = stage.recover(&primered(), &left(), &pool).unwrap();
+            let name = stage.clusterer_name();
+            assert_eq!(
+                column_sizes(&recovered),
+                [(0, 3), (1, 3), (2, 3), (3, 3)],
+                "{name}"
+            );
+            assert_eq!(report.total_reads, 12);
+            assert_eq!(report.orphaned_reads, 0, "{name}");
+            assert_eq!(report.misassigned_reads, 0, "{name}");
+            assert_eq!(report.purity(), Some(1.0), "{name}");
+            assert_eq!(report.completeness(), Some(1.0), "{name}");
+            assert_eq!(report.coverage_histogram.iter().sum::<usize>(), 12);
         }
-        let pool = AnonymousPool::from_clusters(&clusters, 11);
-        let (recovered, report) = RecoveryPipeline::default()
+    }
+
+    #[test]
+    fn routing_reroutes_a_read_whose_index_took_one_substitution() {
+        // Index 5 is `CC`; one substitution makes it `GC`, index 9. The
+        // misread copy lands in column 9, whose reads disagree with it
+        // past the index, and its neighbour `CC` names column 5, whose
+        // group it matches.
+        let pool = pool_of(
+            &[
+                (5, 5, "AAAACCCCGGGG", 3),
+                (9, 9, "TTGGAATTCCGA", 3),
+                (5, 9, "AAAACCCCGGGG", 1),
+            ],
+            3,
+        );
+        let (recovered, report) = RecoveryPipeline::anchored(None)
             .recover(&primered(), &left(), &pool)
             .unwrap();
-        assert_eq!(recovered.len(), 4);
-        for c in &recovered {
-            assert_eq!(c.reads.len(), 3, "column {}", c.source);
-        }
-        assert_eq!(report.total_reads, 12);
-        assert_eq!(report.orphaned_reads, 0);
+        assert_eq!(column_sizes(&recovered), [(5, 4), (9, 3)]);
+        assert_eq!(report.duplicate_index_merges, 1);
         assert_eq!(report.misassigned_reads, 0);
-        assert_eq!(report.purity(), Some(1.0));
-        assert_eq!(report.completeness(), Some(1.0));
-        assert_eq!(report.coverage_histogram.iter().sum::<usize>(), 12);
+        assert_eq!(report.orphaned_reads, 0);
+        // Column 9 held two groups before the re-route.
+        assert_eq!(report.clusters_found, 3);
+    }
+
+    #[test]
+    fn routing_reroutes_reads_whose_index_lost_or_gained_a_base() {
+        // Index 1 is `AC`. Losing its `A` leaves `CG` (the fill's first
+        // base moves up), index 6; a `T` gained before it leaves `TA`,
+        // index 12. No substitution turns either back into `AC`; putting
+        // one base back, or dropping one, does.
+        let (fill, other, third) = ("GATTACAGGCAT", "TTGGAATTCCGA", "CCAATTGGCCAA");
+        let at = left().strand().len();
+        let mut lost = read_of(1, fill).as_slice().to_vec();
+        lost.remove(at);
+        let mut gained = read_of(1, fill).as_slice().to_vec();
+        gained.insert(at, Base::T);
+        let clusters = [
+            Cluster {
+                source: 1,
+                reads: vec![
+                    read_of(1, fill),
+                    DnaString::from_bases(lost),
+                    read_of(1, fill),
+                    DnaString::from_bases(gained),
+                    read_of(1, fill),
+                ],
+            },
+            Cluster {
+                source: 6,
+                reads: vec![read_of(6, other); 3],
+            },
+            Cluster {
+                source: 12,
+                reads: vec![read_of(12, third); 3],
+            },
+        ];
+        let pool = AnonymousPool::from_clusters(&clusters, 6);
+        let (recovered, report) = RecoveryPipeline::anchored(None)
+            .recover(&primered(), &left(), &pool)
+            .unwrap();
+        assert_eq!(column_sizes(&recovered), [(1, 5), (6, 3), (12, 3)]);
+        assert_eq!(report.duplicate_index_merges, 2);
+        assert_eq!(report.misassigned_reads, 0);
+    }
+
+    #[test]
+    fn routing_orphans_a_foreign_read_that_carries_a_valid_index() {
+        // A decoy-unit read names column 9 but shares nothing past the
+        // index with column 9's copies or any neighbour's: it is dropped
+        // as orphaned, not assigned.
+        let pool = pool_of(
+            &[
+                (5, 5, "AAAACCCCGGGG", 3),
+                (9, 9, "TTGGAATTCCGA", 3),
+                (14, 9, "CACACACACACA", 1),
+            ],
+            4,
+        );
+        let (recovered, report) = RecoveryPipeline::anchored(None)
+            .recover(&primered(), &left(), &pool)
+            .unwrap();
+        assert_eq!(column_sizes(&recovered), [(5, 3), (9, 3)]);
+        assert_eq!(report.orphaned_reads, 1);
+        assert_eq!(report.duplicate_index_merges, 0);
+        assert_eq!(report.assigned_reads(), 6);
+    }
+
+    #[test]
+    fn routing_orphans_reads_that_fail_the_primer_check() {
+        // Routed columns skip the decoder's primer prefilter, so routing
+        // must drop a read whose primer is gone, whatever follows it.
+        let fill = "AAAACCCCGGGG";
+        let mut unprimed = read_of(5, fill).as_slice().to_vec();
+        unprimed[..6].fill(Base::T);
+        let mut reads = vec![read_of(5, fill); 3];
+        reads.push(DnaString::from_bases(unprimed));
+        let primer = BasePattern::new(left().strand().as_slice());
+        let mut report = RecoveryReport::default();
+        let columns = route(&primered(), &primer, &reads, None, &mut report);
+        assert_eq!(columns[5], [0, 1, 2]);
+        assert_eq!(report.orphaned_reads, 1);
+    }
+
+    #[test]
+    fn routing_keeps_identical_payloads_with_different_indexes_apart() {
+        // The chaos `near-duplicate` shape: strands identical past the
+        // index. Only the index tells them apart, and routing reads it
+        // per read, so every molecule keeps its own column.
+        let fill = "ACGTTGCAACGT";
+        let strands: Vec<_> = (0..6).map(|i| (i, i as u32, fill, 3)).collect();
+        let pool = pool_of(&strands, 8);
+        let (recovered, report) = RecoveryPipeline::anchored(None)
+            .recover(&primered(), &left(), &pool)
+            .unwrap();
+        assert_eq!(
+            column_sizes(&recovered),
+            (0..6).map(|c| (c, 3)).collect::<Vec<_>>()
+        );
+        assert_eq!(report.misassigned_reads, 0);
+        assert_eq!(report.clusters_found, 6);
+    }
+
+    #[test]
+    fn the_routing_primer_verdict_is_the_decoders_prefilter() {
+        use crate::pipeline::primed_reads;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(22);
+        let (mut state, mut scores, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let mut verdicts = [0usize; 2];
+        for p in 1..=40usize {
+            let primer = DnaString::random(p, &mut rng);
+            let pattern = BasePattern::new(primer.as_slice());
+            // Up to a few edits past the check's bound, so verdicts on
+            // both sides of it come up.
+            let most = crate::pipeline::primer_check(p).1 + 2;
+            for _ in 0..150 {
+                // A quarter of the reads start with an unrelated prefix;
+                // the rest carry the primer with 0–2 edits, or with up to
+                // `most`. Then a tail of any length (reads shorter than
+                // the primer included).
+                let mut read = if rng.gen_bool(0.25) {
+                    DnaString::random(p, &mut rng).as_slice().to_vec()
+                } else {
+                    primer.as_slice().to_vec()
+                };
+                let edits = if rng.gen_bool(0.5) { 2 } else { most };
+                for _ in 0..rng.gen_range(0..=edits) {
+                    let at = rng.gen_range(0..=read.len());
+                    match rng.gen_range(0..3) {
+                        0 => read.insert(at, Base::from_bits(rng.gen())),
+                        1 if at < read.len() => {
+                            read.remove(at);
+                        }
+                        _ if at < read.len() => read[at] = Base::from_bits(rng.gen()),
+                        _ => {}
+                    }
+                }
+                if rng.gen_bool(0.1) {
+                    read.truncate(rng.gen_range(0..=read.len()));
+                } else {
+                    let tail = rng.gen_range(0..12);
+                    read.extend(DnaString::random(tail, &mut rng).iter().copied());
+                }
+                let read = DnaString::from_bases(read);
+                let routed = scan_primer(&read, &pattern, p, &mut state, &mut scores).primed;
+                let cluster = Cluster {
+                    source: 0,
+                    reads: vec![read.clone()],
+                };
+                let decoded = !primed_reads(&pattern, &cluster, &mut out, &mut state).is_empty();
+                assert_eq!(routed, decoded, "primer {primer} read {read}");
+                verdicts[usize::from(routed)] += 1;
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 200), "verdicts {verdicts:?}");
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub struct DecodeReport {
     /// Per-row declared-erasure histogram: `row_erasures[r]` counts the
     /// erased codeword cells that sat in matrix row `r`.
     pub row_erasures: Vec<usize>,
-    /// The cluster → orient → demux outcome, present when the unit was
+    /// The recovery stage's outcome, present when the unit was
     /// decoded from an unlabeled pool
     /// ([`Pipeline::decode_pool`](crate::Pipeline::decode_pool)) instead
     /// of pre-attributed clusters.

@@ -147,7 +147,7 @@ impl TranscoderSpec {
     /// within the payload. Spans must cover every base whose corruption
     /// can change the decoded field value: the skew profiler attributes
     /// position-dependent channel error by them, and field 0's span is
-    /// the window the demultiplexer, the anchored clusterer and the
+    /// the window the demultiplexer, unlabeled-pool routing and the
     /// fault injector treat as the index.
     pub fn field_span(self, field: usize, geom: PayloadGeometry) -> (usize, usize) {
         match self {

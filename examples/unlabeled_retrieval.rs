@@ -1,9 +1,9 @@
 //! Unlabeled-pool retrieval: the realistic front half of a DNA storage
 //! pipeline. The sequencer returns an anonymous soup — no labels, random
-//! orientation, shuffled order — and retrieval must cluster the reads,
-//! recover their orientation against the primers, and demultiplex them
-//! by their decoded ordering indexes before the usual consensus + RS
-//! decode can run.
+//! orientation, shuffled order — and retrieval must recover each read's
+//! orientation against the primers and route it by its decoded ordering
+//! index (checking each column's reads against one another) before the
+//! usual consensus + RS decode can run.
 //!
 //! ```text
 //! cargo run --release --example unlabeled_retrieval
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\n{name}: {} anonymous reads", anon.len());
         println!("  oracle   : exact={}", oracle == payload);
         println!(
-            "  recovered: exact={} (clusters={}, purity={:.3}, orphaned={}, merges={}, flipped={})",
+            "  recovered: exact={} (groups={}, purity={:.3}, orphaned={}, re-routed={}, flipped={})",
             recovered == payload,
             recovery.clusters_found,
             recovery.purity().unwrap_or(f64::NAN),

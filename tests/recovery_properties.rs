@@ -2,7 +2,9 @@
 //! anonymize → recover → decode path must round-trip byte-identically to
 //! the labeled path at zero noise for *any* seed, stay invariant under
 //! read-order shuffling and whole-pool reverse complementation, and keep
-//! its scores inside [0, 1] under arbitrary noise.
+//! its scores inside [0, 1] under arbitrary noise. One release-only test
+//! pins index-first routing's decode quality at the benchmark's
+//! operating point.
 
 use dna_skew::prelude::*;
 use dna_skew::storage::StorageError;
@@ -157,4 +159,55 @@ proptest! {
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other}"))),
         }
     }
+}
+
+/// Routing quality at the `recover-unlabeled` operating point: laptop
+/// geometry with 16-base primers, the Gini layout, `nanopore_decay(0.05)`
+/// at a fixed 8 reads per molecule, 4 seeds × 8 units. Index-first
+/// routing must decode every unit exactly: no failed codeword, and never
+/// wrong bytes behind a clean report. Release-only (a debug build takes
+/// minutes).
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn routing_quality_is_exact_at_coverage_8() {
+    let pipeline = Pipeline::builder()
+        .params(
+            CodecParams::laptop()
+                .expect("laptop params")
+                .with_primer_len(16),
+        )
+        .layout(Layout::Gini {
+            excluded_rows: vec![],
+        })
+        .recovery(RecoveryPipeline::anchored(None))
+        .build()
+        .expect("laptop pipeline");
+    let sequencer = SimulatedSequencer::with_channel(
+        ChannelModel::nanopore_decay(0.05),
+        CoverageModel::Fixed(8),
+    );
+    let (mut exact, mut failed, mut silent) = (0, 0, 0);
+    for seed in 1..=4u64 {
+        let payloads: Vec<Vec<u8>> = (0..8)
+            .map(|u| payload_from_seed(seed * 8 + u, pipeline.payload_capacity()))
+            .collect();
+        let units = pipeline.encode_batch(&payloads).expect("encode");
+        let pools: Vec<AnonymousPool> = pipeline
+            .sequence_batch(&sequencer, &units, seed)
+            .iter()
+            .enumerate()
+            .map(|(u, pool)| AnonymousPool::from_clusters(pool.clusters(), seed ^ (u as u64 + 1)))
+            .collect();
+        for ((bytes, report), want) in pipeline
+            .decode_pool_batch(&pools)
+            .expect("every unit recovers")
+            .into_iter()
+            .zip(&payloads)
+        {
+            failed += report.failed_codewords();
+            exact += usize::from(&bytes == want);
+            silent += usize::from(&bytes != want && !report.flags_degradation());
+        }
+    }
+    assert_eq!((exact, failed, silent), (32, 0, 0));
 }

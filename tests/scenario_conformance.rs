@@ -281,11 +281,11 @@ const GOLDEN_MATRIX: [&str; 21] = [
 ];
 
 /// The unlabeled-retrieval conformance matrix: 3 channel presets ×
-/// 2 clusterers × 2 coverages, decoded through the full
-/// anonymize → cluster → orient → demux → decode path on a
-/// primer-wrapped tiny pipeline. Each cell pins the decoded-bytes hash
-/// plus the recovery tallies (purity as an exact ratio, orphaned reads,
-/// fragment merges, failed codewords).
+/// 2 recovery stages (greedy clustering, index-first routing) ×
+/// 2 coverages, decoded through the full anonymize → recover → decode
+/// path on a primer-wrapped tiny pipeline. Each cell pins the
+/// decoded-bytes hash plus the recovery tallies (purity as an exact
+/// ratio, orphaned reads, merges or re-routes, failed codewords).
 fn recovery_presets() -> Vec<(&'static str, ChannelModel)> {
     vec![
         (
@@ -374,16 +374,16 @@ fn compute_recovery_matrix() -> Vec<String> {
 const RECOVERY_GOLDEN_MATRIX: [&str; 12] = [
     "preset=uniform:0.03 clusterer=greedy cov=6 hash=0x7441d7e2f2760db4 purity=260/273 orphans=0 merges=44 failed=0",
     "preset=uniform:0.03 clusterer=greedy cov=12 hash=0x7441d7e2f2760db4 purity=524/545 orphans=0 merges=84 failed=0",
-    "preset=uniform:0.03 clusterer=anchored cov=6 hash=0x7441d7e2f2760db4 purity=252/273 orphans=0 merges=89 failed=0",
-    "preset=uniform:0.03 clusterer=anchored cov=12 hash=0x7441d7e2f2760db4 purity=504/545 orphans=0 merges=178 failed=0",
+    "preset=uniform:0.03 clusterer=anchored cov=6 hash=0x7441d7e2f2760db4 purity=264/264 orphans=9 merges=13 failed=0",
+    "preset=uniform:0.03 clusterer=anchored cov=12 hash=0x7441d7e2f2760db4 purity=527/527 orphans=18 merges=33 failed=0",
     "preset=nanopore-decay:0.05 clusterer=greedy cov=6 hash=0xa7104be7035c34e9 purity=240/273 orphans=0 merges=147 failed=7",
     "preset=nanopore-decay:0.05 clusterer=greedy cov=12 hash=0x7441d7e2f2760db4 purity=476/545 orphans=0 merges=280 failed=0",
-    "preset=nanopore-decay:0.05 clusterer=anchored cov=6 hash=0xb37ac8bff6bad04d purity=241/272 orphans=1 merges=159 failed=6",
-    "preset=nanopore-decay:0.05 clusterer=anchored cov=12 hash=0x7441d7e2f2760db4 purity=470/544 orphans=1 merges=323 failed=0",
+    "preset=nanopore-decay:0.05 clusterer=anchored cov=6 hash=0x1b49329442452804 purity=256/256 orphans=17 merges=23 failed=2",
+    "preset=nanopore-decay:0.05 clusterer=anchored cov=12 hash=0x7441d7e2f2760db4 purity=513/514 orphans=31 merges=53 failed=0",
     "preset=dropout:0.03 clusterer=greedy cov=6 hash=0x64b3334c47a93d33 purity=240/248 orphans=0 merges=35 failed=6",
     "preset=dropout:0.03 clusterer=greedy cov=12 hash=0x7441d7e2f2760db4 purity=475/497 orphans=1 merges=95 failed=0",
-    "preset=dropout:0.03 clusterer=anchored cov=6 hash=0xd2c3d20e7bedeb4c purity=235/247 orphans=1 merges=78 failed=6",
-    "preset=dropout:0.03 clusterer=anchored cov=12 hash=0x121efa94b415e4d2 purity=469/497 orphans=1 merges=159 failed=6",
+    "preset=dropout:0.03 clusterer=anchored cov=6 hash=0x132c604f0eeb84e0 purity=243/243 orphans=5 merges=12 failed=5",
+    "preset=dropout:0.03 clusterer=anchored cov=12 hash=0x2356e3a5ec5464ea purity=480/480 orphans=18 merges=21 failed=5",
 ];
 
 /// The object-store conformance cell: a deterministic store lifecycle
