@@ -45,7 +45,8 @@ pub fn edit_distance<T: Eq>(a: &[T], b: &[T]) -> usize {
 /// Runs Myers' bit-parallel algorithm in Hyyrö's block form, with the
 /// shorter input as the pattern: ⌈min(|a|,|b|)/64⌉·max(|a|,|b|) word
 /// operations, which is what makes clustering large read pools
-/// affordable. The scan stops early once the distance provably exceeds
+/// affordable. A pattern of at most 64 symbols keeps its one block in
+/// registers. The scan stops early once the distance provably exceeds
 /// `bound`.
 ///
 /// # Examples
@@ -192,6 +193,7 @@ impl BasePattern {
         bound: usize,
         state: &mut Vec<usize>,
     ) -> Option<usize> {
+        state.resize(self.state_words(), 0);
         self.scan_bases(text.iter().copied(), bound, state, |_| {})
     }
 
@@ -202,20 +204,26 @@ impl BasePattern {
     pub fn prefix_distances(&self, text: &[Base], state: &mut Vec<usize>, out: &mut Vec<usize>) {
         out.clear();
         out.push(self.len);
+        state.resize(self.state_words(), 0);
         self.scan_bases(text.iter().copied(), usize::MAX, state, |d| out.push(d));
+    }
+
+    /// The scratch words [`BasePattern::scan_bases`] needs: the delta
+    /// vectors, 2 words per 64 pattern bases.
+    pub(crate) fn state_words(&self) -> usize {
+        2 * self.len.div_ceil(WORD)
     }
 
     /// The kernel over any exact-length run of bases, so callers can
     /// score a transformed window (a complemented tail) without copying
-    /// it.
+    /// it. `state` holds at least [`BasePattern::state_words`] words.
     pub(crate) fn scan_bases(
         &self,
         text: impl ExactSizeIterator<Item = Base>,
         bound: usize,
-        state: &mut Vec<usize>,
+        state: &mut [usize],
         column: impl FnMut(usize),
     ) -> Option<usize> {
-        state.resize(2 * self.len.div_ceil(WORD), 0);
         let row_of = |b: Base| usize::from(b.to_bits());
         scan(&self.masks, self.len, text, row_of, state, bound, column)
     }
@@ -227,7 +235,9 @@ impl BasePattern {
 /// symbol to its row. `state` (2w words, contents ignored) holds the
 /// vertical delta vectors. `column` sees D(pattern, text[..j]) for each
 /// `j ≥ 1` in turn. Returns the distance when it is at most `bound`,
-/// stopping early once it provably exceeds `bound`.
+/// stopping early once it provably exceeds `bound`. Patterns of at most
+/// 64 symbols (every primer, anchor and validation window) take
+/// [`scan_word`].
 fn scan<S>(
     masks: &[usize],
     n: usize,
@@ -245,8 +255,11 @@ fn scan<S>(
         (1..=m).for_each(column);
         return Some(m);
     }
+    if n <= WORD {
+        return scan_word(masks, n, text, row_of, bound, column);
+    }
     let words = n.div_ceil(WORD);
-    let (pv, mv) = state.split_at_mut(words);
+    let (pv, mv) = state[..2 * words].split_at_mut(words);
     // Column 0: D[i][0] = i, so every vertical delta is +1.
     pv.fill(!0);
     mv.fill(0);
@@ -289,6 +302,48 @@ fn scan<S>(
         if probe && col % 8 == 0 && col < m {
             if let Some(i) = (col + n).checked_sub(m) {
                 if diagonal_cell(pv, mv, col, i) > bound {
+                    return None;
+                }
+            }
+        }
+    }
+    (score <= bound).then_some(score)
+}
+
+/// [`scan`] for a pattern of 1..=64 symbols: one mask word per row, the
+/// delta vectors in registers, no block loop and no carry between
+/// blocks. Same answers, same `column` calls and the same diagonal early
+/// exit; `state` goes unused.
+fn scan_word<S>(
+    masks: &[usize],
+    n: usize,
+    text: impl ExactSizeIterator<Item = S>,
+    row_of: impl Fn(S) -> usize,
+    bound: usize,
+    mut column: impl FnMut(usize),
+) -> Option<usize> {
+    let m = text.len();
+    let last_row = 1 << (n - 1);
+    let probe = bound < n.max(m);
+    let (mut pv, mut mv) = (!0usize, 0usize);
+    let mut score = n;
+    for (j, s) in text.enumerate() {
+        let eq = masks[row_of(s)];
+        // Myers' step with the top row's horizontal delta of +1.
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        score = score + usize::from(ph & last_row != 0) - usize::from(mh & last_row != 0);
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+        column(score);
+        let col = j + 1;
+        if probe && col % 8 == 0 && col < m {
+            if let Some(i) = (col + n).checked_sub(m) {
+                if diagonal_cell(&[pv], &[mv], col, i) > bound {
                     return None;
                 }
             }

@@ -90,22 +90,33 @@ impl AnchorOrienter {
         &self.anchor
     }
 
-    /// The anchor compiled for bounded comparisons.
-    pub fn pattern(&self) -> &BasePattern {
-        &self.pattern
-    }
-
-    /// Edit distance between the anchor and a read prefix.
-    fn prefix_score(
+    /// Fills `out` with the anchor's distance to every prefix of
+    /// `prefix`: `out[j] = D(anchor, prefix[..j])`. `out` has one more
+    /// slot than `prefix` has bases.
+    fn prefix_distances(
         &self,
         prefix: impl ExactSizeIterator<Item = Base>,
-        state: &mut Vec<usize>,
-    ) -> usize {
-        // The bound is the anchor length: an empty prefix scores exactly
-        // that, so the bounded search always returns Some.
-        self.pattern
-            .scan_bases(prefix, self.anchor.len().max(1), state, |_| {})
-            .unwrap_or(self.anchor.len())
+        state: &mut [usize],
+        out: &mut [usize],
+    ) {
+        out[0] = self.anchor.len();
+        let mut j = 0;
+        self.pattern.scan_bases(prefix, usize::MAX, state, |d| {
+            j += 1;
+            out[j] = d;
+        });
+    }
+
+    /// A prefix distance as an orientation score: a distance past
+    /// `max(anchor length, 1)` scores the anchor length, which is what an
+    /// empty prefix scores.
+    fn score(&self, d: usize) -> usize {
+        let len = self.anchor.len();
+        if d <= len.max(1) {
+            d
+        } else {
+            len
+        }
     }
 
     /// Decides `read`'s orientation and returns it with the canonical
@@ -115,12 +126,20 @@ impl AnchorOrienter {
         self.orient_with(read, &mut Vec::new())
     }
 
-    /// [`AnchorOrienter::orient`] against a caller-owned scratch buffer.
-    /// The reverse orientation is scored straight off the complemented,
+    /// [`AnchorOrienter::orient`] against a caller-owned buffer. The
+    /// reverse orientation is scored straight off the complemented,
     /// back-to-front tail of the read (never a flipped copy), so
     /// pool-scale orientation loops allocate only the canonical strand
     /// itself — which for reads decided `Forward` is just a clone of the
     /// input.
+    ///
+    /// Each orientation is scored by the anchor's distance to the first
+    /// `anchor + slack` bases of that orientation (fewer for a shorter
+    /// read). On return `row` holds the chosen canonical strand's prefix
+    /// distances over that window: `row[j] = D(anchor, canonical[..j])`
+    /// for every `j` up to the window's length, so callers that need the
+    /// anchor's end or fit read them here instead of scanning again.
+    /// `row`'s prior contents are ignored.
     ///
     /// Ties (both orientations equally close to the anchor) are broken by
     /// comparing the two candidate canonical strands lexicographically —
@@ -140,11 +159,20 @@ impl AnchorOrienter {
             .len()
             .saturating_add(self.slack)
             .min(bases.len());
-        let forward_score = self.prefix_score(bases[..window].iter().copied(), row);
+        // `row`: the forward prefix distances, the reverse ones, then the
+        // kernel's scratch.
+        let span = window + 1;
+        row.clear();
+        row.resize(2 * span + self.pattern.state_words(), 0);
+        let (forward, rest) = row.split_at_mut(span);
+        let (reverse, state) = rest.split_at_mut(span);
+        self.prefix_distances(bases[..window].iter().copied(), state, forward);
         // The reverse complement's prefix is the complemented,
         // back-to-front tail of the read.
         let tail = bases[bases.len() - window..].iter().rev();
-        let reverse_score = self.prefix_score(tail.map(|b| b.complement()), row);
+        self.prefix_distances(tail.map(|b| b.complement()), state, reverse);
+        let forward_score = self.score(forward[window]);
+        let reverse_score = self.score(reverse[window]);
         let orientation = match forward_score.cmp(&reverse_score) {
             std::cmp::Ordering::Less => ReadOrientation::Forward,
             std::cmp::Ordering::Greater => ReadOrientation::ReverseComplement,
@@ -163,8 +191,12 @@ impl AnchorOrienter {
         };
         let canonical = match orientation {
             ReadOrientation::Forward => read.clone(),
-            ReadOrientation::ReverseComplement => read.reverse_complement(),
+            ReadOrientation::ReverseComplement => {
+                row.copy_within(span..2 * span, 0);
+                read.reverse_complement()
+            }
         };
+        row.truncate(span);
         (orientation, canonical)
     }
 }
@@ -219,6 +251,30 @@ mod tests {
         let huge = AnchorOrienter::new(anchor).with_slack(usize::MAX);
         for r in [read.clone(), read.reverse_complement()] {
             assert_eq!(huge.orient(&r), whole.orient(&r));
+        }
+    }
+
+    #[test]
+    fn the_row_holds_the_canonical_strands_prefix_distances() {
+        let anchor = random_strand(15, 4);
+        let orienter = AnchorOrienter::new(anchor.clone());
+        let pattern = BasePattern::new(anchor.as_slice());
+        let (mut row, mut state, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        for seed in 0..20u64 {
+            let payload = random_strand(seed as usize, 40 + seed);
+            let strand = DnaString::concat([&anchor, &payload]);
+            let read = random_strand(seed as usize + 2, 60 + seed);
+            for r in [
+                strand.clone(),
+                strand.reverse_complement(),
+                read.clone(),
+                read.reverse_complement(),
+            ] {
+                let (_, canonical) = orienter.orient_with(&r, &mut row);
+                let window = (anchor.len() + 3).min(r.len());
+                pattern.prefix_distances(&canonical.as_slice()[..window], &mut state, &mut want);
+                assert_eq!(row, want, "seed {seed} read {r}");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property tests: edit distance is a metric; the bounded bit-parallel
 //! kernel, generic and compiled (`BasePattern`), agrees with the
-//! reference DP across word boundaries; alignment distance equals edit
+//! reference DP across word boundaries and on its one-word path
+//! (patterns of at most 64 symbols); alignment distance equals edit
 //! distance; orientation recovery is an involution; clusterers are
 //! deterministic and order-stable.
 
@@ -71,18 +72,30 @@ fn bases(v: &[u8]) -> Vec<Base> {
     v.iter().map(|&b| Base::from_bits(b)).collect()
 }
 
-/// Texts for one compiled pattern `p`: `p` itself, a mutated prefix and
-/// a mutated extension of `p` (so texts both shorter and longer than the
-/// pattern occur), and an independent draw.
-fn pattern_texts(p: &[u8], rng: &mut StdRng) -> [Vec<u8>; 4] {
+/// Texts over `alphabet` symbols for one pattern `p`: `p` itself, a
+/// mutated prefix and a mutated extension of `p` (so texts both shorter
+/// and longer than the pattern occur), and an independent draw.
+fn pattern_texts(p: &[u8], rng: &mut StdRng, alphabet: u8) -> [Vec<u8>; 4] {
     let cut = rng.gen_range(0..=p.len());
-    let shorter = mutated(&p[..cut], rng, 4);
+    let shorter = mutated(&p[..cut], rng, alphabet);
     let extra = rng.gen_range(1..30);
     let mut longer = p.to_vec();
-    longer.extend(draw(rng, extra, 4));
-    let longer = mutated(&longer, rng, 4);
+    longer.extend(draw(rng, extra, alphabet));
+    let longer = mutated(&longer, rng, alphabet);
     let n = rng.gen_range(0..p.len() + 30);
-    [p.to_vec(), shorter, longer, draw(rng, n, 4)]
+    [p.to_vec(), shorter, longer, draw(rng, n, alphabet)]
+}
+
+/// A pattern length on the kernel's one-word path: mostly 15–33 (the
+/// primers, orientation anchors and validation windows recovery
+/// compares), else the word edge 63/64/65 (65 takes the two-word path),
+/// else anything in 1..=64.
+fn one_word_len(rng: &mut StdRng) -> usize {
+    match rng.gen_range(0..10) {
+        0..=5 => rng.gen_range(15..=33),
+        6 | 7 => [63, 64, 65][rng.gen_range(0..3usize)],
+        _ => rng.gen_range(1..=64),
+    }
 }
 
 /// Checks the kernel against the reference DP in both argument orders at
@@ -166,7 +179,7 @@ proptest! {
         prop_assert_eq!(pattern.len(), p.len());
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
         let mut state = vec![usize::MAX; 9];
-        for t in pattern_texts(&p, &mut rng) {
+        for t in pattern_texts(&p, &mut rng, 4) {
             let exact = edit_distance(&p, &t);
             for bound in [0, bound, exact.saturating_sub(1), exact, exact + 1, usize::MAX] {
                 let want = (exact <= bound).then_some(exact);
@@ -316,10 +329,59 @@ proptest! {
         let pattern = BasePattern::new(&bases(&p));
         let mut state = vec![usize::MAX; 5];
         let mut out = vec![7; 3];
-        for t in pattern_texts(&p, &mut rng) {
+        for t in pattern_texts(&p, &mut rng, 4) {
             pattern.prefix_distances(&bases(&t), &mut state, &mut out);
             let want: Vec<usize> = (0..=t.len()).map(|j| edit_distance(&p, &t[..j])).collect();
             prop_assert_eq!(&out, &want, "p={:?} t={:?}", p, t);
+        }
+    }
+}
+
+proptest! {
+    /// The one-word path answers as the reference DP: the compiled
+    /// pattern's bounded distance and every-prefix scan, and the generic
+    /// kernel over alphabets of 1–20 classes in both argument orders, at
+    /// bounds 0, exact − 1, exact, exact + 1 and `usize::MAX`.
+    #[test]
+    fn one_word_kernel_matches_the_reference(seed in any::<u64>(), alphabet in 1u8..=20) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = one_word_len(&mut rng);
+        let p = draw(&mut rng, n, 4);
+        let pattern = BasePattern::new(&bases(&p));
+        let (mut state, mut out) = (vec![usize::MAX; 3], vec![9; 2]);
+        for t in pattern_texts(&p, &mut rng, 4) {
+            let exact = edit_distance(&p, &t);
+            for bound in [0, exact.saturating_sub(1), exact, exact + 1, usize::MAX] {
+                let want = (exact <= bound).then_some(exact);
+                prop_assert_eq!(
+                    pattern.distance_bounded(&bases(&t), bound, &mut state),
+                    want,
+                    "p={:?} t={:?} bound={}",
+                    p,
+                    t,
+                    bound
+                );
+            }
+            pattern.prefix_distances(&bases(&t), &mut state, &mut out);
+            let want: Vec<usize> = (0..=t.len()).map(|j| edit_distance(&p, &t[..j])).collect();
+            prop_assert_eq!(&out, &want, "p={:?} t={:?}", p, t);
+        }
+        let a = draw(&mut rng, n, alphabet);
+        let mut row = vec![usize::MAX; 5];
+        for b in pattern_texts(&a, &mut rng, alphabet) {
+            let exact = edit_distance(&a, &b);
+            for bound in [0, exact.saturating_sub(1), exact, exact + 1, usize::MAX] {
+                let want = (exact <= bound).then_some(exact);
+                prop_assert_eq!(
+                    edit_distance_bounded_with(&a, &b, bound, &mut row),
+                    want,
+                    "a={:?} b={:?} bound={}",
+                    a,
+                    b,
+                    bound
+                );
+                prop_assert_eq!(edit_distance_bounded_with(&b, &a, bound, &mut row), want);
+            }
         }
     }
 }

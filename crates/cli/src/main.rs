@@ -33,7 +33,8 @@ USAGE:
   dnastore pack     <file>... --out <pool-dir> [--transcoder …]
   dnastore fetch    <object-id|name> --store <pool-dir> [--output <file>]
   dnastore ls       --store <pool-dir>
-  dnastore serve    --store <pool-dir> [--addr 127.0.0.1:7070] [--workers N] [--queue N]
+  dnastore serve    --store <pool-dir> [--addr 127.0.0.1:7070] [--workers 1..=256]
+                    [--queue N]
   dnastore chaos    [--seed N] [--trials N] [--scenario <substring>]
 
 channel presets:   uniform (default, rate 0.06), nanopore-decay, pcr-skewed,
@@ -64,7 +65,8 @@ pack streams files into a capsule-pool object store (created on first use:
      the manifest.
 
 serve runs a long-lived service over one store: a bounded work queue in
-     front of N decode workers (one warm decode workspace each), speaking
+     front of N decode workers (one warm decode workspace and one OS
+     thread each; default 4, at most 256), speaking
      the line/length-prefixed protocol (PING, LS, STATS, FETCH, RFETCH,
      PUT, DEL, QUIT) on loopback TCP. Concurrent fetches of the same
      object coalesce into one shared decode.
@@ -77,6 +79,11 @@ chaos runs the built-in adversarial fault-injection campaign (sustained
      silent verdict (wrong bytes, no error) makes the command fail.
      --scenario filters presets by name substring.
 ";
+
+/// The most decode workers `serve` starts, each an OS thread: a larger
+/// `--workers` is a usage error rather than a spawn loop that runs the
+/// machine out of threads.
+const MAX_SERVE_WORKERS: usize = 256;
 
 /// Flags that take no value (presence alone switches them on).
 const BOOL_FLAGS: [&str; 1] = ["unlabeled"];
@@ -156,6 +163,18 @@ fn numeric<T: std::str::FromStr>(
         v.parse()
             .map_err(|_| CliError::Usage(format!("bad --{key} {v:?}")))
     })
+}
+
+/// `serve`'s `--workers`: 4 when absent, else 1..=[`MAX_SERVE_WORKERS`].
+fn serve_workers(flags: &HashMap<String, String>) -> Result<usize, CliError> {
+    let workers: usize = numeric(flags, "workers", 4)?;
+    if (1..=MAX_SERVE_WORKERS).contains(&workers) {
+        Ok(workers)
+    } else {
+        Err(CliError::Usage(format!(
+            "--workers {workers} is out of range 1..={MAX_SERVE_WORKERS}"
+        )))
+    }
 }
 
 fn run() -> Result<(), CliError> {
@@ -346,7 +365,7 @@ fn run() -> Result<(), CliError> {
         "serve" => {
             let dir = required(&flags, "store")?;
             let addr = flags.get("addr").map_or("127.0.0.1:7070", String::as_str);
-            let workers: usize = numeric(&flags, "workers", 4)?;
+            let workers = serve_workers(&flags)?;
             let queue: usize = numeric(&flags, "queue", 64)?;
             let store = open_or_create_store(dir)?;
             let server = Server::start(
@@ -432,5 +451,24 @@ mod tests {
         );
         assert!(check_flags("ls", &flags(&["--store", "d", "--layout", "gini"])).is_err());
         assert!(check_flags("no-such-command", &flags(&["--x", "1"])).is_ok());
+    }
+
+    #[test]
+    fn serve_workers_are_capped_and_nonzero() {
+        // Only the flag check runs here: no store, server or thread.
+        let workers = |value: &str| {
+            let flags = HashMap::from([("workers".to_string(), value.to_string())]);
+            serve_workers(&flags)
+        };
+        assert_eq!(serve_workers(&HashMap::new()).unwrap(), 4);
+        assert_eq!(workers("1").unwrap(), 1);
+        assert_eq!(workers("256").unwrap(), MAX_SERVE_WORKERS);
+        for bad in ["0", "257", "1000000000", &usize::MAX.to_string(), "-1", "x"] {
+            let err = workers(bad).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad}: {err}");
+        }
+        assert!(workers("0").unwrap_err().to_string().contains("1..=256"));
+        assert!(USAGE.contains(&format!("--workers 1..={MAX_SERVE_WORKERS}")));
+        assert!(USAGE.contains(&format!("at most {MAX_SERVE_WORKERS}")));
     }
 }

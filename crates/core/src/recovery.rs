@@ -11,15 +11,17 @@
 //!    orientation by scoring both ends against the left PCR primer
 //!    ([`dna_align::AnchorOrienter`]). Primers are mandatory: every read
 //!    of a random-access pool carries them, and they are the only anchor
-//!    that tells a strand from its reverse complement;
+//!    that tells a strand from its reverse complement. The chosen end's
+//!    scan leaves the primer's distance to every prefix of the canonical
+//!    strand behind, and no later stage scans the primer again;
 //! 2. **Route** — the ordering index sits just past the primer, in the
 //!    strand's most reliable region, so it names a read's molecule
-//!    without any similarity search. One primer scan per read
-//!    re-synchronizes the index offset against the primer's actual end
-//!    and also gives the decoder's primer verdict, so routed columns skip
-//!    the decoder's own primer prefilter. The read then goes to the
-//!    column its decoded index names; reads that fail the primer check or
-//!    carry no readable in-range index are orphaned;
+//!    without any similarity search. The orientation scan's prefix
+//!    distances re-synchronize the index offset against the primer's
+//!    actual end and also give the decoder's primer verdict, so routed
+//!    columns skip the decoder's own primer prefilter. The read then
+//!    goes to the column its decoded index names; reads that fail the
+//!    primer check or carry no readable in-range index are orphaned;
 //! 3. **Validate** — each column groups its reads greedily with one
 //!    compiled comparison over a window of bases past the index
 //!    (`min(32, remaining payload)` bases; a read joins a group within a
@@ -277,14 +279,15 @@ impl RecoveryPipeline {
         }
     }
 
-    /// Index-first routing (the fast path), with no clusterer. One primer
-    /// scan per read re-synchronizes the index offset and gives the
-    /// decoder's primer verdict; the read then goes to the column its
-    /// decoded index names. Each column groups its reads over a window of
-    /// `min(32, remaining payload)` bases past the index and keeps the
-    /// largest group. An outlier moves to a column named by a single-edit
-    /// neighbour of its index whose group it matches, stays when within
-    /// 2/5 of the window of its own group, and is orphaned otherwise.
+    /// Index-first routing (the fast path), with no clusterer. The
+    /// orientation scan of each read's primer end re-synchronizes the
+    /// index offset and gives the decoder's primer verdict; the read then
+    /// goes to the column its decoded index names. Each column groups its
+    /// reads over a window of `min(32, remaining payload)` bases past the
+    /// index and keeps the largest group. An outlier moves to a column
+    /// named by a single-edit neighbour of its index whose group it
+    /// matches, stays when within 2/5 of the window of its own group, and
+    /// is orphaned otherwise.
     ///
     /// `threshold` bounds the window comparison: the edit distance at
     /// which a read joins a group. `None` takes a quarter of the window.
@@ -354,32 +357,39 @@ impl RecoveryPipeline {
         };
 
         // 1. Orientation recovery: flip every read to the synthesized
-        // strand's orientation. The orienter compiles the primer once;
-        // routing and demux reuse it.
+        // strand's orientation. The orienter's primer scan of the chosen
+        // end also gives the read's primer verdict and resynced primer
+        // end, which routing and demux read instead of scanning again.
         let orienter = AnchorOrienter::new(left_primer.strand().clone());
         let mut oriented: Vec<DnaString> = Vec::with_capacity(pool.len());
         let mut read_flips: Vec<bool> = Vec::with_capacity(pool.len());
+        let mut scans: Vec<PrimerScan> = Vec::with_capacity(pool.len());
         let mut row = Vec::new();
         for read in pool.reads() {
             let (o, canonical) = orienter.orient_with(read, &mut row);
+            scans.push(scan_primer(
+                &row,
+                read.len(),
+                left_primer.len(),
+                params.primer_len(),
+            ));
             read_flips.push(o.is_flipped());
             oriented.push(canonical);
         }
 
         // 2. Assign reads to columns.
-        let primer = orienter.pattern();
         let columns = match &self.spec {
             ClustererSpec::Anchored { threshold } => {
-                route(params, primer, &oriented, *threshold, &mut report)
+                route(params, &oriented, &scans, *threshold, &mut report)
             }
             ClustererSpec::Greedy { threshold } => {
                 let threshold = threshold.unwrap_or_else(|| Self::derived_threshold(params));
                 let clusters = GreedyClusterer::new(threshold).cluster(&oriented).clusters;
-                demux_clusters(params, primer, &oriented, &clusters, &mut report)
+                demux_clusters(params, &oriented, &scans, &clusters, &mut report)
             }
             ClustererSpec::Custom(c) => {
                 let clusters = c.cluster(&oriented).clusters;
-                demux_clusters(params, primer, &oriented, &clusters, &mut report)
+                demux_clusters(params, &oriented, &scans, &clusters, &mut report)
             }
         };
         if columns.iter().all(Vec::is_empty) {
@@ -437,14 +447,15 @@ impl RecoveryPipeline {
 
 /// Index-first routing: each read goes to the column its decoded index
 /// names, and each column is then validated against a window of bases
-/// past the index (see the module docs). Returns the read ids of every
-/// column (its largest group in pool order, then the outliers it gained
-/// or kept) and tallies groups, re-routes and orphans into `report`.
-/// `threshold` overrides the join bound (a quarter of the window).
+/// past the index (see the module docs). `scans[r]` is read `r`'s
+/// primer scan. Returns the read ids of every column (its largest group
+/// in pool order, then the outliers it gained or kept) and tallies
+/// groups, re-routes and orphans into `report`. `threshold` overrides the
+/// join bound (a quarter of the window).
 fn route(
     params: &CodecParams,
-    primer: &BasePattern,
     oriented: &[DnaString],
+    scans: &[PrimerScan],
     threshold: Option<usize>,
     report: &mut RecoveryReport,
 ) -> Vec<Vec<usize>> {
@@ -454,13 +465,11 @@ fn route(
     let join = threshold.unwrap_or(window / 4);
     let keep = (2 * window / 5).max(join);
     let mut state = Vec::new();
-    let mut scores = Vec::new();
 
     // Route. `windows[r]` is where read `r`'s validation window starts.
     let mut columns: Vec<Vec<usize>> = vec![Vec::new(); cols];
     let mut windows = vec![0usize; oriented.len()];
-    for (r, read) in oriented.iter().enumerate() {
-        let scan = scan_primer(read, primer, params.primer_len(), &mut state, &mut scores);
+    for (r, (read, scan)) in oriented.iter().zip(scans).enumerate() {
         let idx = scan
             .primed
             .then(|| index.forward(read, scan.end))
@@ -606,11 +615,12 @@ fn edit_neighbours(
 
 /// The clustered arm's demultiplex: each cluster's reads are routed to
 /// the column their index names, the cluster pooling evidence for reads
-/// whose index is unreadable. Returns the read ids of every column.
+/// whose index is unreadable. `scans[r]` is read `r`'s primer scan.
+/// Returns the read ids of every column.
 fn demux_clusters(
     params: &CodecParams,
-    primer: &BasePattern,
     oriented: &[DnaString],
+    scans: &[PrimerScan],
     clusters: &[Vec<usize>],
     report: &mut RecoveryReport,
 ) -> Vec<Vec<usize>> {
@@ -630,23 +640,14 @@ fn demux_clusters(
     let index = IndexField::new(params);
     // Per column: its reads, in merge order.
     let mut columns: Vec<Vec<usize>> = vec![Vec::new(); cols];
-    let mut state: Vec<usize> = Vec::new();
-    let mut scores: Vec<usize> = Vec::new();
     for members in clusters {
         // Group the cluster's reads by their decoded index (BTreeMap:
         // deterministic ascending-column order).
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         let mut unreadable: Vec<usize> = Vec::new();
         for &r in members {
-            let scan = scan_primer(
-                &oriented[r],
-                primer,
-                params.primer_len(),
-                &mut state,
-                &mut scores,
-            );
             let idx = index
-                .forward(&oriented[r], scan.end)
+                .forward(&oriented[r], scans[r].end)
                 .map(|idx| idx as usize)
                 .filter(|&idx| idx < cols);
             match idx {
@@ -704,6 +705,7 @@ fn claim(
 }
 
 /// What one primer scan of a read yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PrimerScan {
     /// The decoder's primer verdict ([`primer_check`]): the read begins
     /// with something close to the primer.
@@ -712,30 +714,27 @@ struct PrimerScan {
     end: usize,
 }
 
-/// One [`BasePattern::prefix_distances`] scan of the read's front gives
-/// both the primer verdict and the re-synchronized primer end: the index
-/// starts wherever the primer *actually* ends in this read, which an
-/// indel inside the primer region shifts by a base or two. Each
-/// candidate end around the nominal `offset` is scored by the edit
-/// distance between the primer and the read prefix of that length, with
-/// a distance past `max(primer length, 1)` scored as the primer length.
-/// Ties keep the earlier candidate (the unshifted offset first), so a
-/// clean read decodes at exactly the nominal offset; a read too short
-/// for any candidate keeps `offset`. `state` and `scores` are scratch for
-/// the kernel and the per-prefix distances.
-fn scan_primer(
-    read: &DnaString,
-    primer: &BasePattern,
-    offset: usize,
-    state: &mut Vec<usize>,
-    scores: &mut Vec<usize>,
-) -> PrimerScan {
-    let bases = read.as_slice();
-    let p = primer.len();
+/// A read's primer verdict and re-synchronized primer end, read off the
+/// primer's prefix distances `scores[j] = D(primer, read[..j])` that
+/// orientation left behind ([`AnchorOrienter::orient_with`]); `p` is the
+/// primer's length. The index starts wherever the primer *actually* ends
+/// in this read, which an indel inside the primer region shifts by a
+/// base or two. Each candidate end around the nominal `offset` is scored
+/// by its prefix distance, with a distance past `max(p, 1)` scored as
+/// `p`. Ties keep the earlier candidate (the unshifted offset first), so
+/// a clean read decodes at exactly the nominal offset; a read too short
+/// for any candidate keeps `offset`.
+///
+/// `scores` must reach every candidate and the verdict prefix, or the
+/// end of the `read_len`-base read; the orienter's default window,
+/// `p + max(p/5, 2)` bases, covers both `offset + 2` (for `offset = p`)
+/// and the verdict's `p + slack/2`.
+fn scan_primer(scores: &[usize], read_len: usize, p: usize, offset: usize) -> PrimerScan {
     let (prefix_len, bound) = primer_check(p);
-    // The scan covers both the resync candidates and the verdict prefix.
-    let end = offset.saturating_add(2).max(prefix_len).min(bases.len());
-    primer.prefix_distances(&bases[..end], state, scores);
+    debug_assert!(
+        scores.len() > offset.saturating_add(2).max(prefix_len).min(read_len),
+        "the primer scores miss a resync candidate or the verdict prefix"
+    );
     let cap = p.max(1);
     let mut best = (usize::MAX, offset);
     for delta in SYNC_SHIFTS {
@@ -752,7 +751,7 @@ fn scan_primer(
         }
     }
     PrimerScan {
-        primed: scores[prefix_len.min(bases.len())] <= bound,
+        primed: scores[prefix_len.min(read_len)] <= bound,
         end: best.1,
     }
 }
@@ -879,13 +878,53 @@ mod tests {
         index.forward(read, best.1)
     }
 
+    /// The one-scan form [`scan_primer`] replaced: its own
+    /// `prefix_distances` scan of the read's front, then the same
+    /// verdict and resync.
+    fn scan_primer_oracle(
+        read: &DnaString,
+        primer: &BasePattern,
+        offset: usize,
+        state: &mut Vec<usize>,
+        scores: &mut Vec<usize>,
+    ) -> PrimerScan {
+        let bases = read.as_slice();
+        let p = primer.len();
+        let (prefix_len, bound) = primer_check(p);
+        let end = offset.saturating_add(2).max(prefix_len).min(bases.len());
+        primer.prefix_distances(&bases[..end], state, scores);
+        let cap = p.max(1);
+        let mut best = (usize::MAX, offset);
+        for delta in SYNC_SHIFTS {
+            let Some(end) = offset.checked_add_signed(delta) else {
+                continue;
+            };
+            let Some(&d) = scores.get(end) else {
+                continue;
+            };
+            let d = if d <= cap { d } else { p };
+            if d < best.0 {
+                best = (d, end);
+            }
+        }
+        PrimerScan {
+            primed: scores[prefix_len.min(bases.len())] <= bound,
+            end: best.1,
+        }
+    }
+
+    /// The primer scan of `read` from its own prefix distances.
+    fn scanned(read: &DnaString, primer: &BasePattern, offset: usize) -> PrimerScan {
+        let (mut state, mut scores) = (Vec::new(), Vec::new());
+        primer.prefix_distances(read.as_slice(), &mut state, &mut scores);
+        scan_primer(&scores, read.len(), primer.len(), offset)
+    }
+
     #[test]
     fn one_pass_resync_matches_the_five_call_oracle() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(18);
-        let mut state = Vec::new();
-        let mut scores = Vec::new();
         let mut checked = 0;
         let index = IndexField::new(&params());
         for primer_len in [0usize, 1, 2, 5, 12, 16, 20] {
@@ -915,10 +954,7 @@ mod tests {
                 let read = DnaString::from_bases(read);
                 for offset in [primer_len, primer_len.saturating_sub(1), primer_len + 1] {
                     assert_eq!(
-                        index.forward(
-                            &read,
-                            scan_primer(&read, &pattern, offset, &mut state, &mut scores).end
-                        ),
+                        index.forward(&read, scanned(&read, &pattern, offset).end),
                         synced_index_oracle(&read, primer.as_slice(), offset, &index),
                         "primer {primer} read {read} offset {offset}"
                     );
@@ -1118,8 +1154,9 @@ mod tests {
         let mut reads = vec![read_of(5, fill); 3];
         reads.push(DnaString::from_bases(unprimed));
         let primer = BasePattern::new(left().strand().as_slice());
+        let scans: Vec<_> = reads.iter().map(|r| scanned(r, &primer, 12)).collect();
         let mut report = RecoveryReport::default();
-        let columns = route(&primered(), &primer, &reads, None, &mut report);
+        let columns = route(&primered(), &reads, &scans, None, &mut report);
         assert_eq!(columns[5], [0, 1, 2]);
         assert_eq!(report.orphaned_reads, 1);
     }
@@ -1149,7 +1186,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(22);
-        let (mut state, mut scores, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut state, mut out) = (Vec::new(), Vec::new());
         let mut verdicts = [0usize; 2];
         for p in 1..=40usize {
             let primer = DnaString::random(p, &mut rng);
@@ -1186,7 +1223,7 @@ mod tests {
                     read.extend(DnaString::random(tail, &mut rng).iter().copied());
                 }
                 let read = DnaString::from_bases(read);
-                let routed = scan_primer(&read, &pattern, p, &mut state, &mut scores).primed;
+                let routed = scanned(&read, &pattern, p).primed;
                 let cluster = Cluster {
                     source: 0,
                     reads: vec![read.clone()],
@@ -1197,6 +1234,103 @@ mod tests {
             }
         }
         assert!(verdicts.iter().all(|&n| n > 200), "verdicts {verdicts:?}");
+    }
+
+    /// How the orienter decided before it kept its prefix distances: one
+    /// bounded score of each end's `p + max(p/5, 2)`-base window, a
+    /// distance past `max(p, 1)` scored `p`, ties to the lexicographically
+    /// smaller canonical strand.
+    fn two_score_orientation(primer: &DnaString, read: &DnaString) -> (bool, DnaString) {
+        let p = primer.len();
+        let window = (p + (p / 5).max(2)).min(read.len());
+        let score = |prefix: &[Base]| {
+            dna_align::edit_distance_bounded(primer.as_slice(), prefix, p.max(1)).unwrap_or(p)
+        };
+        let rc = read.reverse_complement();
+        let (forward, reverse) = (
+            score(&read.as_slice()[..window]),
+            score(&rc.as_slice()[..window]),
+        );
+        if forward < reverse || (forward == reverse && read.as_slice() <= rc.as_slice()) {
+            (false, read.clone())
+        } else {
+            (true, rc)
+        }
+    }
+
+    #[test]
+    fn the_orienters_distances_give_the_scanned_primer_verdict_and_end() {
+        use crate::pipeline::primed_reads;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(24);
+        let (mut row, mut state, mut scores, mut out) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut verdicts, mut flips, mut short) = ([0usize; 2], [0usize; 2], 0);
+        for p in 1..=40usize {
+            let primer = DnaString::random(p, &mut rng);
+            let pattern = BasePattern::new(primer.as_slice());
+            let orienter = AnchorOrienter::new(primer.clone());
+            let window = p + (p / 5).max(2);
+            let mut reads = vec![DnaString::new()];
+            for _ in 0..60 {
+                // The primer with 0–2 edits (a fifth of the reads start
+                // with an unrelated prefix instead), then a tail of any
+                // length, reads shorter than the window included.
+                let mut read = if rng.gen_bool(0.2) {
+                    DnaString::random(p, &mut rng).as_slice().to_vec()
+                } else {
+                    primer.as_slice().to_vec()
+                };
+                for _ in 0..rng.gen_range(0..=2) {
+                    let at = rng.gen_range(0..=read.len());
+                    match rng.gen_range(0..3) {
+                        0 => read.insert(at, Base::from_bits(rng.gen())),
+                        1 if at < read.len() => {
+                            read.remove(at);
+                        }
+                        _ if at < read.len() => read[at] = Base::from_bits(rng.gen()),
+                        _ => {}
+                    }
+                }
+                if rng.gen_bool(0.15) {
+                    read.truncate(rng.gen_range(0..=read.len()));
+                } else {
+                    let tail = rng.gen_range(0..30);
+                    read.extend(DnaString::random(tail, &mut rng).iter().copied());
+                }
+                let read = DnaString::from_bases(read);
+                reads.push(read.reverse_complement());
+                reads.push(read);
+            }
+            for read in &reads {
+                let (o, canonical) = orienter.orient_with(read, &mut row);
+                let (flipped, want) = two_score_orientation(&primer, read);
+                assert_eq!(
+                    (o.is_flipped(), &canonical),
+                    (flipped, &want),
+                    "primer {primer} read {read}"
+                );
+                let scan = scan_primer(&row, read.len(), p, p);
+                assert_eq!(
+                    scan,
+                    scan_primer_oracle(&canonical, &pattern, p, &mut state, &mut scores),
+                    "primer {primer} read {read}"
+                );
+                let cluster = Cluster {
+                    source: 0,
+                    reads: vec![canonical],
+                };
+                let decoded = !primed_reads(&pattern, &cluster, &mut out, &mut state).is_empty();
+                assert_eq!(scan.primed, decoded, "primer {primer} read {read}");
+                verdicts[usize::from(scan.primed)] += 1;
+                flips[usize::from(flipped)] += 1;
+                short += usize::from(read.len() < window);
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 200), "verdicts {verdicts:?}");
+        assert!(flips.iter().all(|&n| n > 1000), "flips {flips:?}");
+        assert!(short > 500, "too few short reads: {short}");
     }
 
     #[test]
