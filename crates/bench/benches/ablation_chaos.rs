@@ -49,7 +49,6 @@ fn loop_scenario(coverage: f64) -> ChaosScenario {
             channel: ChannelModel::nanopore_decay(0.05),
             coverage,
             unlabeled: false,
-            anchored: false,
             payload: PayloadKind::Patterned,
         },
     }

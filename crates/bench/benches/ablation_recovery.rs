@@ -10,7 +10,7 @@
 
 use dna_bench::{patterned_payload, FigureOutput, Scale};
 use dna_channel::{AnonymousPool, ChannelModel, ErrorModel, SequencingBackend};
-use dna_storage::{CodecParams, Layout, Pipeline, RecoveryPipeline, RecoveryReport, Scenario};
+use dna_storage::{CodecParams, Layout, Pipeline, RecoveryReport, Scenario};
 
 fn main() {
     let scale = Scale::from_env();
@@ -29,7 +29,6 @@ fn main() {
         .layout(Layout::Gini {
             excluded_rows: vec![],
         })
-        .recovery(RecoveryPipeline::anchored(None))
         .build()
         .expect("laptop pipeline");
     let payload = patterned_payload(params.payload_bytes(), 251);

@@ -14,8 +14,8 @@ use crate::verdict::{score_bytes, score_decode, Verdict, VerdictTally};
 use dna_channel::{AnonymousPool, ChannelModel, ErrorModel, SequencingBackend};
 use dna_object::{ObjectStore, StoreConfig};
 use dna_storage::{
-    CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, RecoveryPipeline,
-    RetrieveOptions, Scenario, SkewProfile, StorageError, UnitReads,
+    CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, Scenario, SkewProfile,
+    StorageError, UnitReads,
 };
 use std::path::PathBuf;
 
@@ -52,11 +52,9 @@ pub enum ScenarioKind {
         /// Mean reads per molecule.
         coverage: f64,
         /// Shuffle/flip into an [`AnonymousPool`] and decode through
-        /// the recovery stage.
+        /// the pipeline's recovery stage (index-first routing,
+        /// [`RecoveryPipeline::anchored`](dna_storage::RecoveryPipeline::anchored)).
         unlabeled: bool,
-        /// Recover unlabeled pools by index-first routing
-        /// ([`RecoveryPipeline::anchored`]) instead of greedy clustering.
-        anchored: bool,
         /// Ground-truth payload family.
         payload: PayloadKind,
     },
@@ -230,7 +228,6 @@ pub fn builtin_presets() -> Vec<ChaosScenario> {
                 channel: ChannelModel,
                 coverage: f64,
                 unlabeled: bool,
-                anchored: bool,
                 payload: PayloadKind| ChaosScenario {
         name: name.to_string(),
         kind: ScenarioKind::Pool {
@@ -238,7 +235,6 @@ pub fn builtin_presets() -> Vec<ChaosScenario> {
             channel,
             coverage,
             unlabeled,
-            anchored,
             payload,
         },
     };
@@ -253,7 +249,6 @@ pub fn builtin_presets() -> Vec<ChaosScenario> {
             ChannelModel::uniform(ErrorModel::uniform(0.01)),
             10.0,
             false,
-            false,
             PayloadKind::Patterned,
         ),
         pool(
@@ -265,7 +260,6 @@ pub fn builtin_presets() -> Vec<ChaosScenario> {
             ChannelModel::uniform(ErrorModel::uniform(0.02)),
             8.0,
             true,
-            true,
             PayloadKind::Patterned,
         ),
         pool(
@@ -274,7 +268,6 @@ pub fn builtin_presets() -> Vec<ChaosScenario> {
             ChannelModel::uniform(ErrorModel::uniform(0.02)),
             8.0,
             true,
-            false,
             PayloadKind::Patterned,
         ),
         pool(
@@ -289,7 +282,6 @@ pub fn builtin_presets() -> Vec<ChaosScenario> {
             ChannelModel::uniform(ErrorModel::uniform(0.02)),
             9.0,
             true,
-            false,
             PayloadKind::Patterned,
         ),
         pool(
@@ -297,7 +289,6 @@ pub fn builtin_presets() -> Vec<ChaosScenario> {
             FaultPlan::new(),
             ChannelModel::uniform(ErrorModel::uniform(0.03)),
             8.0,
-            true,
             true,
             PayloadKind::Constant,
         ),
@@ -366,7 +357,6 @@ pub fn run_scenario(
             channel,
             coverage,
             unlabeled,
-            anchored,
             payload,
         } => {
             let payload = payload.build(pipeline.payload_capacity());
@@ -405,14 +395,6 @@ pub fn run_scenario(
                 index_region: params.primer_len() + index_start + index_len + 2,
                 foreign_reads,
             };
-            let opts = RetrieveOptions {
-                recovery: Some(if *anchored {
-                    RecoveryPipeline::anchored(None)
-                } else {
-                    RecoveryPipeline::default()
-                }),
-                ..pipeline.decode_options().clone()
-            };
             dna_parallel::parallel_map(config.trials, |t| {
                 let ts = splitmix64(
                     scenario_seed.wrapping_add((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -432,7 +414,7 @@ pub fn run_scenario(
                     UnitReads::Clusters(&clusters)
                 };
                 let outcome = pipeline
-                    .decode(&[reads], &opts, None)
+                    .decode(&[reads], pipeline.decode_options(), None)
                     .map(|mut decoded| decoded.remove(0));
                 let verdict = score_decode(&payload, &outcome);
                 (verdict, outcome.ok().map(|(_, report)| report))

@@ -32,7 +32,6 @@ fn loop_scenario() -> ChaosScenario {
             channel: ChannelModel::nanopore_decay(0.05),
             coverage: 14.0,
             unlabeled: false,
-            anchored: false,
             payload: PayloadKind::Patterned,
         },
     }

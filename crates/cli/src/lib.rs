@@ -13,11 +13,10 @@ use dna_channel::{unit_seed, AnonymousPool, ChannelModel, ErrorModel, ReadPool};
 use dna_object::{LayoutKind, ObjectStore, StoreConfig};
 use dna_storage::{
     CodecParams, DecodeReport, Pipeline, PlannerWarning, ProtectionPlan, ProtectionPlanner,
-    RecoveryPipeline, Scenario, SkewProfile, StorageError, UnitReads,
+    Scenario, SkewProfile, StorageError, UnitReads,
 };
 use dna_strand::{DnaString, TranscoderSpec};
 use std::fmt;
-use std::str::FromStr;
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -166,41 +165,6 @@ pub fn parse_layout(s: &str) -> Result<LayoutKind, CliError> {
         other => Err(CliError::Usage(format!(
             "unknown layout {other:?} (expected baseline|gini|dnamapper)"
         ))),
-    }
-}
-
-/// The recovery stage selected for unlabeled retrieval (`--clusterer`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClustererChoice {
-    /// Exhaustive greedy comparison against every cluster representative.
-    Greedy,
-    /// Index-first routing with per-column validation, no clustering
-    /// (the fast path, and the default).
-    #[default]
-    Anchored,
-}
-
-impl ClustererChoice {
-    /// The recovery stage for this choice (geometry-derived threshold).
-    pub fn to_recovery(self) -> RecoveryPipeline {
-        match self {
-            ClustererChoice::Greedy => RecoveryPipeline::greedy(None),
-            ClustererChoice::Anchored => RecoveryPipeline::anchored(None),
-        }
-    }
-}
-
-impl FromStr for ClustererChoice {
-    type Err = CliError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "greedy" => Ok(ClustererChoice::Greedy),
-            "anchored" => Ok(ClustererChoice::Anchored),
-            other => Err(CliError::Usage(format!(
-                "unknown clusterer {other:?} (expected greedy|anchored)"
-            ))),
-        }
     }
 }
 
@@ -506,8 +470,10 @@ pub fn simulate_planned(
 /// `simulate --unlabeled`: [`simulate_planned`]'s round trip (uniform
 /// plan) over *unlabeled* pools: reads are anonymized (labels dropped,
 /// orientation randomized, order shuffled) after sequencing, and the
-/// pipeline must orient and demultiplex them back (the `clusterer`
-/// stage) before decoding, reading each index through `transcoder`. A
+/// pipeline must orient and route them back (its recovery stage,
+/// [`RecoveryPipeline::anchored`](dna_storage::RecoveryPipeline::anchored))
+/// before decoding, reading each index
+/// through `transcoder`. A
 /// unit whose pool cannot be recovered at all decodes as the labeled
 /// path decodes a unit with no reads, so both report the same failed
 /// codewords and lost molecules.
@@ -524,7 +490,6 @@ pub fn simulate_unlabeled(
     channel: ChannelModel,
     coverage: f64,
     seed: u64,
-    clusterer: ClustererChoice,
     transcoder: TranscoderSpec,
 ) -> Result<SimulationRun, CliError> {
     let params = CodecParams::laptop()?
@@ -533,7 +498,6 @@ pub fn simulate_unlabeled(
     let pipeline = Pipeline::builder()
         .params(params)
         .layout(layout.to_layout())
-        .recovery(clusterer.to_recovery())
         .build()?;
     let scenario = Scenario::with_channel(channel)
         .single_coverage(coverage)
@@ -896,24 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn clusterer_parsing() {
-        assert_eq!(
-            "greedy".parse::<ClustererChoice>().unwrap(),
-            ClustererChoice::Greedy
-        );
-        assert_eq!(
-            "anchored".parse::<ClustererChoice>().unwrap(),
-            ClustererChoice::Anchored
-        );
-        assert_eq!(
-            ClustererChoice::Greedy.to_recovery().clusterer_name(),
-            "greedy"
-        );
-        let err = "kmeans".parse::<ClustererChoice>().unwrap_err();
-        assert!(err.to_string().contains("unknown clusterer"), "{err}");
-    }
-
-    #[test]
     fn unlabeled_simulation_recovers_and_reports() {
         let payload: Vec<u8> = (0..2000u32).map(|i| (i * 29 % 256) as u8).collect();
         let channel = parse_channel_model("uniform:0.02").unwrap();
@@ -923,7 +869,6 @@ mod tests {
             channel,
             10.0,
             19,
-            ClustererChoice::Anchored,
             TranscoderSpec::Direct,
         )
         .unwrap();
@@ -936,8 +881,8 @@ mod tests {
         assert!(recovery.total_reads > 1000);
         // This payload repeats with period 128 columns, so half the
         // molecules have an identical-payload twin differing only in
-        // the 4-base index — clustering cannot separate them and the
-        // per-read demux must. Purity survives, if not unscathed.
+        // the 4-base index — only routing's per-read index decode tells
+        // them apart. Purity survives, if not unscathed.
         assert!(recovery.purity().expect("simulated pools are truth-scored") > 0.85);
         assert_eq!(
             recovery.coverage_histogram.iter().sum::<usize>(),
@@ -958,7 +903,6 @@ mod tests {
                 parse_channel_model("uniform:0.01").unwrap(),
                 10.0,
                 5,
-                ClustererChoice::Anchored,
                 spec,
             )
             .unwrap();
@@ -981,7 +925,6 @@ mod tests {
             channel,
             4.0,
             0,
-            ClustererChoice::Anchored,
             TranscoderSpec::Direct,
         )
         .unwrap();
@@ -1214,7 +1157,6 @@ mod tests {
                 channel(),
                 coverage,
                 3,
-                ClustererChoice::default(),
                 TranscoderSpec::Direct,
             )
         };

@@ -13,7 +13,7 @@ use dna_server::{serve_tcp, ServeConfig, Server};
 use dna_skew_cli::{
     decode, default_output_name, encode, open_or_create_store, pack_files, parse_channel_model,
     parse_layout, parse_plan_arg, parse_transcoder, resolve_object, simulate_planned,
-    simulate_unlabeled, CliError, ClustererChoice, PlanChoice,
+    simulate_unlabeled, CliError, PlanChoice,
 };
 use dna_strand::TranscoderSpec;
 use std::collections::HashMap;
@@ -29,7 +29,7 @@ USAGE:
                     [--coverage N] [--seed N] [--plan auto|uniform|file:<path>]
                     [--parity E] [--tsv <path>]
                     [--transcoder direct|gc-padded|trellis]
-                    [--unlabeled [--clusterer greedy|anchored]]
+                    [--unlabeled]
   dnastore pack     <file>... --out <pool-dir> [--transcoder …]
   dnastore fetch    <object-id|name> --store <pool-dir> [--output <file>]
   dnastore ls       --store <pool-dir>
@@ -52,12 +52,11 @@ protection plans:  uniform (default), auto (skew-profiled unequal protection),
                    values below 47 leave the headroom auto plans reallocate.
 --tsv writes the per-row corrected-error/erasure histograms of the run.
 --unlabeled anonymizes the sequencer output (no labels, random orientation,
-            shuffled order); retrieval must orient and demultiplex the
-            reads before decoding, reading each index through the
-            --transcoder layout. Strands are primer-wrapped; --clusterer
-            picks the recovery: anchored (default) routes every read by
-            its decoded index and checks each column's reads against one
-            another, greedy clusters the reads by similarity first.
+            shuffled order); retrieval orients each read by its primer,
+            routes it to the column its decoded index names (read through
+            the --transcoder layout), and checks each column's reads
+            against one another before decoding. Strands are
+            primer-wrapped.
 
 pack streams files into a capsule-pool object store (created on first use:
      laptop geometry, 16-base per-capsule primers); fetch streams one object
@@ -132,7 +131,6 @@ fn check_flags(command: &str, flags: &HashMap<String, String>) -> Result<(), Cli
             "tsv",
             "transcoder",
             "unlabeled",
-            "clusterer",
         ],
         "pack" => &["out", "transcoder"],
         "fetch" => &["store", "output"],
@@ -241,16 +239,6 @@ fn run() -> Result<(), CliError> {
                 })
                 .transpose()?;
             let unlabeled = flags.contains_key("unlabeled");
-            let clusterer: ClustererChoice = flags
-                .get("clusterer")
-                .map(|s| s.parse())
-                .transpose()?
-                .unwrap_or_default();
-            if !unlabeled && flags.contains_key("clusterer") {
-                return Err(CliError::Usage(
-                    "--clusterer only applies with --unlabeled".into(),
-                ));
-            }
             if unlabeled && (parity.is_some() || flags.contains_key("plan")) {
                 return Err(CliError::Usage(
                     "--unlabeled does not combine with --plan/--parity yet".into(),
@@ -258,9 +246,7 @@ fn run() -> Result<(), CliError> {
             }
             let base_rate = channel.base().total_rate();
             let run = if unlabeled {
-                simulate_unlabeled(
-                    &input, layout, channel, coverage, seed, clusterer, transcoder,
-                )?
+                simulate_unlabeled(&input, layout, channel, coverage, seed, transcoder)?
             } else {
                 simulate_planned(
                     &input, layout, channel, coverage, seed, &plan, parity, transcoder,
@@ -276,11 +262,7 @@ fn run() -> Result<(), CliError> {
                 transcoder.name(),
                 base_rate * 100.0,
                 run.plan.summary(),
-                if unlabeled {
-                    format!(" | unlabeled ({clusterer:?})")
-                } else {
-                    String::new()
-                }
+                if unlabeled { " | unlabeled" } else { "" }
             );
             if let Some(recovery) = &run.report.recovery {
                 println!("  recovery {}", recovery.summary());
@@ -447,6 +429,19 @@ mod tests {
             check_flags("simulate", &flags(&["--input", "f", "--error", "ngs:0.01"])).unwrap_err();
         assert!(
             err.to_string().contains("simulate does not take --error"),
+            "{err}"
+        );
+        // Routing is the only recovery stage; the retired stage selector
+        // is an unknown flag, not a silently ignored one.
+        let err = check_flags(
+            "simulate",
+            &flags(&["--input", "f", "--unlabeled", "--clusterer", "greedy"]),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("simulate does not take --clusterer"),
             "{err}"
         );
         assert!(check_flags("ls", &flags(&["--store", "d", "--layout", "gini"])).is_err());

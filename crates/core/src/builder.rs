@@ -68,6 +68,7 @@ pub struct PipelineBuilder {
     protection: Protection,
     consensus: Option<Arc<dyn TraceReconstructor + Send + Sync>>,
     decode_options: RetrieveOptions,
+    recovery: RecoveryPipeline,
 }
 
 impl std::fmt::Debug for PipelineBuilder {
@@ -95,6 +96,7 @@ impl Default for PipelineBuilder {
             protection: Protection::Uniform,
             consensus: None,
             decode_options: RetrieveOptions::default(),
+            recovery: RecoveryPipeline::anchored(None),
         }
     }
 }
@@ -139,27 +141,21 @@ impl PipelineBuilder {
         self
     }
 
-    /// Configures the unlabeled-pool recovery stage: the default
-    /// options' [`RetrieveOptions::recovery`], which pool decodes
+    /// Sets the recovery stage every unlabeled pool runs before decoding
     /// ([`Pipeline::decode_pool`](crate::Pipeline::decode_pool) and
-    /// friends) run. Pipelines without one fall back to
-    /// [`RecoveryPipeline::default`] on demand.
+    /// friends). The default is index-first routing,
+    /// [`RecoveryPipeline::anchored`]`(None)`.
     pub fn recovery(mut self, recovery: RecoveryPipeline) -> Self {
-        self.decode_options.recovery = Some(recovery);
+        self.recovery = recovery;
         self
     }
 
     /// Default [`RetrieveOptions`] applied by the shorthand decode entry
     /// points ([`Pipeline::decode_unit`](crate::Pipeline::decode_unit)
     /// and friends); [`Pipeline::decode`](crate::Pipeline::decode) takes
-    /// its options per call. A stage set with [`recovery`](Self::recovery)
-    /// is kept unless `options` names its own.
+    /// its options per call.
     pub fn decode_options(mut self, options: RetrieveOptions) -> Self {
-        let recovery = options.recovery.or(self.decode_options.recovery);
-        self.decode_options = RetrieveOptions {
-            recovery,
-            ..options
-        };
+        self.decode_options = options;
         self
     }
 
@@ -239,6 +235,7 @@ impl PipelineBuilder {
                 .unwrap_or_else(|| Arc::new(BmaTwoWay::default())),
             primers,
             self.decode_options,
+            self.recovery,
         ))
     }
 }

@@ -94,7 +94,7 @@ pub enum StorageError {
     /// be split apart (catastrophic loss).
     DirectoryUnreadable,
     /// An anonymous pool with no reads at all was handed to recovery —
-    /// there is nothing to cluster, orient, or decode.
+    /// there is nothing to orient, route, or decode.
     EmptyPool,
     /// Unlabeled-pool recovery orphaned every read: no read carried the
     /// primer and a readable in-range index past it (reads too short, or
@@ -102,8 +102,8 @@ pub enum StorageError {
     AllReadsOrphaned {
         /// Reads in the pool.
         reads: usize,
-        /// Clusters the clusterer produced (routing: validation groups,
-        /// zero when no read was routed).
+        /// Routing: validation groups, zero when no read was routed. A
+        /// caller's clusterer: the clusters it produced.
         clusters: usize,
     },
     /// An object pool has no manifest — neither the sidecar file nor a

@@ -54,10 +54,11 @@ pub enum UnitReads<'a> {
     /// replay, or the output of [`Pipeline::recover_pool`].
     Clusters(&'a [Cluster]),
     /// An unlabeled, orientation-randomized pool of primer-wrapped
-    /// strands (the pipeline must have a primer length). Recovery
-    /// (orient → cluster → demux) runs first; placement then trusts the
-    /// recovered labels, because demux already decoded each index, and
-    /// the report carries the outcome in [`DecodeReport::recovery`].
+    /// strands (the pipeline must have a primer length). The pipeline's
+    /// recovery stage (orient → route → validate) runs first; placement
+    /// then trusts the recovered labels, because routing already decoded
+    /// each index, and the report carries the outcome in
+    /// [`DecodeReport::recovery`].
     Pool(&'a AnonymousPool),
 }
 
@@ -73,24 +74,18 @@ pub struct RetrieveOptions {
     /// the no-ECC ranking study, which has no parity to absorb
     /// index-corruption column losses.
     pub trust_cluster_sources: bool,
-    /// The recovery stage [`UnitReads::Pool`] inputs run. `None` uses the
-    /// pipeline's stage ([`PipelineBuilder::recovery`]), or
-    /// [`RecoveryPipeline::default`] when none was configured.
-    pub recovery: Option<RecoveryPipeline>,
 }
 
 impl RetrieveOptions {
     /// The options for decoding clusters that recovery already labeled
     /// ([`Pipeline::recover_pool`]'s output): placement trusts the
-    /// recovered cluster labels — the ordering index was already decoded
-    /// by the demultiplexer's vote — while the caller's forced erasures
-    /// still apply. [`UnitReads::Pool`] inputs get this placement
+    /// recovered cluster labels — recovery already decoded each read's
+    /// ordering index — while the caller's forced erasures still apply. [`UnitReads::Pool`] inputs get this placement
     /// automatically.
     pub fn recovered(forced_erasures: Vec<usize>) -> RetrieveOptions {
         RetrieveOptions {
             forced_erasures,
             trust_cluster_sources: true,
-            recovery: None,
         }
     }
 }
@@ -108,9 +103,10 @@ pub struct Pipeline {
     rs: Option<Arc<CodeFamily>>,
     consensus: Arc<dyn TraceReconstructor + Send + Sync>,
     primers: Option<(Primer, Primer)>,
-    /// The options the shorthand decode entry points run with, including
-    /// the builder-configured recovery stage.
+    /// The options the shorthand decode entry points run with.
     default_retrieve: RetrieveOptions,
+    /// The stage every [`UnitReads::Pool`] runs before decoding.
+    recovery: RecoveryPipeline,
     /// Every codeword's cell list, precomputed once from the layout (and
     /// plan) so the per-unit hot paths never re-derive (or re-allocate)
     /// them.
@@ -146,6 +142,7 @@ impl Pipeline {
         consensus: Arc<dyn TraceReconstructor + Send + Sync>,
         primers: Option<(Primer, Primer)>,
         default_retrieve: RetrieveOptions,
+        recovery: RecoveryPipeline,
     ) -> Pipeline {
         Pipeline {
             params,
@@ -155,6 +152,7 @@ impl Pipeline {
             consensus,
             primers,
             default_retrieve,
+            recovery,
             cw_positions: Arc::new(cw_positions),
         }
     }
@@ -365,7 +363,7 @@ impl Pipeline {
     ///
     /// Each unit runs consensus, index/symbol decode, one Reed–Solomon
     /// decode per codeword, and the layout unmap; [`UnitReads::Pool`]
-    /// units run `opts.recovery` first. Execution follows from the input:
+    /// units run the pipeline's recovery stage first. Execution follows from the input:
     /// with `Some(ws)` every unit decodes serially on the caller's
     /// workspace (after its first use, the workspace-managed stages
     /// allocate nothing); with `None`, a single unit borrows a per-thread
@@ -476,10 +474,9 @@ impl Pipeline {
 
     /// Reconstructs labeled clusters from an unlabeled pool — the
     /// front half of retrieval — without decoding, returning the
-    /// clusters alongside the [`RecoveryReport`]. Uses the
-    /// builder-configured [`RecoveryPipeline`] (or the default greedy
-    /// stage); decode the result with [`RetrieveOptions::recovered`]
-    /// placement.
+    /// clusters alongside the [`RecoveryReport`]. Runs the pipeline's
+    /// [`RecoveryPipeline`]; decode the result with
+    /// [`RetrieveOptions::recovered`] placement.
     ///
     /// # Errors
     ///
@@ -489,18 +486,8 @@ impl Pipeline {
         &self,
         pool: &AnonymousPool,
     ) -> Result<(Vec<Cluster>, RecoveryReport), StorageError> {
-        self.recovery_stage(&self.default_retrieve)
+        self.recovery
             .recover(&self.params, self.left_primer()?, pool)
-    }
-
-    /// `opts.recovery`, else the pipeline's configured stage, else the
-    /// default greedy stage.
-    fn recovery_stage<'a>(&'a self, opts: &'a RetrieveOptions) -> &'a RecoveryPipeline {
-        static GREEDY: RecoveryPipeline = RecoveryPipeline::greedy(None);
-        opts.recovery
-            .as_ref()
-            .or(self.default_retrieve.recovery.as_ref())
-            .unwrap_or(&GREEDY)
     }
 
     /// The left primer, which orients and routes every pool read.
@@ -535,15 +522,13 @@ impl Pipeline {
                 ws,
             ),
             UnitReads::Pool(pool) => {
-                let stage = self.recovery_stage(opts);
-                let (clusters, recovery) =
-                    stage.recover(&self.params, self.left_primer()?, pool)?;
+                let (clusters, recovery) = self.recover_pool(pool)?;
                 // Routing already applied the primer check to every read
-                // it assigned; a clustered stage did not.
+                // it assigned; a caller's clusterer did not.
                 let (payload, mut report) = self.decode_clusters(
                     &clusters,
                     true,
-                    !stage.checks_primers(),
+                    !self.recovery.checks_primers(),
                     &opts.forced_erasures,
                     ws,
                 )?;

@@ -32,16 +32,23 @@
 //!    when within 2/5 of the window of its own column's group, and is
 //!    orphaned when not (a foreign read, or one misrouted beyond repair).
 //!
-//! That is [`RecoveryPipeline::anchored`]. [`RecoveryPipeline::greedy`]
-//! and [`RecoveryPipeline::with_clusterer`] keep the older
-//! cluster → demultiplex arm: a [`ReadClusterer`] groups putative copies
-//! of one molecule, each read is routed to the column its index names,
+//!    A column whose group is far smaller than the unit's median column
+//!    (a quarter of it or less) and matches the larger group of a column
+//!    one index edit away holds misrouted copies of that neighbour: its
+//!    molecule dropped out. Its reads are re-routed or orphaned, and the
+//!    column stays an erasure rather than decoding a wrong molecule. A
+//!    real low-coverage column whose content equals such a neighbour's
+//!    (padding, repetitive payloads) looks the same and is erased too.
+//!
+//! That is [`RecoveryPipeline::anchored`], the built-in stage.
+//! [`RecoveryPipeline::with_clusterer`] runs a caller's [`ReadClusterer`]
+//! in place of routing: each read goes to the column its index names,
 //! and the cluster only pools evidence for reads whose index is
 //! unreadable. Groups landing on the same column are merged (they are
 //! fragments of one molecule), and clusters with no readable index are
 //! orphaned.
 //!
-//! Both arms read the index through the unit's [`TranscoderSpec`]: its
+//! Both read the index through the unit's [`TranscoderSpec`]: its
 //! field-0 [`field_span`](TranscoderSpec::field_span) says where the
 //! index ends and the validation window starts, and its
 //! [`decode_index`](TranscoderSpec::decode_index) decodes every read's
@@ -56,7 +63,7 @@
 use crate::params::CodecParams;
 use crate::pipeline::primer_check;
 use crate::StorageError;
-use dna_align::{AnchorOrienter, BasePattern, GreedyClusterer, ReadClusterer};
+use dna_align::{AnchorOrienter, BasePattern, ReadClusterer};
 use dna_channel::{AnonymousPool, Cluster};
 use dna_strand::{Base, DnaString, PayloadGeometry, Primer, TranscoderSpec};
 use std::collections::BTreeMap;
@@ -83,7 +90,8 @@ const WINDOW_MAX: usize = 32;
 ///
 /// Under routing ([`RecoveryPipeline::anchored`]) a "cluster" is a
 /// validation group, and the structural tallies count per read; the
-/// field docs say what each arm counts.
+/// field docs say what routing and a caller's clusterer
+/// ([`RecoveryPipeline::with_clusterer`]) each count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Reads in the anonymous pool.
@@ -91,24 +99,25 @@ pub struct RecoveryReport {
     /// Assigned reads whose delivered orientation was flipped back to
     /// forward.
     pub flipped_reads: usize,
-    /// Clustered arms: clusters the clusterer produced (before demux
-    /// merging). Routing: validation groups, summed over columns.
+    /// Routing: validation groups, summed over columns. A caller's
+    /// clusterer: the clusters it produced (before demux merging).
     pub clusters_found: usize,
-    /// Clustered arms: clusters that could not be assigned to any unit
-    /// column (no read carried a readable in-range index). Routing
-    /// orphans reads, not clusters, and leaves this at zero.
+    /// Routing orphans reads, not clusters, and leaves this at zero. A
+    /// caller's clusterer: clusters that could not be assigned to any
+    /// unit column (no read carried a readable in-range index).
     pub orphaned_clusters: usize,
-    /// Reads that take no part in decoding. Clustered arms: the reads
-    /// inside orphaned clusters. Routing: reads that failed the primer
-    /// check, carried no readable in-range index, or matched no column's
-    /// group (foreign reads).
+    /// Reads that take no part in decoding. Routing: reads that failed
+    /// the primer check, carried no readable in-range index, or matched
+    /// no column's group (foreign reads, and misrouted reads of a dropped
+    /// molecule that match no neighbour). A caller's clusterer: the reads
+    /// inside orphaned clusters.
     pub orphaned_reads: usize,
     /// Distinct unit columns that received at least one read.
     pub assigned_columns: usize,
-    /// Clustered arms: clusters merged into a column that another cluster
-    /// had already claimed — fragment repair (or, rarely, a genuine
-    /// collision). Routing: outlier reads re-routed to the column of a
-    /// single-edit neighbour of their index.
+    /// Routing: outlier reads re-routed to the column of a single-edit
+    /// neighbour of their index. A caller's clusterer: clusters merged
+    /// into a column that another cluster had already claimed — fragment
+    /// repair (or, rarely, a genuine collision).
     pub duplicate_index_merges: usize,
     /// Truth-scored: reads placed in a column other than their true
     /// source strand. Zero when no provenance was available.
@@ -210,29 +219,25 @@ impl RecoveryReport {
 /// Which recovery algorithm the stage runs.
 #[derive(Clone)]
 enum ClustererSpec {
-    /// Exhaustive greedy clustering, then per-read demux.
-    Greedy { threshold: Option<usize> },
     /// Index-first routing and per-column validation; no clusterer.
     Anchored { threshold: Option<usize> },
     /// A caller-provided clusterer, then per-read demux.
     Custom(Arc<dyn ReadClusterer + Send + Sync>),
 }
 
-/// The recovery stage preceding decode on unlabeled pools. Configure it
-/// on the builder
-/// ([`PipelineBuilder::recovery`](crate::PipelineBuilder::recovery)) or
-/// per call in [`RetrieveOptions::recovery`](crate::RetrieveOptions::recovery).
+/// The recovery stage preceding decode on unlabeled pools. Pipelines run
+/// [`RecoveryPipeline::anchored`] unless the builder sets another
+/// ([`PipelineBuilder::recovery`](crate::PipelineBuilder::recovery)).
 ///
 /// # Examples
 ///
 /// ```
-/// use dna_storage::{CodecParams, Pipeline, RecoveryPipeline};
+/// use dna_storage::{CodecParams, Pipeline};
 /// use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pipeline = Pipeline::builder()
 ///     .params(CodecParams::tiny()?.with_primer_len(12))
-///     .recovery(RecoveryPipeline::anchored(None))
 ///     .build()?;
 /// // A varied payload: strands must differ for validation to tell a
 /// // misrouted read from its column's own copies.
@@ -263,23 +268,9 @@ impl std::fmt::Debug for RecoveryPipeline {
     }
 }
 
-impl Default for RecoveryPipeline {
-    /// Greedy clustering at the geometry-derived threshold.
-    fn default() -> RecoveryPipeline {
-        RecoveryPipeline::greedy(None)
-    }
-}
-
 impl RecoveryPipeline {
-    /// Greedy clustering; `threshold: None` derives the edit-distance
-    /// threshold from the geometry (a quarter of the payload region).
-    pub const fn greedy(threshold: Option<usize>) -> RecoveryPipeline {
-        RecoveryPipeline {
-            spec: ClustererSpec::Greedy { threshold },
-        }
-    }
-
-    /// Index-first routing (the fast path), with no clusterer. The
+    /// Index-first routing, with no clusterer: the stage every pipeline
+    /// runs unless its builder sets another. The
     /// orientation scan of each read's primer end re-synchronizes the
     /// index offset and gives the decoder's primer verdict; the read then
     /// goes to the column its decoded index names. Each column groups its
@@ -287,7 +278,10 @@ impl RecoveryPipeline {
     /// index and keeps the largest group. An outlier moves to a column
     /// named by a single-edit neighbour of its index whose group it
     /// matches, stays when within 2/5 of the window of its own group, and
-    /// is orphaned otherwise.
+    /// is orphaned otherwise. A column at most a quarter the size of the
+    /// unit's median column whose group matches a larger neighbour's
+    /// holds misrouted reads of that neighbour; its reads are handled as
+    /// outliers, and it stays an erasure.
     ///
     /// `threshold` bounds the window comparison: the edit distance at
     /// which a read joins a group. `None` takes a quarter of the window.
@@ -308,7 +302,6 @@ impl RecoveryPipeline {
     /// The short name of the configured clusterer.
     pub fn clusterer_name(&self) -> &str {
         match &self.spec {
-            ClustererSpec::Greedy { .. } => "greedy",
             ClustererSpec::Anchored { .. } => "anchored",
             ClustererSpec::Custom(c) => c.name(),
         }
@@ -319,15 +312,6 @@ impl RecoveryPipeline {
     /// the decoder need not scan the primer again.
     pub(crate) fn checks_primers(&self) -> bool {
         matches!(self.spec, ClustererSpec::Anchored { .. })
-    }
-
-    /// The geometry-derived clustering threshold: a quarter of the
-    /// payload region (index + data bases, primers excluded — primers
-    /// are shared by every strand so they contribute nothing to
-    /// inter-strand separation), floored at 3.
-    fn derived_threshold(params: &CodecParams) -> usize {
-        let payload_region = params.strand_bases() - 2 * params.primer_len();
-        (payload_region / 4).max(3)
     }
 
     /// Runs the recovery stage on `pool` for a unit with geometry
@@ -381,11 +365,6 @@ impl RecoveryPipeline {
         let columns = match &self.spec {
             ClustererSpec::Anchored { threshold } => {
                 route(params, &oriented, &scans, *threshold, &mut report)
-            }
-            ClustererSpec::Greedy { threshold } => {
-                let threshold = threshold.unwrap_or_else(|| Self::derived_threshold(params));
-                let clusters = GreedyClusterer::new(threshold).cluster(&oriented).clusters;
-                demux_clusters(params, &oriented, &scans, &clusters, &mut report)
             }
             ClustererSpec::Custom(c) => {
                 let clusters = c.cluster(&oriented).clusters;
@@ -449,9 +428,10 @@ impl RecoveryPipeline {
 /// names, and each column is then validated against a window of bases
 /// past the index (see the module docs). `scans[r]` is read `r`'s
 /// primer scan. Returns the read ids of every column (its largest group
-/// in pool order, then the outliers it gained or kept) and tallies
-/// groups, re-routes and orphans into `report`. `threshold` overrides the
-/// join bound (a quarter of the window).
+/// in pool order, then the outliers it gained or kept; empty when its
+/// molecule dropped out and only a neighbour's misrouted reads named
+/// it) and tallies groups, re-routes and orphans into `report`.
+/// `threshold` overrides the join bound (a quarter of the window).
 fn route(
     params: &CodecParams,
     oriented: &[DnaString],
@@ -492,8 +472,9 @@ fn route(
 
     // Validate: group each column greedily against each group's first
     // read; the largest group (ties to the earliest) stays, and its first
-    // read represents the column.
-    let mut reps: Vec<Option<BasePattern>> = vec![None; cols];
+    // read represents the column. `reps[c]` is column `c`'s
+    // representative and the size of its group.
+    let mut reps: Vec<Option<(BasePattern, usize)>> = vec![None; cols];
     let mut outliers: Vec<(usize, usize)> = Vec::new();
     let mut groups: Vec<(BasePattern, Vec<usize>)> = Vec::new();
     for (c, members) in columns.iter_mut().enumerate() {
@@ -519,41 +500,70 @@ fn route(
         for (_, group) in groups.drain(..) {
             outliers.extend(group.into_iter().map(|r| (c, r)));
         }
+        reps[c] = Some((rep, kept.len()));
         *members = kept;
-        reps[c] = Some(rep);
+    }
+
+    // The first column other than `c`, named by a single-edit neighbour
+    // of read `r`'s index, whose group holds more than `floor` reads and
+    // matches `r`.
+    let (mut field, mut tried, mut scratch) =
+        (Vec::with_capacity(index.bases + 1), Vec::new(), Vec::new());
+    let mut neighbour =
+        |r: usize, c: usize, floor: usize, reps: &[Option<(BasePattern, usize)>]| {
+            let w = window_of(r);
+            let payload = &oriented[r].as_slice()[windows[r] - index.bases..];
+            let mut target = None;
+            tried.clear();
+            edit_neighbours(payload, index.bases, &mut field, |candidate| {
+                let Some(n) = index.decode(candidate).map(|n| n as usize) else {
+                    return false;
+                };
+                if n == c || n >= cols || tried.contains(&n) {
+                    return false;
+                }
+                tried.push(n);
+                let matches = reps[n].as_ref().is_some_and(|(rep, size)| {
+                    *size > floor && rep.distance_bounded(w, join, &mut scratch).is_some()
+                });
+                if matches {
+                    target = Some(n);
+                }
+                matches
+            });
+            target
+        };
+
+    // Dropped molecules: a column whose group is far smaller than the
+    // unit's median, and matches the larger group of a column its index
+    // is one edit from, holds misrouted copies of that neighbour. Its
+    // reads become outliers, and the column stays an erasure.
+    let mut sizes: Vec<usize> = reps.iter().flatten().map(|&(_, size)| size).collect();
+    sizes.sort_unstable();
+    let median = sizes.get(sizes.len() / 2).copied().unwrap_or(0);
+    let misrouted: Vec<usize> = (0..cols)
+        .filter(|&c| {
+            reps[c].as_ref().is_some_and(|&(_, size)| {
+                4 * size <= median && neighbour(columns[c][0], c, size, &reps).is_some()
+            })
+        })
+        .collect();
+    for c in misrouted {
+        reps[c] = None;
+        outliers.extend(columns[c].drain(..).map(|r| (c, r)));
     }
 
     // Outliers: re-route to the first single-edit neighbour of the index
     // whose group matches, else keep within `keep` of the own column's
     // group, else orphan.
-    let mut field: Vec<Base> = Vec::with_capacity(index.bases + 1);
-    let mut tried: Vec<usize> = Vec::new();
     for (c, r) in outliers {
-        let w = window_of(r);
-        let payload = &oriented[r].as_slice()[windows[r] - index.bases..];
-        let mut target = None;
-        tried.clear();
-        edit_neighbours(payload, index.bases, &mut field, |neighbour| {
-            let Some(n) = index.decode(neighbour).map(|n| n as usize) else {
-                return false;
-            };
-            if n == c || n >= cols || tried.contains(&n) {
-                return false;
-            }
-            tried.push(n);
-            let matches = reps[n]
-                .as_ref()
-                .is_some_and(|rep| rep.distance_bounded(w, join, &mut state).is_some());
-            if matches {
-                target = Some(n);
-            }
-            matches
-        });
-        let own = reps[c].as_ref().expect("an outlier's column has a group");
-        if let Some(n) = target {
+        if let Some(n) = neighbour(r, c, 0, &reps) {
             columns[n].push(r);
             report.duplicate_index_merges += 1;
-        } else if own.distance_bounded(w, keep, &mut state).is_some() {
+        } else if reps[c].as_ref().is_some_and(|(own, _)| {
+            own.distance_bounded(window_of(r), keep, &mut state)
+                .is_some()
+        }) {
             columns[c].push(r);
         } else {
             report.orphaned_reads += 1;
@@ -613,7 +623,7 @@ fn edit_neighbours(
     }
 }
 
-/// The clustered arm's demultiplex: each cluster's reads are routed to
+/// A caller's clusterer's demultiplex: each cluster's reads are routed to
 /// the column their index names, the cluster pooling evidence for reads
 /// whose index is unreadable. `scans[r]` is read `r`'s primer scan.
 /// Returns the read ids of every column.
@@ -799,6 +809,7 @@ impl IndexField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dna_align::GreedyClusterer;
     use dna_strand::{encode_index, Base};
 
     fn params() -> CodecParams {
@@ -1037,8 +1048,8 @@ mod tests {
             11,
         );
         for stage in [
-            RecoveryPipeline::default(),
             RecoveryPipeline::anchored(None),
+            RecoveryPipeline::with_clusterer(Arc::new(GreedyClusterer::new(4))),
         ] {
             let (recovered, report) = stage.recover(&primered(), &left(), &pool).unwrap();
             let name = stage.clusterer_name();
@@ -1079,6 +1090,68 @@ mod tests {
         assert_eq!(report.orphaned_reads, 0);
         // Column 9 held two groups before the re-route.
         assert_eq!(report.clusters_found, 3);
+    }
+
+    #[test]
+    fn routing_keeps_a_dropped_molecules_column_empty() {
+        // Molecule 9 has no reads. One read of molecule 5 (index `CC`)
+        // took a substitution to `GC`, index 9, and is column 9's only
+        // read. Column 9 is far smaller than the median column and matches
+        // column 5, one index edit away, so it stays an erasure and the
+        // read goes back to column 5. Column 13 is as small, but its one
+        // read is its own molecule's, matching no neighbour: it stays.
+        let pool = pool_of(
+            &[
+                (0, 0, "TTGGAATTCCGA", 8),
+                (1, 1, "CCAATTGGCCAA", 8),
+                (2, 2, "GATTACAGGCAT", 8),
+                (3, 3, "ACGTTGCAACGT", 8),
+                (5, 5, "AAAACCCCGGGG", 8),
+                (5, 9, "AAAACCCCGGGG", 1),
+                (13, 13, "CACACACACACA", 1),
+            ],
+            9,
+        );
+        let (recovered, report) = RecoveryPipeline::anchored(None)
+            .recover(&primered(), &left(), &pool)
+            .unwrap();
+        assert_eq!(
+            column_sizes(&recovered),
+            [(0, 8), (1, 8), (2, 8), (3, 8), (5, 9), (13, 1)]
+        );
+        assert_eq!(report.coverage_histogram[9], 0);
+        assert_eq!(report.duplicate_index_merges, 1);
+        assert_eq!(report.misassigned_reads, 0);
+        assert_eq!(report.orphaned_reads, 0);
+    }
+
+    #[test]
+    fn routing_erases_a_small_column_identical_to_its_neighbour() {
+        // The same shape, but column 9's one read is molecule 9's own,
+        // and molecule 9 carries molecule 5's fill (repetitive or padded
+        // payloads make such twins). Reads cannot tell this column from
+        // a dropped one, so it is erased too and its read joins column 5:
+        // a correct column becomes an erasure, never an error.
+        let pool = pool_of(
+            &[
+                (0, 0, "TTGGAATTCCGA", 8),
+                (1, 1, "CCAATTGGCCAA", 8),
+                (2, 2, "GATTACAGGCAT", 8),
+                (3, 3, "ACGTTGCAACGT", 8),
+                (5, 5, "AAAACCCCGGGG", 8),
+                (9, 9, "AAAACCCCGGGG", 1),
+            ],
+            9,
+        );
+        let (recovered, report) = RecoveryPipeline::anchored(None)
+            .recover(&primered(), &left(), &pool)
+            .unwrap();
+        assert_eq!(
+            column_sizes(&recovered),
+            [(0, 8), (1, 8), (2, 8), (3, 8), (5, 9)]
+        );
+        assert_eq!(report.duplicate_index_merges, 1);
+        assert_eq!(report.misassigned_reads, 1);
     }
 
     #[test]
@@ -1335,7 +1408,7 @@ mod tests {
 
     #[test]
     fn empty_pools_are_a_typed_error() {
-        let err = RecoveryPipeline::default()
+        let err = RecoveryPipeline::anchored(None)
             .recover(&primered(), &left(), &AnonymousPool::default())
             .unwrap_err();
         assert!(matches!(err, StorageError::EmptyPool), "{err}");
@@ -1349,7 +1422,7 @@ mod tests {
             reads: vec![left().strand().clone(); 2],
         }];
         let pool = AnonymousPool::from_clusters(&clusters, 1);
-        let err = RecoveryPipeline::default()
+        let err = RecoveryPipeline::anchored(None)
             .recover(&primered(), &left(), &pool)
             .unwrap_err();
         assert!(
@@ -1373,9 +1446,10 @@ mod tests {
             },
         ];
         let pool = AnonymousPool::from_clusters(&clusters, 5);
-        let (recovered, report) = RecoveryPipeline::greedy(Some(2))
-            .recover(&primered(), &left(), &pool)
-            .unwrap();
+        let (recovered, report) =
+            RecoveryPipeline::with_clusterer(Arc::new(GreedyClusterer::new(2)))
+                .recover(&primered(), &left(), &pool)
+                .unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].source, 2);
         assert_eq!(recovered[0].reads.len(), 4);

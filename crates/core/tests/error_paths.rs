@@ -3,6 +3,7 @@
 //! knobs, degenerate scenarios — must surface as a descriptive error,
 //! never a panic.
 
+use dna_align::GreedyClusterer;
 use dna_channel::{
     AnonymousPool, ChannelError, ChannelModel, CoverageModel, ErrorModel, PositionProfile,
     SequencingBackend, SimulatedSequencer,
@@ -11,6 +12,7 @@ use dna_storage::{
     min_coverage, CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlan, ProtectionPlanner,
     RecoveryPipeline, RetrieveOptions, Scenario, SkewProfile, StorageError, UnitReads,
 };
+use std::sync::Arc;
 
 fn tiny() -> CodecParams {
     CodecParams::tiny().expect("tiny params")
@@ -203,22 +205,6 @@ fn recovery_fixture() -> (Pipeline, dna_channel::ReadPool) {
     (pipeline, pool)
 }
 
-/// Decodes one pool through an explicit recovery stage, every other
-/// option left at the pipeline's defaults.
-fn decode_pool_via(
-    pipeline: &Pipeline,
-    pool: &AnonymousPool,
-    recovery: RecoveryPipeline,
-) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-    let opts = RetrieveOptions {
-        recovery: Some(recovery),
-        ..pipeline.decode_options().clone()
-    };
-    Ok(pipeline
-        .decode(&[UnitReads::Pool(pool)], &opts, None)?
-        .remove(0))
-}
-
 #[test]
 fn empty_anonymous_pool_is_a_typed_error() {
     let (pipeline, _) = recovery_fixture();
@@ -287,8 +273,15 @@ fn clusters_claiming_one_column_merge_as_fragments() {
         dna_strand::DnaString::from_bases(bases)
     }));
     let anon = AnonymousPool::from_reads(doubled);
-    let (decoded, report) =
-        decode_pool_via(&pipeline, &anon, RecoveryPipeline::greedy(Some(0))).unwrap();
+    let pipeline = Pipeline::builder()
+        .params(pipeline.params().clone())
+        .layout(Layout::Baseline)
+        .recovery(RecoveryPipeline::with_clusterer(Arc::new(
+            GreedyClusterer::new(0),
+        )))
+        .build()
+        .unwrap();
+    let (decoded, report) = pipeline.decode_pool(&anon).unwrap();
     assert_eq!(decoded.len(), pipeline.payload_capacity());
     assert!(report.recovery.unwrap().duplicate_index_merges > 0);
 }

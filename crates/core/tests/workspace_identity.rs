@@ -12,21 +12,18 @@ use dna_channel::{
 };
 use dna_gf::Field;
 use dna_storage::{
-    CodecParams, DecodeReport, DecodeWorkspace, Layout, Pipeline, RecoveryPipeline,
-    RetrieveOptions, UnitReads,
+    CodecParams, DecodeReport, DecodeWorkspace, Layout, Pipeline, RetrieveOptions, UnitReads,
 };
 
 type Decoded = Vec<(Vec<u8>, DecodeReport)>;
 
 fn pipelines() -> Vec<(&'static str, Pipeline, f64, usize)> {
-    // Forced erasures and the anchored recovery stage ride in the default
-    // options so the shorthands run with exactly the options the explicit
-    // calls pass.
+    // Forced erasures ride in the default options so the shorthands run
+    // with exactly the options the explicit calls pass.
     let build = |params: CodecParams, layout: Layout| {
         Pipeline::builder()
             .params(params.with_primer_len(12))
             .layout(layout)
-            .recovery(RecoveryPipeline::anchored(None))
             .decode_options(RetrieveOptions {
                 forced_erasures: vec![1, 3],
                 ..RetrieveOptions::default()

@@ -125,7 +125,7 @@ impl StoreConfig {
 #[derive(Debug, Clone, Default)]
 pub struct FetchOptions {
     /// Route each unit's reads through the unlabeled-pool recovery
-    /// pipeline ([`AnonymousPool`] → cluster → orient → demux → decode)
+    /// pipeline ([`AnonymousPool`] → orient → route → validate → decode)
     /// instead of the direct coverage-1 decode. Slower, but exercises the
     /// capsule-scoped recovery path a real (noisy, unordered) pool needs.
     pub via_recovery: bool,
@@ -1026,7 +1026,7 @@ fn decode_capsule_body(
         .with_primers(cap.left.clone(), cap.right.clone())?;
     let reads = units.iter().map(Vec::len).sum();
     // Recovery fetches send each unit's reads through the full unlabeled-
-    // pool pipeline (cluster → orient → demux → decode); direct fetches
+    // pool pipeline (orient → route → validate → decode); direct fetches
     // place the clean coverage-1 strands as clusters. A caller workspace
     // (one per serve worker) decodes serially on it; without one, units
     // fan out across threads.

@@ -21,7 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .layout(Layout::Gini {
             excluded_rows: vec![],
         })
-        .recovery(RecoveryPipeline::anchored(None))
         .build()?;
     let payload: Vec<u8> = (0..pipeline.payload_capacity())
         .map(|i| (i as u32).wrapping_mul(167) as u8)

@@ -281,11 +281,12 @@ const GOLDEN_MATRIX: [&str; 21] = [
 ];
 
 /// The unlabeled-retrieval conformance matrix: 3 channel presets ×
-/// 2 recovery stages (greedy clustering, index-first routing) ×
-/// 2 coverages, decoded through the full anonymize → recover → decode
-/// path on a primer-wrapped tiny pipeline. Each cell pins the
-/// decoded-bytes hash plus the recovery tallies (purity as an exact
-/// ratio, orphaned reads, merges or re-routes, failed codewords).
+/// 2 coverages, decoded through the full anonymize → orient → route →
+/// validate → decode path on a primer-wrapped tiny pipeline. Each cell
+/// pins the decoded-bytes hash plus the recovery tallies (purity as an
+/// exact ratio, orphaned reads, re-routes, misassigned reads, failed
+/// codewords). Purity alone cannot see a misrouted read that is the only
+/// content of its column; the misassigned count does.
 fn recovery_presets() -> Vec<(&'static str, ChannelModel)> {
     vec![
         (
@@ -299,20 +300,13 @@ fn recovery_presets() -> Vec<(&'static str, ChannelModel)> {
 
 const RECOVERY_SEED: u64 = 0xDECAF;
 
-fn recovery_cell_summary(
-    preset: &str,
-    channel: &ChannelModel,
-    cname: &str,
-    recovery: &RecoveryPipeline,
-    cov: f64,
-) -> String {
+fn recovery_cell_summary(preset: &str, channel: &ChannelModel, cov: f64) -> String {
     let pipeline = Pipeline::builder()
         .params(
             CodecParams::tiny()
                 .expect("tiny params")
                 .with_primer_len(15),
         )
-        .recovery(recovery.clone())
         .build()
         .expect("primered tiny pipeline");
     let scenario = Scenario::with_channel(channel.clone())
@@ -341,28 +335,22 @@ fn recovery_cell_summary(
         merged.merge_from(&report.recovery.expect("recovery stats present"));
     }
     format!(
-        "preset={preset} clusterer={cname} cov={cov} hash={:#018x} purity={}/{} orphans={} \
-         merges={} failed={failed}",
+        "preset={preset} cov={cov} hash={:#018x} purity={}/{} orphans={} merges={} \
+         misassigned={} failed={failed}",
         fnv64(&decoded),
         merged.purity_num,
         merged.purity_den,
         merged.orphaned_reads,
         merged.duplicate_index_merges,
+        merged.misassigned_reads,
     )
 }
 
 fn compute_recovery_matrix() -> Vec<String> {
     let mut out = Vec::new();
     for (preset, channel) in recovery_presets() {
-        for (cname, recovery) in [
-            ("greedy", RecoveryPipeline::greedy(None)),
-            ("anchored", RecoveryPipeline::anchored(None)),
-        ] {
-            for cov in COVERAGES {
-                out.push(recovery_cell_summary(
-                    preset, &channel, cname, &recovery, cov,
-                ));
-            }
+        for cov in COVERAGES {
+            out.push(recovery_cell_summary(preset, &channel, cov));
         }
     }
     out
@@ -371,19 +359,13 @@ fn compute_recovery_matrix() -> Vec<String> {
 /// Golden recovery summaries, pinned at `RECOVERY_SEED`. Regenerate
 /// after an intentional recovery/clustering change with
 /// `DNA_SKEW_BLESS=1` exactly like the main matrix.
-const RECOVERY_GOLDEN_MATRIX: [&str; 12] = [
-    "preset=uniform:0.03 clusterer=greedy cov=6 hash=0x7441d7e2f2760db4 purity=260/273 orphans=0 merges=44 failed=0",
-    "preset=uniform:0.03 clusterer=greedy cov=12 hash=0x7441d7e2f2760db4 purity=524/545 orphans=0 merges=84 failed=0",
-    "preset=uniform:0.03 clusterer=anchored cov=6 hash=0x7441d7e2f2760db4 purity=264/264 orphans=9 merges=13 failed=0",
-    "preset=uniform:0.03 clusterer=anchored cov=12 hash=0x7441d7e2f2760db4 purity=527/527 orphans=18 merges=33 failed=0",
-    "preset=nanopore-decay:0.05 clusterer=greedy cov=6 hash=0xa7104be7035c34e9 purity=240/273 orphans=0 merges=147 failed=7",
-    "preset=nanopore-decay:0.05 clusterer=greedy cov=12 hash=0x7441d7e2f2760db4 purity=476/545 orphans=0 merges=280 failed=0",
-    "preset=nanopore-decay:0.05 clusterer=anchored cov=6 hash=0x1b49329442452804 purity=256/256 orphans=17 merges=23 failed=2",
-    "preset=nanopore-decay:0.05 clusterer=anchored cov=12 hash=0x7441d7e2f2760db4 purity=513/514 orphans=31 merges=53 failed=0",
-    "preset=dropout:0.03 clusterer=greedy cov=6 hash=0x64b3334c47a93d33 purity=240/248 orphans=0 merges=35 failed=6",
-    "preset=dropout:0.03 clusterer=greedy cov=12 hash=0x7441d7e2f2760db4 purity=475/497 orphans=1 merges=95 failed=0",
-    "preset=dropout:0.03 clusterer=anchored cov=6 hash=0x132c604f0eeb84e0 purity=243/243 orphans=5 merges=12 failed=5",
-    "preset=dropout:0.03 clusterer=anchored cov=12 hash=0x2356e3a5ec5464ea purity=480/480 orphans=18 merges=21 failed=5",
+const RECOVERY_GOLDEN_MATRIX: [&str; 6] = [
+    "preset=uniform:0.03 cov=6 hash=0x7441d7e2f2760db4 purity=264/264 orphans=9 merges=13 misassigned=0 failed=0",
+    "preset=uniform:0.03 cov=12 hash=0x7441d7e2f2760db4 purity=527/527 orphans=18 merges=33 misassigned=0 failed=0",
+    "preset=nanopore-decay:0.05 cov=6 hash=0x1b49329442452804 purity=256/256 orphans=17 merges=23 misassigned=0 failed=2",
+    "preset=nanopore-decay:0.05 cov=12 hash=0x7441d7e2f2760db4 purity=513/514 orphans=31 merges=53 misassigned=1 failed=0",
+    "preset=dropout:0.03 cov=6 hash=0x3f1106c666a64705 purity=242/242 orphans=6 merges=13 misassigned=0 failed=4",
+    "preset=dropout:0.03 cov=12 hash=0x7441d7e2f2760db4 purity=480/480 orphans=18 merges=23 misassigned=0 failed=0",
 ];
 
 /// The object-store conformance cell: a deterministic store lifecycle
