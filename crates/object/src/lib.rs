@@ -52,6 +52,6 @@ pub mod store;
 pub use capsule::{CapsuleHeader, LayoutKind, PoolHeader};
 pub use manifest::{CapsuleEntry, Manifest, ObjectEntry};
 pub use store::{
-    cross_primer_min_distance, FetchOptions, FetchReport, ObjectStore, RebuildReport, StoreConfig,
-    MANIFEST_FILE, POOL_FILE,
+    cross_primer_min_distance, FetchOptions, FetchPlan, FetchReport, ObjectStore, RebuildReport,
+    StoreConfig, MANIFEST_FILE, POOL_FILE,
 };

@@ -715,7 +715,7 @@ impl ObjectStore {
         writer: &mut dyn Write,
         options: &FetchOptions,
     ) -> Result<FetchReport, StorageError> {
-        self.fetch_inner(id, writer, options, None)
+        self.plan_fetch(id)?.run(writer, options, None)
     }
 
     /// [`ObjectStore::fetch_with`] decoding through a caller-owned
@@ -735,16 +735,23 @@ impl ObjectStore {
         options: &FetchOptions,
         workspace: &mut DecodeWorkspace,
     ) -> Result<FetchReport, StorageError> {
-        self.fetch_inner(id, writer, options, Some(workspace))
+        self.plan_fetch(id)?.run(writer, options, Some(workspace))
     }
 
-    fn fetch_inner(
-        &self,
-        id: u64,
-        writer: &mut dyn Write,
-        options: &FetchOptions,
-        mut workspace: Option<&mut DecodeWorkspace>,
-    ) -> Result<FetchReport, StorageError> {
+    /// Copies out everything a fetch of object `id` needs — its capsule
+    /// entries, the pool header, the base pipeline, the key and the pool
+    /// path — so the decode ([`FetchPlan::run`]) holds no borrow of the
+    /// store. A server plans under its store lock and decodes after
+    /// releasing it: the pool is append-only and a delete only appends a
+    /// tombstone, so a plan taken before a delete still fetches the
+    /// pre-delete bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::ObjectNotFound`] for unknown or tombstoned ids;
+    /// [`StorageError::ManifestCorrupt`] when the object names a capsule
+    /// the manifest does not hold.
+    pub fn plan_fetch(&self, id: u64) -> Result<FetchPlan, StorageError> {
         let entry = self
             .manifest
             .object(id)
@@ -758,77 +765,27 @@ impl ObjectStore {
                 tombstoned: true,
             });
         }
-        let capacity = self.capsule_capacity();
-        let stride = keystream_stride_blocks(capacity);
-        let mut file = BufReader::new(File::open(self.dir.join(POOL_FILE))?);
-        let mut report = FetchReport::default();
-        for (k, seq) in entry.capsules.clone().enumerate() {
-            let centry =
+        let capsules = entry
+            .capsules
+            .clone()
+            .map(|seq| {
                 self.manifest
                     .capsule(seq)
+                    .cloned()
                     .ok_or_else(|| StorageError::ManifestCorrupt {
                         reason: format!("object {id} references missing capsule {seq}"),
-                    })?;
-            // Reads past the end of a torn pool surface as PoolTruncated
-            // with a placeholder offset; stamp in where this record starts.
-            let stamp_offset = |e: StorageError| match e {
-                StorageError::PoolTruncated { offset: 0, reason } => StorageError::PoolTruncated {
-                    offset: centry.offset,
-                    reason,
-                },
-                other => other,
-            };
-            let cap = read_capsule_header_at(&mut file, &self.header, centry.offset)
-                .map_err(stamp_offset)?;
-            if cap.seq != seq || cap.object_id != id {
-                return Err(StorageError::ManifestCorrupt {
-                    reason: format!(
-                        "capsule at offset {} is seq={} object={}, manifest expected seq={seq} object={id}",
-                        centry.offset, cap.seq, cap.object_id
-                    ),
-                });
-            }
-            let (mut stored, reads) = decode_capsule_body(
-                &mut file,
-                &self.header,
-                &self.base,
-                &cap,
-                options.via_recovery,
-                workspace.as_deref_mut(),
-            )
-            .map_err(stamp_offset)?;
-            if cap.flags & FLAG_ENCRYPTED != 0 {
-                let Some(key) = &self.key else {
-                    return Err(StorageError::InvalidParams(
-                        "capsule is encrypted: open the store with its key".into(),
-                    ));
-                };
-                let mut cipher = ChaCha20::new(key, &object_nonce(id));
-                cipher.seek_block(k as u32 * stride);
-                cipher.apply_keystream(&mut stored);
-            }
-            let plain = if cap.flags & FLAG_COMPRESSED != 0 {
-                compress::decompress(&stored, cap.plain_len as usize).map_err(|reason| {
-                    StorageError::Substrate(format!("capsule {seq} decompression failed: {reason}"))
-                })?
-            } else {
-                if stored.len() as u64 != cap.plain_len {
-                    return Err(StorageError::Substrate(format!(
-                        "capsule {seq} stored {} bytes but claims {} plain bytes",
-                        stored.len(),
-                        cap.plain_len
-                    )));
-                }
-                stored
-            };
-            writer.write_all(&plain)?;
-            report.capsules += 1;
-            report.units += cap.units as usize;
-            report.reads += reads;
-            report.bytes += plain.len() as u64;
-        }
-        writer.flush()?;
-        Ok(report)
+                    })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(FetchPlan {
+            id,
+            capsules,
+            header: self.header.clone(),
+            base: self.base.clone(),
+            key: self.key,
+            stride: keystream_stride_blocks(self.capsule_capacity()),
+            pool_path: self.dir.join(POOL_FILE),
+        })
     }
 
     /// Convenience: fetches object `id` into a fresh buffer.
@@ -913,6 +870,101 @@ impl ObjectStore {
         file.flush()?;
         drop(file);
         self.manifest.commit_sidecar(&self.dir, MANIFEST_FILE)
+    }
+}
+
+/// One object's fetch, planned by [`ObjectStore::plan_fetch`]: it owns
+/// its inputs, so [`FetchPlan::run`] needs no access to the store.
+#[derive(Debug)]
+pub struct FetchPlan {
+    id: u64,
+    capsules: Vec<CapsuleEntry>,
+    header: PoolHeader,
+    base: Pipeline,
+    key: Option<[u8; 32]>,
+    stride: u32,
+    pool_path: PathBuf,
+}
+
+impl FetchPlan {
+    /// Decodes the planned object into `writer` through its own pool
+    /// file handle. With a `workspace`, units decode serially on it (see
+    /// [`ObjectStore::fetch_with_workspace`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectStore::fetch`].
+    pub fn run(
+        &self,
+        writer: &mut dyn Write,
+        options: &FetchOptions,
+        mut workspace: Option<&mut DecodeWorkspace>,
+    ) -> Result<FetchReport, StorageError> {
+        let id = self.id;
+        let mut file = BufReader::new(File::open(&self.pool_path)?);
+        let mut report = FetchReport::default();
+        for (k, centry) in self.capsules.iter().enumerate() {
+            let seq = centry.seq;
+            // Reads past the end of a torn pool surface as PoolTruncated
+            // with a placeholder offset; stamp in where this record starts.
+            let stamp_offset = |e: StorageError| match e {
+                StorageError::PoolTruncated { offset: 0, reason } => StorageError::PoolTruncated {
+                    offset: centry.offset,
+                    reason,
+                },
+                other => other,
+            };
+            let cap = read_capsule_header_at(&mut file, &self.header, centry.offset)
+                .map_err(stamp_offset)?;
+            if cap.seq != seq || cap.object_id != id {
+                return Err(StorageError::ManifestCorrupt {
+                    reason: format!(
+                        "capsule at offset {} is seq={} object={}, manifest expected seq={seq} object={id}",
+                        centry.offset, cap.seq, cap.object_id
+                    ),
+                });
+            }
+            let (mut stored, reads) = decode_capsule_body(
+                &mut file,
+                &self.header,
+                &self.base,
+                &cap,
+                options.via_recovery,
+                workspace.as_deref_mut(),
+            )
+            .map_err(stamp_offset)?;
+            if cap.flags & FLAG_ENCRYPTED != 0 {
+                let Some(key) = &self.key else {
+                    return Err(StorageError::InvalidParams(
+                        "capsule is encrypted: open the store with its key".into(),
+                    ));
+                };
+                let mut cipher = ChaCha20::new(key, &object_nonce(id));
+                cipher.seek_block(k as u32 * self.stride);
+                cipher.apply_keystream(&mut stored);
+            }
+            let plain = if cap.flags & FLAG_COMPRESSED != 0 {
+                compress::decompress(&stored, cap.plain_len as usize).map_err(|reason| {
+                    StorageError::Substrate(format!("capsule {seq} decompression failed: {reason}"))
+                })?
+            } else {
+                if stored.len() as u64 != cap.plain_len {
+                    return Err(StorageError::Substrate(format!(
+                        "capsule {seq} stored {} bytes but claims {} plain bytes",
+                        stored.len(),
+                        cap.plain_len
+                    )));
+                }
+                stored
+            };
+            writer.write_all(&plain)?;
+            report.capsules += 1;
+            report.units += cap.units as usize;
+            report.reads += reads;
+            report.bytes += plain.len() as u64;
+        }
+        writer.flush()?;
+        Ok(report)
     }
 }
 
@@ -1277,6 +1329,79 @@ mod tests {
         assert!(ObjectStore::open_with_key(&dir, [8u8; 32]).is_err());
         let store = ObjectStore::open_with_key(&dir, key).unwrap();
         assert_eq!(store.get(id).unwrap(), data);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn planned_run_matches_fetch_for_encrypted_compressed_objects() {
+        let dir = tmp_dir("plan-run");
+        let key = [3u8; 32];
+        let config = StoreConfig::tiny().unwrap().with_key(key);
+        let mut store = ObjectStore::create(&dir, config).unwrap();
+        // Zero runs compress; 400 B of them plus noise span several
+        // 90 B capsules.
+        let data: Vec<u8> = (0..400)
+            .map(|i| if i % 50 < 30 { 0 } else { (i * 13 % 251) as u8 })
+            .collect();
+        let id = store.put_bytes("mixed", &data).unwrap();
+        let plan = store.plan_fetch(id).unwrap();
+        assert!(plan.capsules.len() > 1);
+        assert!(plan
+            .capsules
+            .iter()
+            .all(|c| c.flags & FLAG_ENCRYPTED != 0 && c.flags & FLAG_COMPRESSED != 0));
+        let mut fetched = Vec::new();
+        let fetch_report = store.fetch(id, &mut fetched).unwrap();
+        assert_eq!(fetched, data);
+        let mut ws = DecodeWorkspace::new();
+        for workspace in [None, Some(&mut ws)] {
+            let mut planned = Vec::new();
+            let report = plan
+                .run(&mut planned, &FetchOptions::default(), workspace)
+                .unwrap();
+            assert_eq!(planned, fetched);
+            assert_eq!(report, fetch_report);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_plan_taken_before_delete_still_fetches_the_old_bytes() {
+        let dir = tmp_dir("plan-del");
+        let mut store = ObjectStore::create(&dir, StoreConfig::tiny().unwrap()).unwrap();
+        let data = payload(200);
+        let id = store.put_bytes("doomed", &data).unwrap();
+        let before = store.plan_fetch(id).unwrap();
+        store.delete(id).unwrap();
+        let mut out = Vec::new();
+        before
+            .run(&mut out, &FetchOptions::default(), None)
+            .unwrap();
+        assert_eq!(out, data);
+        assert!(matches!(
+            store.plan_fetch(id),
+            Err(StorageError::ObjectNotFound {
+                tombstoned: true,
+                ..
+            })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_put_between_plan_and_run_leaves_the_run_untouched() {
+        let dir = tmp_dir("plan-put");
+        let mut store = ObjectStore::create(&dir, StoreConfig::tiny().unwrap()).unwrap();
+        let data = payload(250);
+        let id = store.put_bytes("first", &data).unwrap();
+        let plan = store.plan_fetch(id).unwrap();
+        let later = payload(300);
+        let later_id = store.put_bytes("second", &later).unwrap();
+        let mut out = Vec::new();
+        let report = plan.run(&mut out, &FetchOptions::default(), None).unwrap();
+        assert_eq!(out, data);
+        assert_eq!(report.capsules, 3);
+        assert_eq!(store.get(later_id).unwrap(), later);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,3 +22,11 @@ pub mod tcp;
 pub use protocol::{ErrorCode, Frame, Request, Response, MAX_FRAME_BYTES};
 pub use server::{LocalClient, ServeConfig, Server, StatsSnapshot};
 pub use tcp::{serve_tcp, TcpHandle};
+
+/// Takes a lock's guard whether or not a panicking holder poisoned it.
+/// Every critical section in this crate leaves its state usable when it
+/// unwinds, so one panicking request must not turn every later request
+/// into a panic.
+pub(crate) fn unpoison<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -3,6 +3,7 @@
 //! heap), consumers block when it is empty, and `close` drains cleanly —
 //! exactly the std-only primitive the serve loop needs.
 
+use crate::unpoison;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
@@ -41,7 +42,7 @@ impl<T> Bounded<T> {
     ///
     /// Returns the item back when the queue has been closed.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = unpoison(self.state.lock());
         loop {
             if state.closed {
                 return Err(item);
@@ -52,14 +53,14 @@ impl<T> Bounded<T> {
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            state = self.not_full.wait(state).expect("queue poisoned");
+            state = unpoison(self.not_full.wait(state));
         }
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty.
     /// Returns `None` once the queue is closed **and** drained.
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue poisoned");
+        let mut state = unpoison(self.state.lock());
         loop {
             if let Some(item) = state.items.pop_front() {
                 drop(state);
@@ -69,21 +70,21 @@ impl<T> Bounded<T> {
             if state.closed {
                 return None;
             }
-            state = self.not_empty.wait(state).expect("queue poisoned");
+            state = unpoison(self.not_empty.wait(state));
         }
     }
 
     /// Closes the queue: pending pushes fail, consumers drain what is
     /// left and then see `None`.
     pub fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
+        unpoison(self.state.lock()).closed = true;
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
 
     /// Items currently queued (racy; for stats and tests).
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
+        unpoison(self.state.lock()).items.len()
     }
 
     /// Whether the queue is currently empty (racy; for stats and tests).

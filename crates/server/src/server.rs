@@ -4,23 +4,39 @@
 //!
 //! Concurrency model:
 //!
-//! - **Fetches** run under the store's read lock, so any number decode
-//!   in parallel; each worker decodes serially through its own pooled
-//!   workspace ([`ObjectStore::fetch_with_workspace`]), so resident
-//!   scratch is one workspace per *worker*, never per OS thread.
+//! - **Fetches** hold the store's read lock only to resolve the target
+//!   and plan the fetch ([`ObjectStore::plan_fetch`]), then decode with
+//!   no lock held ([`FetchPlan::run`]). The pool is append-only and a
+//!   delete only appends a tombstone, so a plan stays valid while puts
+//!   and deletes land: a fetch planned before a delete returns the
+//!   pre-delete bytes. Each worker decodes serially through its own
+//!   pooled workspace, so resident scratch is one workspace per
+//!   *worker*, never per OS thread.
 //! - **Puts/deletes** take the write lock (the pool file and manifest
-//!   are append-only, single-writer).
+//!   are append-only, single-writer). They wait for plans and other
+//!   writers, never for a decode.
 //! - **Coalescing**: concurrent fetches of the same `(object, path)`
-//!   share one decode — the first becomes the leader, the rest wait on
-//!   its in-flight slot and clone the response.
+//!   share one decode — the first becomes the leader, the rest park
+//!   their reply channels on its in-flight slot and get a clone of its
+//!   response.
+//! - **Failure containment**: a request that panics is answered with
+//!   `ERR internal` and its worker lives on; a leader that unwinds
+//!   answers its parked followers the same way and clears its slot.
+//!   Every lock is poison-tolerant: a critical section that unwinds
+//!   leaves its state consistent or, for the store, as a failed I/O
+//!   would.
+//!
+//! [`FetchPlan::run`]: dna_object::FetchPlan::run
 
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::queue::Bounded;
+use crate::unpoison;
 use dna_object::{FetchOptions, ObjectStore};
 use dna_storage::{DecodeWorkspace, StorageError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -54,6 +70,19 @@ struct Counters {
     deletes: AtomicU64,
     errors: AtomicU64,
     coalesced_fetches: AtomicU64,
+}
+
+impl Counters {
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            requests: self.requests.load(Ordering::Relaxed),
+            fetches: self.fetches.load(Ordering::Relaxed),
+            puts: self.puts.load(Ordering::Relaxed),
+            deletes: self.deletes.load(Ordering::Relaxed),
+            errors: self.errors.load(Ordering::Relaxed),
+            coalesced_fetches: self.coalesced_fetches.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// A point-in-time copy of the server counters.
@@ -109,7 +138,7 @@ impl Flight {
     /// Registers a follower; answers immediately when the leader
     /// already published (the follower raced the publish).
     fn attach(&self, reply: SyncSender<Response>) {
-        let mut state = self.state.lock().expect("flight poisoned");
+        let mut state = unpoison(self.state.lock());
         match &state.done {
             Some(response) => {
                 let _ = reply.send(response.clone());
@@ -121,7 +150,7 @@ impl Flight {
     /// Publishes the leader's response to every attached follower and
     /// to late attachers.
     fn publish(&self, response: &Response) -> Vec<SyncSender<Response>> {
-        let mut state = self.state.lock().expect("flight poisoned");
+        let mut state = unpoison(self.state.lock());
         state.done = Some(response.clone());
         std::mem::take(&mut state.waiters)
     }
@@ -132,11 +161,59 @@ struct Job {
     reply: SyncSender<Response>,
 }
 
+/// A coalescing key: the object id and whether the fetch recovers.
+type FlightKey = (u64, bool);
+
+/// The leader's hold on a flight. [`Leader::land`] unregisters the key
+/// and answers every parked follower; a leader dropped unlanded — its
+/// decode unwound — lands a typed `ERR internal` instead, so no follower
+/// waits on a flight that never publishes.
+struct Leader<'a> {
+    shared: &'a Shared,
+    key: FlightKey,
+    flight: Arc<Flight>,
+    landed: bool,
+}
+
+impl Leader<'_> {
+    fn land(&mut self, response: &Response) {
+        self.landed = true;
+        // Unregister before publishing: late arrivals start a fresh
+        // decode, everyone already attached gets this one.
+        unpoison(self.shared.inflight.lock()).remove(&self.key);
+        for waiter in self.flight.publish(response) {
+            finish(self.shared, &waiter, response.clone());
+        }
+    }
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        if !self.landed {
+            self.land(&Response::err(
+                ErrorCode::Internal,
+                "the shared decode panicked",
+            ));
+        }
+    }
+}
+
 struct Shared {
     store: RwLock<ObjectStore>,
     queue: Bounded<Job>,
-    inflight: Mutex<HashMap<(u64, bool), Arc<Flight>>>,
+    inflight: Mutex<HashMap<FlightKey, Arc<Flight>>>,
     counters: Counters,
+}
+
+impl Shared {
+    fn new(store: ObjectStore, queue_depth: usize) -> Shared {
+        Shared {
+            store: RwLock::new(store),
+            queue: Bounded::new(queue_depth),
+            inflight: Mutex::new(HashMap::new()),
+            counters: Counters::default(),
+        }
+    }
 }
 
 /// The running server: shared state plus its worker pool.
@@ -148,18 +225,13 @@ pub struct Server {
 impl Server {
     /// Starts `config.workers` decode workers over `store`.
     pub fn start(store: ObjectStore, config: &ServeConfig) -> Server {
-        let shared = Arc::new(Shared {
-            store: RwLock::new(store),
-            queue: Bounded::new(config.queue_depth),
-            inflight: Mutex::new(HashMap::new()),
-            counters: Counters::default(),
-        });
+        let shared = Arc::new(Shared::new(store, config.queue_depth));
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dna-serve-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, handle))
                     .expect("spawn worker")
             })
             .collect();
@@ -176,15 +248,7 @@ impl Server {
 
     /// Current counter values.
     pub fn stats(&self) -> StatsSnapshot {
-        let c = &self.shared.counters;
-        StatsSnapshot {
-            requests: c.requests.load(Ordering::Relaxed),
-            fetches: c.fetches.load(Ordering::Relaxed),
-            puts: c.puts.load(Ordering::Relaxed),
-            deletes: c.deletes.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-            coalesced_fetches: c.coalesced_fetches.load(Ordering::Relaxed),
-        }
+        self.shared.counters.snapshot()
     }
 
     /// Closes the queue, drains it, joins every worker, and hands the
@@ -196,7 +260,7 @@ impl Server {
         }
         Arc::try_unwrap(self.shared)
             .ok()
-            .map(|shared| shared.store.into_inner().expect("store poisoned"))
+            .map(|shared| unpoison(shared.store.into_inner()))
     }
 }
 
@@ -248,13 +312,24 @@ impl LocalClient {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+/// Runs `handle` on every queued job until the queue closes.
+fn worker_loop(shared: &Shared, handle: fn(&Shared, Job, &mut DecodeWorkspace)) {
     // The worker's pooled scratch: exactly one workspace (and its
     // embedded RsScratch) per worker for the server's whole life —
     // not one per OS thread that ever called plain decode().
     let mut workspace = DecodeWorkspace::new();
     while let Some(job) = shared.queue.pop() {
-        handle(shared, job, &mut workspace);
+        let reply = job.reply.clone();
+        if catch_unwind(AssertUnwindSafe(|| handle(shared, job, &mut workspace))).is_err() {
+            // A panicking request costs its worker the scratch it may
+            // have left half-written, never the worker itself.
+            workspace = DecodeWorkspace::new();
+            finish(
+                shared,
+                &reply,
+                Response::err(ErrorCode::Internal, "the request panicked"),
+            );
+        }
     }
 }
 
@@ -293,19 +368,11 @@ fn handle(shared: &Shared, job: Job, workspace: &mut DecodeWorkspace) {
     match request {
         Request::Ping => finish(shared, &reply, Response::ok(&b"pong"[..])),
         Request::Stats => {
-            let c = &shared.counters;
-            let snapshot = StatsSnapshot {
-                requests: c.requests.load(Ordering::Relaxed),
-                fetches: c.fetches.load(Ordering::Relaxed),
-                puts: c.puts.load(Ordering::Relaxed),
-                deletes: c.deletes.load(Ordering::Relaxed),
-                errors: c.errors.load(Ordering::Relaxed),
-                coalesced_fetches: c.coalesced_fetches.load(Ordering::Relaxed),
-            };
-            finish(shared, &reply, Response::ok(snapshot.to_text()));
+            let text = shared.counters.snapshot().to_text();
+            finish(shared, &reply, Response::ok(text));
         }
         Request::Ls => {
-            let store = shared.store.read().expect("store poisoned");
+            let store = unpoison(shared.store.read());
             let mut text = String::new();
             for object in store.list().iter().filter(|o| !o.tombstone) {
                 let _ = writeln!(
@@ -322,7 +389,7 @@ fn handle(shared: &Shared, job: Job, workspace: &mut DecodeWorkspace) {
         }
         Request::Put { name, data } => {
             shared.counters.puts.fetch_add(1, Ordering::Relaxed);
-            let mut store = shared.store.write().expect("store poisoned");
+            let mut store = unpoison(shared.store.write());
             let response = match store.put_bytes(&name, &data) {
                 Ok(id) => Response::ok(format!("id={id}")),
                 Err(e) => storage_error(&e),
@@ -332,7 +399,7 @@ fn handle(shared: &Shared, job: Job, workspace: &mut DecodeWorkspace) {
         }
         Request::Del { target } => {
             shared.counters.deletes.fetch_add(1, Ordering::Relaxed);
-            let mut store = shared.store.write().expect("store poisoned");
+            let mut store = unpoison(shared.store.write());
             let response = match resolve(&store, &target) {
                 Some(id) => match store.delete(id) {
                     Ok(()) => Response::ok(format!("deleted id={id}")),
@@ -345,44 +412,23 @@ fn handle(shared: &Shared, job: Job, workspace: &mut DecodeWorkspace) {
         }
         Request::Fetch { target, recover } => {
             shared.counters.fetches.fetch_add(1, Ordering::Relaxed);
-            let id = {
-                let store = shared.store.read().expect("store poisoned");
-                match resolve(&store, &target) {
-                    Some(id) => id,
-                    None => {
-                        return finish(
-                            shared,
-                            &reply,
-                            Response::err(ErrorCode::NotFound, format!("no object {target:?}")),
-                        )
-                    }
+            // The read lock covers only resolve + plan; the decode below
+            // runs on the plan's own inputs, so a PUT waiting for the
+            // write lock never waits for it.
+            let planned = {
+                let store = unpoison(shared.store.read());
+                resolve(&store, &target).map(|id| store.plan_fetch(id).map(|plan| (id, plan)))
+            };
+            let (id, plan) = match planned {
+                Some(Ok(planned)) => planned,
+                Some(Err(e)) => return finish(shared, &reply, storage_error(&e)),
+                None => {
+                    let missing = format!("no object {target:?}");
+                    return finish(shared, &reply, Response::err(ErrorCode::NotFound, missing));
                 }
             };
-            // Coalesce: one decode per in-flight (object, path) key. A
-            // follower does not block this worker — it parks its reply
-            // channel on the flight and the worker goes straight back
-            // to the queue, so every queued duplicate attaches to the
-            // one decode instead of only the ones workers were holding.
-            let key = (id, recover);
-            let flight = {
-                let mut inflight = shared.inflight.lock().expect("inflight poisoned");
-                match inflight.entry(key) {
-                    Entry::Occupied(entry) => {
-                        shared
-                            .counters
-                            .coalesced_fetches
-                            .fetch_add(1, Ordering::Relaxed);
-                        let flight = Arc::clone(entry.get());
-                        drop(inflight);
-                        flight.attach(reply);
-                        return;
-                    }
-                    Entry::Vacant(slot) => {
-                        let flight = Arc::new(Flight::default());
-                        slot.insert(Arc::clone(&flight));
-                        flight
-                    }
-                }
+            let Some(mut leader) = join_flight(shared, (id, recover), &reply) else {
+                return;
             };
             // Give already-queued duplicates a chance to attach before
             // the expensive decode starts: on a loaded single core the
@@ -390,28 +436,51 @@ fn handle(shared: &Shared, job: Job, workspace: &mut DecodeWorkspace) {
             // without this window concurrent identical fetches would
             // rarely overlap the leader and coalescing would be luck.
             std::thread::yield_now();
-            let response = {
-                let store = shared.store.read().expect("store poisoned");
-                let mut body = Vec::new();
-                let options = FetchOptions {
-                    via_recovery: recover,
-                };
-                match store.fetch_with_workspace(id, &mut body, &options, workspace) {
-                    Ok(_report) => Response::Ok(body),
-                    Err(e) => storage_error(&e),
-                }
+            let mut body = Vec::new();
+            let options = FetchOptions {
+                via_recovery: recover,
             };
-            // Unregister before publishing: late arrivals start a fresh
-            // decode, everyone already attached gets this one.
-            shared
-                .inflight
-                .lock()
-                .expect("inflight poisoned")
-                .remove(&key);
-            for waiter in flight.publish(&response) {
-                finish(shared, &waiter, response.clone());
-            }
+            let response = match plan.run(&mut body, &options, Some(workspace)) {
+                Ok(_report) => Response::Ok(body),
+                Err(e) => storage_error(&e),
+            };
+            leader.land(&response);
             finish(shared, &reply, response);
+        }
+    }
+}
+
+/// Coalesce: one decode per in-flight key. The first fetch of a key
+/// leads and gets the [`Leader`] guard. A follower does not block its
+/// worker — it parks a clone of `reply` on the flight and the worker
+/// goes straight back to the queue, so every queued duplicate attaches
+/// to the one decode instead of only the ones workers were holding.
+fn join_flight<'a>(
+    shared: &'a Shared,
+    key: FlightKey,
+    reply: &SyncSender<Response>,
+) -> Option<Leader<'a>> {
+    let mut inflight = unpoison(shared.inflight.lock());
+    match inflight.entry(key) {
+        Entry::Occupied(entry) => {
+            shared
+                .counters
+                .coalesced_fetches
+                .fetch_add(1, Ordering::Relaxed);
+            let flight = Arc::clone(entry.get());
+            drop(inflight);
+            flight.attach(reply.clone());
+            None
+        }
+        Entry::Vacant(slot) => {
+            let flight = Arc::new(Flight::default());
+            slot.insert(Arc::clone(&flight));
+            Some(Leader {
+                shared,
+                key,
+                flight,
+                landed: false,
+            })
         }
     }
 }
@@ -421,6 +490,7 @@ mod tests {
     use super::*;
     use dna_object::StoreConfig;
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -593,6 +663,94 @@ mod tests {
             client.call(Request::Ping),
             Response::Err(ErrorCode::Busy, _)
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unwinding_leader_answers_its_followers_and_clears_the_flight() {
+        let dir = tmp_dir("unwind-leader");
+        let server = tiny_server(&dir, 1);
+        let shared = &*server.shared;
+        let (leader_tx, _leader_rx) = sync_channel(1);
+        let (follower_tx, follower_rx) = sync_channel(1);
+        let leader = join_flight(shared, (1, false), &leader_tx).expect("the first fetch leads");
+        assert!(join_flight(shared, (1, false), &follower_tx).is_none());
+        let unwound = catch_unwind(AssertUnwindSafe(move || {
+            let _leader = leader;
+            panic!("decode panicked");
+        }));
+        assert!(unwound.is_err());
+        assert!(matches!(
+            follower_rx.recv_timeout(Duration::from_secs(10)),
+            Ok(Response::Err(ErrorCode::Internal, _))
+        ));
+        assert!(unpoison(shared.inflight.lock()).is_empty());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_and_its_worker_lives_on() {
+        let dir = tmp_dir("unwind-worker");
+        let store = ObjectStore::create(&dir, StoreConfig::tiny().unwrap()).unwrap();
+        let shared = Arc::new(Shared::new(store, 4));
+        // One worker whose handler panics on PING and serves the rest.
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                worker_loop(&shared, |shared, job, workspace| {
+                    assert!(!matches!(job.request, Request::Ping), "injected panic");
+                    handle(shared, job, workspace);
+                });
+            })
+        };
+        let client = LocalClient {
+            shared: Arc::clone(&shared),
+        };
+        assert!(matches!(
+            client.call(Request::Ping),
+            Response::Err(ErrorCode::Internal, _)
+        ));
+        assert_eq!(
+            client.put("after", &b"still here"[..]),
+            Response::ok("id=1")
+        );
+        assert_eq!(
+            client.fetch("after", false),
+            Response::Ok(b"still here".to_vec())
+        );
+        assert_eq!(shared.counters.snapshot().errors, 1);
+        shared.queue.close();
+        worker.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_store_lock_keeps_serving() {
+        let dir = tmp_dir("poisoned");
+        let server = tiny_server(&dir, 2);
+        let client = server.client();
+        let data = payload(200);
+        assert_eq!(client.put("alpha", data.clone()), Response::ok("id=1"));
+        let shared = Arc::clone(&server.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _store = shared.store.write().unwrap();
+            panic!("panicked while holding the store's write lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.store.is_poisoned());
+
+        assert_eq!(client.call(Request::Ping), Response::ok(&b"pong"[..]));
+        assert_eq!(
+            client.ls(),
+            Response::ok("id=1 bytes=200 capsules=3 name=alpha\n")
+        );
+        assert_eq!(client.fetch("alpha", false), Response::Ok(data));
+        assert_eq!(client.put("beta", &b"tiny"[..]), Response::ok("id=2"));
+        assert_eq!(client.fetch("beta", false), Response::Ok(b"tiny".to_vec()));
+        drop(client);
+        let store = server.shutdown().expect("no other handles");
+        assert_eq!(store.object_id("beta"), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
