@@ -8,7 +8,7 @@
 //! Fig. 14/16, rather than any generic property of the mapping.
 
 use dna_bench::{FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
+use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 use dna_gf::Field;
 use dna_media::{GrayImage, JpegLikeCodec};
 use dna_storage::{CodecParams, Layout, Pipeline};

@@ -17,7 +17,7 @@
 //! wins on exact-decode rate.
 
 use dna_bench::{patterned_payload, FigureOutput, Scale};
-use dna_channel::{ChannelModel, SequencingBackend};
+use dna_channel::ChannelModel;
 use dna_storage::{
     CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, Scenario, SkewProfile,
 };

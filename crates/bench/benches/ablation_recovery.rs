@@ -9,7 +9,7 @@
 //! the channel's errors — and shrinks as coverage grows.
 
 use dna_bench::{patterned_payload, FigureOutput, Scale};
-use dna_channel::{AnonymousPool, ChannelModel, ErrorModel, SequencingBackend};
+use dna_channel::{AnonymousPool, ChannelModel, ErrorModel};
 use dna_storage::{CodecParams, Layout, Pipeline, RecoveryReport, Scenario};
 
 fn main() {

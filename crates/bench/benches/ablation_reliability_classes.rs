@@ -6,7 +6,7 @@
 //! min-coverage cost of that hybrid against full Gini and the baseline.
 
 use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
+use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 use dna_storage::{min_coverage, CodecParams, Layout, Scenario};
 
 fn main() {

@@ -13,7 +13,7 @@
 //! the control.
 
 use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel, ReadPool, SequencingBackend, SimulatedSequencer};
+use dna_channel::{CoverageModel, ErrorModel, ReadPool, SimulatedSequencer};
 use dna_consensus::{BmaTwoWay, TraceReconstructor};
 use dna_storage::{CodecParams, Layout};
 use dna_strand::DnaString;

@@ -6,7 +6,7 @@
 //! (nearly) the same — Gini redistributes errors, it does not remove them.
 
 use dna_bench::{laptop_pipeline, patterned_payload, FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
+use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 use dna_storage::{CodecParams, Layout};
 
 fn main() {

@@ -6,7 +6,7 @@
 //! degrade far more gracefully than the baseline order.
 
 use dna_bench::{FigureOutput, Scale};
-use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
+use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 use dna_gf::Field;
 use dna_media::rank::{BitRanker, OracleRanker, PositionRanker};
 use dna_media::{GrayImage, JpegLikeCodec};

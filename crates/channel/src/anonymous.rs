@@ -37,7 +37,7 @@ pub struct ReadOrigin {
 /// # Examples
 ///
 /// ```
-/// use dna_channel::{AnonymousPool, CoverageModel, ErrorModel, IdsChannel, ReadPool};
+/// use dna_channel::{AnonymousPool, CoverageModel, ErrorModel, ChannelModel, ReadPool};
 /// use dna_strand::DnaString;
 /// use rand::SeedableRng;
 ///
@@ -45,7 +45,7 @@ pub struct ReadOrigin {
 /// let strands: Vec<DnaString> = (0..6).map(|_| DnaString::random(40, &mut rng)).collect();
 /// let pool = ReadPool::generate(
 ///     &strands,
-///     &IdsChannel::new(ErrorModel::uniform(0.02)),
+///     &ChannelModel::uniform(ErrorModel::uniform(0.02)),
 ///     CoverageModel::Fixed(4),
 ///     9,
 /// );
@@ -161,14 +161,14 @@ impl ReadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CoverageModel, ErrorModel, IdsChannel};
+    use crate::{ChannelModel, CoverageModel, ErrorModel};
 
     fn pool(n: usize, cov: usize, seed: u64) -> ReadPool {
         let mut rng = StdRng::seed_from_u64(3);
         let strands: Vec<DnaString> = (0..n).map(|_| DnaString::random(40, &mut rng)).collect();
         ReadPool::generate(
             &strands,
-            &IdsChannel::new(ErrorModel::uniform(0.03)),
+            &ChannelModel::uniform(ErrorModel::uniform(0.03)),
             CoverageModel::Fixed(cov),
             seed,
         )

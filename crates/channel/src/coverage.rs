@@ -9,7 +9,7 @@ use rand_distr::{Distribution, Gamma};
 /// 45; a pool is generated at the sweep maximum, so a coverage far
 /// beyond this would allocate reads without bound. Pool generation caps
 /// every molecule's reads at a fixed multiple of it
-/// ([`ReadPool::generate_with`](crate::ReadPool::generate_with)).
+/// ([`ReadPool::generate`](crate::ReadPool::generate)).
 pub const MAX_COVERAGE: f64 = 5000.0;
 
 /// How many noisy reads each original molecule receives.

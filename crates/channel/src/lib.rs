@@ -10,12 +10,12 @@
 //!   experiments (uniform thirds, substitution-only, indel-only) and the
 //!   technology mixes discussed in §8 (NGS ≈ 25–30% indels, nanopore ≥ 60%
 //!   indels, enzymatic synthesis ≫ indels);
-//! - [`IdsChannel`]: the per-position distortion process of §3;
-//! - [`ChannelModel`]: composable reliability skew on top of the base
-//!   rates — a [`PositionProfile`] modulating rates along the strand,
-//!   whole-strand dropout, per-strand PCR amplification bias
-//!   ([`PcrBias`]), and burst indel events ([`BurstModel`]) — with the
-//!   uniform special case byte-identical to the plain channel;
+//! - [`ChannelModel`]: the one IDS channel — the per-position
+//!   distortion process of §3 ([`ChannelModel::uniform`]) with composable
+//!   reliability skew on top of the base rates: a [`PositionProfile`]
+//!   modulating rates along the strand, whole-strand dropout, per-strand
+//!   PCR amplification bias ([`PcrBias`]), and burst indel events
+//!   ([`BurstModel`]);
 //! - [`CoverageModel`]: fixed or Gamma-distributed cluster sizes;
 //! - [`ReadPool`]: a pre-generated pool of noisy reads per strand that can
 //!   be *progressively* drawn down to simulate lower coverage, exactly as
@@ -24,21 +24,21 @@
 //!   orientation randomized, and the order shuffled — the realistic
 //!   unlabeled soup a recovery pipeline must orient and demultiplex
 //!   before decoding;
-//! - [`SequencingBackend`]: pluggable read generation — the simulator
-//!   above as [`SimulatedSequencer`], and [`TraceReplay`] for replaying
-//!   recorded read pools (wetlab or captured traces) through the same
-//!   decode path.
+//! - [`SimulatedSequencer`]: the one read source — a channel model at a
+//!   coverage model, producing one [`ReadPool`] per encoded unit with a
+//!   per-unit seed ([`unit_seed`]). A recorded pool needs no sequencer:
+//!   its clusters decode directly.
 //!
 //! # Examples
 //!
 //! ```
-//! use dna_channel::{ErrorModel, IdsChannel};
+//! use dna_channel::{ChannelModel, ErrorModel};
 //! use dna_strand::DnaString;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let strand = DnaString::random(200, &mut rng);
-//! let channel = IdsChannel::new(ErrorModel::uniform(0.05));
+//! let channel = ChannelModel::uniform(ErrorModel::uniform(0.05));
 //! let read = channel.transmit(&strand, &mut rng);
 //! // ~5% of 200 positions disturbed; the read is a noisy variant.
 //! assert!(read.len() > 150 && read.len() < 250);
@@ -48,20 +48,18 @@
 #![warn(missing_docs)]
 
 mod anonymous;
-mod backend;
-mod channel;
 mod coverage;
 mod error_model;
 mod model;
 mod pool;
+mod sequencer;
 
 pub use anonymous::{AnonymousPool, ReadOrigin};
-pub use backend::{unit_seed, SequencingBackend, SimulatedSequencer, TraceReplay};
-pub use channel::IdsChannel;
 pub use coverage::{CoverageModel, MAX_COVERAGE};
 pub use error_model::ErrorModel;
 pub use model::{BurstModel, ChannelModel, ConstraintStress, PcrBias, PositionProfile};
 pub use pool::{Cluster, ReadPool};
+pub use sequencer::{unit_seed, SimulatedSequencer};
 
 use std::error::Error;
 use std::fmt;

@@ -19,13 +19,12 @@
 //! - a **burst** model ([`BurstModel`]) — occasional contiguous indel
 //!   events, as produced by polymerase slippage and nanopore stalls.
 //!
-//! [`ChannelModel::uniform`] disables every effect and is byte-identical
-//! to the plain [`IdsChannel`](crate::IdsChannel) path: old seeds keep
-//! reproducing the same pools and decodes.
+//! [`ChannelModel::uniform`] disables every effect: it is the flat IDS
+//! channel of §3, and it draws exactly the RNG stream the flat channel
+//! always has, so old seeds keep reproducing the same pools and decodes.
 
-use crate::channel::{transmit_core, BurstPlan};
 use crate::{ChannelError, ErrorModel};
-use dna_strand::DnaString;
+use dna_strand::{Base, DnaString};
 use rand::Rng;
 use rand_distr::{Distribution, Gamma};
 
@@ -237,7 +236,7 @@ impl BurstModel {
     /// Decides whether (and where) this read suffers a burst. Consumes
     /// RNG draws only when the model is attached to a channel, so
     /// burst-free channels keep their exact noise streams.
-    pub(crate) fn plan<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Option<BurstPlan> {
+    fn plan<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Option<BurstPlan> {
         if len == 0 || rng.gen::<f64>() >= self.rate {
             return None;
         }
@@ -259,6 +258,16 @@ impl BurstModel {
             }
         })
     }
+}
+
+/// A contiguous indel event decided per read before the per-base scan
+/// (see [`BurstModel`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BurstPlan {
+    /// Drop the bases in `start..start + len`.
+    Delete { start: usize, len: usize },
+    /// Insert `len` uniformly random bases before position `start`.
+    Insert { start: usize, len: usize },
 }
 
 /// Constraint-correlated error stress: content-dependent rate
@@ -429,6 +438,11 @@ impl Default for ConstraintStress {
 ///
 /// # Examples
 ///
+/// The flat IDS channel of paper §3 is [`ChannelModel::uniform`]: every
+/// source position independently suffers a deletion, an insertion (of a
+/// uniform base, before the position), a substitution (by a uniform
+/// *different* base), or none.
+///
 /// Compose the knobs individually — each setter validates:
 ///
 /// ```
@@ -462,9 +476,9 @@ pub struct ChannelModel {
 
 impl ChannelModel {
     /// The classic flat channel: `base` rates at every position, no
-    /// dropout, no PCR bias, no bursts. Byte-identical to the plain
-    /// [`IdsChannel`](crate::IdsChannel) pool-generation path for any
-    /// seed.
+    /// dropout, no PCR bias, no bursts. The profile multiplier is exactly
+    /// 1.0 and disabled knobs draw nothing, so its reads are the flat
+    /// IDS channel's for any seed.
     pub fn uniform(base: ErrorModel) -> ChannelModel {
         ChannelModel {
             base,
@@ -666,7 +680,7 @@ impl ChannelModel {
     /// Produces one noisy read of `strand` under this model (positional
     /// rates, content-dependent stress, and bursts; dropout and PCR bias
     /// act at the pool level — see
-    /// [`ReadPool::generate_with`](crate::ReadPool::generate_with)).
+    /// [`ReadPool::generate`](crate::ReadPool::generate)).
     pub fn transmit<R: Rng + ?Sized>(&self, strand: &DnaString, rng: &mut R) -> DnaString {
         let burst = match &self.burst {
             Some(b) => b.plan(strand.len(), rng),
@@ -697,6 +711,59 @@ impl ChannelModel {
             transmit_core(strand, |pos| self.rates_at(pos, len), burst, rng)
         }
     }
+
+    /// Produces `n` independent noisy reads of `strand`.
+    pub fn transmit_many<R: Rng + ?Sized>(
+        &self,
+        strand: &DnaString,
+        n: usize,
+        rng: &mut R,
+    ) -> Vec<DnaString> {
+        (0..n).map(|_| self.transmit(strand, rng)).collect()
+    }
+}
+
+/// The IDS transmission loop: at each surviving source position exactly
+/// one of deletion / insertion / substitution / copy happens, with the
+/// rates supplied per position by `rates(pos) -> (sub, ins, del)`. With a
+/// constant rate closure and no burst, the draw sequence is the flat
+/// channel's.
+fn transmit_core<R: Rng + ?Sized>(
+    strand: &DnaString,
+    mut rates: impl FnMut(usize) -> (f64, f64, f64),
+    burst: Option<BurstPlan>,
+    rng: &mut R,
+) -> DnaString {
+    let mut out = DnaString::with_capacity(strand.len() + 4);
+    for (pos, &b) in strand.iter().enumerate() {
+        match burst {
+            Some(BurstPlan::Insert { start, len }) if pos == start => {
+                for _ in 0..len {
+                    out.push(Base::from_bits(rng.gen()));
+                }
+            }
+            Some(BurstPlan::Delete { start, len }) if pos >= start && pos - start < len => {
+                continue;
+            }
+            _ => {}
+        }
+        let (ps, pi, pd) = rates(pos);
+        let u: f64 = rng.gen();
+        if u < pd {
+            // deletion: drop the base
+        } else if u < pd + pi {
+            // insertion before this base, base itself is kept
+            out.push(Base::from_bits(rng.gen()));
+            out.push(b);
+        } else if u < pd + pi + ps {
+            // substitution by one of the three other bases
+            let shift = rng.gen_range(1u8..4);
+            out.push(Base::from_bits(b.to_bits().wrapping_add(shift)));
+        } else {
+            out.push(b);
+        }
+    }
+    out
 }
 
 /// Normalizes an event-rate triple so its total never exceeds 1.
@@ -720,8 +787,81 @@ impl From<ErrorModel> for ChannelModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dna_align::edit_distance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn noiseless_channel_is_identity() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let s = DnaString::random(300, &mut rng);
+        let ch = ChannelModel::uniform(ErrorModel::noiseless());
+        assert_eq!(ch.transmit(&s, &mut rng), s);
+    }
+
+    #[test]
+    fn substitutions_never_keep_the_original_base() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let s = DnaString::random(2000, &mut rng);
+        let ch = ChannelModel::uniform(ErrorModel::substitutions_only(1.0));
+        let read = ch.transmit(&s, &mut rng);
+        assert_eq!(read.len(), s.len());
+        for (a, b) in s.iter().zip(read.iter()) {
+            assert_ne!(a, b);
+        }
+    }
+
+    #[test]
+    fn expected_length_shift_matches_rates() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let s = DnaString::random(1000, &mut rng);
+        // Insertion-heavy channel grows reads; deletion-heavy shrinks them.
+        let grow = ChannelModel::uniform(ErrorModel::new(0.0, 0.2, 0.0).unwrap());
+        let shrink = ChannelModel::uniform(ErrorModel::new(0.0, 0.0, 0.2).unwrap());
+        let mean = |ch: &ChannelModel, rng: &mut StdRng| -> f64 {
+            let n = 200;
+            (0..n).map(|_| ch.transmit(&s, rng).len()).sum::<usize>() as f64 / n as f64
+        };
+        let g = mean(&grow, &mut rng);
+        let k = mean(&shrink, &mut rng);
+        assert!((g - 1200.0).abs() < 30.0, "grow mean {g}");
+        assert!((k - 800.0).abs() < 30.0, "shrink mean {k}");
+    }
+
+    #[test]
+    fn measured_error_rate_tracks_configuration() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let s = DnaString::random(500, &mut rng);
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.06));
+        let mut total_ed = 0usize;
+        let trials = 100;
+        for _ in 0..trials {
+            let read = ch.transmit(&s, &mut rng);
+            total_ed += edit_distance(s.as_slice(), read.as_slice());
+        }
+        let per_base = total_ed as f64 / (trials as f64 * s.len() as f64);
+        // Edit distance slightly undercounts (adjacent errors can cancel),
+        // so allow a generous band around 6%.
+        assert!(
+            (0.04..=0.07).contains(&per_base),
+            "measured per-base error {per_base}"
+        );
+    }
+
+    #[test]
+    fn transmit_many_produces_independent_reads() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let s = DnaString::random(200, &mut rng);
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.10));
+        let reads = ch.transmit_many(&s, 8, &mut rng);
+        assert_eq!(reads.len(), 8);
+        // With 10% error on 200 bases, collisions are essentially impossible.
+        for i in 0..reads.len() {
+            for j in i + 1..reads.len() {
+                assert_ne!(reads[i], reads[j], "reads {i} and {j} identical");
+            }
+        }
+    }
 
     #[test]
     fn uniform_profile_multiplier_is_exactly_one() {

@@ -7,7 +7,7 @@
 //! coverage, then take nested prefixes for every lower coverage point, so
 //! higher-coverage experiments strictly extend lower-coverage ones.
 
-use crate::{ChannelModel, CoverageModel, IdsChannel, MAX_COVERAGE};
+use crate::{ChannelModel, CoverageModel, MAX_COVERAGE};
 use dna_strand::DnaString;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,42 +69,22 @@ fn substream_seed(seed: u64, index: u64) -> u64 {
 }
 
 impl ReadPool {
-    /// Generates the pool: for each strand, samples a cluster size from
-    /// `coverage` (interpreted at its mean = the maximum coverage the pool
-    /// will support) and produces that many noisy reads through `channel`.
-    pub fn generate(
-        strands: &[DnaString],
-        channel: &IdsChannel,
-        coverage: CoverageModel,
-        seed: u64,
-    ) -> ReadPool {
-        // One generation loop for both APIs: the flat channel is the
-        // uniform special case of the model-aware path (byte-identical —
-        // disabled knobs draw nothing from the RNG).
-        ReadPool::generate_with(
-            strands,
-            &ChannelModel::uniform(*channel.model()),
-            coverage,
-            seed,
-        )
-    }
-
-    /// Generates the pool under a full [`ChannelModel`]: per strand, a
-    /// dropout draw (the molecule may vanish entirely), a coverage draw,
-    /// an optional PCR amplification multiplier on the cluster size, and
-    /// then that many reads through the position-aware transmit path.
+    /// Generates the pool: per strand, a dropout draw (the molecule may
+    /// vanish entirely), a coverage draw (interpreted at its mean = the
+    /// maximum coverage the pool will support), an optional PCR
+    /// amplification multiplier on the cluster size, and then that many
+    /// reads through [`ChannelModel::transmit`].
     ///
     /// Draws that a disabled knob would make are **skipped entirely**, so
-    /// a [`ChannelModel::uniform`] model consumes exactly the historical
-    /// RNG stream and this function is byte-identical to
-    /// [`ReadPool::generate`] for any `(seed, model, coverage)`.
+    /// a [`ChannelModel::uniform`] model consumes exactly the flat
+    /// channel's RNG stream for any `(seed, model, coverage)`.
     ///
     /// Each molecule's read count, after the PCR multiplier, is capped at
     /// ten times [`MAX_COVERAGE`], so even a coverage model built by hand
     /// with an unbounded size (`CoverageModel::Fixed(usize::MAX)`, a huge
     /// Gamma mean) generates a bounded pool instead of overflowing the
     /// read vector's capacity.
-    pub fn generate_with(
+    pub fn generate(
         strands: &[DnaString],
         model: &ChannelModel,
         coverage: CoverageModel,
@@ -149,38 +129,6 @@ impl ReadPool {
                     reads: Vec::new(),
                 })
                 .collect(),
-        }
-    }
-
-    /// Rebuilds a pool from `(source strand index, read)` pairs — the
-    /// inverse of [`ReadPool::labeled_reads`], and the natural shape of a
-    /// clustered sequencer dump. Reads keep their relative order per
-    /// source; labels outside `0..n_strands` are dropped. The pool's
-    /// maximum mean coverage is the observed mean cluster size.
-    pub fn from_labeled_reads(
-        labeled: impl IntoIterator<Item = (usize, DnaString)>,
-        n_strands: usize,
-    ) -> ReadPool {
-        let mut full: Vec<Cluster> = (0..n_strands)
-            .map(|i| Cluster {
-                source: i,
-                reads: Vec::new(),
-            })
-            .collect();
-        let mut total = 0usize;
-        for (source, read) in labeled {
-            if let Some(cluster) = full.get_mut(source) {
-                cluster.reads.push(read);
-                total += 1;
-            }
-        }
-        ReadPool {
-            max_mean: if n_strands == 0 {
-                0.0
-            } else {
-                total as f64 / n_strands as f64
-            },
-            full,
         }
     }
 
@@ -268,7 +216,7 @@ mod tests {
         let strands: Vec<DnaString> = (0..n_strands)
             .map(|_| DnaString::random(60, &mut rng))
             .collect();
-        let channel = IdsChannel::new(ErrorModel::uniform(0.05));
+        let channel = ChannelModel::uniform(ErrorModel::uniform(0.05));
         ReadPool::generate(
             &strands,
             &channel,
@@ -289,7 +237,7 @@ mod tests {
                 shape: 6.0,
             },
         ] {
-            let pool = ReadPool::generate_with(
+            let pool = ReadPool::generate(
                 std::slice::from_ref(&strand),
                 &ChannelModel::uniform(ErrorModel::noiseless()),
                 coverage,
@@ -344,7 +292,7 @@ mod tests {
     fn generation_is_deterministic_in_seed() {
         let mut rng = StdRng::seed_from_u64(5);
         let strands: Vec<DnaString> = (0..5).map(|_| DnaString::random(50, &mut rng)).collect();
-        let ch = IdsChannel::new(ErrorModel::uniform(0.08));
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.08));
         let cov = CoverageModel::Fixed(6);
         let p1 = ReadPool::generate(&strands, &ch, cov, 99);
         let p2 = ReadPool::generate(&strands, &ch, cov, 99);

@@ -1,12 +1,9 @@
 //! Property tests for the channel-model subsystem: rate clamping,
-//! profile invariants, and — the backward-compatibility contract — the
-//! uniform channel model being byte-identical to the pre-profile
-//! sequencer for arbitrary (seed, model, coverage) triples.
+//! profile invariants, seed determinism, and — the backward-compatibility
+//! contract — read streams pinned by hash, so no change to the channel or
+//! the pool generator can silently move a seed's reads.
 
-use dna_channel::{
-    ChannelModel, CoverageModel, ErrorModel, IdsChannel, PositionProfile, ReadPool,
-    SequencingBackend, SimulatedSequencer,
-};
+use dna_channel::{ChannelModel, Cluster, CoverageModel, ErrorModel, PositionProfile, ReadPool};
 use dna_strand::DnaString;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,43 +29,125 @@ fn profile() -> impl Strategy<Value = PositionProfile> {
         })
 }
 
+/// FNV-1a 64-bit over `bytes`, continuing from `h`.
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Hashes a read's length and its bases, so a base moving between reads
+/// changes the hash.
+fn hash_read(h: &mut u64, read: &DnaString) {
+    fnv(h, &(read.len() as u64).to_le_bytes());
+    let bits: Vec<u8> = read.iter().map(|b| b.to_bits()).collect();
+    fnv(h, &bits);
+}
+
+/// Hashes every cluster's source label, read count and reads, in order.
+fn hash_pool(clusters: &[Cluster]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for c in clusters {
+        fnv(&mut h, &(c.source as u64).to_le_bytes());
+        fnv(&mut h, &(c.reads.len() as u64).to_le_bytes());
+        for read in &c.reads {
+            hash_read(&mut h, read);
+        }
+    }
+    h
+}
+
+/// The backward-compatibility contract: the reads a seed produces are
+/// pinned by hash. The uniform hashes were captured through both the
+/// retired flat-channel type and `ChannelModel::uniform` and agreed; the
+/// skewed presets were captured through `ChannelModel`. A changed hash
+/// means every seeded experiment moved.
+#[test]
+fn read_streams_match_their_pinned_hashes() {
+    let mut rng = StdRng::seed_from_u64(0xD1A);
+    let strands: Vec<DnaString> = (0..12).map(|_| DnaString::random(120, &mut rng)).collect();
+    let fixed = CoverageModel::Fixed(8);
+    let gamma = CoverageModel::gamma_with_mean(10.0).expect("valid mean");
+    let cases: [(&str, ChannelModel, CoverageModel, u64, u64); 8] = [
+        (
+            "uniform fixed",
+            ChannelModel::uniform(ErrorModel::uniform(0.06)),
+            fixed,
+            11,
+            0x2975_6c80_278a_68a0,
+        ),
+        (
+            "uniform gamma",
+            ChannelModel::uniform(ErrorModel::uniform(0.06)),
+            gamma,
+            12,
+            0x8000_2c18_b974_24da,
+        ),
+        (
+            "nanopore_decay fixed",
+            ChannelModel::nanopore_decay(0.08),
+            fixed,
+            13,
+            0x3f2a_1d59_1e5b_7bc4,
+        ),
+        (
+            "nanopore_decay gamma",
+            ChannelModel::nanopore_decay(0.08),
+            gamma,
+            14,
+            0x1e6e_f700_bb91_711b,
+        ),
+        (
+            "pcr_skewed fixed",
+            ChannelModel::pcr_skewed(0.06),
+            fixed,
+            15,
+            0x104e_4dd0_7778_35ce,
+        ),
+        (
+            "pcr_skewed gamma",
+            ChannelModel::pcr_skewed(0.06),
+            gamma,
+            16,
+            0xb0dd_b736_709d_4a3b,
+        ),
+        (
+            "dropout fixed",
+            ChannelModel::dropout_prone(0.06, 0.2),
+            fixed,
+            17,
+            0x4eec_3af0_5934_3a2a,
+        ),
+        (
+            "dropout gamma",
+            ChannelModel::dropout_prone(0.06, 0.2),
+            gamma,
+            18,
+            0xaab3_ab74_e4c7_a22c,
+        ),
+    ];
+    for (name, model, coverage, seed, pinned) in cases {
+        let pool = ReadPool::generate(&strands, &model, coverage, seed);
+        assert_eq!(hash_pool(pool.clusters()), pinned, "{name} seed {seed}");
+    }
+
+    let reads = ChannelModel::uniform(ErrorModel::uniform(0.06)).transmit_many(
+        &strands[0],
+        16,
+        &mut StdRng::seed_from_u64(21),
+    );
+    let mut h = FNV_OFFSET;
+    for read in &reads {
+        hash_read(&mut h, read);
+    }
+    assert_eq!(h, 0xadf1_f768_cca7_91d9, "transmit_many seed 21");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(100))]
-
-    /// The backward-compatibility contract: a uniform-profile simulator is
-    /// byte-identical to the pre-PR read-generation path for random
-    /// (seed, model, coverage) triples, under fixed and Gamma coverage.
-    #[test]
-    fn uniform_sequencer_is_byte_identical_to_pre_pr_path(
-        seed in any::<u64>(),
-        model in error_model(),
-        fixed_cov in 0usize..12,
-        gamma_mean in 0.5..20.0f64,
-        use_gamma in any::<bool>(),
-        n_strands in 1usize..10,
-        strand_len in 10usize..80,
-    ) {
-        let coverage = if use_gamma {
-            CoverageModel::Gamma { mean: gamma_mean, shape: 6.0 }
-        } else {
-            CoverageModel::Fixed(fixed_cov)
-        };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
-        let strands: Vec<DnaString> =
-            (0..n_strands).map(|_| DnaString::random(strand_len, &mut rng)).collect();
-
-        // The pre-PR sequencer: plain IdsChannel through ReadPool::generate.
-        let old = ReadPool::generate(&strands, &IdsChannel::new(model), coverage, seed);
-        // The new paths: the uniform ChannelModel and the backend wrapper.
-        let via_model =
-            ReadPool::generate_with(&strands, &ChannelModel::uniform(model), coverage, seed);
-        let backend = SimulatedSequencer::new(model, coverage);
-        let via_backend = backend.sequence_unit(0, &strands, seed);
-
-        prop_assert_eq!(old.clusters(), via_model.clusters());
-        prop_assert_eq!(old.clusters(), via_backend.clusters());
-        prop_assert!(backend.channel().is_uniform());
-    }
 
     /// Effective rates are clamped into [0, 1] with total ≤ 1 at every
     /// position, for any profile multiplier.
@@ -150,15 +229,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5A5A);
         let strands: Vec<DnaString> = (0..6).map(|_| DnaString::random(50, &mut rng)).collect();
         let cov = CoverageModel::Fixed(5);
-        let a = ReadPool::generate_with(&strands, &channel, cov, seed);
-        let b = ReadPool::generate_with(&strands, &channel, cov, seed);
+        let a = ReadPool::generate(&strands, &channel, cov, seed);
+        let b = ReadPool::generate(&strands, &channel, cov, seed);
         prop_assert_eq!(a.clusters(), b.clusters());
         // A different seed gives a different realization — except when
         // the channel is nearly noise-free (nothing random can differ) or
         // dropout killed every molecule in both runs (both pools are the
         // same all-lost degenerate).
         if model.total_rate() > 0.01 {
-            let c = ReadPool::generate_with(&strands, &channel, cov, seed.wrapping_add(1));
+            let c = ReadPool::generate(&strands, &channel, cov, seed.wrapping_add(1));
             let all_lost = |p: &ReadPool| p.clusters().iter().all(|cl| cl.is_lost());
             if !(all_lost(&a) && all_lost(&c)) {
                 prop_assert_ne!(a.clusters(), c.clusters());
@@ -174,7 +253,7 @@ proptest! {
             .expect("valid");
         let mut rng = StdRng::seed_from_u64(3);
         let strands: Vec<DnaString> = (0..400).map(|_| DnaString::random(30, &mut rng)).collect();
-        let pool = ReadPool::generate_with(&strands, &channel, CoverageModel::Fixed(2), 17);
+        let pool = ReadPool::generate(&strands, &channel, CoverageModel::Fixed(2), 17);
         let lost = pool.clusters().iter().filter(|c| c.is_lost()).count();
         let frac = lost as f64 / strands.len() as f64;
         prop_assert!((frac - drop).abs() < 0.12, "dropout {drop}, observed {frac}");

@@ -8,14 +8,14 @@
 //! the same seed produces the identical [`ChaosReport`] at any thread
 //! count — the property the conformance golden cell pins.
 
+use crate::byte_fault::{apply_byte_fault, ByteFault};
 use crate::fault::{splitmix64, FaultContext, FaultPlan, PoolFault};
-use crate::shim::{apply_byte_fault, ByteFault};
 use crate::verdict::{score_bytes, score_decode, Verdict, VerdictTally};
-use dna_channel::{AnonymousPool, ChannelModel, ErrorModel, SequencingBackend};
+use dna_channel::{AnonymousPool, ChannelModel, ErrorModel};
 use dna_object::{ObjectStore, StoreConfig};
 use dna_storage::{
-    CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, Scenario, SkewProfile,
-    StorageError, UnitReads,
+    CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, RetrieveOptions, Scenario,
+    SkewProfile, StorageError, UnitReads,
 };
 use std::path::PathBuf;
 
@@ -414,7 +414,7 @@ pub fn run_scenario(
                     UnitReads::Clusters(&clusters)
                 };
                 let outcome = pipeline
-                    .decode(&[reads], pipeline.decode_options(), None)
+                    .decode(&[reads], &RetrieveOptions::default(), None)
                     .map(|mut decoded| decoded.remove(0));
                 let verdict = score_decode(&payload, &outcome);
                 (verdict, outcome.ok().map(|(_, report)| report))

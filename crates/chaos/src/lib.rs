@@ -22,11 +22,10 @@
 //!   clustered read pool between the sequencer and the decoder:
 //!   sustained dropout, index-region burst deletions, cross-pool
 //!   contamination, truncated reads, chimeric reads.
-//! * **Byte faults** ([`ByteFault`], applied through genuine
-//!   [`io::Read`](std::io::Read)/[`io::Write`](std::io::Write) shims —
-//!   [`TornWriter`], [`CorruptingReader`], [`TruncatingReader`]) damage
-//!   the object store's files on disk: torn appends, flipped capsule
-//!   header or strand bytes, corrupted or truncated manifest sidecars.
+//! * **Byte faults** ([`ByteFault`], applied by [`apply_byte_fault`],
+//!   which edits the file's bytes and atomically replaces it) damage the
+//!   object store's files on disk: torn appends, flipped capsule header
+//!   or strand bytes, corrupted or truncated manifest sidecars.
 //!
 //! Campaign outcomes close the measure→plan→deploy loop: per-scenario
 //! row-error histograms ([`ScenarioOutcome::row_errors`], or the raw
@@ -50,15 +49,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod byte_fault;
 mod campaign;
 mod fault;
-mod shim;
 mod verdict;
 
+pub use byte_fault::{apply_byte_fault, ByteFault};
 pub use campaign::{
     builtin_presets, closed_loop, run_campaign, run_scenario, CampaignConfig, ChaosReport,
     ChaosScenario, ClosedLoopOutcome, PayloadKind, ScenarioKind, ScenarioOutcome,
 };
 pub use fault::{FaultContext, FaultPlan, PoolFault};
-pub use shim::{apply_byte_fault, ByteFault, CorruptingReader, TornWriter, TruncatingReader};
 pub use verdict::{score_bytes, score_decode, Verdict, VerdictTally};

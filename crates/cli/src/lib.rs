@@ -13,7 +13,7 @@ use dna_channel::{unit_seed, AnonymousPool, ChannelModel, ErrorModel, ReadPool};
 use dna_object::{LayoutKind, ObjectStore, StoreConfig};
 use dna_storage::{
     CodecParams, DecodeReport, Pipeline, PlannerWarning, ProtectionPlan, ProtectionPlanner,
-    Scenario, SkewProfile, StorageError, UnitReads,
+    RetrieveOptions, Scenario, SkewProfile, StorageError, UnitReads,
 };
 use dna_strand::{DnaString, TranscoderSpec};
 use std::fmt;
@@ -385,7 +385,7 @@ pub fn decode(text: &str) -> Result<(Vec<u8>, Vec<DecodeReport>), CliError> {
         .collect();
     let mut payload = Vec::with_capacity(payload_len);
     let mut reports = Vec::with_capacity(reads.len());
-    for (bytes, report) in pipeline.decode(&reads, pipeline.decode_options(), None)? {
+    for (bytes, report) in pipeline.decode(&reads, &RetrieveOptions::default(), None)? {
         payload.extend_from_slice(&bytes);
         reports.push(report);
     }

@@ -466,7 +466,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dna_channel::{ErrorModel, IdsChannel};
+    use dna_channel::{ChannelModel, ErrorModel};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -486,7 +486,7 @@ mod tests {
             ErrorModel::new(p / 10.0, 0.45 * p, 0.45 * p).unwrap()
         };
         let original = DnaString::random(len, &mut rng);
-        let mut reads = IdsChannel::new(model).transmit_many(&original, n, &mut rng);
+        let mut reads = ChannelModel::uniform(model).transmit_many(&original, n, &mut rng);
         for read in &mut reads {
             match rng.gen_range(0..16) {
                 0 => *read = DnaString::new(),
@@ -554,7 +554,7 @@ mod tests {
     fn substitution_only_noise_is_fixed_by_majority() {
         let mut rng = StdRng::seed_from_u64(1);
         let original = DnaString::random(150, &mut rng);
-        let ch = IdsChannel::new(ErrorModel::substitutions_only(0.10));
+        let ch = ChannelModel::uniform(ErrorModel::substitutions_only(0.10));
         let reads = ch.transmit_many(&original, 7, &mut rng);
         for algo in [BmaOneWay::default().name(), BmaTwoWay::default().name()] {
             let got = match algo {
@@ -596,7 +596,7 @@ mod tests {
     fn output_always_has_target_length() {
         let mut rng = StdRng::seed_from_u64(3);
         let original = DnaString::random(60, &mut rng);
-        let ch = IdsChannel::new(ErrorModel::uniform(0.3));
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.3));
         for n in [1usize, 2, 5] {
             let reads = ch.transmit_many(&original, n, &mut rng);
             for len in [1usize, 59, 60, 61, 80] {
@@ -620,7 +620,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let l = 200;
         let trials = 150;
-        let ch = IdsChannel::new(ErrorModel::uniform(0.05));
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.05));
         let algo = BmaOneWay::default();
         let mut first_half_err = 0usize;
         let mut second_half_err = 0usize;
@@ -651,7 +651,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let l = 150;
         let trials = 200;
-        let ch = IdsChannel::new(ErrorModel::uniform(0.06));
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.06));
         let algo = BmaTwoWay::default();
         let mut errs = [0usize; 3];
         for _ in 0..trials {

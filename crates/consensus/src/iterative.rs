@@ -194,7 +194,7 @@ impl TraceReconstructor for IterativeReconstructor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dna_channel::{ErrorModel, IdsChannel};
+    use dna_channel::{ChannelModel, ErrorModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -202,7 +202,7 @@ mod tests {
     fn fixes_isolated_substitutions_exactly() {
         let mut rng = StdRng::seed_from_u64(1);
         let original = DnaString::random(120, &mut rng);
-        let ch = IdsChannel::new(ErrorModel::substitutions_only(0.08));
+        let ch = ChannelModel::uniform(ErrorModel::substitutions_only(0.08));
         let reads = ch.transmit_many(&original, 6, &mut rng);
         let got = IterativeReconstructor::default().reconstruct(&reads, original.len());
         assert_eq!(got, original);
@@ -214,7 +214,7 @@ mod tests {
         // with shifted segments (a few % error); the indel-aware iteration
         // must repair essentially all of it.
         let mut rng = StdRng::seed_from_u64(9);
-        let ch = IdsChannel::new(ErrorModel::substitutions_only(0.10));
+        let ch = ChannelModel::uniform(ErrorModel::substitutions_only(0.10));
         let l = 100;
         let (mut init_errs, mut iter_errs) = (0usize, 0usize);
         for _ in 0..80 {
@@ -238,7 +238,7 @@ mod tests {
     fn output_length_is_always_constrained() {
         let mut rng = StdRng::seed_from_u64(2);
         let original = DnaString::random(70, &mut rng);
-        let ch = IdsChannel::new(ErrorModel::uniform(0.25));
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.25));
         let reads = ch.transmit_many(&original, 4, &mut rng);
         for len in [50usize, 70, 90] {
             assert_eq!(
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn improves_on_two_way_bma_under_indel_noise() {
         let mut rng = StdRng::seed_from_u64(3);
-        let ch = IdsChannel::new(ErrorModel::uniform(0.10));
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.10));
         let l = 150;
         let (mut bma_errs, mut iter_errs) = (0usize, 0usize);
         for _ in 0..60 {
@@ -276,7 +276,7 @@ mod tests {
         // mid-strand peak under indel noise.
         let mut rng = StdRng::seed_from_u64(4);
         let l = 150;
-        let ch = IdsChannel::new(ErrorModel::uniform(0.10));
+        let ch = ChannelModel::uniform(ErrorModel::uniform(0.10));
         let algo = IterativeReconstructor::default();
         let mut errs = vec![0usize; 3];
         for _ in 0..150 {

@@ -24,14 +24,14 @@
 //! # Examples
 //!
 //! ```
-//! use dna_channel::{ErrorModel, IdsChannel};
+//! use dna_channel::{ErrorModel, ChannelModel};
 //! use dna_consensus::{BmaTwoWay, TraceReconstructor};
 //! use dna_strand::DnaString;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let original = DnaString::random(120, &mut rng);
-//! let channel = IdsChannel::new(ErrorModel::uniform(0.03));
+//! let channel = ChannelModel::uniform(ErrorModel::uniform(0.03));
 //! let reads = channel.transmit_many(&original, 8, &mut rng);
 //! let consensus = BmaTwoWay::default().reconstruct(&reads, original.len());
 //! let mismatches = consensus.hamming_distance(&original).unwrap();
@@ -101,14 +101,14 @@ pub trait TraceReconstructor {
 #[cfg(test)]
 mod trait_tests {
     use super::*;
-    use dna_channel::{ErrorModel, IdsChannel};
+    use dna_channel::{ChannelModel, ErrorModel};
     use rand::SeedableRng;
 
     #[test]
     fn oriented_reconstruction_matches_pre_flipped_reads() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let original = DnaString::random(80, &mut rng);
-        let channel = IdsChannel::new(ErrorModel::uniform(0.02));
+        let channel = ChannelModel::uniform(ErrorModel::uniform(0.02));
         let reads = channel.transmit_many(&original, 6, &mut rng);
         // Flip half the reads, then ask the oriented entry to undo it.
         let flips: Vec<bool> = (0..reads.len()).map(|i| i % 2 == 0).collect();

@@ -8,7 +8,7 @@
 //! trial derives its own RNG stream.
 
 use crate::{ConstrainedMedian, TieBreak, TraceReconstructor};
-use dna_channel::{ErrorModel, IdsChannel};
+use dna_channel::{ChannelModel, ErrorModel};
 use dna_strand::DnaString;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,7 +118,7 @@ pub fn dna_skew_profile<A>(
 where
     A: TraceReconstructor + Sync,
 {
-    let channel = IdsChannel::new(model);
+    let channel = ChannelModel::uniform(model);
     fan_out(l, trials, |t, counts| {
         let mut rng = trial_rng(seed, t);
         let original = DnaString::random(l, &mut rng);

@@ -5,8 +5,8 @@
 //! layouts, several consensus algorithms, dozens of channel scenarios.
 //! The builder makes each variation one knob instead of another
 //! constructor: geometry (a whole [`CodecParams`]), layout, protection
-//! policy, consensus algorithm, and default decode options, all
-//! validated together at [`PipelineBuilder::build`]. Explicit primers
+//! policy, consensus algorithm, and recovery stage, all validated
+//! together at [`PipelineBuilder::build`]. Explicit primers
 //! re-key a built pipeline through [`Pipeline::with_primers`].
 //!
 //! # Examples
@@ -41,7 +41,7 @@
 
 use crate::layout::Layout;
 use crate::params::CodecParams;
-use crate::pipeline::{Pipeline, RetrieveOptions};
+use crate::pipeline::Pipeline;
 use crate::plan::{planned_positions, Protection, ProtectionPlan};
 use crate::recovery::RecoveryPipeline;
 use crate::StorageError;
@@ -67,7 +67,6 @@ pub struct PipelineBuilder {
     layout: Layout,
     protection: Protection,
     consensus: Option<Arc<dyn TraceReconstructor + Send + Sync>>,
-    decode_options: RetrieveOptions,
     recovery: RecoveryPipeline,
 }
 
@@ -95,7 +94,6 @@ impl Default for PipelineBuilder {
             layout: Layout::Baseline,
             protection: Protection::Uniform,
             consensus: None,
-            decode_options: RetrieveOptions::default(),
             recovery: RecoveryPipeline::anchored(None),
         }
     }
@@ -147,15 +145,6 @@ impl PipelineBuilder {
     /// [`RecoveryPipeline::anchored`]`(None)`.
     pub fn recovery(mut self, recovery: RecoveryPipeline) -> Self {
         self.recovery = recovery;
-        self
-    }
-
-    /// Default [`RetrieveOptions`] applied by the shorthand decode entry
-    /// points ([`Pipeline::decode_unit`](crate::Pipeline::decode_unit)
-    /// and friends); [`Pipeline::decode`](crate::Pipeline::decode) takes
-    /// its options per call.
-    pub fn decode_options(mut self, options: RetrieveOptions) -> Self {
-        self.decode_options = options;
         self
     }
 
@@ -234,7 +223,6 @@ impl PipelineBuilder {
             self.consensus
                 .unwrap_or_else(|| Arc::new(BmaTwoWay::default())),
             primers,
-            self.decode_options,
             self.recovery,
         ))
     }

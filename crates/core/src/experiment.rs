@@ -12,7 +12,7 @@ use crate::archive::{Archive, ArchiveCodec};
 use crate::pipeline::{Pipeline, RetrieveOptions, UnitReads};
 use crate::scenario::Scenario;
 use crate::StorageError;
-use dna_channel::{unit_seed, AnonymousPool, Cluster, SequencingBackend};
+use dna_channel::{unit_seed, AnonymousPool, Cluster};
 use dna_parallel::parallel_map;
 
 /// Runs the unlabeled-retrieval front half for one coverage draw:

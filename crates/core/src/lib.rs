@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use dna_storage::{CodecParams, Layout, Pipeline};
-//! use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
+//! use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let pipeline = Pipeline::builder()

@@ -1,5 +1,5 @@
-//! The end-to-end pipeline: payload → matrix → strands → sequencing
-//! backend → clusters → consensus → Reed–Solomon → payload, for single
+//! The end-to-end pipeline: payload → matrix → strands → simulated
+//! sequencer → clusters → consensus → Reed–Solomon → payload, for single
 //! units and deterministic parallel batches.
 
 use crate::builder::PipelineBuilder;
@@ -12,7 +12,7 @@ use crate::report::{CodewordReport, DecodeReport};
 use crate::workspace::DecodeWorkspace;
 use crate::StorageError;
 use dna_align::BasePattern;
-use dna_channel::{AnonymousPool, Cluster, ReadPool, SequencingBackend};
+use dna_channel::{AnonymousPool, Cluster, ReadPool, SimulatedSequencer};
 use dna_consensus::TraceReconstructor;
 use dna_reed_solomon::{CodeFamily, RsError};
 use dna_strand::{bits, DnaString, Primer, TranscoderSpec};
@@ -103,8 +103,6 @@ pub struct Pipeline {
     rs: Option<Arc<CodeFamily>>,
     consensus: Arc<dyn TraceReconstructor + Send + Sync>,
     primers: Option<(Primer, Primer)>,
-    /// The options the shorthand decode entry points run with.
-    default_retrieve: RetrieveOptions,
     /// The stage every [`UnitReads::Pool`] runs before decoding.
     recovery: RecoveryPipeline,
     /// Every codeword's cell list, precomputed once from the layout (and
@@ -141,7 +139,6 @@ impl Pipeline {
         cw_positions: Vec<Vec<(usize, usize)>>,
         consensus: Arc<dyn TraceReconstructor + Send + Sync>,
         primers: Option<(Primer, Primer)>,
-        default_retrieve: RetrieveOptions,
         recovery: RecoveryPipeline,
     ) -> Pipeline {
         Pipeline {
@@ -151,7 +148,6 @@ impl Pipeline {
             rs,
             consensus,
             primers,
-            default_retrieve,
             recovery,
             cw_positions: Arc::new(cw_positions),
         }
@@ -189,13 +185,6 @@ impl Pipeline {
     /// Bytes of payload one unit holds.
     pub fn payload_capacity(&self) -> usize {
         self.params.payload_bytes()
-    }
-
-    /// The default [`RetrieveOptions`] applied by the shorthand decode
-    /// entry points ([`Pipeline::decode_unit`], [`Pipeline::decode_batch`],
-    /// [`Pipeline::decode_pool`], [`Pipeline::decode_pool_batch`]).
-    pub fn decode_options(&self) -> &RetrieveOptions {
-        &self.default_retrieve
     }
 
     /// The primer pair flanking every strand, when primers are enabled.
@@ -343,18 +332,18 @@ impl Pipeline {
         self.encode_batch(&chunks)
     }
 
-    /// Produces read pools for a whole batch of units through `backend`,
-    /// fanning units out across scoped threads. Deterministic in the seed
-    /// regardless of thread count: unit `u` always sees
-    /// [`dna_channel::unit_seed`]`(seed, u)`.
+    /// Produces read pools for a whole batch of units through
+    /// `sequencer`, fanning units out across scoped threads.
+    /// Deterministic in the seed regardless of thread count: unit `u`
+    /// always sees [`dna_channel::unit_seed`]`(seed, u)`.
     pub fn sequence_batch(
         &self,
-        backend: &dyn SequencingBackend,
+        sequencer: &SimulatedSequencer,
         units: &[EncodedUnit],
         seed: u64,
     ) -> Vec<ReadPool> {
         dna_parallel::parallel_map(units.len(), |u| {
-            backend.sequence_unit(u, &units[u].strands, seed)
+            sequencer.sequence_unit(u, &units[u].strands, seed)
         })
     }
 
@@ -409,8 +398,7 @@ impl Pipeline {
     }
 
     /// [`Pipeline::decode`] of one cluster set with the default
-    /// [`RetrieveOptions`] (set via
-    /// [`PipelineBuilder::decode_options`](crate::PipelineBuilder::decode_options)).
+    /// [`RetrieveOptions`].
     ///
     /// # Errors
     ///
@@ -420,7 +408,9 @@ impl Pipeline {
         clusters: &[Cluster],
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
         let unit = [UnitReads::Clusters(clusters)];
-        Ok(self.decode(&unit, &self.default_retrieve, None)?.remove(0))
+        Ok(self
+            .decode(&unit, &RetrieveOptions::default(), None)?
+            .remove(0))
     }
 
     /// [`Pipeline::decode`] of many cluster sets, in parallel, with the
@@ -437,7 +427,7 @@ impl Pipeline {
             .iter()
             .map(|c| UnitReads::Clusters(c))
             .collect();
-        self.decode(&units, &self.default_retrieve, None)
+        self.decode(&units, &RetrieveOptions::default(), None)
     }
 
     /// [`Pipeline::decode`] of one unlabeled pool with the default
@@ -455,7 +445,9 @@ impl Pipeline {
         pool: &AnonymousPool,
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
         let unit = [UnitReads::Pool(pool)];
-        Ok(self.decode(&unit, &self.default_retrieve, None)?.remove(0))
+        Ok(self
+            .decode(&unit, &RetrieveOptions::default(), None)?
+            .remove(0))
     }
 
     /// [`Pipeline::decode`] of many unlabeled pools, in parallel, with the
@@ -469,7 +461,7 @@ impl Pipeline {
         pools: &[AnonymousPool],
     ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
         let units: Vec<_> = pools.iter().map(UnitReads::Pool).collect();
-        self.decode(&units, &self.default_retrieve, None)
+        self.decode(&units, &RetrieveOptions::default(), None)
     }
 
     /// Reconstructs labeled clusters from an unlabeled pool — the

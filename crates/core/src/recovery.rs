@@ -233,7 +233,7 @@ enum ClustererSpec {
 ///
 /// ```
 /// use dna_storage::{CodecParams, Pipeline};
-/// use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
+/// use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let pipeline = Pipeline::builder()

@@ -6,7 +6,7 @@
 //! yet each bench target, example, and CLI subcommand used to re-wire
 //! that glue by hand. A `Scenario` names the whole operating point once
 //! and hands out the derived pieces: the pool-generation coverage model,
-//! per-trial seeds, and a ready-made [`SimulatedSequencer`] backend.
+//! per-trial seeds, and a ready-made [`SimulatedSequencer`].
 
 use crate::StorageError;
 pub use dna_channel::MAX_COVERAGE;
@@ -180,7 +180,7 @@ impl Scenario {
         self.channel.base()
     }
 
-    /// A simulated-sequencing backend for this operating point.
+    /// The simulated sequencer for this operating point.
     pub fn backend(&self) -> SimulatedSequencer {
         SimulatedSequencer::with_channel(self.channel.clone(), self.pool_coverage())
     }

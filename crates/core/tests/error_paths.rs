@@ -6,7 +6,7 @@
 use dna_align::GreedyClusterer;
 use dna_channel::{
     AnonymousPool, ChannelError, ChannelModel, CoverageModel, ErrorModel, PositionProfile,
-    SequencingBackend, SimulatedSequencer,
+    SimulatedSequencer,
 };
 use dna_storage::{
     min_coverage, CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlan, ProtectionPlanner,
@@ -357,7 +357,7 @@ fn garbage_clusters_never_panic_or_decode_silently_wrong() {
         for trust in [false, true] {
             let opts = RetrieveOptions {
                 trust_cluster_sources: trust,
-                ..pipeline.decode_options().clone()
+                ..RetrieveOptions::default()
             };
             let result = pipeline
                 .decode(&[UnitReads::Clusters(&clusters)], &opts, None)
@@ -366,7 +366,7 @@ fn garbage_clusters_never_panic_or_decode_silently_wrong() {
         }
         let pool = AnonymousPool::from_reads(clusters.into_iter().flat_map(|c| c.reads));
         let result = pipeline
-            .decode(&[UnitReads::Pool(&pool)], pipeline.decode_options(), None)
+            .decode(&[UnitReads::Pool(&pool)], &RetrieveOptions::default(), None)
             .map(|mut units| units.remove(0));
         check(&format!("seed {seed} pool"), result);
     }

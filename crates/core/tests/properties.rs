@@ -3,7 +3,7 @@
 //! round-trips for arbitrary payloads and layouts (planned protection
 //! included), and planner determinism under the density budget.
 
-use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
+use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
 use dna_storage::{CodecParams, Layout, Pipeline, ProtectionPlan, ProtectionPlanner, SkewProfile};
 use proptest::prelude::*;
 use std::collections::HashSet;

@@ -6,8 +6,8 @@
 //! syndrome, SSSE3 slice and word-at-a-time pack kernels are on this
 //! path, so they must add zero steady-state allocations of their own.
 
-use dna_channel::{CoverageModel, ErrorModel, SequencingBackend, SimulatedSequencer};
-use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, UnitReads};
+use dna_channel::{CoverageModel, ErrorModel, SimulatedSequencer};
+use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, RetrieveOptions, UnitReads};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
 
@@ -66,7 +66,7 @@ fn warm_workspace_decode_allocates_strictly_less_and_is_steady() {
     let pool = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(8))
         .sequence_unit(0, unit.strands(), 17);
     let clusters = pool.clusters().to_vec();
-    let opts = pipeline.decode_options().clone();
+    let opts = RetrieveOptions::default();
 
     // Cold workspace: the first decode pays the warm-up allocations.
     let mut ws = DecodeWorkspace::new();
@@ -127,7 +127,7 @@ fn concurrent_workers_with_pooled_workspaces_stay_allocation_steady() {
     let pool = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(8))
         .sequence_unit(0, unit.strands(), 17);
     let clusters = pool.clusters().to_vec();
-    let opts = pipeline.decode_options().clone();
+    let opts = RetrieveOptions::default();
 
     let per_thread: Vec<(u64, u64, u64, Vec<u8>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)

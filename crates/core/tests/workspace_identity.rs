@@ -4,11 +4,10 @@
 //! time, the parallel batch at any thread count, and the four shorthands
 //! (`decode_unit`, `decode_batch`, `decode_pool`, `decode_pool_batch`) —
 //! for labeled clusters and unlabeled pools alike, over every supported
-//! field.
+//! field, with default options and with forced erasures.
 
 use dna_channel::{
-    AnonymousPool, Cluster, CoverageModel, ErrorModel, ReadPool, SequencingBackend,
-    SimulatedSequencer,
+    AnonymousPool, Cluster, CoverageModel, ErrorModel, ReadPool, SimulatedSequencer,
 };
 use dna_gf::Field;
 use dna_storage::{
@@ -18,16 +17,10 @@ use dna_storage::{
 type Decoded = Vec<(Vec<u8>, DecodeReport)>;
 
 fn pipelines() -> Vec<(&'static str, Pipeline, f64, usize)> {
-    // Forced erasures ride in the default options so the shorthands run
-    // with exactly the options the explicit calls pass.
     let build = |params: CodecParams, layout: Layout| {
         Pipeline::builder()
             .params(params.with_primer_len(12))
             .layout(layout)
-            .decode_options(RetrieveOptions {
-                forced_erasures: vec![1, 3],
-                ..RetrieveOptions::default()
-            })
             .build()
             .unwrap()
     };
@@ -62,17 +55,17 @@ fn pipelines() -> Vec<(&'static str, Pipeline, f64, usize)> {
 }
 
 /// Asserts that the one-unit-at-a-time reference decodes `payloads`
-/// exactly, that every explicit execution path over `units` reproduces
-/// it, and that each shorthand result does too.
+/// exactly under `opts`, that every explicit execution path over `units`
+/// reproduces it, and that each shorthand result (which runs with the
+/// default options) does too.
 fn check_paths(
     name: &str,
     pipeline: &Pipeline,
     units: &[UnitReads<'_>],
     payloads: &[Vec<u8>],
+    opts: &RetrieveOptions,
     shorthands: &[(&str, Decoded)],
 ) {
-    let opts = pipeline.decode_options();
-
     // Reference: one unit per call on the per-thread workspace.
     let reference: Decoded = units
         .iter()
@@ -128,6 +121,10 @@ fn check_paths(
 
 #[test]
 fn every_decode_path_is_byte_identical() {
+    let forced = RetrieveOptions {
+        forced_erasures: vec![1, 3],
+        ..RetrieveOptions::default()
+    };
     for (name, pipeline, p, coverage) in pipelines() {
         let payloads: Vec<Vec<u8>> = (0..5)
             .map(|u| {
@@ -163,7 +160,16 @@ fn every_decode_path_is_byte_identical() {
             &pipeline,
             &labeled,
             &payloads,
+            &RetrieveOptions::default(),
             &shorthands,
+        );
+        check_paths(
+            &format!("{name}/clusters/forced"),
+            &pipeline,
+            &labeled,
+            &payloads,
+            &forced,
+            &[],
         );
 
         let anonymous: Vec<AnonymousPool> = pools
@@ -190,7 +196,16 @@ fn every_decode_path_is_byte_identical() {
             &pipeline,
             &unlabeled,
             &payloads,
+            &RetrieveOptions::default(),
             &shorthands,
+        );
+        check_paths(
+            &format!("{name}/pool/forced"),
+            &pipeline,
+            &unlabeled,
+            &payloads,
+            &forced,
+            &[],
         );
     }
 }

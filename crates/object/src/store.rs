@@ -23,7 +23,9 @@ use crate::compress;
 use crate::manifest::{CapsuleEntry, Manifest, ObjectEntry};
 use dna_channel::{AnonymousPool, ReadPool};
 use dna_crypto::ChaCha20;
-use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, StorageError, UnitReads};
+use dna_storage::{
+    CodecParams, DecodeWorkspace, Layout, Pipeline, RetrieveOptions, StorageError, UnitReads,
+};
 use dna_strand::constraints::ConstraintSet;
 use dna_strand::{DnaString, Primer, TranscoderSpec};
 use std::fs::{File, OpenOptions};
@@ -841,9 +843,14 @@ impl ObjectStore {
         self.commit()
     }
 
-    /// Persists the manifest: super-capsule appended to the pool, then
-    /// the sidecar file via [`Manifest::commit_sidecar`] (write-to-temp,
-    /// fsync, atomic rename, directory fsync).
+    /// Persists the manifest: super-capsule appended to the pool, the
+    /// pool synced (`sync_data`), then the sidecar file via
+    /// [`Manifest::commit_sidecar`] (write-to-temp, fsync, atomic rename,
+    /// directory fsync). The pool sync lands before the sidecar names
+    /// anything, and it covers every append since the last commit — the
+    /// capsules of `put`, the tombstone of `delete`, the header of
+    /// `create` — so a crash never leaves a durable sidecar pointing at
+    /// pool bytes that never reached the disk.
     fn commit(&mut self) -> Result<(), StorageError> {
         let seq = self.manifest.next_seq;
         self.manifest.next_seq = seq + 1;
@@ -868,6 +875,7 @@ impl ObjectStore {
             text.as_bytes(),
         )?;
         file.flush()?;
+        file.get_ref().sync_data()?;
         drop(file);
         self.manifest.commit_sidecar(&self.dir, MANIFEST_FILE)
     }
@@ -1096,7 +1104,7 @@ fn decode_capsule_body(
     };
     let mut stored = Vec::with_capacity(cap.stored_len as usize);
     let mut failed = 0usize;
-    for (payload, report) in pipeline.decode(&units, pipeline.decode_options(), workspace)? {
+    for (payload, report) in pipeline.decode(&units, &RetrieveOptions::default(), workspace)? {
         stored.extend_from_slice(&payload);
         failed += report.failed_codewords();
     }

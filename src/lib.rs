@@ -9,7 +9,7 @@
 //! | [`reed_solomon`] | errors-and-erasures Reed–Solomon codes |
 //! | [`strand`] | bases, strands, codecs, primers, indexes |
 //! | [`align`] | edit distance, alignment, read clustering |
-//! | [`channel`] | IDS noise, error profiles, Gamma coverage, read pools, sequencing backends |
+//! | [`channel`] | IDS noise, error profiles, Gamma coverage, read pools, the simulated sequencer |
 //! | [`consensus`] | trace reconstruction and skew profiling |
 //! | [`media`] | images, the JPEG-like codec, PSNR, bit ranking |
 //! | [`crypto`] | ChaCha20 for end-to-end encrypted archives |
@@ -44,23 +44,23 @@
 //! # }
 //! ```
 //!
-//! Read generation is pluggable and lives in the channel layer: the
-//! simulator above is one [`SequencingBackend`](channel::SequencingBackend),
-//! and [`TraceReplay`](channel::TraceReplay) replays recorded read pools
-//! (wetlab traces, sequencer dumps) through the identical decode path:
+//! Read generation lives in the channel layer: the
+//! [`SimulatedSequencer`](channel::SimulatedSequencer) above is the one
+//! read source. A recorded pool (a wetlab trace, a sequencer dump, or a
+//! pool captured from an earlier simulation) needs no sequencer — decode
+//! a recorded pool with `decode_unit(pool.clusters())`:
 //!
 //! ```
 //! use dna_skew::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let pipeline = Pipeline::builder().params(CodecParams::tiny()?).build()?;
-//! let unit = pipeline.encode_unit(b"replayed")?;
-//! // Record a pool once (here: simulated), then replay it later.
+//! let unit = pipeline.encode_unit(b"recorded")?;
+//! // Record a pool once (here: simulated), then decode it later.
 //! let sequencer = SimulatedSequencer::new(ErrorModel::ngs(0.003), CoverageModel::Fixed(6));
-//! let replay = TraceReplay::single(sequencer.sequence_unit(0, unit.strands(), 7));
-//! let pool = replay.sequence_unit(0, unit.strands(), 0 /* seed is ignored */);
-//! let (decoded, _) = pipeline.decode_unit(&pool.clusters().to_vec())?;
-//! assert_eq!(&decoded[..8], b"replayed");
+//! let pool = sequencer.sequence_unit(0, unit.strands(), 7);
+//! let (decoded, _) = pipeline.decode_unit(pool.clusters())?;
+//! assert_eq!(&decoded[..8], b"recorded");
 //! # Ok(())
 //! # }
 //! ```
@@ -111,8 +111,8 @@ pub use dna_strand as strand;
 pub mod prelude {
     pub use dna_align::{AnchoredClusterer, GreedyClusterer, ReadClusterer};
     pub use dna_channel::{
-        AnonymousPool, BurstModel, ChannelModel, Cluster, CoverageModel, ErrorModel, IdsChannel,
-        PcrBias, PositionProfile, ReadPool, SequencingBackend, SimulatedSequencer, TraceReplay,
+        AnonymousPool, BurstModel, ChannelModel, Cluster, CoverageModel, ErrorModel, PcrBias,
+        PositionProfile, ReadPool, SimulatedSequencer,
     };
     pub use dna_chaos::{
         builtin_presets, run_campaign, ByteFault, CampaignConfig, ChaosReport, ChaosScenario,

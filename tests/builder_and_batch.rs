@@ -1,5 +1,5 @@
-//! Integration: the builder API, the batch unit codec, and pluggable
-//! sequencing backends, through the public facade.
+//! Integration: the builder API, the batch unit codec, and batch
+//! sequencing, through the public facade.
 
 use dna_skew::prelude::*;
 use dna_skew::storage::StorageError;
@@ -75,8 +75,8 @@ fn batch_round_trip_matches_per_unit_for_all_layouts() {
         }
 
         // Sequence every unit, then decode as a batch and per unit.
-        let backend = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(8));
-        let pools = pipeline.sequence_batch(&backend, &batch_units, 42);
+        let sequencer = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(8));
+        let pools = pipeline.sequence_batch(&sequencer, &batch_units, 42);
         assert_eq!(pools.len(), batch_units.len());
         let per_unit_clusters: Vec<Vec<Cluster>> =
             pools.iter().map(|p| p.clusters().to_vec()).collect();
@@ -117,10 +117,10 @@ fn batch_sequencing_is_deterministic_and_per_unit_independent() {
     let pipeline = tiny(Layout::Baseline);
     let payloads = batch_payloads(&pipeline, 4);
     let units = pipeline.encode_batch(&payloads).unwrap();
-    let backend = SimulatedSequencer::new(ErrorModel::uniform(0.05), CoverageModel::Fixed(5));
-    let a = pipeline.sequence_batch(&backend, &units, 7);
-    let b = pipeline.sequence_batch(&backend, &units, 7);
-    let c = pipeline.sequence_batch(&backend, &units, 8);
+    let sequencer = SimulatedSequencer::new(ErrorModel::uniform(0.05), CoverageModel::Fixed(5));
+    let a = pipeline.sequence_batch(&sequencer, &units, 7);
+    let b = pipeline.sequence_batch(&sequencer, &units, 7);
+    let c = pipeline.sequence_batch(&sequencer, &units, 8);
     for u in 0..units.len() {
         assert_eq!(a[u].clusters(), b[u].clusters(), "unit {u}");
         assert_ne!(a[u].clusters(), c[u].clusters(), "unit {u}");
@@ -132,59 +132,13 @@ fn batch_sequencing_is_deterministic_and_per_unit_independent() {
 }
 
 #[test]
-fn trace_replay_round_trips_a_recorded_batch() {
-    let pipeline = tiny(Layout::DnaMapper);
-    let payloads = batch_payloads(&pipeline, 3);
-    let units = pipeline.encode_batch(&payloads).unwrap();
-
-    // Record pools from the simulator, then replay them through the
-    // identical decode path — the real-trace scenario.
-    let sim = SimulatedSequencer::new(ErrorModel::ngs(0.005), CoverageModel::Fixed(6));
-    let recorded = pipeline.sequence_batch(&sim, &units, 11);
-    let replay = TraceReplay::new(recorded.clone());
-    assert_eq!(replay.name(), "trace-replay");
-
-    // The replay ignores seeds: any seed yields the recorded reads.
-    let replayed = pipeline.sequence_batch(&replay, &units, 0xFEED);
-    for (u, pool) in replayed.iter().enumerate() {
-        assert_eq!(pool.clusters(), recorded[u].clusters(), "unit {u}");
-    }
-    let clusters: Vec<Vec<Cluster>> = replayed.iter().map(|p| p.clusters().to_vec()).collect();
-    for (u, (decoded, report)) in pipeline.decode_batch(&clusters).unwrap().iter().enumerate() {
-        assert_eq!(decoded, &payloads[u], "unit {u}");
-        assert!(report.is_error_free(), "unit {u}");
-    }
-}
-
-#[test]
-fn trace_replay_from_labeled_reads_supports_external_dumps() {
-    // The wetlab-shaped flow: labeled (cluster, read) pairs from an
-    // external source become a replayable pool.
-    let pipeline = tiny(Layout::Baseline);
-    let payload: Vec<u8> = (0..30).collect();
-    let unit = pipeline.encode_unit(&payload).unwrap();
-    let pool = SimulatedSequencer::new(ErrorModel::uniform(0.02), CoverageModel::Fixed(7))
-        .sequence_unit(0, unit.strands(), 3);
-    let labeled = pool.labeled_reads();
-
-    let replay = TraceReplay::from_labeled_reads(labeled, unit.len());
-    let replayed = replay.sequence_unit(0, unit.strands(), 0);
-    let (decoded, report) = pipeline.decode_unit(replayed.clusters()).unwrap();
-    assert_eq!(&decoded[..30], &payload[..]);
-    assert!(report.is_error_free());
-}
-
-#[test]
-fn builder_decode_options_become_the_default() {
-    // Forced erasures configured at build time apply to every decode.
+fn forced_erasures_apply_per_decode_call() {
+    // Shorthand decodes run with the default options (no forced
+    // erasures); forced erasures go to `Pipeline::decode` per call.
     let pipeline = Pipeline::builder()
         .params(CodecParams::tiny().unwrap())
         .layout(Layout::Gini {
             excluded_rows: vec![],
-        })
-        .decode_options(RetrieveOptions {
-            forced_erasures: vec![10, 11, 12],
-            ..RetrieveOptions::default()
         })
         .build()
         .unwrap();
@@ -195,8 +149,17 @@ fn builder_decode_options_become_the_default() {
     let (decoded, report) = pipeline.decode_unit(pool.clusters()).unwrap();
     assert_eq!(decoded[..30], payload[..]);
     assert!(report.is_error_free());
-    assert_eq!(
-        report.lost_columns, 3,
-        "forced erasures must apply by default"
-    );
+    assert_eq!(report.lost_columns, 0, "no erasures by default");
+
+    let forced = RetrieveOptions {
+        forced_erasures: vec![10, 11, 12],
+        ..RetrieveOptions::default()
+    };
+    let (decoded, report) = pipeline
+        .decode(&[UnitReads::Clusters(pool.clusters())], &forced, None)
+        .unwrap()
+        .remove(0);
+    assert_eq!(decoded[..30], payload[..]);
+    assert!(report.is_error_free());
+    assert_eq!(report.lost_columns, 3, "forced erasures must apply");
 }
