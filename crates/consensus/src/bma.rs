@@ -136,7 +136,23 @@ impl BmaOneWay {
     /// and compares it with the lead's: the lanes where every active read
     /// agrees form a run of unanimous columns, emitted at once. A
     /// zero-length run is a disagreement column, served from the same words.
+    ///
+    /// One read is its own consensus: every column is unanimous until it
+    /// runs out, so the scan is the read's first `target_len` bases in
+    /// scan order, padded with `A` as the kernel pads, without the arena.
     fn scan(&self, reads: &[DnaString], target_len: usize, forward: bool) -> DnaString {
+        if let [read] = reads {
+            let bases = read.as_slice();
+            let take = target_len.min(bases.len());
+            let mut out = DnaString::with_capacity(target_len);
+            if forward {
+                out.extend(bases[..take].iter().copied());
+            } else {
+                out.extend(bases[bases.len() - take..].iter().rev().copied());
+            }
+            out.extend((take..target_len).map(|_| Base::A));
+            return out;
+        }
         ARENA.with(|arena| self.scan_in(&mut arena.borrow_mut(), reads, target_len, forward))
     }
 
@@ -546,6 +562,30 @@ mod tests {
                     reference::two_way(&reads, target, lookahead),
                     "n={n} lookahead={lookahead}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn one_read_scans_match_the_reference() {
+        // The one-read copy against the reference scan: an empty read,
+        // and targets shorter than, equal to and longer than the read.
+        let mut rng = StdRng::seed_from_u64(28);
+        for len in [0usize, 1, 7, 8, 9, 63, 124] {
+            let reads = [DnaString::random(len, &mut rng)];
+            for target in [0, len / 2, len.saturating_sub(1), len, len + 1, len + 9] {
+                for lookahead in [1, 2, 9] {
+                    assert_eq!(
+                        BmaOneWay::new(lookahead).reconstruct(&reads, target),
+                        reference::one_way(&reads, target, lookahead),
+                        "len={len} target={target} lookahead={lookahead}"
+                    );
+                    assert_eq!(
+                        BmaTwoWay::new(lookahead).reconstruct(&reads, target),
+                        reference::two_way(&reads, target, lookahead),
+                        "len={len} target={target} lookahead={lookahead}"
+                    );
+                }
             }
         }
     }

@@ -15,7 +15,7 @@ use dna_align::BasePattern;
 use dna_channel::{AnonymousPool, Cluster, ReadPool, SimulatedSequencer};
 use dna_consensus::TraceReconstructor;
 use dna_reed_solomon::{CodeFamily, RsError};
-use dna_strand::{bits, DnaString, Primer, TranscoderSpec};
+use dna_strand::{bits, Base, DnaString, Primer, TranscoderSpec};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -253,8 +253,8 @@ impl Pipeline {
         if let Some(family) = &self.rs {
             let m_cols = self.params.data_cols();
             // One codeword buffer reused across all codewords (sized for
-            // the longest rate in the plan); parity is computed in place
-            // by each code's LFSR kernel. Zero-parity codewords are
+            // the longest rate in the plan); parity is written in place
+            // by each code's division kernel. Zero-parity codewords are
             // unprotected and skipped.
             let mut buf = vec![0u16; m_cols + self.plan.max_parity()];
             for (k, pos) in self.cw_positions.iter().enumerate() {
@@ -566,11 +566,14 @@ impl Pipeline {
             .primers
             .as_ref()
             .filter(|_| check_primers)
-            .map(|(left, _)| BasePattern::new(left.strand().as_slice()));
+            .map(|(left, _)| {
+                let bases = left.strand().as_slice();
+                (bases, BasePattern::new(bases))
+            });
 
         for cluster in clusters {
             let reads = match &primer {
-                Some(primer) => primed_reads(primer, cluster, filtered, dp_row),
+                Some((bases, pattern)) => primed_reads(bases, pattern, cluster, filtered, dp_row),
                 None => &cluster.reads,
             };
             if reads.is_empty() {
@@ -645,15 +648,16 @@ impl Pipeline {
                 received.extend(pos.iter().map(|&(r, c)| matrix.get(r, c)));
                 match rs.decode_with_scratch(received, erasures, rs_scratch) {
                     Ok(correction) => {
-                        for (&(r, c), &sym) in pos.iter().zip(received.iter()) {
-                            matrix.set(r, c, sym);
-                        }
+                        // The decoder changes exactly the symbols it lists,
+                        // so only those go back; a clean word writes none.
                         // The empirical skew feed: corrected symbol
                         // *errors* per row (fixed erasures are column
                         // losses, not row skew).
                         for &i in &correction.positions {
+                            let (r, c) = pos[i];
+                            matrix.set(r, c, received[i]);
                             if erasures.binary_search(&i).is_err() {
-                                report.row_errors[pos[i].0] += 1;
+                                report.row_errors[r] += 1;
                             }
                         }
                         report.codewords.push(CodewordReport {
@@ -700,13 +704,18 @@ pub(crate) fn primer_check(p: usize) -> (usize, usize) {
 }
 
 /// The reads of `cluster` that pass the primer check — each must begin
-/// with something close to the left `primer`. When every read passes
-/// (the common case) that is the cluster's own slice, and nothing is
-/// copied; otherwise the passing reads are cloned into `out`. Routing
-/// recovery derives this same verdict from its own primer scan, so its
-/// columns skip this pass.
+/// with something close to the left `primer`, whose compiled form is
+/// `pattern`. When every read passes (the common case) that is the
+/// cluster's own slice, and nothing is copied; otherwise the passing reads
+/// are cloned into `out`. Routing recovery derives this same verdict from
+/// its own primer scan, so its columns skip this pass.
+///
+/// A read that starts with the exact primer passes without a scan: its
+/// prefix is the primer plus `q − p ≤ slack / 2` more bases, so the
+/// distance is `q − p`, within the bound.
 pub(crate) fn primed_reads<'a>(
-    primer: &BasePattern,
+    primer: &[Base],
+    pattern: &BasePattern,
     cluster: &'a Cluster,
     out: &'a mut Vec<DnaString>,
     state: &mut Vec<usize>,
@@ -714,7 +723,7 @@ pub(crate) fn primed_reads<'a>(
     let (prefix_len, bound) = primer_check(primer.len());
     let mut passes = |read: &DnaString| {
         let prefix = &read.as_slice()[..prefix_len.min(read.len())];
-        primer.distance_bounded(prefix, bound, state).is_some()
+        prefix.starts_with(primer) || pattern.distance_bounded(prefix, bound, state).is_some()
     };
     let Some(first_fail) = cluster.reads.iter().position(|read| !passes(read)) else {
         return &cluster.reads;
@@ -1218,5 +1227,66 @@ mod tests {
             ratios[0],
             ratios[1]
         );
+    }
+
+    #[test]
+    fn the_exact_primer_shortcut_keeps_the_scanned_verdict() {
+        // A read that starts with the exact primer skips the distance
+        // scan; every verdict must equal the scan's alone. Reads shorter
+        // than the primer, exactly the primer, exactly the checked prefix,
+        // longer, and the primer with one or more edits.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        let (mut state, mut out) = (Vec::new(), Vec::new());
+        let (mut shortcut, mut verdicts) = (0usize, [0usize; 2]);
+        for p in 1..=40usize {
+            let primer = DnaString::random(p, &mut rng);
+            let pattern = BasePattern::new(primer.as_slice());
+            let (prefix_len, bound) = primer_check(p);
+            let mut reads: Vec<Vec<Base>> = [0, p / 2, p - 1, p, prefix_len, prefix_len + 5]
+                .into_iter()
+                .map(|len| {
+                    let mut read = primer.as_slice()[..len.min(p)].to_vec();
+                    read.extend(DnaString::random(len.saturating_sub(p), &mut rng).iter());
+                    read
+                })
+                .collect();
+            for edits in [1, 1, 2, bound, bound + 1] {
+                let mut read = primer.as_slice().to_vec();
+                for _ in 0..edits {
+                    let at = rng.gen_range(0..=read.len());
+                    match rng.gen_range(0..3) {
+                        0 => read.insert(at, Base::from_bits(rng.gen())),
+                        1 if at < read.len() => {
+                            read.remove(at);
+                        }
+                        _ if at < read.len() => read[at] = Base::from_bits(rng.gen()),
+                        _ => {}
+                    }
+                }
+                read.extend(DnaString::random(rng.gen_range(0..8), &mut rng).iter());
+                reads.push(read);
+            }
+            for read in reads {
+                let read = DnaString::from_bases(read);
+                let prefix = &read.as_slice()[..prefix_len.min(read.len())];
+                let scanned = pattern
+                    .distance_bounded(prefix, bound, &mut state)
+                    .is_some();
+                let cluster = Cluster {
+                    source: 0,
+                    reads: vec![read.clone()],
+                };
+                let checked =
+                    !primed_reads(primer.as_slice(), &pattern, &cluster, &mut out, &mut state)
+                        .is_empty();
+                assert_eq!(checked, scanned, "primer {primer} read {read}");
+                shortcut += usize::from(read.as_slice().starts_with(primer.as_slice()));
+                verdicts[usize::from(scanned)] += 1;
+            }
+        }
+        assert!(shortcut >= 120, "too few exact primers: {shortcut}");
+        assert!(verdicts.iter().all(|&n| n > 60), "verdicts {verdicts:?}");
     }
 }

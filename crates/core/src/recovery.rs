@@ -1301,7 +1301,9 @@ mod tests {
                     source: 0,
                     reads: vec![read.clone()],
                 };
-                let decoded = !primed_reads(&pattern, &cluster, &mut out, &mut state).is_empty();
+                let decoded =
+                    !primed_reads(primer.as_slice(), &pattern, &cluster, &mut out, &mut state)
+                        .is_empty();
                 assert_eq!(routed, decoded, "primer {primer} read {read}");
                 verdicts[usize::from(routed)] += 1;
             }
@@ -1394,7 +1396,9 @@ mod tests {
                     source: 0,
                     reads: vec![canonical],
                 };
-                let decoded = !primed_reads(&pattern, &cluster, &mut out, &mut state).is_empty();
+                let decoded =
+                    !primed_reads(primer.as_slice(), &pattern, &cluster, &mut out, &mut state)
+                        .is_empty();
                 assert_eq!(scan.primed, decoded, "primer {primer} read {read}");
                 verdicts[usize::from(scan.primed)] += 1;
                 flips[usize::from(flipped)] += 1;

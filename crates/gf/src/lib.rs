@@ -47,7 +47,7 @@ mod simd;
 mod tables;
 
 pub use field::Field;
-pub use mul_table::{horner_all_zero, horner_eval_block, MulTable};
+pub use mul_table::{horner_eval_block, MulTable};
 
 use std::error::Error;
 use std::fmt;

@@ -2,10 +2,10 @@
 //!
 //! [`Field::mul`] costs two table lookups, an add, and two zero-branches
 //! per product. Hot loops that multiply *many* elements by the *same*
-//! constant — the Reed–Solomon encoder's LFSR taps, syndrome roots, Chien
-//! rotation steps — can instead precompute the full `c·x` product table
-//! once (`2^m` entries) and reduce every product to a single indexed load
-//! with no branches. This is the standard trick production RS/fountain
+//! constant — the Reed–Solomon division kernel's generator rows, syndrome
+//! roots, Chien rotation steps — can instead precompute the full `c·x`
+//! product table once (`2^m` entries) and reduce every product to a single
+//! indexed load with no branches. This is the standard trick production RS/fountain
 //! pipelines use, and it is what the workspace's zero-allocation decode
 //! kernels are built on (see `PERFORMANCE.md` at the repository root).
 //!
@@ -250,35 +250,9 @@ pub fn horner_eval_block(tables: &[MulTable], coeffs: &[u16], out: &mut Vec<u16>
     out.extend(rest.iter().map(|t| t.horner_eval(coeffs)));
 }
 
-/// Whether the polynomial evaluates to zero at **every** table's constant
-/// (all syndromes vanish — the `is_codeword` kernel). Exits early at the
-/// first non-zero evaluation: per block of roots on byte-wide tables,
-/// per root on wide ones.
-pub fn horner_all_zero(tables: &[MulTable], coeffs: &[u16]) -> bool {
-    if tables.first().is_none_or(|t| t.byte_table().is_none()) {
-        return tables.iter().all(|t| t.horner_eval(coeffs) == 0);
-    }
-    let mut rest = tables;
-    while rest.len() >= 8 {
-        let (blk, r) = rest.split_at(8);
-        if horner_block_byte::<8>(blk, coeffs).iter().any(|&v| v != 0) {
-            return false;
-        }
-        rest = r;
-    }
-    if rest.len() >= 4 {
-        let (blk, r) = rest.split_at(4);
-        if horner_block_byte::<4>(blk, coeffs).iter().any(|&v| v != 0) {
-            return false;
-        }
-        rest = r;
-    }
-    rest.iter().all(|t| t.horner_eval(coeffs) == 0)
-}
-
 /// One register block of `B` simultaneous byte-table Horner chains: one
 /// pass over `coeffs`, `B` independent accumulators. Every table must be
-/// byte-wide (the callers guarantee it by checking the first table — a
+/// byte-wide (the caller guarantees it by checking the first table — a
 /// table list always comes from one field).
 fn horner_block_byte<const B: usize>(tables: &[MulTable], coeffs: &[u16]) -> [u16; B] {
     debug_assert_eq!(tables.len(), B);
@@ -504,8 +478,6 @@ mod tests {
             let mut blocked = Vec::new();
             horner_eval_block(&tables, &word, &mut blocked);
             assert_eq!(blocked, per_root);
-            assert!(!horner_all_zero(&tables, &word));
-            assert!(horner_all_zero(&tables, &[]));
         }
     }
 }

@@ -14,7 +14,7 @@
 //! from the pool geometry; unit boundaries are therefore structural and
 //! need no in-band markers.
 
-use crate::checksum::{crc32, crc64};
+use crate::checksum::{crc32, crc64, crc64_extend};
 use dna_storage::{CodecParams, Layout, StorageError};
 use dna_strand::{Base, DnaString, Primer, PrimerLibrary, TranscoderSpec};
 use rand::rngs::StdRng;
@@ -375,29 +375,28 @@ pub fn strand_section_len(units: u32, cols: usize, strand_bases: usize) -> u64 {
 
 /// Writes the strand section (packed strands, CRC-64 trailer, trailer
 /// magic) for a capsule whose strands are given unit-major, column-major.
-/// Every strand must be exactly `strand_bases` long.
-pub fn write_strands<W: Write>(
+/// Every strand must be exactly `strand_bases` long. Each strand is packed
+/// into one reused buffer and the CRC is carried along as it is written.
+pub fn write_strands<W: Write, U: AsRef<[DnaString]>>(
     w: &mut W,
-    units: &[Vec<DnaString>],
+    units: &[U],
     strand_bases: usize,
 ) -> Result<u64, StorageError> {
-    let mut crc_state = Vec::new();
+    let mut packed = vec![0u8; packed_strand_len(strand_bases)];
+    let mut crc = 0u64;
     let mut written = 0u64;
-    for unit in units {
-        for strand in unit {
-            if strand.len() != strand_bases {
-                return Err(StorageError::InvalidParams(format!(
-                    "strand length {} != expected {strand_bases}",
-                    strand.len()
-                )));
-            }
-            let packed = pack_bases(strand.as_slice());
-            crc_state.extend_from_slice(&packed);
-            w.write_all(&packed)?;
-            written += packed.len() as u64;
+    for strand in units.iter().flat_map(AsRef::as_ref) {
+        if strand.len() != strand_bases {
+            return Err(StorageError::InvalidParams(format!(
+                "strand length {} != expected {strand_bases}",
+                strand.len()
+            )));
         }
+        dna_strand::bits::pack_bases_into(strand.as_slice(), &mut packed);
+        crc = crc64_extend(crc, &packed);
+        w.write_all(&packed)?;
+        written += packed.len() as u64;
     }
-    let crc = crc64(&crc_state);
     w.write_all(&crc.to_le_bytes())?;
     w.write_all(TRAILER_MAGIC)?;
     Ok(written + 12)

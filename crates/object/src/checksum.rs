@@ -39,8 +39,14 @@ const fn crc32_table() -> [u32; 256] {
 /// CRC-64/ECMA (reflected polynomial `0xC96C5795D7870F42`), used for the
 /// capsule trailer over the packed strand bytes.
 pub fn crc64(data: &[u8]) -> u64 {
+    crc64_extend(0, data)
+}
+
+/// Continues a CRC-64: `crc64_extend(crc64(a), b) == crc64(a ++ b)`, so a
+/// writer can checksum a section as it streams it out.
+pub fn crc64_extend(crc: u64, data: &[u8]) -> u64 {
     const TABLE: [u64; 256] = crc64_table();
-    let mut crc = 0xFFFF_FFFF_FFFF_FFFFu64;
+    let mut crc = !crc;
     for &b in data {
         crc = (crc >> 8) ^ TABLE[((crc ^ u64::from(b)) & 0xFF) as usize];
     }
@@ -93,6 +99,10 @@ mod tests {
     fn crc64_check_value() {
         // The CRC catalogue check value for CRC-64/XZ (reflected ECMA).
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        for split in 0..=9 {
+            let (a, b) = b"123456789".split_at(split);
+            assert_eq!(crc64_extend(crc64(a), b), 0x995D_C9BB_DF19_39FA);
+        }
     }
 
     #[test]

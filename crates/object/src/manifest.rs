@@ -187,21 +187,7 @@ impl Manifest {
         dir: &std::path::Path,
         file_name: &str,
     ) -> Result<(), StorageError> {
-        use std::io::Write as _;
-        let text = self.to_text();
-        let tmp = dir.join(format!("{file_name}.tmp"));
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, dir.join(file_name))?;
-        // Make the rename durable too. Directories cannot be fsynced on
-        // every platform; where they cannot, the rename is still atomic
-        // and this is a no-op rather than an error.
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        write_sidecar(dir, file_name, &self.to_text())
     }
 
     /// Parses and validates the v1 text format.
@@ -343,6 +329,30 @@ fn parse_field<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, Storag
     value
         .parse()
         .map_err(|_| corrupt(format!("unparseable {key} value `{value}`")))
+}
+
+/// [`Manifest::commit_sidecar`] for a manifest already rendered as
+/// `text` (its [`Manifest::to_text`]), so a commit that also stores the
+/// text in the pool renders it once.
+pub(crate) fn write_sidecar(
+    dir: &std::path::Path,
+    file_name: &str,
+    text: &str,
+) -> Result<(), StorageError> {
+    use std::io::Write as _;
+    let tmp = dir.join(format!("{file_name}.tmp"));
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(text.as_bytes())?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, dir.join(file_name))?;
+    // Make the rename durable too. Directories cannot be fsynced on
+    // every platform; where they cannot, the rename is still atomic
+    // and this is a no-op rather than an error.
+    if let Ok(d) = std::fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -687,7 +687,7 @@ impl ObjectStore {
             .clone()
             .with_primers(header.left.clone(), header.right.clone())?;
         let encoded = pipeline.encode_chunked(stored)?;
-        let units: Vec<Vec<DnaString>> = encoded.iter().map(|u| u.strands().to_vec()).collect();
+        let units: Vec<&[DnaString]> = encoded.iter().map(|u| u.strands()).collect();
         header.units = units.len() as u32;
         let strand_bases = self.base.params().strand_bases();
         let mut bytes = header.write_to(w)?;
@@ -835,7 +835,8 @@ impl ObjectStore {
             right,
         };
         header.write_to(&mut file)?;
-        crate::capsule::write_strands(&mut file, &[], self.base.params().strand_bases())?;
+        let no_units: &[&[DnaString]] = &[];
+        crate::capsule::write_strands(&mut file, no_units, self.base.params().strand_bases())?;
         file.flush()?;
         drop(file);
         self.manifest.next_seq = seq + 1;
@@ -844,9 +845,9 @@ impl ObjectStore {
     }
 
     /// Persists the manifest: super-capsule appended to the pool, the
-    /// pool synced (`sync_data`), then the sidecar file via
-    /// [`Manifest::commit_sidecar`] (write-to-temp, fsync, atomic rename,
-    /// directory fsync). The pool sync lands before the sidecar names
+    /// pool synced (`sync_data`), then the same text as the sidecar file,
+    /// written as [`Manifest::commit_sidecar`] writes it (write-to-temp,
+    /// fsync, atomic rename, directory fsync). The pool sync lands before the sidecar names
     /// anything, and it covers every append since the last commit — the
     /// capsules of `put`, the tombstone of `delete`, the header of
     /// `create` — so a crash never leaves a durable sidecar pointing at
@@ -877,7 +878,7 @@ impl ObjectStore {
         file.flush()?;
         file.get_ref().sync_data()?;
         drop(file);
-        self.manifest.commit_sidecar(&self.dir, MANIFEST_FILE)
+        crate::manifest::write_sidecar(&self.dir, MANIFEST_FILE, &text)
     }
 }
 

@@ -8,8 +8,11 @@
 //! the `X^(1−fcr)` factor.
 //!
 //! Every intermediate lives in the caller's [`RsScratch`], so steady-state
-//! decoding performs no heap allocations (see `PERFORMANCE.md`): syndromes
-//! run through the per-root [`dna_gf::MulTable`] Horner kernel, the Chien
+//! decoding performs no heap allocations (see `PERFORMANCE.md`). The
+//! syndrome stage divides the received word by `g(x)` with the encoder's
+//! synthetic-division kernel: a zero remainder is a clean codeword and
+//! returns at once; otherwise `S_j = rem(α^j)` (exact, as `g(α^j) = 0`),
+//! a per-root [`dna_gf::MulTable`] Horner pass over `E` symbols. The Chien
 //! search is the incremental coefficient-rotation form with an early exit
 //! once all `deg Ψ` roots are found, and the polynomial products reuse
 //! scratch buffers via [`poly::mul_into`].
@@ -124,10 +127,13 @@ pub(crate) fn decode_with_scratch(
         });
     }
 
-    rs.syndromes_into(received, &mut s.synd);
-    if s.synd.iter().all(|&v| v == 0) {
+    // A zero remainder modulo g(x) is a clean codeword; otherwise the
+    // syndromes are the remainder's, evaluated over E symbols instead of L.
+    let rem = rs.remainder(received, &mut s.div);
+    if rem.iter().all(|&v| v == 0) {
         return Ok(Correction::default());
     }
+    rs.remainder_syndromes(rem, &mut s.synd);
 
     // Erasure locator Γ(x) = Π_k (1 − X_k·x) from position → locator
     // α^(L−1−i), built up one in-place step per erasure.

@@ -6,7 +6,7 @@
 //! skew-aware planner) give every reliability class its own parity
 //! length while all classes share the data length `M`. Building a [`ReedSolomon`] is not free —
 //! the constructor precomputes the generator polynomial, the flattened
-//! LFSR tap tables, and one Horner table per syndrome root — so a plan
+//! division-kernel rows, and one Horner table per syndrome root — so a plan
 //! with three classes should pay that cost three times, not once per
 //! codeword. A `CodeFamily` holds one immutable code per distinct parity
 //! length; pipelines `Arc`-share the family and look codes up by rate on

@@ -12,18 +12,23 @@
 //! whenever `2ν + ρ ≤ E` — e.g. up to `E` pure erasures or `E/2` pure errors,
 //! exactly the capabilities quoted in the paper (§2.2).
 //!
-//! The decoder follows the classic pipeline: syndromes → erasure locator →
-//! Forney syndromes → Berlekamp–Massey → Chien search → Forney magnitudes,
-//! and reports per-codeword correction statistics (used to reproduce the
-//! paper's Figure 11).
+//! The decoder follows the classic pipeline: remainder → syndromes →
+//! erasure locator → Forney syndromes → Berlekamp–Massey → Chien search →
+//! Forney magnitudes, and reports per-codeword correction statistics (used
+//! to reproduce the paper's Figure 11). The first stage is the encoder's
+//! own kernel: synthetic division by the generator `g(x)`. A zero
+//! remainder is a clean codeword and the decode ends there; otherwise the
+//! syndromes are evaluated on the `E`-symbol remainder, which has the same
+//! values at the roots of `g` as the whole word.
 //!
 //! The hot path is table-driven and allocation-free at steady state: the
-//! encoder's LFSR taps and the decoder's syndrome roots each own a
-//! precomputed [`dna_gf::MulTable`], and every decode intermediate lives
-//! in an [`RsScratch`] workspace ([`ReedSolomon::decode`] keeps a
-//! per-thread one; [`ReedSolomon::decode_with_scratch`] takes the
-//! caller's). Kernel design and measurements are documented in
-//! `PERFORMANCE.md` at the repository root.
+//! division kernel reads one precomputed row of generator products per
+//! step, the syndrome roots each own a precomputed [`dna_gf::MulTable`],
+//! and every decode intermediate lives in an [`RsScratch`] workspace
+//! ([`ReedSolomon::decode`] keeps a per-thread one;
+//! [`ReedSolomon::decode_with_scratch`] takes the caller's). Kernel design
+//! and measurements are documented in `PERFORMANCE.md` at the repository
+//! root.
 //!
 //! # Examples
 //!

@@ -34,6 +34,9 @@ use crate::ReedSolomon;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RsScratch {
+    /// The division buffer: a copy of the word, whose last `E` symbols
+    /// end as its remainder modulo `g(x)`.
+    pub(crate) div: Vec<u16>,
     /// Syndromes S_1..S_E.
     pub(crate) synd: Vec<u16>,
     /// Erasure-position dedup map, one flag per codeword position.
@@ -73,6 +76,7 @@ impl RsScratch {
     pub fn warm_up(&mut self, rs: &ReedSolomon) {
         let e = rs.parity_len();
         let l_cw = rs.codeword_len();
+        reserve_to(&mut self.div, l_cw);
         reserve_to(&mut self.synd, e);
         if self.seen.len() < l_cw {
             self.seen.resize(l_cw, false);
