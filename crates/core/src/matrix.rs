@@ -1,7 +1,9 @@
 //! The unit's symbol matrix: columns are molecules, rows are per-molecule
 //! symbol positions.
 
-/// A dense `rows × cols` matrix of GF(2^m) symbols (stored as `u16`).
+/// A dense `rows × cols` matrix of GF(2^m) symbols (stored as `u16`),
+/// column-major: each molecule's symbols are contiguous, so a strand is
+/// emitted from (and read back into) one slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolMatrix {
     rows: usize,
@@ -40,7 +42,7 @@ impl SymbolMatrix {
             row < self.rows && col < self.cols,
             "matrix index out of bounds"
         );
-        self.data[row * self.cols + col]
+        self.data[col * self.rows + row]
     }
 
     /// Writes the symbol at `(row, col)`.
@@ -54,7 +56,26 @@ impl SymbolMatrix {
             row < self.rows && col < self.cols,
             "matrix index out of bounds"
         );
-        self.data[row * self.cols + col] = value;
+        self.data[col * self.rows + row] = value;
+    }
+
+    /// The flat index of cell `(row, col)` in [`SymbolMatrix::cells`] of
+    /// a matrix with `rows` rows.
+    #[inline]
+    pub(crate) fn offset(rows: usize, row: usize, col: usize) -> usize {
+        col * rows + row
+    }
+
+    /// Every cell, column-major (see [`SymbolMatrix::offset`]).
+    #[inline]
+    pub(crate) fn cells(&self) -> &[u16] {
+        &self.data
+    }
+
+    /// Every cell, mutably, column-major.
+    #[inline]
+    pub(crate) fn cells_mut(&mut self) -> &mut [u16] {
+        &mut self.data
     }
 
     /// Reshapes to `rows × cols` and zeroes every cell, reusing the
@@ -73,15 +94,34 @@ impl SymbolMatrix {
     ///
     /// Panics when `col` is out of bounds.
     pub fn zero_column(&mut self, col: usize) {
+        self.column_mut(col).fill(0);
+    }
+
+    /// The symbols of column `col`, top to bottom, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `col` is out of bounds.
+    #[inline]
+    pub(crate) fn column_slice(&self, col: usize) -> &[u16] {
         assert!(col < self.cols, "matrix index out of bounds");
-        for r in 0..self.rows {
-            self.data[r * self.cols + col] = 0;
-        }
+        &self.data[col * self.rows..(col + 1) * self.rows]
+    }
+
+    /// [`SymbolMatrix::column_slice`], mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `col` is out of bounds.
+    #[inline]
+    pub(crate) fn column_mut(&mut self, col: usize) -> &mut [u16] {
+        assert!(col < self.cols, "matrix index out of bounds");
+        &mut self.data[col * self.rows..(col + 1) * self.rows]
     }
 
     /// The symbols of column `col`, top to bottom (the molecule payload).
     pub fn column(&self, col: usize) -> Vec<u16> {
-        (0..self.rows).map(|r| self.get(r, col)).collect()
+        self.column_slice(col).to_vec()
     }
 
     /// Overwrites column `col` from a slice of `rows` symbols.
@@ -91,9 +131,7 @@ impl SymbolMatrix {
     /// Panics when `symbols.len() != rows` or `col` is out of bounds.
     pub fn set_column(&mut self, col: usize, symbols: &[u16]) {
         assert_eq!(symbols.len(), self.rows, "column length mismatch");
-        for (r, &s) in symbols.iter().enumerate() {
-            self.set(r, col, s);
-        }
+        self.column_mut(col).copy_from_slice(symbols);
     }
 }
 

@@ -109,6 +109,28 @@ pub struct Pipeline {
     /// plan) so the per-unit hot paths never re-derive (or re-allocate)
     /// them.
     cw_positions: Arc<Vec<Vec<(usize, usize)>>>,
+    /// The payload placement table: entry `p` is the flat
+    /// ([`SymbolMatrix::offset`]) cell that [`Layout::place`] assigns
+    /// payload symbol `p`. Encode scatters through it and the decode
+    /// unmap gathers through it, so neither divides per symbol.
+    data_cells: Arc<[u32]>,
+}
+
+/// Units each worker encodes per batch of
+/// [`Pipeline::encode_chunked_packed`]: enough to amortize the batch's
+/// thread start-up, few enough that a batch stays a fraction of a
+/// laptop capsule.
+const UNITS_PER_WORKER: usize = 4;
+
+/// Per-worker encode scratch, reused across units: the symbol matrix,
+/// the payload's symbols, one codeword and one strand. After its first
+/// unit the packed encoder allocates nothing.
+#[derive(Debug, Default)]
+struct EncodeScratch {
+    matrix: SymbolMatrix,
+    symbols: Vec<u16>,
+    codeword: Vec<u16>,
+    strand: DnaString,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -141,6 +163,13 @@ impl Pipeline {
         primers: Option<(Primer, Primer)>,
         recovery: RecoveryPipeline,
     ) -> Pipeline {
+        let (rows, data_cols) = (params.rows(), params.data_cols());
+        let data_cells = (0..rows * data_cols)
+            .map(|p| {
+                let (r, c) = layout.place(p, rows, data_cols);
+                u32::try_from(SymbolMatrix::offset(rows, r, c)).expect("matrix cells fit in u32")
+            })
+            .collect();
         Pipeline {
             params,
             layout,
@@ -150,6 +179,7 @@ impl Pipeline {
             primers,
             recovery,
             cw_positions: Arc::new(cw_positions),
+            data_cells,
         }
     }
 
@@ -230,6 +260,34 @@ impl Pipeline {
     /// Returns [`StorageError::PayloadTooLarge`] when the payload exceeds
     /// the unit capacity.
     pub fn encode_unit(&self, payload: &[u8]) -> Result<EncodedUnit, StorageError> {
+        thread_local! {
+            static SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::default());
+        }
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            self.fill_matrix(payload, scratch)?;
+            let strands = (0..self.params.cols())
+                .map(|c| {
+                    let mut strand = DnaString::with_capacity(self.params.strand_bases());
+                    self.emit_strand(scratch.matrix.column_slice(c), c, &mut strand)?;
+                    Ok(strand)
+                })
+                .collect::<Result<_, StorageError>>()?;
+            Ok(EncodedUnit { strands })
+        })
+    }
+
+    /// Bytes of one unit's packed strands: every column's strand packed
+    /// four bases to a byte ([`bits::pack_bases_into`]), in column order.
+    pub fn packed_unit_len(&self) -> usize {
+        self.params.cols() * bits::packed_base_len(self.params.strand_bases())
+    }
+
+    /// The encoder core behind both outputs: scatters `payload`'s symbols
+    /// into `scratch.matrix` through the placement table, then writes
+    /// every codeword's Reed–Solomon parity. Cells past a short payload
+    /// stay zero, exactly as if it had been zero-padded to capacity.
+    fn fill_matrix(&self, payload: &[u8], scratch: &mut EncodeScratch) -> Result<(), StorageError> {
         let capacity = self.payload_capacity();
         if payload.len() > capacity {
             return Err(StorageError::PayloadTooLarge {
@@ -237,18 +295,18 @@ impl Pipeline {
                 capacity,
             });
         }
-        let mut padded = payload.to_vec();
-        padded.resize(capacity, 0);
-        let m = self.params.symbol_bits();
-        let symbols = bits::bytes_to_symbols(&padded, m)?;
-        debug_assert_eq!(symbols.len(), self.params.rows() * self.params.data_cols());
-
-        let mut matrix = SymbolMatrix::zeros(self.params.rows(), self.params.cols());
-        for (p, &sym) in symbols.iter().enumerate() {
-            let (r, c) = self
-                .layout
-                .place(p, self.params.rows(), self.params.data_cols());
-            matrix.set(r, c, sym);
+        let EncodeScratch {
+            matrix,
+            symbols,
+            codeword,
+            ..
+        } = scratch;
+        let rows = self.params.rows();
+        matrix.reset(rows, self.params.cols());
+        bits::bytes_to_symbols_into(payload, self.params.symbol_bits(), symbols)?;
+        let cells = matrix.cells_mut();
+        for (&at, &sym) in self.data_cells.iter().zip(symbols.iter()) {
+            cells[at as usize] = sym;
         }
         if let Some(family) = &self.rs {
             let m_cols = self.params.data_cols();
@@ -256,45 +314,69 @@ impl Pipeline {
             // the longest rate in the plan); parity is written in place
             // by each code's division kernel. Zero-parity codewords are
             // unprotected and skipped.
-            let mut buf = vec![0u16; m_cols + self.plan.max_parity()];
+            codeword.clear();
+            codeword.resize(m_cols + self.plan.max_parity(), 0);
             for (k, pos) in self.cw_positions.iter().enumerate() {
                 let Some(rs) = family.get(self.plan.parity_of(k)) else {
                     continue;
                 };
-                let cw = &mut buf[..rs.codeword_len()];
+                let cw = &mut codeword[..rs.codeword_len()];
                 debug_assert_eq!(cw.len(), pos.len());
                 for (slot, &(r, c)) in cw[..m_cols].iter_mut().zip(&pos[..m_cols]) {
-                    *slot = matrix.get(r, c);
+                    *slot = cells[SymbolMatrix::offset(rows, r, c)];
                 }
                 rs.fill_parity(cw)?;
-                for (i, &(r, c)) in pos[m_cols..].iter().enumerate() {
-                    matrix.set(r, c, cw[m_cols + i]);
+                for (&sym, &(r, c)) in cw[m_cols..].iter().zip(&pos[m_cols..]) {
+                    cells[SymbolMatrix::offset(rows, r, c)] = sym;
                 }
             }
         }
-        // Assemble strands: [primer] transcoded(index | column symbols)
-        // [primer]. The transcoder appends in place — no per-symbol
-        // allocation beyond one reused column buffer.
-        let geom = self.params.payload_geometry();
-        let mut strands = Vec::with_capacity(self.params.cols());
-        let mut column = vec![0u16; self.params.rows()];
-        for c in 0..self.params.cols() {
-            let mut strand = DnaString::with_capacity(self.params.strand_bases());
-            if let Some((left, _)) = &self.primers {
-                strand.extend(left.strand().iter().copied());
-            }
-            for (r, slot) in column.iter_mut().enumerate() {
-                *slot = matrix.get(r, c);
-            }
-            self.transcoder()
-                .encode_payload_into(c as u32, &column, geom, &mut strand)?;
-            if let Some((_, right)) = &self.primers {
-                strand.extend(right.strand().iter().copied());
-            }
-            debug_assert_eq!(strand.len(), self.params.strand_bases());
-            strands.push(strand);
+        Ok(())
+    }
+
+    /// Appends column `c`'s strand to `out`: [primer]
+    /// transcoded(index | column symbols) [primer]. The transcoder
+    /// appends in place, so a reused `out` allocates nothing.
+    fn emit_strand(
+        &self,
+        column: &[u16],
+        c: usize,
+        out: &mut DnaString,
+    ) -> Result<(), StorageError> {
+        if let Some((left, _)) = &self.primers {
+            out.extend(left.strand().iter().copied());
         }
-        Ok(EncodedUnit { strands })
+        self.transcoder().encode_payload_into(
+            c as u32,
+            column,
+            self.params.payload_geometry(),
+            out,
+        )?;
+        if let Some((_, right)) = &self.primers {
+            out.extend(right.strand().iter().copied());
+        }
+        Ok(())
+    }
+
+    /// Encodes one unit straight into `out` ([`Pipeline::packed_unit_len`]
+    /// bytes): each column's strand is emitted into the scratch strand and
+    /// packed into its slice of `out`.
+    fn encode_packed_into(
+        &self,
+        payload: &[u8],
+        out: &mut [u8],
+        scratch: &mut EncodeScratch,
+    ) -> Result<(), StorageError> {
+        self.fill_matrix(payload, scratch)?;
+        let EncodeScratch { matrix, strand, .. } = scratch;
+        let per_strand = bits::packed_base_len(self.params.strand_bases());
+        for (c, packed) in out.chunks_exact_mut(per_strand).enumerate() {
+            strand.clear();
+            self.emit_strand(matrix.column_slice(c), c, strand)?;
+            debug_assert_eq!(strand.len(), self.params.strand_bases());
+            bits::pack_bases_into(strand.as_slice(), packed);
+        }
+        Ok(())
     }
 
     /// Encodes many payload units in parallel across scoped threads.
@@ -323,13 +405,61 @@ impl Pipeline {
     ///
     /// Propagates per-unit encoding errors.
     pub fn encode_chunked(&self, payload: &[u8]) -> Result<Vec<EncodedUnit>, StorageError> {
-        let cap = self.payload_capacity().max(1);
-        let chunks: Vec<&[u8]> = if payload.is_empty() {
-            vec![&[]]
-        } else {
-            payload.chunks(cap).collect()
-        };
+        let chunks: Vec<&[u8]> = (0..self.chunked_units(payload.len()))
+            .map(|u| self.chunk(payload, u))
+            .collect();
         self.encode_batch(&chunks)
+    }
+
+    /// Units [`Pipeline::encode_chunked`] splits a `len`-byte payload
+    /// into: at least one, so an empty payload still encodes one unit.
+    pub fn chunked_units(&self, len: usize) -> usize {
+        len.div_ceil(self.payload_capacity().max(1)).max(1)
+    }
+
+    /// Unit `u`'s chunk of `payload`: empty past the end.
+    fn chunk<'a>(&self, payload: &'a [u8], u: usize) -> &'a [u8] {
+        let cap = self.payload_capacity().max(1);
+        payload
+            .get(u * cap..payload.len().min((u + 1) * cap))
+            .unwrap_or_default()
+    }
+
+    /// [`Pipeline::encode_chunked`] straight into packed pool bytes,
+    /// streamed: units are encoded in parallel batches, one scratch per
+    /// worker (`DNA_SKEW_THREADS` caps the fan-out), and each batch's
+    /// packed units ([`Pipeline::packed_unit_len`] bytes each, in unit
+    /// order) are handed to `sink` in order. The bytes `sink` sees equal
+    /// every strand of `encode_chunked(payload)` packed with
+    /// [`bits::pack_bases_into`], at any thread count, while only one
+    /// batch is ever held.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-unit encoding errors and the first error `sink`
+    /// returns.
+    pub fn encode_chunked_packed(
+        &self,
+        payload: &[u8],
+        mut sink: impl FnMut(&[u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let units = self.chunked_units(payload.len());
+        let unit_len = self.packed_unit_len();
+        let batch = (dna_parallel::max_threads() * UNITS_PER_WORKER).min(units);
+        let mut buf = vec![0u8; batch * unit_len];
+        for first in (0..units).step_by(batch) {
+            let packed = &mut buf[..batch.min(units - first) * unit_len];
+            let mut slots: Vec<&mut [u8]> = packed.chunks_mut(unit_len).collect();
+            dna_parallel::parallel_map_slots_init(
+                &mut slots,
+                EncodeScratch::default,
+                |s, i, out| self.encode_packed_into(self.chunk(payload, first + i), out, s),
+            )
+            .into_iter()
+            .collect::<Result<(), _>>()?;
+            sink(packed)?;
+        }
+        Ok(())
     }
 
     /// Produces read pools for a whole batch of units through
@@ -602,9 +732,8 @@ impl Pipeline {
                 report.index_conflicts += 1;
                 continue;
             }
-            for r in 0..rows {
-                let sym = transcoder.decode_symbol(strand, r, geom)?;
-                matrix.set(r, idx, sym);
+            for (r, slot) in matrix.column_mut(idx).iter_mut().enumerate() {
+                *slot = transcoder.decode_symbol(strand, r, geom)?;
             }
             present[idx] = true;
         }
@@ -684,12 +813,9 @@ impl Pipeline {
         }
 
         // Unmap the (best-effort corrected) data region.
-        let n_symbols = rows * self.params.data_cols();
+        let cells = matrix.cells();
         symbols.clear();
-        for p in 0..n_symbols {
-            let (r, c) = self.layout.place(p, rows, self.params.data_cols());
-            symbols.push(matrix.get(r, c));
-        }
+        symbols.extend(self.data_cells.iter().map(|&at| cells[at as usize]));
         let payload = bits::symbols_to_bytes(symbols, m, self.payload_capacity())?;
         Ok((payload, report))
     }

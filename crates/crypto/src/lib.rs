@@ -39,7 +39,7 @@ pub struct ChaCha20 {
 
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
-#[inline]
+#[inline(always)]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[a] = state[a].wrapping_add(state[b]);
     state[d] = (state[d] ^ state[a]).rotate_left(16);
@@ -49,6 +49,15 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[d] = (state[d] ^ state[a]).rotate_left(8);
     state[c] = state[c].wrapping_add(state[d]);
     state[b] = (state[b] ^ state[c]).rotate_left(7);
+}
+
+/// A keystream block as its 64 serialized bytes.
+fn block_bytes(block: &[u32; 16]) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(block) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    out
 }
 
 impl ChaCha20 {
@@ -101,14 +110,15 @@ impl ChaCha20 {
         self.seek_block((byte_offset / 64) as u32);
         let within = (byte_offset % 64) as usize;
         if within > 0 {
-            self.pending = self.next_block();
+            self.pending = block_bytes(&self.block());
             self.pending_len = 64 - within;
+            self.counter = self.counter.wrapping_add(1);
         }
     }
 
-    /// Generates the raw 64-byte keystream block for the current counter
-    /// and advances the counter.
-    fn next_block(&mut self) -> [u8; 64] {
+    /// The raw keystream block for the current counter as little-endian
+    /// words. The counter is not advanced.
+    fn block(&self) -> [u32; 16] {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&CONSTANTS);
         state[4..12].copy_from_slice(&self.key);
@@ -127,31 +137,42 @@ impl ChaCha20 {
             quarter_round(&mut state, 2, 7, 8, 13);
             quarter_round(&mut state, 3, 4, 9, 14);
         }
-        let mut out = [0u8; 64];
-        for i in 0..16 {
-            let word = state[i].wrapping_add(initial[i]);
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+        for (word, init) in state.iter_mut().zip(initial) {
+            *word = word.wrapping_add(init);
         }
-        self.counter = self.counter.wrapping_add(1);
-        out
+        state
     }
 
     /// XORs the keystream into `data`, advancing the stream position.
     /// Applying the same cipher state twice restores the plaintext.
+    ///
+    /// The rest of a partly used block goes first, byte by byte; every
+    /// whole block after it is XORed a word at a time, and a final
+    /// partial block is kept for the next call.
     pub fn apply_keystream(&mut self, data: &mut [u8]) {
-        let mut i = 0usize;
-        while i < data.len() {
-            if self.pending_len == 0 {
-                self.pending = self.next_block();
-                self.pending_len = 64;
+        let take = self.pending_len.min(data.len());
+        let start = 64 - self.pending_len;
+        for (d, k) in data[..take].iter_mut().zip(&self.pending[start..]) {
+            *d ^= k;
+        }
+        self.pending_len -= take;
+        let mut blocks = data[take..].chunks_exact_mut(64);
+        for chunk in &mut blocks {
+            let block = self.block();
+            self.counter = self.counter.wrapping_add(1);
+            for (bytes, k) in chunk.chunks_exact_mut(4).zip(block) {
+                let word = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk")) ^ k;
+                bytes.copy_from_slice(&word.to_le_bytes());
             }
-            let take = self.pending_len.min(data.len() - i);
-            let start = 64 - self.pending_len;
-            for k in 0..take {
-                data[i + k] ^= self.pending[start + k];
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.pending = block_bytes(&self.block());
+            self.counter = self.counter.wrapping_add(1);
+            for (d, k) in tail.iter_mut().zip(&self.pending) {
+                *d ^= k;
             }
-            self.pending_len -= take;
-            i += take;
+            self.pending_len = 64 - tail.len();
         }
     }
 
@@ -183,6 +204,77 @@ pub fn seed_material(seed: u64) -> ([u8; 32], [u8; 12]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ChaCha20 {
+        /// The block-at-a-time reference stream: the serialized keystream
+        /// block for the current counter, advancing the counter.
+        fn next_block(&mut self) -> [u8; 64] {
+            let block = block_bytes(&self.block());
+            self.counter = self.counter.wrapping_add(1);
+            block
+        }
+    }
+
+    /// `len` keystream bytes from block `first` on, by the reference.
+    fn reference_keystream(key: &[u8; 32], nonce: &[u8; 12], first: u32, len: usize) -> Vec<u8> {
+        let mut c = ChaCha20::new(key, nonce);
+        c.seek_block(first);
+        let mut out = Vec::with_capacity(len + 64);
+        while out.len() < len {
+            out.extend_from_slice(&c.next_block());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn the_stream_wraps_the_block_counter_like_the_reference() {
+        let key: [u8; 32] = std::array::from_fn(|i| (i * 37 + 1) as u8);
+        let nonce: [u8; 12] = std::array::from_fn(|i| (i * 11) as u8);
+        for counter in [u32::MAX - 1, u32::MAX] {
+            let mut c = ChaCha20::new(&key, &nonce);
+            c.seek_block(counter);
+            let mut streamed = [0u8; 200];
+            c.apply_keystream(&mut streamed);
+            assert_eq!(
+                streamed.to_vec(),
+                reference_keystream(&key, &nonce, counter, 200),
+                "counter {counter}"
+            );
+        }
+    }
+
+    #[test]
+    fn random_seeks_and_splits_match_the_reference() {
+        let key: [u8; 32] = std::array::from_fn(|i| (i * 5 + 3) as u8);
+        let nonce = [0x5Au8; 12];
+        let reference = reference_keystream(&key, &nonce, 0, 2048);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        for _ in 0..200 {
+            let offset = next(1024);
+            let len = next(1024);
+            let mut c = ChaCha20::new(&key, &nonce);
+            c.seek(offset as u64);
+            let mut data = vec![0u8; len];
+            let mut at = 0;
+            while at < len {
+                let step = (next(300) + 1).min(len - at);
+                c.apply_keystream(&mut data[at..at + step]);
+                at += step;
+            }
+            assert_eq!(
+                data,
+                reference[offset..offset + len],
+                "offset {offset} len {len}"
+            );
+        }
+    }
 
     fn rfc_key() -> [u8; 32] {
         let mut k = [0u8; 32];

@@ -373,18 +373,61 @@ pub fn strand_section_len(units: u32, cols: usize, strand_bases: usize) -> u64 {
     u64::from(units) * cols as u64 * packed_strand_len(strand_bases) as u64 + 8 + 4
 }
 
+/// A strand section being streamed out: packed strand bytes go to the
+/// writer with the CRC-64 carried along, and [`StrandSection::finish`]
+/// appends the trailer (CRC-64, trailer magic). Both section writers —
+/// [`write_strands`] and the store's packed encoder — append through it.
+pub struct StrandSection<'w, W: Write> {
+    w: &'w mut W,
+    crc: u64,
+    written: u64,
+}
+
+impl<'w, W: Write> StrandSection<'w, W> {
+    /// Starts a section at the writer's position.
+    pub fn new(w: &'w mut W) -> StrandSection<'w, W> {
+        StrandSection {
+            w,
+            crc: 0,
+            written: 0,
+        }
+    }
+
+    /// Appends packed strand bytes (unit-major, column-major).
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] when the writer fails.
+    pub fn write_packed(&mut self, packed: &[u8]) -> Result<(), StorageError> {
+        self.crc = crc64_extend(self.crc, packed);
+        self.w.write_all(packed)?;
+        self.written += packed.len() as u64;
+        Ok(())
+    }
+
+    /// Writes the trailer and returns the section's length in bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::Io`] when the writer fails.
+    pub fn finish(self) -> Result<u64, StorageError> {
+        self.w.write_all(&self.crc.to_le_bytes())?;
+        self.w.write_all(TRAILER_MAGIC)?;
+        Ok(self.written + 12)
+    }
+}
+
 /// Writes the strand section (packed strands, CRC-64 trailer, trailer
 /// magic) for a capsule whose strands are given unit-major, column-major.
 /// Every strand must be exactly `strand_bases` long. Each strand is packed
-/// into one reused buffer and the CRC is carried along as it is written.
+/// into one reused buffer and appended through a [`StrandSection`].
 pub fn write_strands<W: Write, U: AsRef<[DnaString]>>(
     w: &mut W,
     units: &[U],
     strand_bases: usize,
 ) -> Result<u64, StorageError> {
     let mut packed = vec![0u8; packed_strand_len(strand_bases)];
-    let mut crc = 0u64;
-    let mut written = 0u64;
+    let mut section = StrandSection::new(w);
     for strand in units.iter().flat_map(AsRef::as_ref) {
         if strand.len() != strand_bases {
             return Err(StorageError::InvalidParams(format!(
@@ -393,13 +436,9 @@ pub fn write_strands<W: Write, U: AsRef<[DnaString]>>(
             )));
         }
         dna_strand::bits::pack_bases_into(strand.as_slice(), &mut packed);
-        crc = crc64_extend(crc, &packed);
-        w.write_all(&packed)?;
-        written += packed.len() as u64;
+        section.write_packed(&packed)?;
     }
-    w.write_all(&crc.to_le_bytes())?;
-    w.write_all(TRAILER_MAGIC)?;
-    Ok(written + 12)
+    section.finish()
 }
 
 /// Reads a capsule's strand section back as per-unit strand lists,
@@ -702,6 +741,37 @@ mod tests {
         let (l3, _) = capsule_primers(5, 1, 16).unwrap();
         assert_ne!(l1, l3, "different capsules draw different primers");
         assert!(l1.strand().hamming_distance(r1.strand()).unwrap() >= 5);
+    }
+
+    #[test]
+    fn write_strands_and_the_packed_encoder_write_the_same_section() {
+        // One capsule of 2.5 units under its own primers, through both
+        // section writers: per-base strands packed by `write_strands`, and
+        // the packed encoder streamed through a `StrandSection`.
+        let params = CodecParams::tiny().unwrap().with_primer_len(12);
+        let (left, right) = capsule_primers(7, 3, 12).unwrap();
+        let pipeline = dna_storage::Pipeline::builder()
+            .params(params.clone())
+            .build()
+            .unwrap()
+            .with_primers(left, right)
+            .unwrap();
+        let stored: Vec<u8> = (0..75u32).map(|i| (i * 89 + 5) as u8).collect();
+        let units = pipeline.encode_chunked(&stored).unwrap();
+        let strands: Vec<&[DnaString]> = units.iter().map(|u| u.strands()).collect();
+        let mut per_base = Vec::new();
+        let per_base_len = write_strands(&mut per_base, &strands, params.strand_bases()).unwrap();
+        let mut packed = Vec::new();
+        let mut section = StrandSection::new(&mut packed);
+        pipeline
+            .encode_chunked_packed(&stored, |bytes| section.write_packed(bytes))
+            .unwrap();
+        assert_eq!(section.finish().unwrap(), per_base_len);
+        assert_eq!(packed, per_base);
+        assert_eq!(
+            per_base_len,
+            strand_section_len(3, params.cols(), params.strand_bases())
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! worth of payload at a time (compress → encrypt → EC-encode → append),
 //! and `fetch` walks only the target object's capsule records (primer
 //! check → decode → decrypt → decompress → [`std::io::Write`]), so peak
-//! memory is a few capsule buffers regardless of object or pool size.
+//! memory is a few capsule buffers regardless of object or pool size: a
+//! `put` holds one capsule buffer plus one batch of packed units, never
+//! a capsule's strands.
 //!
 //! Every mutation commits the manifest twice: the `MANIFEST` sidecar file
 //! (fast open) and a reserved super-capsule appended to `pool.dna`
@@ -15,8 +17,8 @@
 
 use crate::capsule::{
     capsule_primers, capsule_primers_attempt, scan_capsules, CapsuleHeader, LayoutKind, PoolHeader,
-    FLAG_COMPRESSED, FLAG_ENCRYPTED, FLAG_MANIFEST, FLAG_TOMBSTONE, MANIFEST_OBJECT_ID,
-    MAX_NAME_LEN,
+    StrandSection, FLAG_COMPRESSED, FLAG_ENCRYPTED, FLAG_MANIFEST, FLAG_TOMBSTONE,
+    MANIFEST_OBJECT_ID, MAX_NAME_LEN,
 };
 use crate::checksum::fnv64;
 use crate::compress;
@@ -566,8 +568,8 @@ impl ObjectStore {
     }
 
     /// Streams `reader` into the pool as a new object named `name`,
-    /// returning its id. Peak memory is one capsule buffer plus the
-    /// encoded strands of one capsule, independent of object size.
+    /// returning its id. Peak memory is one capsule buffer plus one batch
+    /// of packed units, independent of object size.
     ///
     /// # Errors
     ///
@@ -676,6 +678,12 @@ impl ObjectStore {
 
     /// Encodes `stored` into a capsule record appended at the writer's
     /// position. Returns the record's manifest entry ingredients.
+    ///
+    /// The header goes first, with the unit count known up front; then
+    /// units are encoded straight into packed pool bytes in parallel
+    /// batches ([`Pipeline::encode_chunked_packed`]) and appended in
+    /// order with the CRC-64 carried along, so the capsule's strands are
+    /// never held whole.
     fn append_capsule<W: Write>(
         &self,
         w: &mut W,
@@ -686,12 +694,11 @@ impl ObjectStore {
             .base
             .clone()
             .with_primers(header.left.clone(), header.right.clone())?;
-        let encoded = pipeline.encode_chunked(stored)?;
-        let units: Vec<&[DnaString]> = encoded.iter().map(|u| u.strands()).collect();
-        header.units = units.len() as u32;
-        let strand_bases = self.base.params().strand_bases();
+        header.units = pipeline.chunked_units(stored.len()) as u32;
         let mut bytes = header.write_to(w)?;
-        bytes += crate::capsule::write_strands(w, &units, strand_bases)?;
+        let mut section = StrandSection::new(w);
+        pipeline.encode_chunked_packed(stored, |packed| section.write_packed(packed))?;
+        bytes += section.finish()?;
         Ok(AppendedCapsule { header, bytes })
     }
 
@@ -835,8 +842,7 @@ impl ObjectStore {
             right,
         };
         header.write_to(&mut file)?;
-        let no_units: &[&[DnaString]] = &[];
-        crate::capsule::write_strands(&mut file, no_units, self.base.params().strand_bases())?;
+        StrandSection::new(&mut file).finish()?;
         file.flush()?;
         drop(file);
         self.manifest.next_seq = seq + 1;
@@ -925,11 +931,31 @@ impl FetchPlan {
             };
             let cap = read_capsule_header_at(&mut file, &self.header, centry.offset)
                 .map_err(stamp_offset)?;
-            if cap.seq != seq || cap.object_id != id {
+            // The re-read header must be the one the manifest recorded:
+            // its unit count sizes the strand read, so a header that
+            // disagrees is rejected before anything is allocated for it.
+            let found = (
+                cap.seq,
+                cap.object_id,
+                cap.units,
+                cap.plain_len,
+                cap.stored_len,
+                cap.flags,
+            );
+            let expected = (
+                seq,
+                id,
+                centry.units,
+                centry.plain_len,
+                centry.stored_len,
+                centry.flags,
+            );
+            if found != expected {
                 return Err(StorageError::ManifestCorrupt {
                     reason: format!(
-                        "capsule at offset {} is seq={} object={}, manifest expected seq={seq} object={id}",
-                        centry.offset, cap.seq, cap.object_id
+                        "capsule at offset {} has (seq, object, units, plain, stored, flags) = \
+                         {found:?}, manifest expected {expected:?}",
+                        centry.offset
                     ),
                 });
             }
@@ -1536,6 +1562,53 @@ mod tests {
             f.seek(SeekFrom::Start(end)).unwrap();
         }
         std::fs::write(&path, out).unwrap();
+    }
+
+    /// Rewrites the header of `name`'s first capsule in place with
+    /// `units = u32::MAX`. The header's CRC-32 is recomputed, so only the
+    /// manifest can tell that the record is forged.
+    fn forge_unit_count(store: &ObjectStore, name: &str) {
+        let id = store.object_id(name).unwrap();
+        let entry = store.manifest().object(id).unwrap();
+        let offset = store
+            .manifest()
+            .capsule(entry.capsules.start)
+            .unwrap()
+            .offset;
+        let path = store.dir().join(POOL_FILE);
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let mut cap = read_capsule_header_at(&mut file, store.header(), offset).unwrap();
+        cap.units = u32::MAX;
+        file.seek(SeekFrom::Start(offset)).unwrap();
+        cap.write_to(&mut file).unwrap();
+    }
+
+    #[test]
+    fn a_forged_header_unit_count_is_manifest_corrupt() {
+        // Without the manifest comparison the strand read would allocate
+        // units x cols x packed bytes (644 GB here) and abort the process.
+        let dir = tmp_dir("forged-units");
+        let mut store = ObjectStore::create(&dir, StoreConfig::tiny().unwrap()).unwrap();
+        let data = payload(150);
+        let victim = store.put_bytes("victim", &data).unwrap();
+        let other = store.put_bytes("other", &data).unwrap();
+        forge_unit_count(&store, "victim");
+        let err = store.get(victim).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::ManifestCorrupt { reason } if reason.contains("4294967295")),
+            "{err}"
+        );
+        let mut ws = DecodeWorkspace::new();
+        let err = store
+            .fetch_with_workspace(victim, &mut Vec::new(), &FetchOptions::default(), &mut ws)
+            .unwrap_err();
+        assert!(matches!(err, StorageError::ManifestCorrupt { .. }), "{err}");
+        assert_eq!(store.get(other).unwrap(), data);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

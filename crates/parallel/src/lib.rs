@@ -110,34 +110,83 @@ where
     I: Fn() -> W + Sync,
     F: Fn(&mut W, usize) -> T + Sync,
 {
+    parallel_map_slots_init_with(&mut vec![(); n], threads, init, |w, i, ()| f(w, i))
+}
+
+/// [`parallel_map_init`] over disjoint mutable slots: item `i` is also
+/// handed `&mut slots[i]`, so workers fill a caller's buffer in place —
+/// for example one chunk each of `buf.chunks_mut(len)` — instead of
+/// returning owned copies of it. The same determinism contract holds.
+///
+/// # Examples
+///
+/// ```
+/// let mut buf = vec![0u8; 6];
+/// let mut chunks: Vec<&mut [u8]> = buf.chunks_mut(2).collect();
+/// let sums = dna_parallel::parallel_map_slots_init(&mut chunks, || (), |(), i, chunk| {
+///     chunk.fill(i as u8);
+///     i * 2
+/// });
+/// assert_eq!(sums, vec![0, 2, 4]);
+/// assert_eq!(buf, [0, 0, 1, 1, 2, 2]);
+/// ```
+pub fn parallel_map_slots_init<S, W, T, I, F>(slots: &mut [S], init: I, f: F) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize, &mut S) -> T + Sync,
+{
+    parallel_map_slots_init_with(slots, max_threads(), init, f)
+}
+
+/// [`parallel_map_slots_init`] with an explicit thread budget: the one
+/// fan-out every `parallel_map*` variant runs on.
+fn parallel_map_slots_init_with<S, W, T, I, F>(
+    slots: &mut [S],
+    threads: usize,
+    init: I,
+    f: F,
+) -> Vec<T>
+where
+    S: Send,
+    T: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize, &mut S) -> T + Sync,
+{
+    let n = slots.len();
     let threads = threads.clamp(1, n.max(1));
     if n == 0 {
         return Vec::new();
     }
     if threads == 1 {
         let mut w = init();
-        return (0..n).map(|i| f(&mut w, i)).collect();
+        return slots
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| f(&mut w, i, slot))
+            .collect();
     }
     let chunk = n.div_ceil(threads);
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let run = |tid: usize, slots: &mut [S], results: &mut [Option<T>]| {
+        let mut w = init();
+        for (off, (slot, out)) in slots.iter_mut().zip(results).enumerate() {
+            *out = Some(f(&mut w, tid * chunk + off, slot));
+        }
+    };
     std::thread::scope(|scope| {
-        let mut rest: &mut [Option<T>] = &mut results;
-        let mut handles = Vec::new();
-        for tid in 0..threads {
-            let lo = tid * chunk;
-            let hi = ((tid + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let (mine, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let (init, f) = (&init, &f);
-            handles.push(scope.spawn(move || {
-                let mut w = init();
-                for (off, slot) in mine.iter_mut().enumerate() {
-                    *slot = Some(f(&mut w, lo + off));
-                }
-            }));
+        let mut parts = slots
+            .chunks_mut(chunk)
+            .zip(results.chunks_mut(chunk))
+            .enumerate();
+        // The calling thread works the first chunk instead of waiting.
+        let first = parts.next();
+        let handles: Vec<_> = parts
+            .map(|(tid, (slots, results))| scope.spawn(move || run(tid, slots, results)))
+            .collect();
+        if let Some((tid, (slots, results))) = first {
+            run(tid, slots, results);
         }
         for h in handles {
             h.join().expect("parallel_map worker panicked");
@@ -230,6 +279,26 @@ mod tests {
                 i * i + 1
             });
             assert_eq!(got, reference, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn slots_are_filled_in_place_at_any_thread_count() {
+        let reference: Vec<u8> = (0..23u8).flat_map(|i| [i, i ^ 0x5A, i]).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let mut buf = vec![0u8; 23 * 3];
+            let mut chunks: Vec<&mut [u8]> = buf.chunks_mut(3).collect();
+            let got = parallel_map_slots_init_with(
+                &mut chunks,
+                threads,
+                || (),
+                |(), i, chunk| {
+                    chunk.copy_from_slice(&[i as u8, i as u8 ^ 0x5A, i as u8]);
+                    i
+                },
+            );
+            assert_eq!(got, (0..23).collect::<Vec<_>>(), "threads = {threads}");
+            assert_eq!(buf, reference, "threads = {threads}");
         }
     }
 

@@ -726,6 +726,47 @@ mod tests {
     }
 
     #[test]
+    fn a_forged_capsule_header_is_an_error_not_an_abort() {
+        // A header rewritten with units = u32::MAX (CRC-32 still valid)
+        // once sized a 644 GB strand read and aborted the server.
+        use dna_object::capsule::CapsuleHeader;
+        use std::io::{Seek, SeekFrom};
+        let dir = tmp_dir("forged");
+        let server = tiny_server(&dir, 2);
+        let client = server.client();
+        let data = payload(150);
+        assert_eq!(client.put("victim", data.clone()), Response::ok("id=1"));
+        assert_eq!(client.put("other", data.clone()), Response::ok("id=2"));
+        {
+            let store = server.shared.store.read().unwrap();
+            let offset = store.manifest().capsule(1).unwrap().offset;
+            let primer_len = usize::from(store.header().primer_len);
+            let path = dir.join(dna_object::POOL_FILE);
+            let mut file = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(path)
+                .unwrap();
+            file.seek(SeekFrom::Start(offset)).unwrap();
+            let mut cap = CapsuleHeader::read_from(&mut file, primer_len).unwrap();
+            cap.units = u32::MAX;
+            file.seek(SeekFrom::Start(offset)).unwrap();
+            cap.write_to(&mut file).unwrap();
+        }
+        match client.fetch("victim", false) {
+            Response::Err(ErrorCode::Internal, message) => {
+                assert!(message.contains("4294967295"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(client.call(Request::Ping), Response::ok(&b"pong"[..]));
+        assert_eq!(client.fetch("other", false), Response::Ok(data));
+        drop(client);
+        server.shutdown().expect("no other handles");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_poisoned_store_lock_keeps_serving() {
         let dir = tmp_dir("poisoned");
         let server = tiny_server(&dir, 2);

@@ -27,13 +27,32 @@ use crate::{Base, DnaString, StrandError};
 /// # Ok::<(), dna_strand::StrandError>(())
 /// ```
 pub fn bytes_to_symbols(bytes: &[u8], width: u8) -> Result<Vec<u16>, StrandError> {
+    let mut out = Vec::new();
+    bytes_to_symbols_into(bytes, width, &mut out)?;
+    Ok(out)
+}
+
+/// [`bytes_to_symbols`] into a caller-provided vector (cleared first), so
+/// a reused buffer allocates nothing.
+///
+/// # Errors
+///
+/// As [`bytes_to_symbols`].
+pub fn bytes_to_symbols_into(
+    bytes: &[u8],
+    width: u8,
+    out: &mut Vec<u16>,
+) -> Result<(), StrandError> {
     if width == 0 || width > 16 {
         return Err(StrandError::OddSymbolWidth(width));
     }
+    out.clear();
+    if width == 8 {
+        out.extend(bytes.iter().map(|&b| u16::from(b)));
+        return Ok(());
+    }
     let width = usize::from(width);
-    let total_bits = bytes.len() * 8;
-    let n_symbols = total_bits.div_ceil(width);
-    let mut out = Vec::with_capacity(n_symbols);
+    out.reserve((bytes.len() * 8).div_ceil(width));
     let mut acc: u32 = 0;
     let mut acc_bits = 0usize;
     for &b in bytes {
@@ -47,7 +66,7 @@ pub fn bytes_to_symbols(bytes: &[u8], width: u8) -> Result<Vec<u16>, StrandError
     if acc_bits > 0 {
         out.push(((acc << (width - acc_bits)) & ((1 << width) - 1)) as u16);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Unpacks `width`-bit symbols back into exactly `byte_len` bytes,

@@ -74,6 +74,11 @@ impl DnaString {
         self.bases
     }
 
+    /// Removes every base, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.bases.clear();
+    }
+
     /// Appends one base.
     pub fn push(&mut self, base: Base) {
         self.bases.push(base);
